@@ -24,7 +24,7 @@ __all__ = ["fig4_tiling", "fig5_scheduling", "fig7_gemm_nn",
            "fig11_mkl_gemm", "fig12_mkl_trsm", "table1_kernels",
            "table2_machines", "headline_speedups", "ablation_scheduling",
            "ablation_nopack", "ablation_batch_counter",
-           "ablation_autotune", "ablation_tuned", "backend_showdown",
+           "ablation_tuned", "backend_showdown",
            "serve_throughput"]
 
 GEMM_MODES = ("NN", "NT", "TN", "TT")
@@ -344,34 +344,6 @@ def ablation_batch_counter(sizes=(2, 4, 8, 16), dtype: str = "d",
     return {"rows": rows, "render": "\n".join(lines)}
 
 
-def ablation_autotune(sizes=(5, 6, 9, 13, 17, 21), dtype: str = "d",
-                      batch: int = 16384) -> dict:
-    """Empirical plan autotuning vs the analytic CMAR choice.
-
-    A negative-result ablation worth recording: sweeping alternative
-    tile preferences and timing each plan yields only marginal gains
-    over the paper's analytic 4x4-greedy choice — evidence that the
-    CMAR analysis already lands on the right kernels for this machine.
-    """
-    iatf = IATF(KUNPENG_920)
-    rows = []
-    with obs.scoped() as reg:
-        for n in sizes:
-            prob = GemmProblem(n, n, n, dtype, batch=batch)
-            g0 = iatf.time_gemm(prob).gflops
-            g1 = iatf.time_gemm(prob, autotune=True).gflops
-            main = iatf.plan_gemm(prob, autotune=True).meta["main_kernel"]
-            rows.append((n, g0, g1, main))
-    lines = [f"Ablation — empirical autotuning, {dtype}gemm NN",
-             f"{'n':>4} {'analytic':>9} {'autotuned':>10} {'chosen':>8}"]
-    for n, a, b, main in rows:
-        lines.append(f"{n:>4} {a:>9.3f} {b:>10.3f} {str(main):>8}")
-    stats = decision_stats(reg)
-    if stats:
-        lines.append(stats)
-    return {"rows": rows, "render": "\n".join(lines)}
-
-
 def ablation_tuned(sizes=tuple(range(1, 34)), dtype: str = "d",
                    batch: int = 16384, tuning_db=None) -> dict:
     """Install-time tuning vs the analytic CMAR choice, Table-1 sweep.
@@ -432,21 +404,21 @@ def ablation_tuned(sizes=tuple(range(1, 34)), dtype: str = "d",
 
 def backend_showdown(size: int = 8, dtype: str = "s",
                      batch: int = 16384, repeats: int = 5,
-                     backends: "tuple[str, ...]" = ("interpret", "compiled",
-                                                    "fused", "megakernel",
-                                                    "parallel"),
+                     backends: "tuple[str, ...]" = ("interpret", "fused",
+                                                    "megakernel", "parallel"),
                      machine=KUNPENG_920) -> dict:
     """Wall-clock plan-execute loop per executor backend.
 
     Unlike every other experiment (deterministic cycle model), this one
     measures real host time: the plan is generated and lowered once,
     then the execute loop replays it ``repeats`` times per backend and
-    the best iteration is kept.  Two payoffs are on display: the
-    compiled stream must beat the interpreter on the paper's headline
-    batch (16384) because all per-instruction address resolution moved
-    to lower time, and the fused stream must beat the compiled one
-    because the pass pipeline (macro-op fusion, wide copies, DCE)
-    replaced dozens of tiny ufunc dispatches with a few large ones.
+    the best iteration is kept.  Two payoffs are on display: the fused
+    replay must beat the interpreter on the paper's headline batch
+    (16384) because all per-instruction address resolution moved to
+    lower time and the pass pipeline (macro-op fusion, wide copies,
+    DCE) replaced dozens of tiny ufunc dispatches with a few large
+    ones, and the megakernel must beat the fused replay because it
+    removes the per-command dispatch altogether.
     """
     import time
 
@@ -502,11 +474,6 @@ def backend_showdown(size: int = 8, dtype: str = "s",
         f"{passes['coalesce_loads'] + passes['coalesce_stores']} wide "
         f"copies / {passes['coalesce_vectorized']} vectorized, "
         f"{passes['dce_removed']} dead)")
-    fused_vs_compiled = (results["compiled"] / results["fused"]
-                         if {"compiled", "fused"} <= results.keys()
-                         else None)
-    if fused_vs_compiled is not None:
-        lines.append(f"fused vs compiled: {fused_vs_compiled:.2f}x")
     mega_vs_fused = (results["fused"] / results["megakernel"]
                      if {"fused", "megakernel"} <= results.keys()
                      else None)
@@ -517,7 +484,6 @@ def backend_showdown(size: int = 8, dtype: str = "s",
                  f"backend-independent)")
     return {"seconds": results, "repeats": repeats, "size": size,
             "batch": batch, "dtype": dt.value, "passes": passes,
-            "fused_vs_compiled": fused_vs_compiled,
             "mega_vs_fused": mega_vs_fused,
             "machine": machine.name, "machine_id": machine.machine_id,
             "routine": "gemm", "shape": [size, size, size],

@@ -9,8 +9,7 @@ __all__ = ["series_table", "ratio_summary", "markdown_table",
            "series_csv", "decision_stats"]
 
 #: counter prefixes that narrate run-time-stage decisions
-DECISION_PREFIXES = ("plan_cache.", "pack_selector.", "autotune.",
-                     "batch_counter.")
+DECISION_PREFIXES = ("plan_cache.", "pack_selector.", "batch_counter.")
 
 
 def series_table(series: dict[str, Series], title: str = "",
@@ -57,7 +56,7 @@ def ratio_summary(series: dict[str, Series], of: str = "IATF") -> str:
 
 def decision_stats(registry: "obs.Registry | None" = None,
                    title: str = "decision statistics:") -> str:
-    """Plan-cache / pack-selector / autotune counter snapshot as text.
+    """Plan-cache / pack-selector / batch-counter counter snapshot as text.
 
     Appended to benchmark reports so ablation runs show the run-time
     stage's decisions alongside GFLOPS.  Returns "" when nothing was

@@ -13,7 +13,7 @@ This interpreter is the ``interpret`` executor backend and the
 **bit-exact reference semantics** for every other backend: the
 run-time stage's lowering pass (:mod:`repro.runtime.lowering`)
 constant-folds the address resolution :meth:`VectorExecutor.step`
-performs per instruction, and the ``compiled`` backend must reproduce
+performs per instruction, and the lowered backends must reproduce
 this executor's results bit for bit (the backend-equivalence suite
 enforces it).  Change execution semantics here first; lowering second.
 

@@ -10,8 +10,8 @@ Five layers:
   exportable to Chrome ``chrome://tracing`` / Perfetto JSON;
 * :mod:`repro.obs.explain` — :func:`explain` reports narrating every
   run-time-stage decision a plan embodies (batch counter math,
-  pack-selector reasoning, tile decomposition, autotune sweeps, and
-  the cycle-model breakdown);
+  pack-selector reasoning, tile decomposition, decision provenance,
+  and the cycle-model breakdown);
 * :mod:`repro.obs.profile` — the attribution profiler:
   :func:`profile_plan` walks a plan's compiled command stream and
   attributes modeled cycles/FLOPs/bytes to instruction classes,

@@ -5,14 +5,14 @@ Usage::
     python -m repro.obs --self-check
     python -m repro.obs snapshot [--trace-out run.trace.json]
     python -m repro.obs explain gemm --m 9 --n 9 --k 9 --dtype d \\
-        --batch 4096 [--deep] [--autotune] [--force-pack]
+        --batch 4096 [--deep] [--force-pack]
     python -m repro.obs explain trsm --m 8 --n 6 --dtype d --mode LLNN
     python -m repro.obs profile gemm --m 8 --n 8 --k 8 --dtype s \\
         [--stream raw|fused] [--json out.json] [--flame out.folded] \\
         [--trace-out out.trace.json] [--drift]
     python -m repro.obs watch BENCH_backends.json [--threshold 0.10] \\
-        [--wall-threshold 0.5] [--ratio-floor 0.90] \\
-        [--mega-floor 1.2] [--drift-threshold 0.5] [--slo slo.json]
+        [--wall-threshold 0.5] [--mega-floor 1.2] \\
+        [--drift-threshold 0.5] [--slo slo.json]
     python -m repro.obs flight [--url http://127.0.0.1:9110/flight] \\
         [--last] [-o dump.json]
     python -m repro.obs serve [--port 9109] [--demo] \\
@@ -53,14 +53,15 @@ def _demo_workload():
     import numpy as np
 
     from ..runtime.iatf import IATF
+    from ..tuning.db import TuningDB
     from ..types import GemmProblem, TrsmProblem
 
-    iatf = IATF()
+    iatf = IATF(tuning_db=TuningDB())
     gp = GemmProblem(6, 6, 6, "d", batch=8)
     tp = TrsmProblem(4, 4, "d", batch=8)
     iatf.time_gemm(gp)
     iatf.time_gemm(gp)                       # plan-cache hit
-    iatf.plan_gemm(GemmProblem(9, 9, 9, "d", batch=8), autotune=True)
+    iatf.retune(GemmProblem(9, 9, 9, "d", batch=8), save=False)
     iatf.time_trsm(tp)
     rng = np.random.default_rng(0)
     a = rng.standard_normal((8, 6, 6))
@@ -86,7 +87,7 @@ def _synthetic_point(gflops: float, timestamp: float) -> dict:
     from .watch import SCHEMA_VERSION
     return {"schema": SCHEMA_VERSION, "machine": "Self Check",
             "machine_id": "self-check", "routine": "gemm",
-            "backend": "compiled", "dtype": "s", "shape": [8, 8, 8],
+            "backend": "fused", "dtype": "s", "shape": [8, 8, 8],
             "batch": 16384, "gflops": gflops, "percent_peak": 50.0,
             "wall_seconds": None, "repeats": 1, "timestamp": timestamp}
 
@@ -103,7 +104,7 @@ def _cmd_self_check(args) -> int:
                      "batch_counter.calls",
                      "codegen.generated",
                      "engine.timed_plans",
-                     "autotune.candidates"):
+                     "tuning.retune.swapped"):
             if counters.get(want, 0) <= 0:
                 problems.append(f"counter {want} did not move")
         if snap["spans"] == 0:
@@ -368,7 +369,7 @@ def _cmd_explain(args) -> int:
             problem = GemmProblem(args.m, args.n, args.k, args.dtype,
                                   batch=args.batch)
             report = iatf.explain_gemm(problem, force_pack=args.force_pack,
-                                       autotune=args.autotune, deep=args.deep)
+                                       deep=args.deep)
         else:
             mode = args.mode.upper()
             if len(mode) != 4:
@@ -413,9 +414,7 @@ def _cmd_profile(args) -> int:
         with scoped() as reg:
             plan = (iatf.plan_gemm(problem) if args.routine == "gemm"
                     else iatf.plan_trsm(problem))
-            drift = (model_drift(problem, backends=("compiled", "fused",
-                                                    "megakernel"))
-                     if args.drift else None)
+            drift = model_drift(problem) if args.drift else None
             report = profile_report(plan, stream=args.stream, drift=drift)
             if args.trace_out:
                 path = write_chrome_trace(args.trace_out, registry=reg,
@@ -444,7 +443,6 @@ def _cmd_profile(args) -> int:
 def _cmd_watch(args) -> int:
     result = watch(args.paths, gflops_threshold=args.threshold,
                    wall_threshold=args.wall_threshold,
-                   ratio_floor=args.ratio_floor,
                    mega_floor=args.mega_floor,
                    drift_threshold=args.drift_threshold,
                    slo_path=args.slo_path)
@@ -519,7 +517,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p_exp.add_argument("--deep", action="store_true",
                        help="run the cycle model: pack-vs-nopack cost "
                        "comparison and TimingResult breakdown")
-    p_exp.add_argument("--autotune", action="store_true")
     p_exp.add_argument("--force-pack", action="store_true")
 
     p_prof = sub.add_parser("profile", help="cycle/byte attribution and "
@@ -584,9 +581,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p_watch.add_argument("--wall-threshold", type=float, default=None,
                          help="opt-in wall-clock regression threshold "
                          "(host-dependent; pinned perf runners only)")
-    p_watch.add_argument("--ratio-floor", type=float, default=None,
-                         help="require wall(compiled)/wall(fused) >= floor "
-                         "in the latest run (e.g. 0.90)")
     p_watch.add_argument("--mega-floor", type=float, default=None,
                          help="require wall(fused)/wall(megakernel) >= "
                          "floor in the latest run — the trace-compiled "

@@ -1,8 +1,8 @@
 """Observability core: counters, histograms, and the process registry.
 
 The run-time stage makes input-aware decisions (batch counter group
-math, pack-vs-nopack selection, CMAR tile decomposition, autotune
-sweeps) that are invisible from the outside; this module is the ledger
+math, pack-vs-nopack selection, CMAR tile decomposition, TuningDB
+records) that are invisible from the outside; this module is the ledger
 they report into.  Design constraints:
 
 * **zero overhead when off** — instrumentation sites call the

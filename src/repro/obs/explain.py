@@ -3,8 +3,8 @@
 The paper's run-time stage decides four things per problem shape —
 how many groups per batch round (Section 5.1), whether to pack each
 operand (Section 5.2), how to tile the dimensions over the Table 1
-kernel family (CMAR, Section 4), and (with autotuning) which candidate
-the empirical sweep picked.  A plan carries the *outcomes*; this module
+kernel family (CMAR, Section 4), and whether a TuningDB record
+overrode the analytic choice.  A plan carries the *outcomes*; this module
 reconstructs the *reasoning* into a structured, renderable report, plus
 (with ``deep=True``) the cycle-model consequences: pack-vs-nopack cost
 comparison and the ``TimingResult`` stall/miss breakdown.
@@ -175,21 +175,13 @@ def _tiles_section(plan) -> "list[str]":
     lines.append(f"kernel calls per group: {len(plan.calls)}")
     for name in plan.kernels_used:
         lines.append(f"  - {name}")
-    sweep = plan.meta.get("autotune_sweep")
-    if sweep:
-        lines.append("autotune sweep (timed on the machine model):")
-        best = min(entry["total_cycles"] for entry in sweep)
-        for entry in sweep:
-            mark = "<- chosen" if entry["total_cycles"] == best else ""
-            lines.append(f"  candidate {entry['candidate']}: "
-                         f"{entry['total_cycles']:.0f} cycles {mark}".rstrip())
     return lines
 
 
 def _decision_section(plan) -> "list[str]":
-    """Where the plan's decisions came from: the analytic CMAR rules,
-    a persisted install-time TuningDB record, or a run-time autotune
-    sweep — with the record's provenance when tuned."""
+    """Where the plan's decisions came from: the analytic CMAR rules or
+    a TuningDB record (written at install time or by ``retune``) — with
+    the record's provenance when tuned."""
     d = plan.meta.get("decision") or {"source": "analytic"}
     source = d.get("source", "analytic")
     if source == "tuned":
@@ -220,10 +212,6 @@ def _decision_section(plan) -> "list[str]":
             prov.append(f"at t={ts:.0f}" if ts else "unstamped")
             lines.append("provenance: " + " ".join(prov))
         return lines
-    if source == "runtime-autotune":
-        return [f"source: run-time autotune "
-                f"({d.get('candidates')} candidates timed on the "
-                f"machine model)"]
     return ["source: analytic CMAR (no TuningDB record applied)"]
 
 
@@ -354,7 +342,7 @@ def explain(plan, *, registry=None, deep: bool = False, backend=None,
         ("pack selector (Section 5.2)",
          _pack_selector_section(plan, deep, registry)))
     report.sections.append(
-        ("tile decomposition (Section 4 / autotune)", _tiles_section(plan)))
+        ("tile decomposition (Section 4)", _tiles_section(plan)))
     report.sections.append(
         ("decision provenance (install-time tuning)",
          _decision_section(plan)))

@@ -264,8 +264,8 @@ def profile_plan(plan, *, stream: str = "raw", compiled=None,
                  timing=None) -> PlanProfile:
     """Attribute one plan's modeled cycles/flops/bytes.
 
-    ``stream`` selects what to walk: ``"raw"`` (what the ``compiled``
-    backend replays; enables per-kernel attribution), ``"fused"`` (the
+    ``stream`` selects what to walk: ``"raw"`` (the unoptimized
+    lowering; enables per-kernel attribution), ``"fused"`` (the
     pass-optimized macro-op stream the ``fused`` backend replays), or
     ``"megakernel"`` (the per-segment optimized streams the trace
     compiler turns into generated source — per-kernel attribution comes
@@ -542,8 +542,7 @@ def profile_report(plan, *, stream: str = "raw", compiled=None,
 
 
 def model_drift(problem, machine=None, *,
-                backends: "tuple[str, ...]" = ("compiled", "fused",
-                                               "megakernel"),
+                backends: "tuple[str, ...]" = ("fused", "megakernel"),
                 repeats: int = 3) -> "dict[str, dict]":
     """Cycle-model predictions vs wall-clock replays, per backend.
 

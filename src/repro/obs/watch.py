@@ -8,7 +8,7 @@ series' guard dog: it loads one or more trajectory files, groups points
 by ``(machine, routine, backend, dtype, shape, batch)``, and compares
 each series' **latest** point against the **best earlier** point.
 
-Three checks, composable per invocation:
+Checks, composable per invocation:
 
 * **modeled GFLOPS** (default, threshold ``--threshold``, 10%) — the
   cycle model is deterministic pure Python, identical on every host, so
@@ -16,10 +16,6 @@ Three checks, composable per invocation:
   made plans, kernels, or the model itself worse;
 * **wall clock** (opt-in, ``--wall-threshold``) — host-dependent and
   noisy, so it is never on by default; useful on pinned perf runners;
-* **backend ratio floor** (``--ratio-floor``) — within the *latest*
-  run only: ``wall(compiled) / wall(fused) >= floor``, i.e. the fused
-  stream must stay within the floor of the compiled replayer (the CI
-  guard that used to live as an inline assert in the workflow);
 * **megakernel ratio floor** (``--mega-floor``) — within the *latest*
   run only: ``wall(fused) / wall(megakernel) >= floor``, i.e. the
   trace-compiled backend must keep its measured speedup over the
@@ -235,7 +231,6 @@ def load_slo_dump(path: str, result: WatchResult) -> None:
 def check_trajectory(points: "list[dict]", result: "WatchResult | None" = None,
                      *, gflops_threshold: float = 0.10,
                      wall_threshold: "float | None" = None,
-                     ratio_floor: "float | None" = None,
                      mega_floor: "float | None" = None,
                      drift_threshold: "float | None" = None) -> WatchResult:
     """Run the regression checks over already-validated points."""
@@ -272,8 +267,6 @@ def check_trajectory(points: "list[dict]", result: "WatchResult | None" = None,
                         f"{100.0 * (latest['wall_seconds'] / best_wall - 1.0):.1f}% "
                         f"above the best earlier point ({best_wall:.4f}s)")
 
-    if ratio_floor is not None:
-        _check_ratio_floor(series, ratio_floor, result)
     if mega_floor is not None:
         _check_mega_floor(series, mega_floor, result)
     if drift_threshold is not None:
@@ -330,36 +323,6 @@ def _check_drift(series: "dict[tuple, list[dict]]", threshold: float,
                   shape="x".join(map(str, key[4])), batch=key[5])
 
 
-def _check_ratio_floor(series: "dict[tuple, list[dict]]", floor: float,
-                       result: WatchResult) -> None:
-    """Latest-run compiled-vs-fused wall ratio per problem shape."""
-    latest_by_backend: "dict[tuple, dict[str, dict]]" = {}
-    for key, pts in series.items():
-        shape_key = key[:2] + key[3:]       # identity minus the backend
-        latest_by_backend.setdefault(shape_key, {})[key[2]] = pts[-1]
-    checked = 0
-    for shape_key, per_backend in sorted(latest_by_backend.items()):
-        compiled = per_backend.get("compiled")
-        fused = per_backend.get("fused")
-        if (compiled is None or fused is None
-                or compiled.get("wall_seconds") is None
-                or fused.get("wall_seconds") is None
-                or not fused["wall_seconds"]):
-            continue
-        checked += 1
-        ratio = compiled["wall_seconds"] / fused["wall_seconds"]
-        if ratio < floor:
-            result.regressions.append(
-                "{}/{} {} {} batch={}: fused backend fell behind — "
-                "compiled/fused wall ratio {:.2f} < floor {:.2f}".format(
-                    shape_key[0], shape_key[1], shape_key[2],
-                    "x".join(map(str, shape_key[3])), shape_key[4],
-                    ratio, floor))
-    if not checked:
-        result.notes.append("ratio floor requested but no run has both "
-                            "compiled and fused wall points")
-
-
 def _check_mega_floor(series: "dict[tuple, list[dict]]", floor: float,
                       result: WatchResult) -> None:
     """Latest-run fused-vs-megakernel wall ratio per problem shape: the
@@ -395,7 +358,6 @@ def _check_mega_floor(series: "dict[tuple, list[dict]]", floor: float,
 
 def watch(paths: "list[str]", *, gflops_threshold: float = 0.10,
           wall_threshold: "float | None" = None,
-          ratio_floor: "float | None" = None,
           mega_floor: "float | None" = None,
           drift_threshold: "float | None" = None,
           slo_path: "str | None" = None) -> WatchResult:
@@ -408,8 +370,8 @@ def watch(paths: "list[str]", *, gflops_threshold: float = 0.10,
         result.problems.append("no checkable trajectory points found in: "
                                + ", ".join(paths))
     check_trajectory(points, result, gflops_threshold=gflops_threshold,
-                     wall_threshold=wall_threshold, ratio_floor=ratio_floor,
-                     mega_floor=mega_floor, drift_threshold=drift_threshold)
+                     wall_threshold=wall_threshold, mega_floor=mega_floor,
+                     drift_threshold=drift_threshold)
     if slo_path is not None:
         load_slo_dump(slo_path, result)
     return result

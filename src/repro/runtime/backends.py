@@ -9,21 +9,18 @@ The engine separates *what* to run (the plan), *how it was compiled*
     reference: every other backend must produce identical
     :class:`~repro.layout.compact.CompactBatch` bytes.
 
-``compiled``
-    Replays a :class:`~repro.runtime.lowering.CompiledPlan`: one 2-D
+``fused`` (the default)
+    Replays a :class:`~repro.runtime.lowering.CompiledPlan`'s
+    pass-*optimized* stream (``CompiledPlan.fused_commands``): one 2-D
     ``(groups, stride_elems)`` view per buffer, a preallocated vector
     register file, and a flat loop of slice copies and in-place ufuncs.
     No pointer resolution, no alignment/bounds checks, no per-op
-    allocation — all of that happened once at lower time.
-
-``fused``
-    The same replay loop over the pass-*optimized* stream
-    (``CompiledPlan.fused_commands``): FMLA chains collapsed into
-    stacked ``K_MACC`` macro-ops, adjacent loads/stores merged into
-    wide copies, dead register writes eliminated.  Each macro-op is a
-    handful of large ufuncs instead of dozens of tiny ones, so the
-    dispatch-bound hot loop gets materially cheaper — with bit-exact
-    results by pass construction.
+    allocation — all of that happened once at lower time.  FMLA chains
+    are collapsed into stacked ``K_MACC`` macro-ops, adjacent
+    loads/stores merged into wide copies, dead register writes
+    eliminated, so each macro-op is a handful of large ufuncs instead
+    of dozens of tiny ones — with bit-exact results by pass
+    construction.
 
 ``megakernel``
     The trace-compiled backend
@@ -78,12 +75,12 @@ from .megakernel import MegakernelBackend
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .plan import ExecutionPlan
 
-__all__ = ["ExecutorBackend", "InterpretBackend", "CompiledBackend",
-           "FusedBackend", "MegakernelBackend", "ParallelBackend",
-           "BACKENDS", "DEFAULT_BACKEND", "DEFAULT_INNER",
-           "resolve_backend", "backend_name"]
+__all__ = ["ExecutorBackend", "InterpretBackend", "FusedBackend",
+           "MegakernelBackend", "ParallelBackend", "BACKENDS",
+           "DEFAULT_BACKEND", "DEFAULT_INNER", "resolve_backend",
+           "backend_name"]
 
-DEFAULT_BACKEND = "compiled"
+DEFAULT_BACKEND = "fused"
 
 DEFAULT_INNER = "fused"
 """The inner backend a ``parallel`` wrapper shards over when none is
@@ -131,12 +128,24 @@ class InterpretBackend:
             ex.run(call.program)
 
 
-class CompiledBackend:
-    """Replays a lowered command stream with no per-instruction address
-    resolution — the compile-once / execute-many half of the paper's
-    run-time stage, extended from kernel selection down to execution."""
+class FusedBackend:
+    """Replays a lowered plan's pass-optimized command stream
+    (``fused_commands``) in L2-resident group blocks — the
+    compile-once / execute-many half of the paper's run-time stage,
+    extended from kernel selection down to execution.
 
-    name = "compiled"
+    All address resolution happened at lower time, so a run is one 2-D
+    view per buffer, a preallocated register bank, and a flat loop of
+    slice copies and in-place ufuncs.  Macro-ops (fused FMLA chains,
+    coalesced wide copies, dead writes gone) cut the Python dispatches
+    per block roughly in half, which is what makes small blocks
+    affordable; blocking keeps the whole register bank hot in L2, so
+    the dispatches that remain run at cache speed instead of memory
+    bandwidth.  Groups are independent, so blocking is bit-exact by
+    construction — the equivalence suite enforces it.
+    """
+
+    name = "fused"
     needs_lowering = True
 
     @staticmethod
@@ -146,7 +155,21 @@ class CompiledBackend:
         allocated).  Public so the attribution profiler
         (:mod:`repro.obs.profile`) can profile exactly what a backend
         would execute."""
-        return compiled.commands, 0
+        fused = compiled.fused_commands
+        if not fused:
+            # a CompiledPlan built outside lower_plan (tests, tools) may
+            # carry no optimized stream; the raw one is always valid
+            return compiled.commands, 0
+        return fused, compiled.stats.get("passes", {}).get("max_stack", 0)
+
+    @staticmethod
+    def _block_groups(l2_bytes: int, lanes: int, itemsize: int) -> int:
+        """Largest group block whose register bank fits half of L2 (the
+        other half is left to the operand panels streaming through);
+        the floor keeps per-ufunc work from degenerating into pure
+        dispatch overhead on machines modelled with tiny caches."""
+        block = (l2_bytes // 2) // (NUM_VREGS * lanes * itemsize)
+        return max(64, block)
 
     def run(self, plan: "ExecutionPlan", mem: MemorySpace,
             strides: "dict[str, int]", groups: int,
@@ -161,18 +184,35 @@ class CompiledBackend:
         dtype = compiled.dtype
         lanes = compiled.lanes
         commands, max_stack = self.stream(compiled)
-        # one allocation for the whole register file; rfile[i] are views
-        # of rbank, so macro-op selectors can slice/gather the bank
-        rbank = np.empty((NUM_VREGS, groups, lanes), dtype=dtype)
-        rfile = list(rbank)
-        scratch = np.empty((groups, lanes), dtype=dtype)
-        stacks = (np.empty((2, max_stack, groups, lanes), dtype=dtype)
+        block = min(groups, self._block_groups(
+            plan.machine.l2.size, lanes, np.dtype(dtype).itemsize))
+        rbank = np.empty((NUM_VREGS, block, lanes), dtype=dtype)
+        scratch = np.empty((block, lanes), dtype=dtype)
+        stacks = (np.empty((2, max_stack, block, lanes), dtype=dtype)
                   if max_stack else None)
-        # padding lanes legitimately hold zeros/garbage (same rationale
-        # as the interpreter)
+        # 16-byte-unit reinterpretations for the vectorized wide copies
+        # (commands carry cfirst >= 0 only for buffers whose stride
+        # passed the lower-time eligibility check)
+        rbankC = (rbank.view(np.complex128)
+                  if (lanes * rbank.itemsize) % 16 == 0 else None)
+        matsC = {name: (v.view(np.complex128)
+                        if (v.shape[1] * v.itemsize) % 16 == 0 else None)
+                 for name, v in mats.items()}
         with np.errstate(all="ignore"):
-            self._replay(commands, mats, rfile, rbank, scratch, stacks,
-                         None, None)
+            for start in range(0, groups, block):
+                n = min(block, groups - start)
+                if n == groups:
+                    # one block covers every group: no per-block views
+                    bm, bmC, rb = mats, matsC, rbank
+                else:
+                    cut = slice(start, start + n)
+                    bm = {k: v[cut] for k, v in mats.items()}
+                    bmC = {k: None if v is None else v[cut]
+                           for k, v in matsC.items()}
+                    rb = rbank[:, :n]
+                self._replay(commands, bm, list(rb), rb, scratch[:n],
+                             None if stacks is None else stacks[:, :, :n],
+                             bmC, None if rbankC is None else rbankC[:, :n])
 
     # -- binding -------------------------------------------------------
 
@@ -353,82 +393,6 @@ class CompiledBackend:
                 rfile[cmd[1]].fill(cmd[2])
             else:  # pragma: no cover - lowering emits only known kinds
                 raise ExecutionError(f"unknown compiled command kind {k}")
-
-
-class FusedBackend(CompiledBackend):
-    """Replays the pass-optimized stream (``fused_commands``) in
-    L2-resident group blocks.
-
-    Two compounding effects versus ``compiled``: macro-ops (fused FMLA
-    chains, coalesced wide copies, dead writes gone) cut the Python
-    dispatches per block roughly in half, which is what makes small
-    blocks affordable; and blocking keeps the whole register bank hot
-    in L2, so the dispatches that remain run at cache speed instead of
-    memory bandwidth.  Groups are independent, so blocking is bit-exact
-    by construction — the equivalence suite enforces it.
-    """
-
-    name = "fused"
-
-    @staticmethod
-    def stream(compiled: CompiledPlan) -> "tuple[list[tuple], int]":
-        fused = compiled.fused_commands
-        if not fused:
-            # a CompiledPlan built outside lower_plan (tests, tools) may
-            # carry no optimized stream; the raw one is always valid
-            return compiled.commands, 0
-        return fused, compiled.stats.get("passes", {}).get("max_stack", 0)
-
-    @staticmethod
-    def _block_groups(l2_bytes: int, lanes: int, itemsize: int) -> int:
-        """Largest group block whose register bank fits half of L2 (the
-        other half is left to the operand panels streaming through);
-        the floor keeps per-ufunc work from degenerating into pure
-        dispatch overhead on machines modelled with tiny caches."""
-        block = (l2_bytes // 2) // (NUM_VREGS * lanes * itemsize)
-        return max(64, block)
-
-    def run(self, plan: "ExecutionPlan", mem: MemorySpace,
-            strides: "dict[str, int]", groups: int,
-            compiled: "CompiledPlan | None" = None) -> None:
-        if compiled is None:
-            compiled = lower_plan(plan)
-        if groups != compiled.groups:
-            raise ExecutionError(
-                f"compiled plan covers {compiled.groups} groups, "
-                f"execution asked for {groups}")
-        mats = self._bind(compiled, mem, strides, groups)
-        dtype = compiled.dtype
-        lanes = compiled.lanes
-        commands, max_stack = self.stream(compiled)
-        block = min(groups, self._block_groups(
-            plan.machine.l2.size, lanes, np.dtype(dtype).itemsize))
-        rbank = np.empty((NUM_VREGS, block, lanes), dtype=dtype)
-        scratch = np.empty((block, lanes), dtype=dtype)
-        stacks = (np.empty((2, max_stack, block, lanes), dtype=dtype)
-                  if max_stack else None)
-        # 16-byte-unit reinterpretations for the vectorized wide copies
-        # (commands carry cfirst >= 0 only for buffers whose stride
-        # passed the lower-time eligibility check)
-        rbankC = (rbank.view(np.complex128)
-                  if (lanes * rbank.itemsize) % 16 == 0 else None)
-        matsC = {name: (v.view(np.complex128)
-                        if (v.shape[1] * v.itemsize) % 16 == 0 else None)
-                 for name, v in mats.items()}
-        names = list(mats)
-        with np.errstate(all="ignore"):
-            for start in range(0, groups, block):
-                n = min(block, groups - start)
-                stop = start + n
-                bmats = {name: mats[name][start:stop] for name in names}
-                bmatsC = {name: (None if v is None else v[start:stop])
-                          for name, v in matsC.items()}
-                rb = rbank if n == block else rbank[:, :n]
-                rbC = (None if rbankC is None
-                       else (rbankC if n == block else rbankC[:, :n]))
-                self._replay(commands, bmats, list(rb), rb, scratch[:n],
-                             stacks[:, :, :n] if stacks is not None
-                             else None, bmatsC, rbC)
 
 
 def _default_workers() -> int:
@@ -693,7 +657,6 @@ class ParallelBackend:
 
 BACKENDS: "dict[str, type]" = {
     InterpretBackend.name: InterpretBackend,
-    CompiledBackend.name: CompiledBackend,
     FusedBackend.name: FusedBackend,
     MegakernelBackend.name: MegakernelBackend,
     ParallelBackend.name: ParallelBackend,

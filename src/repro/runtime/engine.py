@@ -5,7 +5,8 @@ execute**.  ``execute_gemm`` / ``execute_trsm`` validate operands, bind
 buffers (packing or aliasing the compact originals through one shared
 path), and hand the plan — plus, for backends that want it, its
 one-time :class:`~repro.runtime.lowering.CompiledPlan` — to the
-configured :class:`~repro.runtime.backends.ExecutorBackend`.
+configured :class:`~repro.runtime.backends.ExecutorBackend` (by default
+``fused``, the replayer of the pass-optimized command stream).
 ``time_plan`` replays the same command queue for a single
 representative group on the scoreboard pipeline with the cache hierarchy
 initialized to the batch counter's residency verdicts, then scales by
@@ -106,7 +107,7 @@ class Engine:
 
     ``backend`` selects the functional-execution strategy: a name from
     :data:`repro.runtime.backends.BACKENDS` (``"interpret"``,
-    ``"compiled"``, ``"fused"``, or ``"parallel"``), a ready
+    ``"fused"``, ``"megakernel"``, or ``"parallel"``), a ready
     :class:`ExecutorBackend` instance, or ``None`` for the default.
     ``inner``, ``workers``, and ``mode`` configure the ``parallel``
     wrapper (which backend runs each group shard, across how many

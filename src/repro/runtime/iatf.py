@@ -210,42 +210,34 @@ class IATF:
 
     # -- planning ---------------------------------------------------------
 
-    #: candidate main-kernel preferences the empirical autotuner sweeps
-    GEMM_TUNE_CANDIDATES_REAL = ((4, 4), (3, 3), (4, 3), (3, 4))
-    GEMM_TUNE_CANDIDATES_CPLX = ((3, 2), (2, 2))
-
-    def plan_gemm(self, problem: GemmProblem, force_pack: bool = False,
-                  autotune: bool = False) -> ExecutionPlan:
+    def plan_gemm(self, problem: GemmProblem,
+                  force_pack: bool = False) -> ExecutionPlan:
         """Build (and cache) the execution plan for a problem shape.
 
         When a :class:`~repro.tuning.db.TuningDB` is attached, the
-        install-time record for this shape (if any) drives the main
-        kernel and pack decisions; a miss — or a corrupt DB — falls
-        back to the analytic CMAR choice, so tuning can only ever
-        *refine* planning, never break it.
-
-        With ``autotune`` the run-time stage goes beyond the analytic
-        CMAR choice: it builds a plan per candidate tile preference,
-        *times each on the machine model*, and keeps the fastest — the
-        "input-aware tuning" of the title made empirical.  Uniform
-        decompositions (e.g. 9 = 3+3+3) occasionally beat the
-        CMAR-greedy one (4+3+2); the ablation benchmark quantifies it.
+        record for this shape (if any) drives the main kernel and pack
+        decisions; a miss — or a corrupt DB — falls back to the
+        analytic CMAR choice, so tuning can only ever *refine*
+        planning, never break it.  Run-time tuning is :meth:`retune`
+        on an attached DB (an in-memory ``TuningDB()`` will do): it
+        measures the analytically ranked top-k candidates on the
+        machine model and swaps the winner in for the next plan.
         """
-        return self._plan_gemm_keyed(problem, force_pack, autotune)[0]
+        return self._plan_gemm_keyed(problem, force_pack)[0]
 
-    def _plan_gemm_keyed(self, problem: GemmProblem, force_pack: bool,
-                         autotune: bool) -> "tuple[ExecutionPlan, tuple]":
-        record = (None if (force_pack or autotune)
+    def _plan_gemm_keyed(self, problem: GemmProblem, force_pack: bool
+                         ) -> "tuple[ExecutionPlan, tuple, bool]":
+        """The plan, its cache key, and whether this lookup hit the
+        cache (taken from the lookup itself: the shared hit counter
+        also moves on other threads' hits)."""
+        record = (None if force_pack
                   else self._tuned_record("gemm", problem))
-        key = self._gemm_key(problem, force_pack, autotune, record)
+        key = self._cache_key("gemm", problem, force_pack, record)
         plan = self._plan_cache.get(key)
         if plan is not None:
-            return plan, key
-        with obs.span("plan.gemm", autotune=autotune,
-                      tuned=record is not None):
-            if autotune:
-                plan = self._autotune_gemm(problem, force_pack)
-            elif record is not None:
+            return plan, key, True
+        with obs.span("plan.gemm", tuned=record is not None):
+            if record is not None:
                 plan = self._apply_tuned_gemm(problem, record)
             else:
                 plan = build_gemm_plan(problem, self.machine, self.registry,
@@ -254,7 +246,7 @@ class IATF:
         # meta is complete before the plan becomes visible to other
         # callers through the cache
         self._plan_cache.put(key, plan)
-        return plan, key
+        return plan, key, False
 
     # -- TuningDB consultation --------------------------------------------
 
@@ -462,44 +454,18 @@ class IATF:
         plan.meta["decision"] = self._decision_meta(record)
         return plan
 
-    def _autotune_gemm(self, problem: GemmProblem,
-                       force_pack: bool) -> ExecutionPlan:
-        """Sweep candidate main kernels, timing each on the machine
-        model, and keep the fastest; the sweep results travel with the
-        chosen plan (``meta["autotune_sweep"]``) for explain reports."""
-        candidates = (self.GEMM_TUNE_CANDIDATES_CPLX
-                      if problem.dtype.is_complex
-                      else self.GEMM_TUNE_CANDIDATES_REAL)
-        sweep: list[dict] = []
-        best, best_cycles = None, None
-        for main in candidates:
-            with obs.span("plan.autotune_candidate", candidate=str(main)):
-                cand = build_gemm_plan(problem, self.machine, self.registry,
-                                       force_pack, main_override=main)
-                cycles = self.engine.time_plan(cand).total_cycles
-            obs.count("autotune.candidates")
-            sweep.append({"candidate": main, "total_cycles": cycles})
-            if best_cycles is None or cycles < best_cycles:
-                best, best_cycles = cand, cycles
-        obs.count("autotune.sweeps")
-        best.meta["autotuned"] = True
-        best.meta["autotune_sweep"] = sweep
-        best.meta["decision"] = {"source": "runtime-autotune",
-                                 "candidates": len(sweep)}
-        return best
-
     def plan_trsm(self, problem: TrsmProblem,
                   force_pack: bool = False) -> ExecutionPlan:
         return self._plan_trsm_keyed(problem, force_pack)[0]
 
-    def _plan_trsm_keyed(self, problem: TrsmProblem,
-                         force_pack: bool) -> "tuple[ExecutionPlan, tuple]":
+    def _plan_trsm_keyed(self, problem: TrsmProblem, force_pack: bool
+                         ) -> "tuple[ExecutionPlan, tuple, bool]":
         record = (None if force_pack
                   else self._tuned_record("trsm", problem))
-        key = self._trsm_key(problem, force_pack, record)
+        key = self._cache_key("trsm", problem, force_pack, record)
         plan = self._plan_cache.get(key)
         if plan is not None:
-            return plan, key
+            return plan, key, True
         with obs.span("plan.trsm", tuned=record is not None):
             if record is not None:
                 plan = build_trsm_plan(
@@ -512,29 +478,18 @@ class IATF:
                                        force_pack)
                 plan.meta["decision"] = {"source": "analytic"}
         self._plan_cache.put(key, plan)
-        return plan, key
+        return plan, key, False
 
     # -- lowering ---------------------------------------------------------
 
     @staticmethod
-    def _record_sig(record) -> "tuple | None":
-        # the cache key carries the applied record's decision triple, so
+    def _cache_key(op: str, problem, force_pack: bool, record) -> tuple:
+        # the key carries the applied record's decision triple, so
         # replacing the DB (or its entry for a shape) can never serve a
         # plan built from the old record
-        if record is None:
-            return None
-        return (record.main, record.force_pack, record.schedule)
-
-    @classmethod
-    def _gemm_key(cls, problem: GemmProblem, force_pack: bool,
-                  autotune: bool, record=None) -> tuple:
-        return ("gemm", problem, force_pack, autotune,
-                cls._record_sig(record))
-
-    @classmethod
-    def _trsm_key(cls, problem: TrsmProblem, force_pack: bool,
-                  record=None) -> tuple:
-        return ("trsm", problem, force_pack, cls._record_sig(record))
+        sig = (None if record is None
+               else (record.main, record.force_pack, record.schedule))
+        return (op, problem, force_pack, sig)
 
     def _compiled_for(self, key: tuple,
                       plan: ExecutionPlan) -> "CompiledPlan | None":
@@ -566,32 +521,28 @@ class IATF:
         data, plus whether the plan came from the cache.  Execute with
         ``engine.execute_gemm(plan, a, b, c, compiled=compiled)``.
         """
-        hits0 = self._plan_cache.hits
-        plan, key = self._plan_gemm_keyed(problem, False, False)
-        compiled = self._compiled_for(key, plan)
-        return plan, compiled, self._plan_cache.hits > hits0
+        plan, key, hit = self._plan_gemm_keyed(problem, False)
+        return plan, self._compiled_for(key, plan), hit
 
     def prepare_trsm(self, problem: TrsmProblem
                      ) -> "tuple[ExecutionPlan, CompiledPlan | None, bool]":
         """TRSM twin of :meth:`prepare_gemm`."""
-        hits0 = self._plan_cache.hits
-        plan, key = self._plan_trsm_keyed(problem, False)
-        compiled = self._compiled_for(key, plan)
-        return plan, compiled, self._plan_cache.hits > hits0
+        plan, key, hit = self._plan_trsm_keyed(problem, False)
+        return plan, self._compiled_for(key, plan), hit
 
     # -- execution (compact-layout API) -----------------------------------
 
     def gemm_compact(self, problem: GemmProblem, a: CompactBatch,
                      b: CompactBatch, c: CompactBatch) -> CompactBatch:
         """``C = alpha op(A) op(B) + beta C`` on compact operands, in place."""
-        plan, key = self._plan_gemm_keyed(problem, False, False)
+        plan, key, _ = self._plan_gemm_keyed(problem, False)
         compiled = self._compiled_for(key, plan)
         return self.engine.execute_gemm(plan, a, b, c, compiled=compiled)
 
     def trsm_compact(self, problem: TrsmProblem, a: CompactBatch,
                      b: CompactBatch) -> CompactBatch:
         """Solve in place: B becomes X."""
-        plan, key = self._plan_trsm_keyed(problem, False)
+        plan, key, _ = self._plan_trsm_keyed(problem, False)
         compiled = self._compiled_for(key, plan)
         return self.engine.execute_trsm(plan, a, b, compiled=compiled)
 
@@ -665,10 +616,9 @@ class IATF:
 
     # -- timing -------------------------------------------------------------
 
-    def time_gemm(self, problem: GemmProblem, force_pack: bool = False,
-                  autotune: bool = False) -> PlanTiming:
-        return self.engine.time_plan(
-            self.plan_gemm(problem, force_pack, autotune))
+    def time_gemm(self, problem: GemmProblem,
+                  force_pack: bool = False) -> PlanTiming:
+        return self.engine.time_plan(self.plan_gemm(problem, force_pack))
 
     def time_trsm(self, problem: TrsmProblem,
                   force_pack: bool = False) -> PlanTiming:
@@ -677,10 +627,10 @@ class IATF:
     # -- observability ------------------------------------------------------
 
     def explain_gemm(self, problem: GemmProblem, force_pack: bool = False,
-                     autotune: bool = False, deep: bool = False):
+                     deep: bool = False):
         """Narrated run-time-stage decisions for one GEMM shape
         (:class:`repro.obs.ExplainReport`)."""
-        plan, key = self._plan_gemm_keyed(problem, force_pack, autotune)
+        plan, key, _ = self._plan_gemm_keyed(problem, force_pack)
         compiled = self._compiled_for(key, plan)
         return obs.explain(plan, registry=self.registry, deep=deep,
                            backend=self.engine.backend, compiled=compiled,
@@ -689,7 +639,7 @@ class IATF:
     def explain_trsm(self, problem: TrsmProblem, force_pack: bool = False,
                      deep: bool = False):
         """Narrated run-time-stage decisions for one TRSM shape."""
-        plan, key = self._plan_trsm_keyed(problem, force_pack)
+        plan, key, _ = self._plan_trsm_keyed(problem, force_pack)
         compiled = self._compiled_for(key, plan)
         return obs.explain(plan, registry=self.registry, deep=deep,
                            backend=self.engine.backend, compiled=compiled,

@@ -7,8 +7,8 @@ per-group index construction) on every call of every batch.  That
 per-instruction work is input-independent: offsets depend only on the
 problem shape, exactly like the plan itself.  Lowering therefore runs
 the whole resolution **once**, producing a :class:`CompiledPlan` the
-``compiled`` executor backend can replay with nothing but NumPy slice
-views and in-place ufuncs:
+executor backends can replay with nothing but NumPy slice views and
+in-place ufuncs:
 
 * ADDI pointer-bump chains are constant-folded through a symbolic
   scalar register file, so the compiled stream contains no address
@@ -47,8 +47,8 @@ backend replays with far fewer ufunc dispatches:
 Every pass preserves bit-identical memory effects, so the equivalence
 contract (same bytes as ``interpret``) holds for the optimized stream
 too.  The raw stream is kept alongside (``commands`` vs
-``fused_commands``) so ``compiled`` and ``fused`` share one cached
-lowering.
+``fused_commands``): it carries the per-kernel ``call_ranges`` the
+attribution profiler's ``raw`` stream reports against.
 """
 
 from __future__ import annotations
@@ -184,9 +184,10 @@ class CompiledPlan:
     """A plan lowered to a replayable flat command stream.
 
     ``commands`` is a list of plain tuples headed by a ``K_*`` kind;
-    :class:`~repro.runtime.backends.CompiledBackend` replays them
-    against one 2-D ``(groups, stride_elems)`` view per buffer with a
-    preallocated vector-register file.  Everything input-dependent was
+    :class:`~repro.runtime.backends.FusedBackend` replays them (or
+    their pass-optimized ``fused_commands``) against one 2-D
+    ``(groups, stride_elems)`` view per buffer with a preallocated
+    vector-register file.  Everything input-dependent was
     resolved at lower time; replay performs zero address arithmetic.
     """
 

@@ -795,8 +795,8 @@ class MegakernelBackend:
                 f"compiled plan covers {compiled.groups} groups, "
                 f"execution asked for {groups}")
         prog = ensure_program(compiled)
-        from .backends import CompiledBackend
-        mats = CompiledBackend._bind(compiled, mem, strides, groups)
+        from .backends import FusedBackend
+        mats = FusedBackend._bind(compiled, mem, strides, groups)
         if not prog.segs:
             return
         dtype = compiled.dtype

@@ -108,8 +108,8 @@ def build_gemm_plan(problem: GemmProblem, machine: MachineConfig,
 
     ``force_pack`` disables the no-pack fast path (ablation benchmark);
     ``main_override`` forces a different main kernel preference for the
-    tile decomposition (the empirical autotuner and the install-time
-    tuner sweep these); ``tuned_pack`` applies a TuningDB pack override.
+    tile decomposition (the tuner sweeps these); ``tuned_pack`` applies
+    a TuningDB pack override.
     """
     p = problem
     dt = p.dtype

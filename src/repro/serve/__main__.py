@@ -64,9 +64,8 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="HTTP port (0 binds an ephemeral one)")
     parser.add_argument("--machine", choices=sorted(MACHINES),
                         default="kunpeng920")
-    parser.add_argument("--backend", choices=["interpret", "compiled",
-                                              "fused", "megakernel",
-                                              "parallel"],
+    parser.add_argument("--backend", choices=["interpret", "fused",
+                                              "megakernel", "parallel"],
                         default=None, help="executor backend (default: "
                         "the engine's default)")
     parser.add_argument("--tuning-db", metavar="PATH",

@@ -6,12 +6,12 @@ stage's decision space per machine and persisting the winners:
 
 * :mod:`repro.tuning.space` — enumerate the candidate space per
   (op, dtype, size-class) — register-feasible main kernels under the
-  CMAR budget, pack-vs-nopack, schedule variants, executor backend —
+  CMAR budget, pack-vs-nopack, schedule variants —
   and *rank* it analytically (:func:`score_candidate` /
   :func:`rank_candidates`: occupancy, cache residency, issue-slot
   balance from the machine model) so only a top-k needs measuring;
 * :mod:`repro.tuning.evaluate` — measure candidates on the machine
-  simulator's cycle model (optionally also compiled-backend wall
+  simulator's cycle model (optionally also default-backend wall
   clock), with repeat/median controls;
 * :mod:`repro.tuning.db` — the schema-versioned, fleet-ready
   :class:`TuningDB` (atomic writes, corruption -> graceful fallback,

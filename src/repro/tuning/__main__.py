@@ -535,7 +535,7 @@ def main(argv: "list[str] | None" = None) -> int:
     p_sweep.add_argument("--schedule-variants", action="store_true",
                          help="also sweep unscheduled-kernel variants")
     p_sweep.add_argument("--wall-clock", action="store_true",
-                         help="record compiled-backend host time as "
+                         help="record default-backend host time as "
                          "provenance (never the selection metric)")
     p_sweep.add_argument("--check", action="store_true",
                          help="verify reload + identical re-sweep are "

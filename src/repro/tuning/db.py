@@ -163,10 +163,11 @@ class TuningRecord:
     batch: int
     repeats: int = 1
     backend: str = "compiled"
-    """The executor backend the tuner recommends replaying this shape
-    on (``fused`` by default; the wall-clock race winner when the sweep
-    measured host time).  Pre-backend DB files load as ``compiled`` —
-    the behaviour they were tuned under."""
+    """The executor backend the tuner recommended (the wall-clock race
+    winner when the sweep measured host time).  Provenance only: the
+    planner never applies it, so a record naming a backend that no
+    longer exists still loads and applies.  Pre-backend DB files load
+    as ``compiled``, the backend they were tuned under."""
     machine_id: str = ""
     """Slug of the machine the record was measured on (provenance; the
     key's tuning id adds the config fingerprint on top)."""

@@ -2,11 +2,10 @@
 
 The primary metric is the machine simulator's cycle model
 (:meth:`repro.runtime.engine.Engine.time_plan`): deterministic, exact,
-and the same model the run-time stage's empirical autotune uses, so
-tuned and analytic selections are compared on identical terms.
-Optionally a candidate is *also* replayed for wall-clock time on a real
-executor backend (the compiled command-stream replayer by default) over
-a small random batch — host-time provenance for the DB, never the
+and the same model the analytic planner is judged by, so tuned and
+analytic selections are compared on identical terms.  Optionally a
+candidate is *also* replayed for wall-clock time on the default
+executor backend over a small random batch — host-time provenance for the DB, never the
 selection metric (host timing is noisy; the cycle model is the
 simulated silicon).
 
@@ -26,6 +25,7 @@ import numpy as np
 from .. import obs
 from ..codegen.registry import KernelRegistry
 from ..machine.machines import MachineConfig
+from ..runtime.backends import DEFAULT_BACKEND
 from ..runtime.engine import Engine
 from ..runtime.plan import ExecutionPlan, build_gemm_plan, build_trsm_plan
 from ..types import GemmProblem, TrsmProblem
@@ -106,19 +106,14 @@ class Evaluator:
                              for _ in range(self.repeats)]
             cycles = statistics.median(cycle_samples)
             gflops = self.machine.gflops(problem.flops, cycles)
-            wall = (self._measure_wall_clock(problem, plan, cand)
+            wall = (self._wall_run(problem, cand, DEFAULT_BACKEND)
                     if self.wall_clock else None)
         obs.count("tuning.eval.candidates")
         return Measurement(cycles=cycles, gflops=gflops,
                            repeats=self.repeats, wall_seconds=wall)
 
-    def _measure_wall_clock(self, problem, plan: ExecutionPlan,
-                            cand: Candidate) -> float:
-        return self._wall_run(problem, cand, cand.backend)
-
     def race_backends(self, problem, cand: Candidate,
-                      backends: "tuple[str, ...]" = ("compiled", "fused",
-                                                     "megakernel")
+                      backends: "tuple[str, ...]" = ("fused", "megakernel")
                       ) -> "tuple[str, dict[str, float]]":
         """Wall-clock race of executor backends on one candidate.
 
@@ -137,8 +132,7 @@ class Evaluator:
         return winner, times
 
     def drift(self, problem, cand: "Candidate | None" = None,
-              backends: "tuple[str, ...]" = ("compiled", "fused",
-                                             "megakernel")
+              backends: "tuple[str, ...]" = ("fused", "megakernel")
               ) -> "dict[str, dict]":
         """Cycle-model prediction vs wall-clock replay, per backend.
 

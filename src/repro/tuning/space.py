@@ -12,8 +12,9 @@ tunable choices for a problem shape:
   :mod:`repro.codegen.optimizer`) — optional, off by default because
   the scheduled kernels win essentially always and the unscheduled
   registry doubles generation cost;
-* the executor backend the optional wall-clock measurement replays on
-  (cycle-model measurements are backend-independent by construction).
+* a ``backend`` label, provenance only: it stays ``"compiled"`` so
+  sweep output is byte-identical to older releases, and nothing
+  applies it (measurements run on the default backend).
 
 The first candidate returned is always the **analytic choice** — the
 CMAR-optimal main kernel with the analytic pack rule — and the tuner

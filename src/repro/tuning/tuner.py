@@ -36,9 +36,10 @@ matrix enforces identity with ``interpret``) and guarded against
 ``fused`` by the perf smoke, so recommending it is safe without host
 timing — and a constant keeps the cycle-model sweep byte-reproducible.
 With ``wall_clock=True`` the tuner instead races the real backends on
-the winning candidate and records the host-time winner.  Records
-written by older DBs (``"fused"``/``"compiled"``) still resolve — the
-registry never dropped a name."""
+the winning candidate and records the host-time winner.  The recorded
+name is provenance only: no code applies ``record.backend``, so records
+from older DBs (``"compiled"`` included) apply unchanged and run on the
+IATF's own backend."""
 
 DEFAULT_TOP_K = 8
 """How many candidates the analytical-first sweep measures per shape:

@@ -74,14 +74,14 @@ class TestBackendSelection:
         assert default is not interp
         assert default is default_framework()
         assert interp is default_framework(backend="interpret")
-        assert default.backend.name == "compiled"
+        assert default.backend.name == "fused"
         assert interp.backend.name == "interpret"
 
     def test_backends_agree_bit_for_bit(self, rng):
         a = random_batch(rng, 9, 4, 6, "d")
         b = random_batch(rng, 9, 6, 5, "d")
         outs = []
-        for backend in ("interpret", "compiled"):
+        for backend in ("interpret", "fused"):
             ca, cb = compact_from_batch(a), compact_from_batch(b)
             cc = compact_from_batch(np.zeros((9, 4, 5)))
             compact_gemm(ca, cb, cc, beta=0.0, backend=backend)
@@ -92,7 +92,7 @@ class TestBackendSelection:
         a = random_triangular(rng, 5, 4, "d")
         b = random_batch(rng, 5, 4, 3, "d")
         outs = []
-        for backend in ("interpret", "compiled"):
+        for backend in ("interpret", "fused"):
             ca, cb = compact_from_batch(a), compact_from_batch(b)
             compact_trsm(ca, cb, backend=backend)
             outs.append(cb.buffer)

@@ -66,22 +66,22 @@ def test_ablation_cli(capsys):
 def test_backend_showdown_cli(capsys):
     assert main(["backend"]) == 0
     out = capsys.readouterr().out
-    assert "interpret" in out and "compiled" in out
+    assert "interpret" in out and "megakernel" in out
     assert "speedup" in out
 
 
 def test_backend_flag_restricts_backends(capsys):
-    assert main(["backend", "--backend", "compiled"]) == 0
+    assert main(["backend", "--backend", "megakernel"]) == 0
     out = capsys.readouterr().out
-    assert "compiled" in out and "interpret" not in out
+    assert "megakernel" in out and "interpret" not in out
 
 
 def test_backends_showdown_covers_all_four(capsys):
     assert main(["backends", "--batch", "512"]) == 0
     out = capsys.readouterr().out
-    for name in ("interpret", "compiled", "fused", "parallel"):
+    for name in ("interpret", "fused", "megakernel", "parallel"):
         assert name in out
-    assert "pass pipeline" in out and "fused vs compiled" in out
+    assert "pass pipeline" in out and "megakernel vs fused" in out
 
 
 def test_backends_json_artifact_appends(capsys, tmp_path):

@@ -56,6 +56,6 @@ def test_ablation_renders_include_decision_stats():
     assert "decision statistics:" in result["render"]
     assert "pack_selector" in result["render"]
 
-    result = experiments.ablation_autotune(sizes=(5,), batch=64)
+    result = experiments.ablation_batch_counter(sizes=(4,), batch=64)
     assert "decision statistics:" in result["render"]
-    assert "autotune.candidates" in result["render"]
+    assert "batch_counter." in result["render"]

@@ -69,12 +69,6 @@ def test_explain_rejects_bad_mode_and_degenerate_problem(capsys):
     assert "error:" in capsys.readouterr().out
 
 
-def test_explain_autotune(capsys):
-    assert main(["explain", "gemm", "--m", "9", "--n", "9", "--k", "9",
-                 "--batch", "256", "--autotune"]) == 0
-    assert "autotune sweep" in capsys.readouterr().out
-
-
 def test_profile_gemm_writes_artifacts(capsys, tmp_path):
     jpath = tmp_path / "p.json"
     fpath = tmp_path / "p.folded"

@@ -58,16 +58,19 @@ class TestGemmExplain:
         assert f"m tiles: 9 -> {plan.meta['m_tiles']}" in text
         assert f"n tiles: 9 -> {plan.meta['n_tiles']}" in text
 
-    def test_autotune_sweep_reported_per_candidate(self, iatf):
+    def test_autotune_sweep_reported_per_candidate(self):
+        """A run-time (``retune``) sweep reports how many candidates it
+        measured and which main kernel won."""
+        from repro.tuning import TuningDB
+        fw = IATF(KUNPENG_920, tuning_db=TuningDB())
         p = GemmProblem(9, 9, 9, "d", batch=512)
-        report = iatf.explain_gemm(p, autotune=True)
-        text = report.render()
-        assert "autotune sweep" in text
-        assert "<- chosen" in text
-        sweep = iatf.plan_gemm(p, autotune=True).meta["autotune_sweep"]
-        assert len(sweep) == len(IATF.GEMM_TUNE_CANDIDATES_REAL)
-        for entry in sweep:
-            assert str(entry["candidate"]) in text
+        outcome = fw.retune(p, save=False)
+        text = fw.explain_gemm(p).render()
+        rec = outcome.record
+        assert len(outcome.sweep) == rec.candidates
+        assert f"{rec.candidates} candidates swept" in text
+        assert f"main={rec.main[0]}x{rec.main[1]}" in text
+        assert f"main kernel (CMAR): {rec.main}" in text
 
     def test_deep_adds_timing_breakdown(self, iatf):
         p = GemmProblem(6, 6, 6, "d", batch=1024)
@@ -149,7 +152,7 @@ class TestReportObject:
         p = GemmProblem(4, 4, 4, "d", batch=64)
         report = iatf.explain_gemm(p)
         lines = report.section("execution backend")
-        assert any("compiled" in line for line in lines)
+        assert any("fused" in line for line in lines)
         assert any("commands" in line for line in lines)
 
     def test_explain_shows_pass_pipeline_stats(self):

@@ -181,7 +181,7 @@ class TestModelDrift:
     def test_drift_reports_ratio_per_backend(self):
         result = obs.model_drift(GemmProblem(4, 4, 4, "d", batch=64),
                                  repeats=1)
-        assert set(result) == {"compiled", "fused"}
+        assert set(result) == {"fused", "megakernel"}
         for d in result.values():
             assert d["predicted_seconds"] > 0
             assert d["wall_seconds"] > 0

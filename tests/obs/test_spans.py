@@ -10,13 +10,13 @@ from repro import obs
 class TestSpanRecording:
     def test_span_records_name_and_duration(self):
         with obs.scoped() as reg:
-            with obs.span("plan.gemm", autotune=False):
+            with obs.span("plan.gemm", tuned=False):
                 pass
         assert len(reg.spans) == 1
         s = reg.spans[0]
         assert s.name == "plan.gemm"
         assert s.dur_us >= 0
-        assert s.args == {"autotune": False}
+        assert s.args == {"tuned": False}
 
     def test_nesting_depth_tracked(self):
         with obs.scoped() as reg:

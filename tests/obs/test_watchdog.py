@@ -62,16 +62,6 @@ class TestChecks:
         assert r.exit_code == 1
         assert "wall" in r.regressions[0]
 
-    def test_ratio_floor(self):
-        pts = [point(10.0, 1.0, backend="compiled", wall=0.04),
-               point(10.0, 1.0, backend="fused", wall=0.05)]
-        assert check_trajectory(pts).exit_code == 0
-        r = check_trajectory(pts, ratio_floor=0.90)
-        assert r.exit_code == 1            # 0.04/0.05 = 0.8 < 0.9
-        assert "fell behind" in r.regressions[0]
-        pts[0]["wall_seconds"] = 0.06      # 1.2 >= 0.9
-        assert check_trajectory(pts, ratio_floor=0.90).exit_code == 0
-
     def test_mega_floor(self):
         pts = [point(10.0, 1.0, backend="fused", wall=0.05),
                point(10.0, 1.0, backend="megakernel", wall=0.04)]

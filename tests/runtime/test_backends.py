@@ -17,8 +17,8 @@ from repro.layout import CompactBatch
 from repro.machine.machines import KUNPENG_920
 from repro.machine.memory import MemorySpace
 from repro.runtime.backends import (BACKENDS, DEFAULT_BACKEND,
-                                    DEFAULT_INNER, CompiledBackend,
-                                    ExecutorBackend, FusedBackend,
+                                    DEFAULT_INNER, ExecutorBackend,
+                                    FusedBackend,
                                     InterpretBackend, MegakernelBackend,
                                     ParallelBackend, resolve_backend)
 from repro.runtime.engine import Engine
@@ -34,7 +34,6 @@ LANES = {"s": 4, "d": 2, "c": 4, "z": 2}
 # trace compiler both bare and sharded under the wrapper
 EQUIV_BACKENDS = (
     ("interpret", {}),
-    ("compiled", {}),
     ("fused", {}),
     ("megakernel", {}),
     ("parallel", {"workers": 1}),
@@ -215,16 +214,15 @@ def _tampered(plan, **repl):
 
 
 class TestBackendSelection:
-    def test_default_is_compiled(self):
-        assert DEFAULT_BACKEND == "compiled"
-        assert Engine(KUNPENG_920).backend.name == "compiled"
-        assert IATF(KUNPENG_920).backend.name == "compiled"
+    def test_default_is_fused(self):
+        assert DEFAULT_BACKEND == "fused"
+        assert Engine(KUNPENG_920).backend.name == "fused"
+        assert IATF(KUNPENG_920).backend.name == "fused"
 
     def test_registry_contents(self):
-        assert set(BACKENDS) == {"interpret", "compiled", "fused",
-                                 "megakernel", "parallel"}
+        assert set(BACKENDS) == {"interpret", "fused", "megakernel",
+                                 "parallel"}
         assert isinstance(resolve_backend("interpret"), InterpretBackend)
-        assert isinstance(resolve_backend("compiled"), CompiledBackend)
         assert isinstance(resolve_backend("fused"), FusedBackend)
         assert isinstance(resolve_backend("megakernel"), MegakernelBackend)
         assert isinstance(resolve_backend("parallel"), ParallelBackend)
@@ -239,8 +237,7 @@ class TestBackendSelection:
             resolve_backend("jit")
         except PlanError as e:
             msg = str(e)
-        for name in ("interpret", "compiled", "fused", "megakernel",
-                     "parallel"):
+        for name in ("interpret", "fused", "megakernel", "parallel"):
             assert name in msg, f"error message omits {name!r}: {msg}"
 
     def test_non_backend_object_rejected_before_first_use(self):
@@ -264,13 +261,13 @@ class TestBackendSelection:
     def test_named_backends_are_cached(self):
         """Every run_plan used to construct a fresh backend object;
         named resolutions now share one instance per configuration."""
-        for name in ("interpret", "compiled", "fused"):
+        for name in ("interpret", "fused", "megakernel"):
             assert resolve_backend(name) is resolve_backend(name)
         assert Engine(KUNPENG_920).backend is Engine(KUNPENG_920).backend
         p2 = resolve_backend("parallel", workers=2)
         assert p2 is resolve_backend("parallel", workers=2)
         assert p2 is not resolve_backend("parallel", workers=3)
-        assert (resolve_backend("parallel", inner="compiled", workers=2)
+        assert (resolve_backend("parallel", inner="megakernel", workers=2)
                 is not p2)
 
     def test_parallel_cache_key_normalizes_defaults(self):
@@ -291,21 +288,21 @@ class TestBackendSelection:
         assert proc.mode == "process" and p.mode == "thread"
 
     def test_explicit_instance_passes_through_uncached(self):
-        mine = CompiledBackend()
+        mine = FusedBackend()
         assert resolve_backend(mine) is mine
-        assert resolve_backend(mine) is not resolve_backend("compiled")
+        assert resolve_backend(mine) is not resolve_backend("fused")
 
     def test_inner_workers_rejected_for_non_parallel(self):
         with pytest.raises(PlanError, match="parallel"):
-            resolve_backend("compiled", workers=2)
+            resolve_backend("fused", workers=2)
         with pytest.raises(PlanError, match="parallel"):
-            resolve_backend("fused", inner="compiled")
+            resolve_backend("fused", inner="interpret")
         with pytest.raises(PlanError, match="parallel"):
             resolve_backend("megakernel", mode="process")
         with pytest.raises(PlanError, match="instance"):
-            resolve_backend(CompiledBackend(), workers=2)
+            resolve_backend(FusedBackend(), workers=2)
         with pytest.raises(PlanError, match="instance"):
-            resolve_backend(CompiledBackend(), mode="thread")
+            resolve_backend(FusedBackend(), mode="thread")
 
     def test_parallel_configuration_errors(self):
         with pytest.raises(PlanError, match="wrap itself"):
@@ -339,7 +336,6 @@ class TestBackendSelection:
 
     def test_instances_satisfy_protocol(self):
         assert isinstance(InterpretBackend(), ExecutorBackend)
-        assert isinstance(CompiledBackend(), ExecutorBackend)
         assert isinstance(FusedBackend(), ExecutorBackend)
         assert isinstance(MegakernelBackend(), ExecutorBackend)
         assert isinstance(ParallelBackend(), ExecutorBackend)
@@ -369,8 +365,8 @@ class TestBackendSelection:
         compiled = lower_plan(plan)
         mem = MemorySpace()
         with pytest.raises(ExecutionError, match="groups"):
-            CompiledBackend().run(plan, mem, {}, groups=7,
-                                  compiled=compiled)
+            FusedBackend().run(plan, mem, {}, groups=7,
+                               compiled=compiled)
 
 
 class TestObservability:
@@ -383,7 +379,7 @@ class TestObservability:
         with obs.scoped() as reg:
             fw.gemm(a, a, np.zeros_like(a), beta=0.0)
             counters = reg.counters()
-            assert counters.get("backend.compiled.runs", 0) >= 1
+            assert counters.get("backend.fused.runs", 0) >= 1
             assert counters.get("lower.plans", 0) >= 1
             assert counters.get("lower.commands", 0) > 0
             assert any(s.name == "lower.plan" for s in reg.spans)
@@ -391,15 +387,15 @@ class TestObservability:
 
 @pytest.mark.slow
 class TestPerfGuard:
-    def test_compiled_beats_interpret_on_large_batch(self, rng):
+    def test_fused_beats_interpret_on_large_batch(self, rng):
         """The lowering payoff on the paper's headline batch size: the
-        compiled replay must beat per-instruction interpretation on
+        fused replay must beat per-instruction interpretation on
         batch-16384 sgemm (m=n=k=8) wall clock."""
         p = GemmProblem(8, 8, 8, "s", batch=16384)
         a = random_batch(rng, p.batch, 8, 8, "s")
         lanes = LANES["s"]
         times = {}
-        for backend in ("interpret", "compiled"):
+        for backend in ("interpret", "fused"):
             fw = IATF(KUNPENG_920, backend=backend)
             ca = CompactBatch.from_matrices(a, lanes)
             cb = CompactBatch.from_matrices(a, lanes)
@@ -411,29 +407,6 @@ class TestPerfGuard:
                 fw.gemm_compact(p, ca, cb, cc)
                 best = min(best, time.perf_counter() - t0)
             times[backend] = best
-        # bench/experiments.backend_showdown shows ~2x; guard a softer
-        # bound so background load cannot flake CI
-        assert times["compiled"] < 0.75 * times["interpret"], times
-
-    def test_fused_not_slower_than_compiled_on_large_batch(self, rng):
-        """The optimizing pass pipeline's payoff: replaying macro-ops
-        must never cost wall clock versus the raw stream on the same
-        headline shape (measured speedup is ~1.5-2x; guard only against
-        regression so background load cannot flake CI)."""
-        p = GemmProblem(8, 8, 8, "s", batch=16384)
-        a = random_batch(rng, p.batch, 8, 8, "s")
-        lanes = LANES["s"]
-        times = {}
-        for backend in ("compiled", "fused"):
-            fw = IATF(KUNPENG_920, backend=backend)
-            ca = CompactBatch.from_matrices(a, lanes)
-            cb = CompactBatch.from_matrices(a, lanes)
-            cc = CompactBatch.from_matrices(np.zeros_like(a), lanes)
-            fw.gemm_compact(p, ca, cb, cc)       # warm: plan + lowering
-            best = float("inf")
-            for _ in range(5):
-                t0 = time.perf_counter()
-                fw.gemm_compact(p, ca, cb, cc)
-                best = min(best, time.perf_counter() - t0)
-            times[backend] = best
-        assert times["fused"] <= 1.10 * times["compiled"], times
+        # bench/experiments.backend_showdown shows several x; guard a
+        # softer bound so background load cannot flake CI
+        assert times["fused"] < 0.75 * times["interpret"], times

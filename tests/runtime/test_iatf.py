@@ -99,36 +99,46 @@ class TestCrossMachine:
 
 
 class TestAutotune:
+    """Run-time tuning: ``retune`` into an in-memory TuningDB, then plan
+    from the swapped-in record."""
+
+    @staticmethod
+    def tuned(problem):
+        from repro.tuning import TuningDB
+        fw = IATF(KUNPENG_920, tuning_db=TuningDB())
+        fw.retune(problem, save=False)
+        return fw
+
     def test_never_slower_than_analytic(self, iatf):
-        from repro.types import GemmProblem
         for n in (5, 9, 13):
             p = GemmProblem(n, n, n, "d", batch=2048)
             t0 = iatf.time_gemm(p).total_cycles
-            t1 = iatf.time_gemm(p, autotune=True).total_cycles
+            t1 = self.tuned(p).time_gemm(p).total_cycles
             assert t1 <= t0 + 1e-9, n
 
-    def test_autotuned_plan_cached_and_marked(self, iatf):
-        from repro.types import GemmProblem
+    def test_autotuned_plan_cached_and_marked(self):
         p = GemmProblem(9, 9, 9, "d", batch=512)
-        plan = iatf.plan_gemm(p, autotune=True)
-        assert plan.meta.get("autotuned")
-        assert iatf.plan_gemm(p, autotune=True) is plan
-        # the non-autotuned plan is a separate cache entry
-        assert iatf.plan_gemm(p) is not plan
+        fw = self.tuned(p)
+        plan = fw.plan_gemm(p)
+        decision = plan.meta["decision"]
+        assert decision["source"] == "tuned"
+        assert decision["sweep"] == "retune"
+        assert fw.plan_gemm(p) is plan
+        # force_pack bypasses the record: a separate, analytic entry
+        assert fw.plan_gemm(p, force_pack=True) is not plan
 
-    def test_autotuned_plan_executes_correctly(self, iatf, rng):
-        import numpy as np
+    def test_autotuned_plan_executes_correctly(self, rng):
         from repro.layout import CompactBatch
-        from repro.types import GemmProblem
-        from tests.conftest import random_batch
         p = GemmProblem(9, 9, 9, "d", batch=6)
+        fw = self.tuned(p)
         a = random_batch(rng, 6, 9, 9, "d")
         b = random_batch(rng, 6, 9, 9, "d")
         cc = CompactBatch.from_matrices(np.zeros((6, 9, 9)), 2)
-        plan = iatf.plan_gemm(p.with_batch(6), autotune=True)
-        iatf.engine.execute_gemm(plan,
-                                 CompactBatch.from_matrices(a, 2),
-                                 CompactBatch.from_matrices(b, 2), cc)
+        plan = fw.plan_gemm(p)
+        assert plan.meta["decision"]["source"] == "tuned"
+        fw.engine.execute_gemm(plan,
+                               CompactBatch.from_matrices(a, 2),
+                               CompactBatch.from_matrices(b, 2), cc)
         assert np.abs(cc.to_matrices() - a @ b).max() < 1e-9
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.machine.isa import NUM_VREGS
 from repro.machine.machines import KUNPENG_920
-from repro.runtime.backends import CompiledBackend
+from repro.runtime.backends import FusedBackend
 from repro.runtime.iatf import IATF
 from repro.runtime.lowering import (FUSE_MIN_CHAIN, K_FMLA, K_FMLS, K_FMUL,
                                     K_FMULI, K_LOAD, K_LOAD1R, K_LOADW,
@@ -52,8 +52,8 @@ def replay(commands, bufs, max_stack=0):
                     if (v.shape[1] * v.itemsize) % 16 == 0 else None)
              for name, v in bufs.items()}
     with np.errstate(all="ignore"):
-        CompiledBackend._replay(commands, bufs, list(rbank), rbank,
-                                scratch, stacks, matsC, rbankC)
+        FusedBackend._replay(commands, bufs, list(rbank), rbank,
+                             scratch, stacks, matsC, rbankC)
     return rbank
 
 

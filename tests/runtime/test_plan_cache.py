@@ -90,17 +90,40 @@ class TestIatfIntegration:
 
     def test_autotune_meta_complete_before_insert(self):
         """The cached plan must never be mutated after insertion: the
-        object coming out of the cache already carries its autotune
-        metadata."""
-        iatf = IATF(KUNPENG_920)
+        object coming out of the cache already carries the provenance of
+        the run-time (``retune``) record it was built from."""
+        from repro.tuning import TuningDB
+        iatf = IATF(KUNPENG_920, tuning_db=TuningDB())
         p = GemmProblem(9, 9, 9, "d", batch=64)
-        plan = iatf.plan_gemm(p, autotune=True)
-        assert plan.meta["autotuned"] is True
-        assert len(plan.meta["autotune_sweep"]) == \
-            len(IATF.GEMM_TUNE_CANDIDATES_REAL)
-        cached = iatf.plan_gemm(p, autotune=True)
+        outcome = iatf.retune(p, save=False)
+        plan = iatf.plan_gemm(p)
+        decision = plan.meta["decision"]
+        assert decision["source"] == "tuned"
+        assert decision["candidates"] == outcome.record.candidates
+        cached = iatf.plan_gemm(p)
         assert cached is plan
-        assert cached.meta["autotune_sweep"] is plan.meta["autotune_sweep"]
+        assert cached.meta["decision"] is decision
+
+    def test_prepare_reports_own_lookup_under_concurrent_hits(self):
+        """``prepare_*`` must report whether *its* lookup hit: another
+        thread's hit on a shared IATF, landing between two reads of the
+        shared hit counter, must not make a cold shape read as a hit."""
+        from repro.types import TrsmProblem
+
+        class BusyCache(PlanCache):
+            def get(self, key):
+                out = super().get(key)
+                self.hits += 1          # a concurrent hit on another key
+                return out
+
+        iatf = IATF(KUNPENG_920)
+        iatf._plan_cache = BusyCache()
+        gp = GemmProblem(3, 3, 3, "d", batch=5)
+        tp = TrsmProblem(3, 3, "d", batch=5)
+        assert iatf.prepare_gemm(gp)[2] is False
+        assert iatf.prepare_trsm(tp)[2] is False
+        assert iatf.prepare_gemm(gp)[2] is True
+        assert iatf.prepare_trsm(tp)[2] is True
 
     def test_trsm_plans_share_the_cache(self):
         from repro.types import TrsmProblem
@@ -149,7 +172,7 @@ class TestCompiledSideSlot:
             iatf.gemm(a, a, np.zeros_like(a), beta=0.0)
             counters = reg.counters()
         assert counters["lower.plans"] == 1          # lowered once
-        assert counters["backend.compiled.runs"] == 2
+        assert counters["backend.fused.runs"] == 2
 
 
 class TestThreadSafety:

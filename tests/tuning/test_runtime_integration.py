@@ -51,16 +51,42 @@ class TestLookups:
         plan = iatf.plan_trsm(TrsmProblem(6, 6, "d", batch=512))
         assert plan.meta["decision"]["source"] == "tuned"
 
-    def test_force_pack_and_autotune_bypass_db(self, tuned_db):
+    def test_force_pack_bypasses_db(self, tuned_db):
         iatf = IATF(KUNPENG_920, tuning_db=tuned_db)
         with obs.scoped() as reg:
             forced = iatf.plan_gemm(GemmProblem(9, 9, 9, "d", batch=512),
                                     force_pack=True)
-            tuned = iatf.plan_gemm(GemmProblem(9, 9, 9, "d", batch=512),
-                                   autotune=True)
         assert "tuning.hit" not in reg.snapshot()["counters"]
         assert forced.meta["decision"]["source"] == "analytic"
-        assert tuned.meta["decision"]["source"] == "runtime-autotune"
+
+    def test_legacy_compiled_backend_record_applies(self, tmp_path):
+        """The record's ``backend`` column is provenance only: a record
+        naming the removed ``compiled`` backend still loads, is applied
+        as a tuned decision, and runs on the IATF's own backend."""
+        import numpy as np
+
+        p = GemmProblem(9, 9, 9, "d", batch=8)
+        key = TuningKey.for_gemm(KUNPENG_920, p)
+        rec = TuningRecord(main=(3, 4), force_pack=False, schedule=True,
+                           cycles=1.0, gflops=1.0, candidates=4,
+                           tuner_version=TUNER_VERSION, batch=8,
+                           backend="compiled")
+        db = TuningDB(path=str(tmp_path / "legacy.json"))
+        db.put(key, rec)
+        db.save()
+        loaded = TuningDB.load(db.path)
+        assert loaded.get(key).backend == "compiled"
+        iatf = IATF(KUNPENG_920, tuning_db=loaded)
+        plan = iatf.plan_gemm(p)
+        assert plan.meta["decision"]["source"] == "tuned"
+        assert plan.meta["decision"]["backend"] == "compiled"
+        assert plan.meta["main_kernel"] == (3, 4)
+        assert iatf.backend.name == "fused"
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((8, 9, 9))
+        b = rng.standard_normal((8, 9, 9))
+        got = iatf.gemm(a, b, np.zeros((8, 9, 9)), beta=0.0)
+        assert np.abs(got - a @ b).max() < 1e-9
 
 
 class TestNeverWorse:
@@ -155,10 +181,14 @@ class TestExplainProvenance:
         assert "analytic CMAR" in text
 
     def test_runtime_autotune_provenance_rendered(self):
-        iatf = IATF(KUNPENG_920)
-        text = iatf.explain_gemm(GemmProblem(9, 9, 9, "d", batch=512),
-                                 autotune=True).render()
-        assert "run-time autotune" in text
+        """Run-time tuning is ``retune`` into an in-memory DB; the plan
+        it yields renders as tuned, with the retune sweep named."""
+        iatf = IATF(KUNPENG_920, tuning_db=TuningDB())
+        p = GemmProblem(9, 9, 9, "d", batch=512)
+        iatf.retune(p, save=False)
+        text = iatf.explain_gemm(p).render()
+        assert "source: tuned" in text
+        assert "sweep=retune" in text
 
 
 class TestExecutionWithTunedPlans:
