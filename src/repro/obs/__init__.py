@@ -53,8 +53,6 @@ Quick start::
 
     print(iatf.explain_gemm(GemmProblem(8, 8, 8, "d", batch=16384),
                             deep=True).render())
-
-``python -m repro.obs --self-check`` exercises the whole subsystem.
 """
 
 from .budget import STAGES as BUDGET_STAGES

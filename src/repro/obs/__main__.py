@@ -2,7 +2,6 @@
 
 Usage::
 
-    python -m repro.obs --self-check
     python -m repro.obs snapshot [--trace-out run.trace.json]
     python -m repro.obs explain gemm --m 9 --n 9 --k 9 --dtype d \\
         --batch 4096 [--deep] [--force-pack]
@@ -28,20 +27,16 @@ collapsed-stack flamegraph, and merged Chrome-trace artifacts).
 feeds CI.  ``serve`` is the live telemetry endpoint (``/metrics``,
 ``/snapshot.json``, ``/delta.json``, ``/events``, ``/healthz``,
 ``/trajectory``); ``--demo`` keeps a small bench workload running so
-there is something to scrape.  ``--self-check`` exercises all of the
-above end to end — the CI smoke test.
+there is something to scrape.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 
-from . import (chrome_trace, explain, model_drift, profile_report, scoped,
-               validate_chrome_trace, write_chrome_trace)
+from . import model_drift, profile_report, scoped, write_chrome_trace
 from .watch import watch
 
 __all__ = ["main"]
@@ -69,7 +64,6 @@ def _demo_workload():
     iatf.gemm(a, b, np.zeros((8, 6, 6)), beta=0.0)
     t = np.tril(rng.standard_normal((8, 4, 4))) + 3 * np.eye(4)
     iatf.trsm(t, rng.standard_normal((8, 4, 4)))
-    return iatf, gp, tp
 
 
 def _cmd_snapshot(args) -> int:
@@ -82,286 +76,22 @@ def _cmd_snapshot(args) -> int:
     return 0
 
 
-def _synthetic_point(gflops: float, timestamp: float) -> dict:
-    """A valid v2 trajectory point for the self-check's watchdog drill."""
-    from .watch import SCHEMA_VERSION
-    return {"schema": SCHEMA_VERSION, "machine": "Self Check",
-            "machine_id": "self-check", "routine": "gemm",
-            "backend": "fused", "dtype": "s", "shape": [8, 8, 8],
-            "batch": 16384, "gflops": gflops, "percent_peak": 50.0,
-            "wall_seconds": None, "repeats": 1, "timestamp": timestamp}
+def _parse_trsm_mode(mode: str) -> "tuple[str, str, str, str]":
+    """``--mode`` letters in BLAS order: side, uplo, trans, diag."""
+    from ..errors import InvalidProblemError
 
-
-def _cmd_self_check(args) -> int:
-    problems = []
-    with scoped() as reg:
-        iatf, gp, tp = _demo_workload()
-        snap = reg.snapshot()
-        counters = snap["counters"]
-        for want in ("plan_cache.misses", "plan_cache.hits",
-                     "pack_selector.gemm.calls",
-                     "pack_selector.trsm.calls",
-                     "batch_counter.calls",
-                     "codegen.generated",
-                     "engine.timed_plans",
-                     "tuning.retune.swapped"):
-            if counters.get(want, 0) <= 0:
-                problems.append(f"counter {want} did not move")
-        if snap["spans"] == 0:
-            problems.append("no spans recorded")
-        # trace export round-trips and validates
-        fd, path = tempfile.mkstemp(suffix=".trace.json")
-        os.close(fd)
-        try:
-            write_chrome_trace(path, registry=reg)
-            with open(path) as f:
-                validate_chrome_trace(json.load(f))
-        except ValueError as e:
-            problems.append(f"trace schema: {e}")
-        finally:
-            os.unlink(path)
-        # explain covers both routines
-        for plan in (iatf.plan_gemm(gp), iatf.plan_trsm(tp)):
-            report = explain(plan, registry=iatf.registry, deep=True)
-            text = report.render()
-            for needle in ("batch counter", "pack selector",
-                           "tile decomposition", "timing breakdown"):
-                if needle not in text:
-                    problems.append(
-                        f"explain[{plan.kind}] missing section {needle!r}")
-        # attribution profiler: conservation holds on both streams and
-        # the modeled-timeline events merge into a valid Chrome trace
-        from ..errors import ProfileError
-        prof = None
-        for stream in ("raw", "fused", "megakernel"):
-            try:
-                prof = profile_report(iatf.plan_gemm(gp), stream=stream)
-            except ProfileError as e:
-                problems.append(f"profiler[{stream}]: {e}")
-        if prof is not None:
-            for needle in ("phase attribution", "instruction classes",
-                           "roofline", "% of peak"):
-                if needle not in prof.render():
-                    problems.append(f"profile report missing {needle!r}")
-            if not prof.collapsed().strip():
-                problems.append("profiler produced no flamegraph stacks")
-            try:
-                validate_chrome_trace(chrome_trace(
-                    reg, extra_events=prof.trace_events()))
-            except ValueError as e:
-                problems.append(f"merged profile trace schema: {e}")
-        # exporter drill: the Prometheus render carries a counter the
-        # workload moved and is bit-stable across two renders of the
-        # now-idle registry; the delta view computes sane rates
-        from .export import (JsonExporter, PrometheusExporter,
-                             snapshot_delta)
-        text1 = PrometheusExporter().render(reg.snapshot())
-        text2 = PrometheusExporter().render(reg.snapshot())
-        if "repro_plan_cache_misses" not in text1:
-            problems.append("prometheus render missing "
-                            "repro_plan_cache_misses")
-        if text1 != text2:
-            problems.append("prometheus render not bit-stable on an "
-                            "idle registry")
-        try:
-            json.loads(JsonExporter().render(reg.snapshot()))
-        except ValueError as e:
-            problems.append(f"json exporter output unparseable: {e}")
-        delta = snapshot_delta({}, reg.snapshot(), seconds=1.0)
-        if any(c["delta"] < 0 or c.get("rate", 0) < 0
-               for c in delta["counters"].values()):
-            problems.append("delta view produced a negative counter "
-                            "delta/rate")
-    # trace-propagation drill: a parallel run's shard spans must all
-    # join the plan-run's trace with valid parent links
-    import numpy as np
-
-    from ..runtime.iatf import IATF
-    with scoped() as reg:
-        piatf = IATF(backend="parallel", workers=2)
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((64, 4, 4))
-        b = rng.standard_normal((64, 4, 4))
-        piatf.gemm(a, b, np.zeros((64, 4, 4)), beta=0.0)
-        shard_spans = [s for s in reg.spans
-                       if s.name == "backend.parallel.shard"]
-        kernel_spans = [s for s in reg.spans
-                        if s.name == "engine.kernels"]
-        span_ids = {s.span_id for s in reg.spans}
-        if len(shard_spans) < 2:
-            problems.append("parallel run recorded fewer than 2 shard "
-                            "spans")
-        elif not kernel_spans:
-            problems.append("parallel run recorded no engine.kernels span")
-        else:
-            run_trace = kernel_spans[0].trace_id
-            for s in shard_spans:
-                if s.trace_id != run_trace:
-                    problems.append("shard span orphaned from the "
-                                    "plan-run's trace")
-                    break
-                if s.parent_id not in span_ids:
-                    problems.append(f"shard span parent {s.parent_id!r} "
-                                    f"is not a recorded span")
-                    break
-        try:
-            validate_chrome_trace(chrome_trace(reg))
-        except ValueError as e:
-            problems.append(f"parallel-run trace schema: {e}")
-    # watchdog drill: a healthy trajectory passes, an injected 20%
-    # modeled-gflops regression is flagged with exit code 1
-    from .watch import check_trajectory
-    healthy = [_synthetic_point(10.0, 1.0), _synthetic_point(10.1, 2.0)]
-    regressed = healthy + [_synthetic_point(8.0, 3.0)]
-    if check_trajectory(list(healthy)).exit_code != 0:
-        problems.append("watchdog flagged a healthy trajectory")
-    if check_trajectory(list(regressed)).exit_code != 1:
-        problems.append("watchdog missed an injected 20% regression")
-    # budget drill: a fully-stamped request budget conserves exactly —
-    # the stages telescope, so their sum IS the end-to-end wall
-    from .budget import STAGES, Budget
-    b = Budget()
-    for stage in STAGES:
-        b.stamp(stage)
-    if not b.closed:
-        problems.append("stamping every stage did not close the budget")
-    try:
-        b.check()
-    except Exception as e:   # noqa: BLE001 - any violation is the bug
-        problems.append(f"budget conservation violated: {e}")
-    # SLO drill: injected deadline-miss traffic must flip the verdict
-    # from ok to page across two synthetic snapshots
-    from .slo import SLOMonitor, SLOSpec
-    spec = SLOSpec(name="drill-miss", tenant="drill", kind="deadline_miss",
-                   objective=0.01, fast_window_s=5.0, slow_window_s=10.0)
-    mon = SLOMonitor(specs=[spec])
-    snap_of = lambda done, missed: {"counters": {
-        "serve.tenant.drill.completed": done,
-        "serve.tenant.drill.deadline_missed": missed}}
-    mon._samples.append((0.0, snap_of(0, 0)))
-    mon._samples.append((20.0, snap_of(100, 0)))
-    healthy_verdict = mon.evaluate(now=20.0)[0]["verdict"]
-    mon._samples.append((40.0, snap_of(200, 50)))
-    burning_verdict = mon.evaluate(now=40.0)[0]["verdict"]
-    if healthy_verdict != "ok":
-        problems.append(f"SLO verdict on healthy traffic was "
-                        f"{healthy_verdict!r}, not 'ok'")
-    if burning_verdict != "page":
-        problems.append(f"SLO verdict under 50% injected deadline misses "
-                        f"was {burning_verdict!r}, not 'page'")
-    # flight drill: the recorder's rings capture the demo workload's
-    # spans and events, and a reject storm produces exactly one dump
-    from .events import event as emit_event
-    from .flight import FlightRecorder
-    with scoped():
-        rec = FlightRecorder(storm_window_s=10.0,
-                             storm_threshold=5).attach()
-        _demo_workload()
-        emit_event("selfcheck.flight", level="info", drill=True)
-        dump = rec.dump("self_check")
-        if not dump["spans"]:
-            problems.append("flight recorder captured no spans")
-        if not dump["events"]:
-            problems.append("flight recorder captured no events")
-        for i in range(10):
-            rec.note_reject("drill", now=100.0 + 0.1 * i)
-        if rec.last_dump["trigger"] != "reject_storm":
-            problems.append("reject storm did not trigger a flight dump")
-        if rec.dumps != 2:
-            problems.append(f"storm cooldown failed: {rec.dumps} dumps "
-                            f"recorded, expected 2 (manual + one storm)")
-    # serve drill: admission limits reject deterministically (typed, not
-    # InvalidProblemError), coalesced results are bit-identical to
-    # serial execution, and the serve.* counters move
-    from ..errors import RejectedError
-    from ..serve import BlasService, Request
-    with scoped() as reg:
-        # a bucket that can never flush on its own: queued requests
-        # stay in flight, so the 3rd same-tenant submit must bounce
-        svc = BlasService(max_batch=1024, max_wait_ms=10_000.0,
-                          max_in_flight=2, max_queue_depth=1024)
-        svc.start()
-        rng = np.random.default_rng(2)
-        def one_gemm(tenant):
-            a = rng.standard_normal((4, 4)).astype(np.float32)
-            return Request.gemm(a, a, tenant=tenant)
-        held = [svc.submit(one_gemm("hog")) for _ in range(2)]
-        try:
-            svc.submit(one_gemm("hog"))
-            problems.append("over-limit tenant was not rejected")
-        except RejectedError:
-            pass
-        except Exception as e:   # noqa: BLE001 - wrong type is the bug
-            problems.append(f"over-limit tenant got {type(e).__name__}, "
-                            f"not RejectedError")
-        try:
-            svc.submit(one_gemm("polite"))
-        except RejectedError:
-            problems.append("in-limit tenant was rejected alongside the "
-                            "over-limit one")
-        svc.stop()               # drains: the held futures must resolve
-        if any(f.exception() is not None for f in held):
-            problems.append("drained request failed at service stop")
-        # coalesced == serial, bit for bit, over mixed routines/dtypes
-        from ..runtime.iatf import IATF
-        from ..serve.client import make_request
-        svc2 = BlasService(max_batch=8, max_wait_ms=1.0)
-        svc2.start()
-        rng2 = np.random.default_rng(3)
-        reqs = [make_request(rng2, i) for i in range(24)]
-        futs = [svc2.submit(r) for r in reqs]
-        outs = [f.result(60.0) for f in futs]
-        svc2.stop()
-        serial = IATF()
-        for req, out in zip(reqs, outs):
-            if req.routine == "gemm":
-                p = req.problem
-                want = serial.gemm(req.a[None], req.b[None], req.c[None],
-                                   alpha=p.alpha, beta=p.beta,
-                                   transa=p.transa, transb=p.transb)[0]
-            else:
-                p = req.problem
-                want = serial.trsm(req.a[None], req.b[None], alpha=p.alpha,
-                                   side=p.side, uplo=p.uplo,
-                                   transa=p.transa, diag=p.diag)[0]
-            if out.tobytes() != want.tobytes():
-                problems.append(f"coalesced result diverged from serial "
-                                f"for {req.describe()}")
-                break
-        counters = reg.snapshot()["counters"]
-        for want_counter in ("serve.submitted", "serve.admitted",
-                             "serve.rejected", "serve.flush"):
-            if counters.get(want_counter, 0) <= 0:
-                problems.append(f"counter {want_counter} did not move")
-        if not any(e["name"] == "serve.reject"
-                   for e in reg.events.tail(1000, prefix="serve.")):
-            problems.append("rejection emitted no serve.reject event")
-        # every completed request left a closed, conserving budget
-        bstats = svc2.stats()["budget"]["by_tenant"]
-        if bstats["recorded"] < len(reqs):
-            problems.append(
-                f"budget ledger recorded {bstats['recorded']} of "
-                f"{len(reqs)} completed requests")
-        if bstats["violations"] != 0:
-            problems.append(f"{bstats['violations']} budget conservation "
-                            f"violations in the serve drill")
-    if problems:
-        print("obs self-check FAILED:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print("obs self-check OK: counters, spans, trace schema, exporters, "
-          "trace propagation, explain reports, profiler conservation, "
-          "the watchdog, latency budgets, SLO burn rates, the flight "
-          "recorder, and the serve drill all healthy")
-    return 0
+    letters = mode.upper()
+    if len(letters) != 4:
+        raise InvalidProblemError(
+            f"--mode wants 4 letters (side/uplo/trans/diag, e.g. LLNN), "
+            f"got {mode!r}")
+    return tuple(letters)
 
 
 def _cmd_explain(args) -> int:
+    from ..errors import InvalidProblemError
     from ..runtime.iatf import IATF
     from ..types import GemmProblem, TrsmProblem
-
-    from ..errors import InvalidProblemError
 
     iatf = IATF()
     try:
@@ -371,14 +101,9 @@ def _cmd_explain(args) -> int:
             report = iatf.explain_gemm(problem, force_pack=args.force_pack,
                                        deep=args.deep)
         else:
-            mode = args.mode.upper()
-            if len(mode) != 4:
-                print(f"error: --mode wants 4 letters "
-                      f"(side/uplo/trans/diag, e.g. LLNN), got {args.mode!r}")
-                return 2
-            side, uplo, trans, diag = mode
-            problem = TrsmProblem(args.m, args.n, args.dtype, side, uplo,
-                                  trans, diag, batch=args.batch)
+            problem = TrsmProblem(args.m, args.n, args.dtype,
+                                  *_parse_trsm_mode(args.mode),
+                                  batch=args.batch)
             report = iatf.explain_trsm(problem, force_pack=args.force_pack,
                                        deep=args.deep)
     except InvalidProblemError as exc:
@@ -386,11 +111,6 @@ def _cmd_explain(args) -> int:
         return 2
     print(report.render())
     return 0
-
-
-def _parse_trsm_mode(mode: str) -> "tuple[str, str, str, str] | None":
-    mode = mode.upper()
-    return tuple(mode) if len(mode) == 4 else None
 
 
 def _cmd_profile(args) -> int:
@@ -404,12 +124,8 @@ def _cmd_profile(args) -> int:
             problem = GemmProblem(args.m, args.n, args.k, args.dtype,
                                   batch=args.batch)
         else:
-            letters = _parse_trsm_mode(args.mode)
-            if letters is None:
-                print(f"error: --mode wants 4 letters "
-                      f"(side/uplo/trans/diag, e.g. LLNN), got {args.mode!r}")
-                return 2
-            problem = TrsmProblem(args.m, args.n, args.dtype, *letters,
+            problem = TrsmProblem(args.m, args.n, args.dtype,
+                                  *_parse_trsm_mode(args.mode),
                                   batch=args.batch)
         with scoped() as reg:
             plan = (iatf.plan_gemm(problem) if args.routine == "gemm"
@@ -484,9 +200,6 @@ def _cmd_flight(args) -> int:
 def main(argv: "list[str] | None" = None) -> int:
     """Entry point of ``python -m repro.obs``; returns the exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--self-check" in argv:            # CI-friendly flag spelling
-        argv = ["self-check"] + [a for a in argv if a != "--self-check"]
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Inspect the IATF run-time stage: counters, spans, "
@@ -498,9 +211,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p_snap.add_argument("--trace-out", metavar="PATH",
                         help="also write recorded spans as Chrome trace "
                         "JSON (*.trace.json)")
-
-    sub.add_parser("self-check", help="end-to-end smoke test of the "
-                   "observability subsystem (CI)")
 
     p_exp = sub.add_parser("explain", help="narrate the run-time-stage "
                            "decisions for one problem shape")
@@ -612,8 +322,6 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "snapshot":
         return _cmd_snapshot(args)
-    if args.command == "self-check":
-        return _cmd_self_check(args)
     if args.command == "explain":
         return _cmd_explain(args)
     if args.command == "profile":

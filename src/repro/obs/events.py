@@ -158,10 +158,11 @@ class EventLog:
 
     def tail(self, n: int = 100, level: "str | None" = None,
              prefix: "str | None" = None) -> "list[dict]":
-        """The most recent ``n`` events (oldest first), optionally
-        filtered to ``level`` severity and above and/or to names
-        starting with ``prefix`` (e.g. ``"tuning.retune."`` to follow
-        one online re-tuning episode through the ring)."""
+        """The most recent ``n`` events (oldest first; none when
+        ``n <= 0``), optionally filtered to ``level`` severity and above
+        and/or to names starting with ``prefix`` (e.g.
+        ``"tuning.retune."`` to follow one online re-tuning episode
+        through the ring)."""
         with self._lock:
             records = list(self._ring)
         if level is not None:
@@ -173,7 +174,7 @@ class EventLog:
                        if _LEVEL_RANK[r["level"]] >= floor]
         if prefix is not None:
             records = [r for r in records if r["name"].startswith(prefix)]
-        return records[-max(0, n):]
+        return records[-n:] if n > 0 else []
 
     def attach_sink(self, sink: FileSink) -> None:
         """Route every subsequent event into ``sink`` as well."""

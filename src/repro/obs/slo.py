@@ -36,6 +36,7 @@ emits (``serve.tenant.<t>.submitted`` / ``.completed`` /
 from __future__ import annotations
 
 import json
+import threading
 import time
 from bisect import bisect_left
 from collections import deque
@@ -154,6 +155,8 @@ class SLOMonitor:
         self._registry = registry
         self._samples: "deque[tuple[float, dict]]" = deque(
             maxlen=max(2, int(max_samples)))
+        # concurrent /slo scrapes append while another evaluates
+        self._lock = threading.Lock()
 
     def registry(self) -> "core.Registry":
         return (self._registry if self._registry is not None
@@ -162,22 +165,26 @@ class SLOMonitor:
     def sample(self, now: "float | None" = None) -> None:
         """Append one timestamped snapshot to the history ring."""
         t = time.monotonic() if now is None else now
-        self._samples.append((t, self.registry().snapshot()))
+        snap = self.registry().snapshot()
+        with self._lock:
+            self._samples.append((t, snap))
 
     # -- evaluation -----------------------------------------------------
 
-    def _window_base(self, now: float, seconds: float) -> "dict | None":
+    @staticmethod
+    def _window_base(samples: "list[tuple[float, dict]]", now: float,
+                     seconds: float) -> "dict | None":
         """The newest sample at least ``seconds`` old — or the oldest
         sample we have (window truncated to monitor age)."""
         target = now - seconds
         base = None
-        for t, snap in self._samples:
+        for t, snap in samples:
             if t <= target:
                 base = snap
             else:
                 break
-        if base is None and len(self._samples) >= 2:
-            base = self._samples[0][1]
+        if base is None and len(samples) >= 2:
+            base = samples[0][1]
         return base
 
     def _bad_total(self, spec: SLOSpec, before: dict,
@@ -202,13 +209,13 @@ class SLOMonitor:
                    - _cum_le(hb, spec.objective))
         return max(0.0, total - good), total
 
-    def _window_view(self, spec: SLOSpec, now: float, seconds: float,
-                     latest: dict) -> dict:
-        base = self._window_base(now, seconds)
+    def _window_view(self, spec: SLOSpec, samples: list, now: float,
+                     seconds: float) -> dict:
+        base = self._window_base(samples, now, seconds)
         if base is None:
             return {"window_s": seconds, "bad": 0.0, "total": 0.0,
                     "ratio": None, "burn": None}
-        bad, total = self._bad_total(spec, base, latest)
+        bad, total = self._bad_total(spec, base, samples[-1][1])
         if total <= 0:
             return {"window_s": seconds, "bad": bad, "total": total,
                     "ratio": None, "burn": None}
@@ -219,11 +226,12 @@ class SLOMonitor:
     def evaluate(self, now: "float | None" = None) -> "list[dict]":
         """One verdict dict per spec, from the current history."""
         t = time.monotonic() if now is None else now
-        latest = self._samples[-1][1] if self._samples else {}
+        with self._lock:
+            samples = list(self._samples)
         out = []
         for spec in self.specs:
-            fast = self._window_view(spec, t, spec.fast_window_s, latest)
-            slow = self._window_view(spec, t, spec.slow_window_s, latest)
+            fast = self._window_view(spec, samples, t, spec.fast_window_s)
+            slow = self._window_view(spec, samples, t, spec.slow_window_s)
             burns = (fast["burn"], slow["burn"])
             if any(b is None for b in burns):
                 # a window without traffic is not burning budget; both

@@ -21,7 +21,7 @@ stage's decision space per machine and persisting the winners:
   (top-k measurement, default :data:`DEFAULT_TOP_K`) with the
   "tuned is never worse than analytic" selection invariant;
 * ``python -m repro.tuning`` — ``sweep`` / ``show`` / ``export`` /
-  ``merge`` / ``diff`` / ``import`` / ``self-check`` CLI.
+  ``merge`` / ``diff`` / ``import`` CLI.
 
 Quick start::
 

@@ -10,7 +10,6 @@ Usage::
     python -m repro.tuning merge --out fleet.json a.json b.json
     python -m repro.tuning diff a.json b.json
     python -m repro.tuning import --db fleet.json incoming.json
-    python -m repro.tuning self-check
 
 ``sweep`` is the install-time entry point: the analytic machine model
 ranks the full register-feasible candidate space and only the top-k
@@ -24,12 +23,6 @@ timestamp is taken once and reused, so provenance cannot break it).
 order-independent conflict resolution; ``diff`` explains what separates
 two DBs (exit 0 identical, 1 different, 2 unusable); ``import`` merges
 incoming files into an existing DB in place.
-
-``self-check`` exercises the whole subsystem end to end (sweep, save,
-reload, re-sweep, corruption handling, the "tuned never worse" and
-top-k rank-quality invariants, fleet merge/diff, the legacy-schema
-shim, and the watchdog-driven retune drill) against temp files and
-returns 0/1 for CI.
 """
 
 from __future__ import annotations
@@ -37,13 +30,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
-import os
 import sys
-import tempfile
 import time
 
-from . import TuningDB, TuningKey, sweep, tune_problem
+from . import TuningDB, sweep
 
 __all__ = ["main"]
 
@@ -256,258 +246,9 @@ def _cmd_import(args) -> int:
     return 0
 
 
-def _cmd_self_check(args) -> int:
-    from .. import obs
-    from ..machine.machines import KUNPENG_920
-    from ..types import GemmProblem
-
-    problems: list[str] = []
-    machine = KUNPENG_920
-    with obs.scoped() as reg, tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "self-check.tuning.json")
-
-        # sweep -> save -> reload must round-trip bit-identically
-        db = TuningDB.load(path)                  # missing file: healthy
-        if db.corrupt or len(db):
-            problems.append("missing DB file did not load empty/healthy")
-        outcomes = sweep(db, machine, ops=("gemm", "trsm"), dtypes=("d",),
-                         sizes=(3, 6, 9), batch=512)
-        db.save()
-        reloaded = TuningDB.load(path)
-        if reloaded.corrupt:
-            problems.append(f"reload marked corrupt: "
-                            f"{reloaded.corrupt_reason}")
-        if reloaded.to_json() != db.to_json():
-            problems.append("save/load round-trip not bit-identical")
-
-        # re-sweeping the same grid must reproduce every record exactly
-        sweep(reloaded, machine, ops=("gemm", "trsm"), dtypes=("d",),
-              sizes=(3, 6, 9), batch=512)
-        if reloaded.to_json() != db.to_json():
-            problems.append("identical re-sweep changed records "
-                            "(determinism broken)")
-
-        # "tuned never worse": winner cycles <= analytic candidate's
-        for outcome in outcomes:
-            if outcome.record.cycles > outcome.analytic_cycles:
-                problems.append(
-                    f"{outcome.key.encode()}: tuned "
-                    f"{outcome.record.cycles} cycles worse than analytic "
-                    f"{outcome.analytic_cycles}")
-
-        # a complex-dtype single-shape tune exercises the other budget
-        z = tune_problem(GemmProblem(6, 6, 6, "z", batch=256), machine)
-        if z.record.cycles > z.analytic_cycles:
-            problems.append("complex tune worse than analytic")
-
-        # corruption must degrade, never raise
-        bad = os.path.join(tmp, "bad.tuning.json")
-        with open(bad, "w") as f:
-            f.write("{ this is not json")
-        broken = TuningDB.load(bad)
-        if not broken.corrupt or len(broken):
-            problems.append("truncated JSON not flagged corrupt+empty")
-        with open(bad, "w") as f:
-            json.dump({"schema": 999, "entries": {}}, f)
-        future = TuningDB.load(bad)
-        if not future.corrupt:
-            problems.append("future schema not flagged corrupt")
-
-        # the runtime consults the DB and falls back gracefully
-        from ..runtime.iatf import IATF
-
-        iatf = IATF(machine, tuning_db=path)
-        iatf.plan_gemm(GemmProblem(6, 6, 6, "d", batch=512))   # hit
-        iatf.plan_gemm(GemmProblem(31, 31, 31, "d", batch=512))  # miss
-        broken_iatf = IATF(machine, tuning_db=bad)
-        broken_iatf.plan_gemm(GemmProblem(6, 6, 6, "d", batch=512))
-        counters = reg.snapshot()["counters"]
-        for want in ("tuning.sweep.problems", "tuning.eval.candidates",
-                     "tuning.db.saves", "tuning.db.loads",
-                     "tuning.hit", "tuning.miss", "tuning.fallback"):
-            if counters.get(want, 0) <= 0:
-                problems.append(f"counter {want} did not move")
-
-        # top-k rank quality: the analytical cut must keep the
-        # full-sweep winner while measuring <= 25% of the full space
-        problems.extend(_check_topk(machine))
-
-        # fleet drill: merge commutativity, conflict resolution, empty
-        # self-diff, legacy-schema loading
-        problems.extend(_check_fleet(tmp, machine))
-
-        # drift -> retune drill: watchdog verdict triggers a bounded
-        # re-sweep that swaps the record and invalidates cached plans
-        problems.extend(_check_retune(reg, tmp, machine))
-
-    if problems:
-        print("tuning self-check FAILED:")
-        for p in problems:
-            print(f"  - {p}")
-        return 1
-    print("tuning self-check OK: sweep determinism, DB round-trip, "
-          "corruption fallback, runtime hit/miss/fallback, top-k rank "
-          "quality, fleet merge/diff, and the drift-retune loop all "
-          "healthy")
-    return 0
-
-
-def _check_topk(machine) -> "list[str]":
-    """Self-check drill: top-k keeps the exhaustive winner, cheaply."""
-    from ..types import GemmProblem
-    from .evaluate import Evaluator
-
-    problems: list[str] = []
-    ev = Evaluator(machine)
-    for n in (3, 6, 9, 12):
-        p = GemmProblem(n, n, n, "d", batch=512)
-        full = tune_problem(p, machine, evaluator=ev, top_k=None,
-                            schedule_variants=True)
-        topk = tune_problem(p, machine, evaluator=ev,
-                            schedule_variants=True)
-        same = (full.record.main == topk.record.main
-                and full.record.force_pack == topk.record.force_pack
-                and full.record.schedule == topk.record.schedule)
-        if not same:
-            problems.append(
-                f"top-k sweep missed the full-sweep winner at n={n}: "
-                f"{full.record.main} vs {topk.record.main}")
-        if topk.record.space and \
-                topk.record.candidates > 0.25 * topk.record.space:
-            problems.append(
-                f"top-k sweep measured {topk.record.candidates} of "
-                f"{topk.record.space} candidates at n={n} (> 25%)")
-        if topk.record.sweep != "topk":
-            problems.append(f"top-k record not stamped 'topk' at n={n}")
-    return problems
-
-
-def _check_fleet(tmp: str, machine) -> "list[str]":
-    """Self-check drill: fleet merge/diff semantics + the legacy shim."""
-    import dataclasses
-
-    from ..machine.machines import A64FX
-
-    problems: list[str] = []
-    db_a = TuningDB(path=os.path.join(tmp, "fleet-a.json"))
-    db_b = TuningDB(path=os.path.join(tmp, "fleet-b.json"))
-    sweep(db_a, machine, ops=("gemm",), dtypes=("d",), sizes=(3, 6),
-          batch=512)
-    sweep(db_b, A64FX, ops=("gemm",), dtypes=("d",), sizes=(3, 6),
-          batch=512)
-    # one overlapping key with conflicting records: resolution must be
-    # order-independent (higher gflops wins)
-    shared_key, shared_rec = db_a.items()[0]
-    db_b.put(shared_key,
-             dataclasses.replace(shared_rec, gflops=shared_rec.gflops + 1.0,
-                                 cycles=shared_rec.cycles / 2.0))
-    ab = TuningDB.merge([db_a, db_b])
-    ba = TuningDB.merge([db_b, db_a])
-    if ab.to_json() != ba.to_json():
-        problems.append("merge is not commutative (A,B != B,A)")
-    if ab.get(shared_key).gflops != shared_rec.gflops + 1.0:
-        problems.append("merge conflict did not keep the higher-gflops "
-                        "record")
-    self_diff = TuningDB.diff(ab, ab)
-    if self_diff["only_a"] or self_diff["only_b"] or self_diff["conflicts"]:
-        problems.append("self-diff of a merged DB is not empty")
-    cross = TuningDB.diff(db_a, db_b)
-    if len(cross["conflicts"]) != 1:
-        problems.append("diff did not report exactly the planted conflict")
-
-    # legacy v1 files (display-name keys, no provenance) must load
-    # through the shim onto this machine's tuning id
-    legacy_path = os.path.join(tmp, "legacy.json")
-    legacy_rec = {k: v for k, v in shared_rec.to_dict().items()
-                  if k in ("main", "force_pack", "schedule", "cycles",
-                           "gflops", "candidates", "tuner_version",
-                           "batch", "repeats")}
-    old_key = shared_key.encode().replace(shared_key.machine, machine.name)
-    with open(legacy_path, "w") as f:
-        json.dump({"schema": 1, "tuner_version": 1,
-                   "entries": {old_key: legacy_rec}}, f)
-    legacy = TuningDB.load(legacy_path)
-    if legacy.corrupt:
-        problems.append(f"legacy v1 file flagged corrupt: "
-                        f"{legacy.corrupt_reason}")
-    elif legacy.get(shared_key) is None:
-        problems.append("legacy v1 key did not upgrade to the stock "
-                        "machine's tuning id")
-    elif legacy.get(shared_key).sweep != "legacy":
-        problems.append("legacy record not stamped sweep='legacy'")
-    return problems
-
-
-def _check_retune(reg, tmp: str, machine) -> "list[str]":
-    """Self-check drill: a synthetic drifting trajectory must drive
-    ``IATF.retune_from_watch`` to swap the record and invalidate the
-    cached plan."""
-    from ..obs.watch import check_trajectory
-    from ..runtime.iatf import IATF
-    from ..types import GemmProblem
-
-    problems: list[str] = []
-    path = os.path.join(tmp, "retune.tuning.json")
-    db = TuningDB(path=path)
-    problem = GemmProblem(6, 6, 6, "d", batch=512)
-    out = tune_problem(problem, machine)
-    db.put(out.key, out.record)
-    db.save()
-
-    iatf = IATF(machine, tuning_db=path)
-    iatf.plan_gemm(problem)                    # populate the plan cache
-    if iatf.plan_cache_stats["size"] < 1:
-        problems.append("retune drill: plan cache did not populate")
-
-    def point(ts: float, wall: float) -> dict:
-        return {"schema": 2, "machine": machine.name,
-                "machine_id": machine.machine_id, "routine": "gemm",
-                "backend": "fused", "dtype": "d", "shape": [6, 6, 6],
-                "batch": 512, "gflops": 8.0, "percent_peak": 75.0,
-                "wall_seconds": wall, "repeats": 3, "timestamp": ts}
-
-    result = check_trajectory([point(1.0, 0.010), point(2.0, 0.025)],
-                              drift_threshold=0.5)
-    if not result.drifts:
-        problems.append("retune drill: watchdog did not flag the "
-                        "synthetic drift")
-        return problems
-    if result.exit_code != 0:
-        problems.append("retune drill: drift affected the exit code "
-                        "(must stay advisory)")
-    outcomes = iatf.retune_from_watch(result.drifts, timestamp=123.0)
-    if len(outcomes) != 1:
-        problems.append(f"retune drill: expected 1 retune outcome, got "
-                        f"{len(outcomes)}")
-        return problems
-    swapped = outcomes[0].record
-    if swapped.sweep != "retune" or swapped.timestamp != 123.0:
-        problems.append("retune drill: swapped record missing retune "
-                        "provenance")
-    reloaded = TuningDB.load(path)
-    if reloaded.get(outcomes[0].key) != swapped:
-        problems.append("retune drill: swapped record not persisted")
-    if iatf.plan_cache_stats["invalidations"] < 1:
-        problems.append("retune drill: stale cached plan was not "
-                        "invalidated")
-    counters = reg.snapshot()["counters"]
-    for want in ("tuning.retune.scheduled", "tuning.retune.swapped",
-                 "tuning.retune.plans_invalidated"):
-        if counters.get(want, 0) <= 0:
-            problems.append(f"retune drill: counter {want} did not move")
-    names = [e["name"] for e in reg.events.tail(prefix="tuning.retune.")]
-    for want in ("tuning.retune.scheduled", "tuning.retune.swapped"):
-        if want not in names:
-            problems.append(f"retune drill: event {want} not emitted")
-    return problems
-
-
 def main(argv: "list[str] | None" = None) -> int:
     """Entry point of ``python -m repro.tuning``; returns the exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--self-check" in argv:            # CI-friendly flag spelling
-        argv = ["self-check"] + [a for a in argv if a != "--self-check"]
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.tuning",
         description="Install-time autotuner: sweep candidate plans on "
@@ -573,9 +314,6 @@ def main(argv: "list[str] | None" = None) -> int:
                        help="destination DB (updated atomically)")
     p_imp.add_argument("inputs", nargs="+", metavar="DB")
 
-    sub.add_parser("self-check", help="end-to-end smoke test of the "
-                   "tuning subsystem (CI)")
-
     args = parser.parse_args(argv)
     if args.command == "sweep":
         if args.top_k is None:
@@ -596,8 +334,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return _cmd_diff(args)
     if args.command == "import":
         return _cmd_import(args)
-    if args.command == "self-check":
-        return _cmd_self_check(args)
     parser.print_help()
     return 2
 

@@ -10,8 +10,9 @@ selection metric (host timing is noisy; the cycle model is the
 simulated silicon).
 
 ``repeats``/median controls exist for both paths.  They are a no-op for
-the cycle model (every repeat returns the same number — asserted by the
-self-check) and genuinely reduce variance for wall clock.
+the cycle model (every repeat returns the same number — asserted by
+``tests/tuning/test_tuner.py``) and genuinely reduce variance for wall
+clock.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ class TestEventLog:
         assert [r["name"] for r in records] == ["a", "b"]
         assert records[0]["fields"] == {"x": 1}
         assert records[0]["ts"] > 0
+        assert log.tail(0) == [] and log.tail(-1) == []
 
     def test_ring_bounds_memory_and_counts_drops(self):
         log = EventLog(ring=3)

@@ -208,8 +208,10 @@ class TestServeHTTP:
         with _Endpoint(reg) as ep:
             _, _, all_events = ep.get("/events?n=3")
             _, _, errors = ep.get("/events?level=error")
+            _, _, none = ep.get("/events?n=0")
         assert [r["name"] for r in json.loads(all_events)] == \
             ["e3", "e4", "bad"]
+        assert json.loads(none) == []
         assert [r["name"] for r in json.loads(errors)] == ["bad"]
 
     def test_events_endpoint_filters_prefix(self):

@@ -133,6 +133,9 @@ class TestHeadlineReport:
 
     def test_render_mentions_conservation_and_bound(self, report):
         text = report.render()
+        for section in ("phase attribution", "instruction classes",
+                        "roofline"):
+            assert section in text
         assert "conserved" in text
         assert report.profile.bound in text
         assert "FMLA" in text and "LD" in text

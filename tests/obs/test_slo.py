@@ -7,6 +7,9 @@ with no sleeping and no service.
 """
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -153,3 +156,41 @@ class TestMonitorPlumbing:
         by_name = {v["name"]: v["verdict"] for v in dump["slos"]}
         assert by_name == {"quiet": "no_data", "t-slo": "page"}
         assert dump["worst"] == "page"
+
+    def test_concurrent_sample_and_evaluate_do_not_race(self):
+        # two scrapers append while a third evaluates far in the future,
+        # so every evaluation walks the whole ring
+        errors = []
+        stop = threading.Event()
+
+        def loop(fn):
+            try:
+                while not stop.is_set():
+                    fn()
+            except Exception as e:   # noqa: BLE001 - any raise is the bug
+                errors.append(e)
+                stop.set()
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.scoped():
+                obs.count("serve.tenant.t.completed", 1)
+                mon = SLOMonitor(specs=[spec()], max_samples=64)
+                for _ in range(64):
+                    mon.sample()
+                threads = [
+                    threading.Thread(target=loop, args=(mon.sample,)),
+                    threading.Thread(target=loop, args=(mon.sample,)),
+                    threading.Thread(target=loop, args=(
+                        lambda: mon.evaluate(now=time.monotonic() + 1e4),)),
+                ]
+                for th in threads:
+                    th.start()
+                stop.wait(0.25)
+                stop.set()
+                for th in threads:
+                    th.join()
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert errors == []

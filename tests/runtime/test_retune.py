@@ -80,12 +80,17 @@ class TestRetune:
 
     def test_events_tell_the_story(self, tmp_path):
         iatf, _ = _tuned_iatf(tmp_path)
+        iatf.plan_gemm(PROBLEM)                 # a cached plan to drop
         with obs.scoped() as reg:
             iatf.retune(PROBLEM)
             names = [e["name"]
                      for e in reg.events.tail(prefix="tuning.retune.")]
         assert "tuning.retune.scheduled" in names
         assert "tuning.retune.swapped" in names
+        counters = reg.snapshot()["counters"]
+        for name in ("tuning.retune.scheduled", "tuning.retune.swapped",
+                     "tuning.retune.plans_invalidated"):
+            assert counters.get(name, 0) > 0, name
 
 
 class TestRetuneFromWatch:

@@ -90,18 +90,25 @@ class TestAdmissionIntegration:
     def test_over_limit_tenant_rejected_in_limit_tenant_served(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((4, 4)).astype(np.float32)
-        svc = self._held_service().start()
-        try:
-            held = [svc.submit(Request.gemm(a, a, tenant="hog"))
-                    for _ in range(2)]
-            with pytest.raises(RejectedError) as err:
-                svc.submit(Request.gemm(a, a, tenant="hog"))
-            assert err.value.tenant == "hog"
-            polite = svc.submit(Request.gemm(a, a, tenant="polite"))
-        finally:
-            svc.stop()                         # drains the held bucket
+        with obs.scoped() as reg:
+            svc = self._held_service().start()
+            try:
+                held = [svc.submit(Request.gemm(a, a, tenant="hog"))
+                        for _ in range(2)]
+                with pytest.raises(RejectedError) as err:
+                    svc.submit(Request.gemm(a, a, tenant="hog"))
+                assert err.value.tenant == "hog"
+                polite = svc.submit(Request.gemm(a, a, tenant="polite"))
+            finally:
+                svc.stop()                     # drains the held bucket
         for fut in held + [polite]:
             assert fut.exception() is None
+        counters = reg.snapshot()["counters"]
+        for name in ("serve.submitted", "serve.admitted", "serve.rejected",
+                     "serve.flush"):
+            assert counters.get(name, 0) > 0, name
+        assert any(e["name"] == "serve.reject"
+                   for e in reg.events.tail(prefix="serve."))
         stats = svc.stats()
         assert stats["admission"]["rejected"] == 1
         assert stats["requests"]["completed"] == 3
