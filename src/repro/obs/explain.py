@@ -257,7 +257,7 @@ def _backend_section(backend, compiled) -> "list[str]":
         s = compiled.stats
         lines.append(
             f"lowered: {s['instructions']} instructions over "
-            f"{s['calls']} calls -> {compiled.num_commands} commands "
+            f"{compiled.calls_summary()} -> {compiled.num_commands} commands "
             f"({s['mem_commands']} mem, {s['fp_commands']} fp)")
         lines.append(
             f"constant-folded at lower time: {s['folded_addi']} "

@@ -170,10 +170,9 @@ class PlanProfile:
     classes: "dict[str, ClassProfile]"
     kernels: "dict[str, KernelProfile]"
     """Per-kernel attribution.  For ``"raw"`` it comes from the
-    lowering's ``call_ranges``; for ``"megakernel"`` from the trace
-    segments (each segment belongs to exactly one kernel, so coverage
-    is total by construction).  The fused pass pipeline merges across
-    call boundaries, so this is empty for ``stream == "fused"``."""
+    lowering's ``call_ranges``; for ``"megakernel"`` from each call's
+    ``fused_ranges`` slice (the trace segments merge exactly these, so
+    coverage is total by construction).  Empty for ``stream == "fused"``."""
 
     # -- totals ----------------------------------------------------------
 
@@ -267,9 +266,9 @@ def profile_plan(plan, *, stream: str = "raw", compiled=None,
     ``stream`` selects what to walk: ``"raw"`` (the unoptimized
     lowering; enables per-kernel attribution), ``"fused"`` (the
     pass-optimized macro-op stream the ``fused`` backend replays), or
-    ``"megakernel"`` (the per-segment optimized streams the trace
-    compiler turns into generated source — per-kernel attribution comes
-    back here, because every trace segment belongs to one kernel).
+    ``"megakernel"`` (the same stream, which the trace compiler turns
+    into generated source segment by segment — per-kernel attribution
+    comes back here, because every trace segment belongs to one kernel).
     ``compiled`` and ``timing`` may be supplied to reuse a cached
     lowering / an existing ``PlanTiming``; otherwise both are computed
     here.  The returned profile has passed :meth:`PlanProfile.check`.
@@ -286,14 +285,16 @@ def profile_plan(plan, *, stream: str = "raw", compiled=None,
             compiled = lw.lower_plan(plan)
         if timing is None:
             timing = Engine(plan.machine).time_plan(plan)
-        segments = None
-        if stream == "megakernel":
-            segments = lw.partition_trace(compiled)
-            commands = [cmd for seg in segments for cmd in seg.commands]
-        elif stream == "fused":
-            commands = compiled.fused_commands
+        if stream == "raw":
+            commands, ranges = compiled.commands, compiled.call_ranges
         else:
-            commands = compiled.commands
+            # megakernel trace segments are per-kernel slices of the
+            # fused stream, so both walk it; only the megakernel keeps
+            # the kernel boundaries its generated code is split at
+            commands = compiled.fused_commands
+            ranges = ([(name, *fused) for (name, _, _), fused in
+                       zip(compiled.call_ranges, compiled.fused_ranges)]
+                      if stream == "megakernel" else [])
         if not commands:
             raise ProfileError(f"plan has no {stream} commands to profile")
 
@@ -317,42 +318,25 @@ def profile_plan(plan, *, stream: str = "raw", compiled=None,
             cp.bytes_moved += nbytes * groups
 
         kernels: "dict[str, KernelProfile]" = {}
-        if stream == "raw":
-            covered = 0
-            for name, start, stop in compiled.call_ranges:
-                kp = kernels.get(name)
-                if kp is None:
-                    kp = kernels[name] = KernelProfile(name)
-                for i in range(start, stop):
-                    cls = metrics[i][0]
-                    kp.commands += 1
-                    kp.cycles += cycles[i]
-                    kp.flops += metrics[i][2] * groups
-                    kp.bytes_moved += metrics[i][3] * groups
-                    kp.classes[cls] = kp.classes.get(cls, 0) + cycles[i]
-                covered += stop - start
-            if covered != len(commands):
-                # a lowering that emitted commands outside any call range
-                # would break kernel-level conservation; fail loudly
-                raise ProfileError(
-                    f"call ranges cover {covered} of {len(commands)} "
-                    "raw commands")
-        elif stream == "megakernel":
-            # segment streams concatenate to exactly `commands`, so
-            # coverage is total by construction — no residue check
-            pos = 0
-            for seg in segments:
-                kp = kernels.get(seg.kernel)
-                if kp is None:
-                    kp = kernels[seg.kernel] = KernelProfile(seg.kernel)
-                for i in range(pos, pos + len(seg.commands)):
-                    cls = metrics[i][0]
-                    kp.commands += 1
-                    kp.cycles += cycles[i]
-                    kp.flops += metrics[i][2] * groups
-                    kp.bytes_moved += metrics[i][3] * groups
-                    kp.classes[cls] = kp.classes.get(cls, 0) + cycles[i]
-                pos += len(seg.commands)
+        covered = 0
+        for name, start, stop in ranges:
+            kp = kernels.get(name)
+            if kp is None:
+                kp = kernels[name] = KernelProfile(name)
+            for i in range(start, stop):
+                cls = metrics[i][0]
+                kp.commands += 1
+                kp.cycles += cycles[i]
+                kp.flops += metrics[i][2] * groups
+                kp.bytes_moved += metrics[i][3] * groups
+                kp.classes[cls] = kp.classes.get(cls, 0) + cycles[i]
+            covered += stop - start
+        if ranges and covered != len(commands):
+            # a lowering that emitted commands outside any call range
+            # would break kernel-level conservation; fail loudly
+            raise ProfileError(
+                f"call ranges cover {covered} of {len(commands)} "
+                f"{stream} commands")
 
         profile = PlanProfile(
             kind=plan.kind, problem=plan.problem, machine=machine,

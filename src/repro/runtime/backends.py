@@ -155,12 +155,7 @@ class FusedBackend:
         allocated).  Public so the attribution profiler
         (:mod:`repro.obs.profile`) can profile exactly what a backend
         would execute."""
-        fused = compiled.fused_commands
-        if not fused:
-            # a CompiledPlan built outside lower_plan (tests, tools) may
-            # carry no optimized stream; the raw one is always valid
-            return compiled.commands, 0
-        return fused, compiled.stats.get("passes", {}).get("max_stack", 0)
+        return compiled.fused_commands, compiled.stats["passes"]["max_stack"]
 
     @staticmethod
     def _block_groups(l2_bytes: int, lanes: int, itemsize: int) -> int:

@@ -580,6 +580,8 @@ class IATF:
                 f"B is {b.shape[1]}x{b.shape[2]} but transb={tb.value} with "
                 f"k={k}, n={n} requires {problem.b_shape[0]}x"
                 f"{problem.b_shape[1]}")
+        dt.check_operand("A", a)
+        dt.check_operand("B", b)
         lanes = self.machine.lanes(dt)
         ca = CompactBatch.from_matrices(a, lanes, dt)
         cb = CompactBatch.from_matrices(b, lanes, dt)
@@ -608,6 +610,7 @@ class IATF:
                 f"{problem.side.value} with B "
                 f"{b.shape[1]}x{b.shape[2]} requires "
                 f"{problem.a_dim}x{problem.a_dim}")
+        dt.check_operand("A", a)
         lanes = self.machine.lanes(dt)
         ca = CompactBatch.from_matrices(a, lanes, dt)
         cb = CompactBatch.from_matrices(b, lanes, dt)

@@ -23,10 +23,6 @@ in-place ufuncs:
   a single time here, at lower time, instead of per instruction at run
   time.
 
-Lowering is pure analysis: it never touches matrix data, so a
-``CompiledPlan`` is cached alongside its plan in the
-:class:`~repro.runtime.iatf.PlanCache` and reused for every batch.
-
 After validation an **optimizing pass pipeline** (:func:`optimize_commands`)
 rewrites a second copy of the stream into macro-ops the ``fused``
 backend replays with far fewer ufunc dispatches:
@@ -49,11 +45,24 @@ contract (same bytes as ``interpret``) holds for the optimized stream
 too.  The raw stream is kept alongside (``commands`` vs
 ``fused_commands``): it carries the per-kernel ``call_ranges`` the
 attribution profiler's ``raw`` stream reports against.
+
+**Templates.**  Resolution, validation and the passes run once per
+distinct call binding: the program, each root's offset relative to the
+lowest root in its buffer, and that lowest offset mod 16 B.  Later calls
+with the key re-check its extents against the group stride and relocate
+it (memory commands move by the buffer's delta; the rest are shared).
+Registers never live across a call, so the per-call optimized streams
+concatenate to the whole-stream result.
+
+Lowering is pure analysis: it never touches matrix data, so a
+``CompiledPlan`` is cached alongside its plan in the
+:class:`~repro.runtime.iatf.PlanCache` and reused for every batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -202,10 +211,10 @@ class CompiledPlan:
     backend replays; ``commands`` stays the validated raw stream."""
     call_ranges: "list[tuple[str, int, int]]" = field(default_factory=list)
     """``(kernel_name, start, stop)`` per plan call over ``commands`` —
-    which slice of the raw stream each kernel invocation lowered to.
-    The pass pipeline reorders and merges across these boundaries, so
-    the ranges index the raw stream only (the profiler's per-kernel
-    attribution is raw-stream territory)."""
+    which slice of the raw stream each kernel invocation lowered to."""
+    fused_ranges: "list[tuple[int, int]]" = field(default_factory=list)
+    """``(start, stop)`` per plan call over ``fused_commands`` (each call
+    is optimized on its own, so its macro-ops are contiguous)."""
     stats: dict = field(default_factory=dict)
     attachments: dict = field(default_factory=dict, compare=False,
                               repr=False)
@@ -223,12 +232,9 @@ class CompiledPlan:
     def num_commands(self) -> int:
         return len(self.commands)
 
-    def command(self, i: int) -> CompiledCommand:
-        return CompiledCommand(self.commands[i][0], self.commands[i])
-
     def mem_commands(self) -> "list[CompiledCommand]":
-        return [c for c in map(lambda t: CompiledCommand(t[0], t), self.commands)
-                if c.is_mem]
+        return [CompiledCommand(t[0], t) for t in self.commands
+                if t[0] in _MEM_KINDS]
 
     def __getstate__(self) -> dict:
         # attachments carry compiled code objects (unpicklable) and are
@@ -251,12 +257,17 @@ class CompiledPlan:
         from dataclasses import replace
         return replace(self, groups=groups)
 
+    def calls_summary(self) -> str:
+        t = self.stats.get("templates", 0)
+        return (f"{self.stats.get('calls', 0)} calls from {t} "
+                f"template{'s' * (t != 1)}")
+
     def describe(self) -> str:
         s = self.stats
         text = (f"CompiledPlan[{self.kind}] {self.num_commands} commands "
                 f"({s.get('mem_commands', 0)} mem, {s.get('fp_commands', 0)} fp) "
-                f"from {s.get('calls', 0)} calls / "
-                f"{s.get('instructions', 0)} instructions; "
+                f"lowered from {s.get('instructions', 0)} instructions in "
+                f"{self.calls_summary()}; "
                 f"{s.get('folded_addi', 0)} ADDIs folded, "
                 f"{s.get('dropped', 0)} PRFM/NOP dropped")
         p = s.get("passes")
@@ -325,157 +336,259 @@ def _lower(plan: ExecutionPlan) -> CompiledPlan:
             layouts[buf] = lay
         return lay
 
+    templates: "dict[tuple, _Template]" = {}
     commands: list[tuple] = []
+    fused_commands: list[tuple] = []
     call_ranges: "list[tuple[str, int, int]]" = []
-    folded = dropped = instructions = 0
+    fused_ranges: "list[tuple[int, int]]" = []
 
     for ci, call in enumerate(plan.calls):
-        call_start = len(commands)
         prog = call.program
         if prog.ew != ew or prog.lanes != lanes:
             raise LoweringError(
                 f"{prog.name}: mixed element geometry in one plan "
                 f"(ew={prog.ew}/{ew}, lanes={prog.lanes}/{lanes})")
-        xstate = _root_pointers(call)
-        written: set[int] = set()
-        instructions += len(prog.instrs)
+        roots = _root_pointers(call)
+        base: "dict[str, int]" = {}
+        for buf, off in roots.values():
+            base[buf] = min(base.get(buf, off), off)
+        key = (id(prog), tuple((r, buf, off - base[buf])
+                               for r, (buf, off) in roots.items()),
+               tuple((buf, off % 16) for buf, off in base.items()))
+        tpl = templates.get(key)
+        if tpl is None:
+            raw, counts = _lower_call(prog, roots, ci, layout, lanes, ew)
+            opt, passes = optimize_commands(
+                raw, lanes, ew,
+                {name: lay.stride_bytes for name, lay in layouts.items()})
+            tpl = templates[key] = _Template(raw, opt, base, counts, passes)
+        else:
+            # same key => same lattice, 16 B apart: only bounds can differ
+            delta = {buf: (off - tpl.base[buf]) // isz
+                     for buf, off in base.items()}
+            if any(lo + delta[buf] < 0
+                   or hi + delta[buf] > layouts[buf].stride_elems
+                   for buf, (lo, hi) in tpl.extents.items()):
+                # raises this call's exact per-instruction error
+                _lower_call(prog, roots, ci, layout, lanes, ew)
+            raw = _relocate(tpl.raw, tpl.sites[0], delta, ew)
+            opt = _relocate(tpl.opt, tpl.sites[1], delta, ew)
+        tpl.uses += 1
+        start, fstart = len(commands), len(fused_commands)
+        commands.extend(raw)
+        fused_commands.extend(opt)
+        call_ranges.append((prog.name, start, len(commands)))
+        fused_ranges.append((fstart, len(fused_commands)))
 
-        def err(pc: int, msg: str) -> LoweringError:
-            ins = prog.instrs[pc]
-            return LoweringError(
-                f"{prog.name} @pc={pc} ({ins.asm()}) [call {ci}]: {msg}")
-
-        def resolve(pc: int, n_elems: int) -> "tuple[str, int]":
-            """Fold the memory operand to (buffer, first element) and
-            run the one-time alignment/bounds validation."""
-            ins = prog.instrs[pc]
-            root = xstate.get(ins.base)
-            if root is None:
-                raise err(pc, f"scalar register x{ins.base} read before write")
-            buf, off = root
-            lay = layout(buf)
-            byte = off + ins.offset
-            if byte % isz:
-                raise err(pc, f"misaligned access into {buf!r} (offset "
-                              f"{byte} not a multiple of {isz})")
-            first = byte // isz
-            if first < 0 or first + n_elems > lay.stride_elems:
-                raise err(pc, f"access [{first}, {first + n_elems}) of "
-                              f"{buf!r} leaves the group stride "
-                              f"({lay.stride_elems} elements)")
-            return buf, first
-
-        def read_vregs(pc: int, vreg_ids: "tuple[int, ...]") -> None:
-            for r in vreg_ids:
-                if r not in written:
-                    raise err(pc, f"vector register v{r} read before write")
-
-        for pc, ins in enumerate(prog.instrs):
-            op = ins.op
-            if op is Op.ADDI:
-                root = xstate.get(ins.xsrc)
-                if root is None:
-                    raise err(pc, f"scalar register x{ins.xsrc} read "
-                                  f"before write")
-                xstate[ins.xdst] = (root[0], root[1] + ins.ximm)
-                folded += 1
-            elif op in (Op.PRFM, Op.NOP):
-                dropped += 1
-            elif op is Op.LDRV:
-                n = ins.nlanes if ins.nlanes is not None else lanes
-                buf, first = resolve(pc, n)
-                commands.append(((K_LOAD_PART if n < lanes else K_LOAD),
-                                 ins.dst[0], buf, first, n))
-                written.add(ins.dst[0])
-            elif op is Op.LDPV:
-                buf, first = resolve(pc, 2 * lanes)
-                commands.append((K_LOADPAIR, ins.dst[0], ins.dst[1], buf,
-                                 first, lanes))
-                written.update(ins.dst)
-            elif op is Op.LD1R:
-                buf, first = resolve(pc, 1)
-                commands.append((K_LOAD1R, ins.dst[0], buf, first))
-                written.add(ins.dst[0])
-            elif op is Op.LD2V:
-                n = ins.nlanes if ins.nlanes is not None else lanes
-                buf, first = resolve(pc, 2 * n)
-                commands.append((K_LOAD2, ins.dst[0], ins.dst[1], buf,
-                                 first, n))
-                written.update(ins.dst)
-            elif op is Op.ST2V:
-                n = ins.nlanes if ins.nlanes is not None else lanes
-                read_vregs(pc, ins.srcs)
-                buf, first = resolve(pc, 2 * n)
-                commands.append((K_STORE2, ins.srcs[0], ins.srcs[1], buf,
-                                 first, n))
-            elif op is Op.STRV:
-                n = ins.nlanes if ins.nlanes is not None else lanes
-                read_vregs(pc, ins.srcs)
-                buf, first = resolve(pc, n)
-                commands.append((K_STORE, ins.srcs[0], buf, first, n))
-            elif op is Op.STPV:
-                read_vregs(pc, ins.srcs)
-                buf, first = resolve(pc, 2 * lanes)
-                commands.append((K_STOREPAIR, ins.srcs[0], ins.srcs[1], buf,
-                                 first, lanes))
-            elif op is Op.FMLA:
-                read_vregs(pc, ins.reads)
-                commands.append((K_FMLA, ins.dst[0], ins.srcs[0], ins.srcs[1]))
-            elif op is Op.FMLS:
-                read_vregs(pc, ins.reads)
-                commands.append((K_FMLS, ins.dst[0], ins.srcs[0], ins.srcs[1]))
-            elif op is Op.FMUL:
-                read_vregs(pc, ins.reads)
-                commands.append((K_FMUL, ins.dst[0], ins.srcs[0], ins.srcs[1]))
-                written.add(ins.dst[0])
-            elif op is Op.FMAI:
-                read_vregs(pc, ins.reads)
-                commands.append((K_FMAI, ins.dst[0], ins.srcs[0],
-                                 _imm(ins.imm, ew)))
-            elif op is Op.FMULI:
-                read_vregs(pc, ins.reads)
-                commands.append((K_FMULI, ins.dst[0], ins.srcs[0],
-                                 _imm(ins.imm, ew)))
-                written.add(ins.dst[0])
-            elif op is Op.FADD:
-                read_vregs(pc, ins.reads)
-                commands.append((K_FADD, ins.dst[0], ins.srcs[0], ins.srcs[1]))
-                written.add(ins.dst[0])
-            elif op is Op.FSUB:
-                read_vregs(pc, ins.reads)
-                commands.append((K_FSUB, ins.dst[0], ins.srcs[0], ins.srcs[1]))
-                written.add(ins.dst[0])
-            elif op is Op.FDIV:
-                read_vregs(pc, ins.reads)
-                commands.append((K_FDIV, ins.dst[0], ins.srcs[0], ins.srcs[1]))
-                written.add(ins.dst[0])
-            elif op is Op.VZERO:
-                commands.append((K_VZERO, ins.dst[0]))
-                written.add(ins.dst[0])
-            elif op is Op.VMOV:
-                read_vregs(pc, ins.srcs)
-                commands.append((K_VMOV, ins.dst[0], ins.srcs[0]))
-                written.add(ins.dst[0])
-            elif op is Op.FIMM:
-                commands.append((K_FIMM, ins.dst[0], _imm(ins.imm, ew)))
-                written.add(ins.dst[0])
-            else:  # pragma: no cover - exhaustive over the ISA
-                raise err(pc, f"unimplemented opcode {op}")
-        call_ranges.append((prog.name, call_start, len(commands)))
-
-    mem_commands = sum(1 for c in commands if c[0] in _MEM_KINDS)
-    fused_commands, passes = optimize_commands(
-        commands, lanes, ew,
-        {name: lay.stride_bytes for name, lay in layouts.items()})
+    counts = dict.fromkeys(("instructions", "mem_commands", "folded_addi",
+                            "dropped"), 0)
+    passes = {}
+    for tpl in templates.values():
+        for k in counts:
+            counts[k] += tpl.uses * tpl.counts[k]
+        for k, v in tpl.passes.items():
+            passes[k] = (max(passes.get(k, 0), v) if k in _PEAK_PASSES
+                         else passes.get(k, 0) + tpl.uses * v)
     return CompiledPlan(
         kind=plan.kind, groups=plan.groups, lanes=lanes, ew=ew,
         buffers=layouts, commands=commands, fused_commands=fused_commands,
-        call_ranges=call_ranges,
-        stats={"calls": len(plan.calls), "instructions": instructions,
-               "mem_commands": mem_commands,
-               "fp_commands": len(commands) - mem_commands,
-               "folded_addi": folded, "dropped": dropped,
-               "passes": passes})
+        call_ranges=call_ranges, fused_ranges=fused_ranges,
+        stats={"calls": len(plan.calls),
+               "instructions": counts["instructions"],
+               "mem_commands": counts["mem_commands"],
+               "fp_commands": len(commands) - counts["mem_commands"],
+               "folded_addi": counts["folded_addi"],
+               "dropped": counts["dropped"],
+               "passes": passes, "templates": len(templates)})
+
+
+_PEAK_PASSES = ("fuse_max_chain", "max_stack")
+
+
+@dataclass
+class _Template:
+    """One call lowered at its own offsets, relocatable to every later
+    call of the plan with the same key."""
+
+    raw: "list[tuple]"            # the validated raw stream
+    opt: "list[tuple]"            # its pass-optimized stream
+    base: "dict[str, int]"        # buffer -> lowest root byte offset
+    counts: dict                  # instructions / mem / folded / dropped
+    passes: dict                  # optimize_commands statistics
+    uses: int = 0                 # calls of the plan it lowered
+
+    @cached_property
+    def extents(self) -> "dict[str, tuple[int, int]]":
+        """Buffer -> ``[min_first, max_end)`` over every access."""
+        ext: "dict[str, tuple[int, int]]" = {}
+        for cmd in self.raw:
+            if cmd[0] in _MEM_KINDS:
+                buf, first, n, _ = CompiledCommand(cmd[0], cmd).access()
+                lo, hi = ext.get(buf, (first, first + n))
+                ext[buf] = (min(lo, first), max(hi, first + n))
+        return ext
+
+    @cached_property
+    def sites(self) -> "tuple[dict, dict]":
+        return _mem_sites(self.raw), _mem_sites(self.opt)
+
+
+# tuple index of the buffer name in each memory command (first follows)
+_BUF_AT = {K_LOAD: 2, K_LOAD_PART: 2, K_LOAD1R: 2, K_STORE: 2,
+           K_LOADW: 2, K_STOREW: 2, K_LOADPAIR: 3, K_LOAD2: 3,
+           K_STOREPAIR: 3, K_STORE2: 3}
+
+
+def _mem_sites(stream: "list[tuple]") -> "dict[str, list[tuple]]":
+    """Buffer -> ``(index, buffer slot, has cfirst)`` per memory command."""
+    sites: "dict[str, list[tuple]]" = {}
+    for i, cmd in enumerate(stream):
+        b = _BUF_AT.get(cmd[0])
+        if b is not None:
+            sites.setdefault(cmd[b], []).append(
+                (i, b, cmd[0] in (K_LOADW, K_STOREW) and cmd[6] >= 0))
+    return sites
+
+
+def _relocate(stream: "list[tuple]", sites: "dict[str, list[tuple]]",
+              delta: "dict[str, int]", ew: int) -> "list[tuple]":
+    """``stream`` with memory commands moved by their buffer's element
+    delta (``cfirst`` in 16-B units); other commands are shared."""
+    out = stream.copy()
+    for buf, d in delta.items():
+        if d:
+            du = d * ew // 16
+            for i, b, wide in sites.get(buf, ()):
+                cmd = out[i]
+                cmd = cmd[:b + 1] + (cmd[b + 1] + d,) + cmd[b + 2:]
+                out[i] = cmd[:6] + (cmd[6] + du,) if wide else cmd
+    return out
+
+
+_BINARY = {Op.FMLA: K_FMLA, Op.FMLS: K_FMLS, Op.FMUL: K_FMUL,
+           Op.FADD: K_FADD, Op.FSUB: K_FSUB, Op.FDIV: K_FDIV}
+
+
+def _lower_call(prog, roots: "dict[int, tuple[str, int]]", ci: int,
+                layout, lanes: int, ew: int) -> "tuple[list[tuple], dict]":
+    """Lower one call at its own root offsets: fold pointers, resolve and
+    validate every operand.  Returns the raw stream and its counts."""
+    xstate = dict(roots)
+    written: set[int] = set()
+    commands: list[tuple] = []
+    folded = dropped = 0
+
+    def err(pc: int, msg: str) -> LoweringError:
+        ins = prog.instrs[pc]
+        return LoweringError(
+            f"{prog.name} @pc={pc} ({ins.asm()}) [call {ci}]: {msg}")
+
+    def resolve(pc: int, n_elems: int) -> "tuple[str, int]":
+        """Fold the memory operand to (buffer, first element) and
+        run the one-time alignment/bounds validation."""
+        ins = prog.instrs[pc]
+        root = xstate.get(ins.base)
+        if root is None:
+            raise err(pc, f"scalar register x{ins.base} read before write")
+        buf, off = root
+        try:
+            lay = layout(buf)
+        except LoweringError as exc:
+            raise err(pc, str(exc)) from None
+        byte = off + ins.offset
+        if byte % ew:
+            raise err(pc, f"misaligned access into {buf!r} (offset "
+                          f"{byte} not a multiple of {ew})")
+        first = byte // ew
+        if first < 0 or first + n_elems > lay.stride_elems:
+            raise err(pc, f"access [{first}, {first + n_elems}) of "
+                          f"{buf!r} leaves the group stride "
+                          f"({lay.stride_elems} elements)")
+        return buf, first
+
+    def read_vregs(pc: int, vreg_ids: "tuple[int, ...]") -> None:
+        for r in vreg_ids:
+            if r not in written:
+                raise err(pc, f"vector register v{r} read before write")
+
+    for pc, ins in enumerate(prog.instrs):
+        op = ins.op
+        if op is Op.ADDI:
+            root = xstate.get(ins.xsrc)
+            if root is None:
+                raise err(pc, f"scalar register x{ins.xsrc} read "
+                              f"before write")
+            xstate[ins.xdst] = (root[0], root[1] + ins.ximm)
+            folded += 1
+        elif op in (Op.PRFM, Op.NOP):
+            dropped += 1
+        elif op is Op.LDRV:
+            n = ins.nlanes if ins.nlanes is not None else lanes
+            buf, first = resolve(pc, n)
+            commands.append(((K_LOAD_PART if n < lanes else K_LOAD),
+                             ins.dst[0], buf, first, n))
+            written.add(ins.dst[0])
+        elif op is Op.LDPV:
+            buf, first = resolve(pc, 2 * lanes)
+            commands.append((K_LOADPAIR, ins.dst[0], ins.dst[1], buf,
+                             first, lanes))
+            written.update(ins.dst)
+        elif op is Op.LD1R:
+            buf, first = resolve(pc, 1)
+            commands.append((K_LOAD1R, ins.dst[0], buf, first))
+            written.add(ins.dst[0])
+        elif op is Op.LD2V:
+            n = ins.nlanes if ins.nlanes is not None else lanes
+            buf, first = resolve(pc, 2 * n)
+            commands.append((K_LOAD2, ins.dst[0], ins.dst[1], buf,
+                             first, n))
+            written.update(ins.dst)
+        elif op is Op.ST2V:
+            n = ins.nlanes if ins.nlanes is not None else lanes
+            read_vregs(pc, ins.srcs)
+            buf, first = resolve(pc, 2 * n)
+            commands.append((K_STORE2, ins.srcs[0], ins.srcs[1], buf,
+                             first, n))
+        elif op is Op.STRV:
+            n = ins.nlanes if ins.nlanes is not None else lanes
+            read_vregs(pc, ins.srcs)
+            buf, first = resolve(pc, n)
+            commands.append((K_STORE, ins.srcs[0], buf, first, n))
+        elif op is Op.STPV:
+            read_vregs(pc, ins.srcs)
+            buf, first = resolve(pc, 2 * lanes)
+            commands.append((K_STOREPAIR, ins.srcs[0], ins.srcs[1], buf,
+                             first, lanes))
+        elif op in _BINARY:
+            read_vregs(pc, ins.reads)     # FMLA/FMLS: dst is read too
+            commands.append((_BINARY[op], ins.dst[0], ins.srcs[0],
+                             ins.srcs[1]))
+            written.add(ins.dst[0])
+        elif op is Op.FMAI:
+            read_vregs(pc, ins.reads)
+            commands.append((K_FMAI, ins.dst[0], ins.srcs[0],
+                             _imm(ins.imm, ew)))
+        elif op is Op.FMULI:
+            read_vregs(pc, ins.reads)
+            commands.append((K_FMULI, ins.dst[0], ins.srcs[0],
+                             _imm(ins.imm, ew)))
+            written.add(ins.dst[0])
+        elif op is Op.VZERO:
+            commands.append((K_VZERO, ins.dst[0]))
+            written.add(ins.dst[0])
+        elif op is Op.VMOV:
+            read_vregs(pc, ins.srcs)
+            commands.append((K_VMOV, ins.dst[0], ins.srcs[0]))
+            written.add(ins.dst[0])
+        elif op is Op.FIMM:
+            commands.append((K_FIMM, ins.dst[0], _imm(ins.imm, ew)))
+            written.add(ins.dst[0])
+        else:  # pragma: no cover - exhaustive over the ISA
+            raise err(pc, f"unimplemented opcode {op}")
+
+    mem = sum(1 for c in commands if c[0] in _MEM_KINDS)
+    return commands, {"instructions": len(prog.instrs), "mem_commands": mem,
+                      "folded_addi": folded, "dropped": dropped}
 
 
 # ---------------------------------------------------------------------------
@@ -751,12 +864,6 @@ def optimize_commands(commands: "list[tuple]", lanes: int, ew: int = 4,
     cmds, dce_removed = _dce(commands)
     cmds, fuse = _fuse_fmla_chains(cmds)
     cmds, coal = _coalesce_mem(cmds, ew, strides or {})
-    # K_LOADW scatters straight into the register bank and never needs
-    # stack scratch; MACC (product stack) and STOREW (gather) do.
-    max_stack = 0
-    for c in cmds:
-        if c[0] in (K_MACC, K_STOREW):
-            max_stack = max(max_stack, c[5])
     passes = {
         "commands_before": before,
         "commands_after": len(cmds),
@@ -768,9 +875,17 @@ def optimize_commands(commands: "list[tuple]", lanes: int, ew: int = 4,
         "coalesce_stores": coal["stores"],
         "coalesce_commands": coal["commands"],
         "coalesce_vectorized": coal["vectorized"],
-        "max_stack": max_stack,
+        "max_stack": _max_stack(cmds),
     }
     return cmds, passes
+
+
+def _max_stack(commands: "list[tuple]") -> int:
+    """Scratch stack depth a stream needs: K_LOADW scatters straight
+    into the register bank, MACC (product stack) and STOREW (gather)
+    stage through the stack."""
+    return max((c[5] for c in commands if c[0] in (K_MACC, K_STOREW)),
+               default=0)
 
 
 def _imm(value: float, ew: int):
@@ -787,10 +902,9 @@ class TraceSegment:
     segment covers one or more *consecutive same-kernel* entries of
     ``call_ranges``, so generated code keeps a kernel-level boundary the
     profiler can attribute time to (the Table-1 kernel mapping survives
-    code generation).  ``commands`` is the span run through the full
-    pass pipeline in isolation — safe, because registers are call-local
-    (every call re-loads its pointers) and the pipeline already merges
-    across call boundaries inside a span.
+    code generation).  ``commands`` is the span's slice of
+    ``fused_commands`` — what the pass pipeline would make of the span
+    on its own, because registers never live across a call.
     """
 
     kernel: str                   # kernel name shared by the merged calls
@@ -799,36 +913,29 @@ class TraceSegment:
     stop: int                     # raw-stream command index (exclusive)
     commands: "list[tuple]"       # pass-optimized stream for this span
     max_stack: int                # scratch stack depth codegen must allocate
-    passes: dict                  # per-segment optimize_commands statistics
 
 
 def partition_trace(compiled: CompiledPlan) -> "list[TraceSegment]":
-    """Split a compiled plan's raw stream into codegen segments.
+    """Split a compiled plan's stream into codegen segments.
 
     Consecutive ``call_ranges`` entries naming the same kernel merge
     into one segment (a GEMM plan of 2048 identical microkernel calls
-    becomes a single segment), then each merged span is optimized
-    independently.  Concatenating the segments' raw spans reproduces
-    ``compiled.commands`` exactly; a plan lowered with no call ranges
-    degenerates to one anonymous segment covering the whole stream.
+    becomes a single segment).  Concatenating the segments' raw spans
+    reproduces ``compiled.commands`` and their ``commands`` reproduce
+    ``compiled.fused_commands``.
     """
-    strides = {name: layout.stride_bytes
-               for name, layout in compiled.buffers.items()}
-    spans: "list[tuple[str, int, int, int]]" = []   # kernel, calls, start, stop
-    for kernel, start, stop in compiled.call_ranges:
+    spans: "list[list]" = []      # kernel, calls, start, stop, fstart, fstop
+    for (kernel, start, stop), (fstart, fstop) in zip(compiled.call_ranges,
+                                                      compiled.fused_ranges):
         if spans and spans[-1][0] == kernel and spans[-1][3] == start:
-            prev = spans[-1]
-            spans[-1] = (kernel, prev[1] + 1, prev[2], stop)
+            spans[-1][1] += 1
+            spans[-1][3], spans[-1][5] = stop, fstop
         else:
-            spans.append((kernel, 1, start, stop))
-    if not spans and compiled.commands:
-        spans.append(("<trace>", 1, 0, len(compiled.commands)))
+            spans.append([kernel, 1, start, stop, fstart, fstop])
     segments = []
-    for kernel, calls, start, stop in spans:
-        cmds, passes = optimize_commands(compiled.commands[start:stop],
-                                         compiled.lanes, compiled.ew, strides)
+    for kernel, calls, start, stop, fstart, fstop in spans:
+        cmds = compiled.fused_commands[fstart:fstop]
         segments.append(TraceSegment(kernel=kernel, calls=calls, start=start,
                                      stop=stop, commands=cmds,
-                                     max_stack=passes["max_stack"],
-                                     passes=passes))
+                                     max_stack=_max_stack(cmds)))
     return segments

@@ -12,10 +12,10 @@ calls with zero per-instruction Python control flow.
 
 The pipeline:
 
-1. :func:`~repro.runtime.lowering.partition_trace` splits the raw
+1. :func:`~repro.runtime.lowering.partition_trace` splits the fused
    stream into straight-line segments keyed by ``call_ranges`` (merged
-   per kernel, pass-optimized per span) — one generated function per
-   segment, so profiler attribution survives codegen.
+   per kernel, sliced out of ``fused_commands``) — one generated
+   function per segment, so profiler attribution survives codegen.
 2. A staging analysis finds buffers whose full-lane loads all precede
    any overlapping store.  Each such buffer is bulk-copied once per
    group block into a contiguous *stage bank* ``S``; the loads
@@ -765,12 +765,10 @@ class MegakernelBackend:
     @staticmethod
     def stream(compiled: CompiledPlan) -> "tuple[list[tuple], int]":
         """What this backend executes, flattened back to a command
-        stream (per-segment pass-optimized spans, concatenated) — the
-        attribution profiler walks exactly this for
+        stream: the trace segments are slices of ``fused_commands``, so
+        the attribution profiler walks exactly that for
         ``stream="megakernel"``."""
-        segments = partition_trace(compiled)
-        cmds = [cmd for seg in segments for cmd in seg.commands]
-        return cmds, max((s.max_stack for s in segments), default=0)
+        return compiled.fused_commands, compiled.stats["passes"]["max_stack"]
 
     @staticmethod
     def _block_groups(l2_bytes: int, lanes: int, itemsize: int,

@@ -147,6 +147,8 @@ class Request:
                 raise InvalidProblemError(
                     f"C is {c.shape[0]}x{c.shape[1]} but op(A) op(B) is "
                     f"{m}x{n}")
+        for name, x in (("A", a), ("B", b), ("C", c)):
+            dt.check_operand(name, x)
         return cls("gemm", problem,
                    np.ascontiguousarray(a, dtype=dt.np_dtype),
                    np.ascontiguousarray(b, dtype=dt.np_dtype),
@@ -175,6 +177,8 @@ class Request:
                 f"A is {a.shape[0]}x{a.shape[1]} but side="
                 f"{problem.side.value} with B {b.shape[0]}x{b.shape[1]} "
                 f"requires {problem.a_dim}x{problem.a_dim}")
+        dt.check_operand("A", a)
+        dt.check_operand("B", b)
         return cls("trsm", problem,
                    np.ascontiguousarray(a, dtype=dt.np_dtype),
                    np.ascontiguousarray(b, dtype=dt.np_dtype),

@@ -112,6 +112,14 @@ class BlasDType(enum.Enum):
                 return member
         raise InvalidProblemError(f"unsupported dtype {dt} (need float32/64 or complex64/128)")
 
+    def check_operand(self, name: str, x: np.ndarray) -> None:
+        """Reject an operand this dtype cannot hold without changing its
+        kind: a complex operand would silently lose its imaginary part."""
+        if not np.can_cast(x.dtype, self.np_dtype, "same_kind"):
+            raise InvalidProblemError(
+                f"{name} is {x.dtype} but the problem dtype is "
+                f"{self.np_dtype}: casting it would discard values")
+
 
 class Trans(enum.Enum):
     """Transpose flag: N (no transpose) or T (transpose)."""

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import IATF
 from repro.api import (compact_from_batch, compact_gemm, compact_to_batch,
                        compact_trsm, default_framework)
+from repro.errors import InvalidProblemError
 from repro.machine.machines import KUNPENG_920, XEON_GOLD_6240
 from tests.conftest import ALL_DTYPES, random_batch, random_triangular
 
@@ -97,3 +99,40 @@ class TestBackendSelection:
             compact_trsm(ca, cb, backend=backend)
             outs.append(cb.buffer)
         assert np.array_equal(outs[0], outs[1])
+
+
+class TestOperandDtype:
+    """Complex operands into a real problem are refused, never silently
+    truncated to their real part."""
+
+    @pytest.fixture(scope="class")
+    def fw(self):
+        return IATF(KUNPENG_920)
+
+    def test_gemm_complex_a_into_real_c_rejected(self, fw, rng):
+        a = random_batch(rng, 3, 4, 4, "z")
+        b = random_batch(rng, 3, 4, 4, "d")
+        with pytest.raises(InvalidProblemError, match="A is complex128"):
+            fw.gemm(a, b, np.zeros((3, 4, 4)))
+
+    def test_gemm_complex_b_rejected(self, fw, rng):
+        a = random_batch(rng, 3, 4, 4, "s")
+        b = random_batch(rng, 3, 4, 4, "c")
+        with pytest.raises(InvalidProblemError, match="B is complex64"):
+            fw.gemm(a, b, np.zeros((3, 4, 4), np.float32))
+
+    def test_trsm_complex_a_into_real_b_rejected(self, fw, rng):
+        a = random_triangular(rng, 3, 4, "z")
+        b = random_batch(rng, 3, 4, 2, "d")
+        with pytest.raises(InvalidProblemError, match="A is complex128"):
+            fw.trsm(a, b)
+
+    def test_same_kind_operands_still_accepted(self, fw, rng):
+        # real into complex and double into single keep their kind
+        a = random_batch(rng, 3, 4, 4, "d")
+        b = random_batch(rng, 3, 4, 4, "z")
+        out = fw.gemm(a, b, np.zeros((3, 4, 4), np.complex128), beta=0.0)
+        assert np.abs(out - a @ b).max() < 1e-9
+        a32 = random_triangular(rng, 3, 4, "d")
+        x = fw.trsm(a32, random_batch(rng, 3, 4, 2, "s"))
+        assert x.dtype == np.float32

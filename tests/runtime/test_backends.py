@@ -203,13 +203,13 @@ class TestLowering:
         assert all(isinstance(i, np.float32) for i in imms)
 
 
-def _tampered(plan, **repl):
-    """Copy of a plan with its first call's fields replaced."""
+def _tampered(plan, call=0, **repl):
+    """Copy of a plan with one call's fields replaced."""
     import copy
     import dataclasses
     plan = copy.copy(plan)
     plan.calls = list(plan.calls)
-    plan.calls[0] = dataclasses.replace(plan.calls[0], **repl)
+    plan.calls[call] = dataclasses.replace(plan.calls[call], **repl)
     return plan
 
 

@@ -66,6 +66,17 @@ class TestGemmRequests:
         assert req.a.dtype == np.float32
         assert req.problem.dtype.value == "s"
 
+    def test_complex_operand_on_real_dtype_rejected(self):
+        a, b, c = mats((4, 4), (4, 4), (4, 4))
+        with pytest.raises(InvalidProblemError, match="A is complex"):
+            Request.gemm(a + 1j * a, b, c)     # dtype from real C
+        with pytest.raises(InvalidProblemError, match="B is complex"):
+            Request.gemm(a, b + 1j)            # dtype from real A
+        with pytest.raises(InvalidProblemError, match="C is complex"):
+            Request.gemm(a, b, c + 1j, dtype="s")
+        req = Request.gemm(a + 0j, b, c + 0j)  # real into complex is fine
+        assert req.problem.dtype.value == "c"
+
     def test_bad_tenant_and_deadline_rejected(self):
         a, b = mats((4, 4), (4, 4))
         with pytest.raises(InvalidProblemError, match="tenant"):
@@ -93,6 +104,13 @@ class TestTrsmRequests:
             Request.trsm(a, b, side="R")       # needs 3x3
         req = Request.trsm(mats((3, 3), dtype=np.float64)[0], b, side="R")
         assert req.problem.side is Side.RIGHT
+
+    def test_complex_operand_on_real_dtype_rejected(self):
+        a, b = mats((3, 3), (3, 2), dtype=np.float64)
+        with pytest.raises(InvalidProblemError, match="A is complex128"):
+            Request.trsm(a + 1j * np.eye(3), b)
+        with pytest.raises(InvalidProblemError, match="B is complex"):
+            Request.trsm(a, b + 1j, dtype="d")
 
     def test_non_square_a_rejected(self):
         a, b = mats((5, 4), (5, 3))
