@@ -67,18 +67,17 @@ class Cache:
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self._sets: list[dict[int, None]] = [dict() for _ in range(config.num_sets)]
-        self._set_mask = config.num_sets - 1
-        self._use_mask = (config.num_sets & (config.num_sets - 1)) == 0
+        self._num_sets = config.num_sets
+        self._assoc = config.assoc
         self.stats = CacheStats()
 
-    def _set_index(self, line_addr: int) -> int:
-        if self._use_mask:
-            return line_addr & self._set_mask
-        return line_addr % self.config.num_sets
+    # Set index is ``line_addr % num_sets``, written out at each use
+    # (a helper call per access is measurable here).  For power-of-two
+    # set counts it equals ``line_addr & (num_sets - 1)``.
 
     def lookup(self, line_addr: int) -> bool:
         """Touch a line; True if present (and refresh LRU), False if miss."""
-        s = self._sets[self._set_index(line_addr)]
+        s = self._sets[line_addr % self._num_sets]
         self.stats.accesses += 1
         if line_addr in s:
             self.stats.hits += 1
@@ -89,11 +88,11 @@ class Cache:
 
     def fill(self, line_addr: int) -> int | None:
         """Insert a line, evicting LRU if needed; returns the victim line."""
-        s = self._sets[self._set_index(line_addr)]
+        s = self._sets[line_addr % self._num_sets]
         victim = None
         if line_addr in s:
             del s[line_addr]
-        elif len(s) >= self.config.assoc:
+        elif len(s) >= self._assoc:
             victim = next(iter(s))
             del s[victim]
         s[line_addr] = None
@@ -101,10 +100,10 @@ class Cache:
 
     def contains(self, line_addr: int) -> bool:
         """Presence check without touching LRU or stats."""
-        return line_addr in self._sets[self._set_index(line_addr)]
+        return line_addr in self._sets[line_addr % self._num_sets]
 
     def invalidate(self, line_addr: int) -> None:
-        self._sets[self._set_index(line_addr)].pop(line_addr, None)
+        self._sets[line_addr % self._num_sets].pop(line_addr, None)
 
     def flush(self) -> None:
         for s in self._sets:
@@ -168,8 +167,11 @@ class CacheHierarchy:
         access spans; adjacent-line penalties overlap in hardware).
         """
         extra = 0
-        for line in self._lines(addr, size):
-            if self.l1.lookup(line):
+        line_size = self.line
+        l1_lookup = self.l1.lookup
+        last = (addr + (size if size > 1 else 1) - 1) // line_size
+        for line in range(addr // line_size, last + 1):
+            if l1_lookup(line):
                 continue
             streaming = self._is_stream(line)
             if self.l2.lookup(line):
@@ -179,7 +181,8 @@ class CacheHierarchy:
                 pen = self.stream_penalty_mem if streaming \
                     else self.mem_penalty
                 self.l2.fill(line)
-            extra = max(extra, pen)
+            if pen > extra:
+                extra = pen
             self._note_miss(line)
             victim = self.l1.fill(line)
             # inclusive hierarchy: L1 victims stay resident in L2
@@ -212,5 +215,7 @@ class CacheHierarchy:
                 self.l1.fill(line)
 
     def flush(self) -> None:
+        """Empty both levels and forget the stream-prefetcher window."""
         self.l1.flush()
         self.l2.flush()
+        self._recent_misses.clear()

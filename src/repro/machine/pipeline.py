@@ -149,8 +149,22 @@ class AddressSpace:
         return name in self._map
 
 
+# Decoded-instruction kinds (field 0 of a :meth:`PipelineModel.decode` row).
+LOAD, STORE, PREFETCH, ADDI, OTHER = range(5)
+
+_KIND = {OpClass.MEM_LOAD: LOAD, OpClass.MEM_STORE: STORE,
+         OpClass.PREFETCH: PREFETCH}
+
+
 class PipelineModel:
-    """Scoreboard simulator producing deterministic cycle counts."""
+    """Scoreboard simulator producing deterministic cycle counts.
+
+    Everything :meth:`simulate` needs to know about an instruction that
+    does not depend on run-time state (issue class, registers read,
+    latency, access size) is derived once per program by :meth:`decode`
+    and memoized on the model, so a model that times the same kernels
+    many times (one plan's calls, two groups) decodes each program once.
+    """
 
     def __init__(self, rules: IssueRules, lat: Latencies,
                  caches: CacheHierarchy, vector_bytes: int) -> None:
@@ -158,6 +172,10 @@ class PipelineModel:
         self.lat = lat
         self.caches = caches
         self.vector_bytes = int(vector_bytes)
+        # id(program) -> (program, its instrs list, decoded rows)
+        self._decoded: dict[int, tuple[Program, list, tuple]] = {}
+        # (op, ew, nlanes) -> the row fields only those determine
+        self._facts: dict[tuple, tuple] = {}
 
     def _access_size(self, ins: Instr) -> int:
         if ins.op in (Op.LDPV, Op.STPV, Op.LD2V, Op.ST2V):
@@ -167,6 +185,105 @@ class PipelineModel:
         if ins.nlanes is not None:
             return ins.nlanes * ins.ew
         return self.vector_bytes
+
+    def _op_facts(self, ins: Instr) -> tuple:
+        """The row fields that depend only on opcode, element width and
+        lane count: ``(kind, is_mem, is_fp, is_int, fp_cap, size,
+        latency, div_block)``."""
+        icls = ins.iclass
+        lat = self.lat
+        kind = ADDI if ins.op is Op.ADDI else _KIND.get(icls, OTHER)
+        if kind == LOAD:
+            latency = lat.load_use
+        elif kind in (STORE, PREFETCH):
+            latency = 1
+        elif kind == ADDI:
+            latency = lat.int_alu
+        else:
+            latency = lat.result_latency(ins)
+        if kind == PREFETCH:
+            size = self.caches.line
+        elif kind in (LOAD, STORE):
+            size = self._access_size(ins)
+        else:
+            size = 0
+        return (kind,
+                icls in (OpClass.MEM_LOAD, OpClass.MEM_STORE,
+                         OpClass.PREFETCH),
+                icls in (OpClass.FP, OpClass.FP_DIV),
+                icls is OpClass.INT,
+                self.rules.max_fp(ins.ew),
+                size, latency,
+                lat.div_block(ins.ew) if ins.op is Op.FDIV else None)
+
+    def decode(self, program: Program) -> tuple:
+        """One flat row per instruction, in program order.
+
+        Row fields: ``(kind, reads, xdeps, is_mem, is_fp, is_int,
+        fp_cap, dst, base, offset, size, latency, div_block, xdst, xsrc,
+        ximm, instr)`` — ``kind`` is one of :data:`LOAD`,
+        :data:`STORE`, :data:`PREFETCH`, :data:`ADDI`, :data:`OTHER`;
+        ``reads`` includes accumulator inputs; ``xdeps`` are the scalar
+        registers the instruction waits for (``base``, plus ``xsrc`` for
+        ADDI); ``size`` is the bytes a memory op touches; ``div_block``
+        is the FP-pipe occupancy of an FDIV (None otherwise).
+
+        Memoized per model by ``id(program)``; a hit is only trusted
+        while it is still the same program object holding the same
+        ``instrs`` list, so replacing a program's instructions decodes
+        afresh.
+        """
+        hit = self._decoded.get(id(program))
+        if (hit is not None and hit[0] is program
+                and hit[1] is program.instrs):
+            return hit[2]
+        facts = self._facts
+        rows = []
+        for ins in program.instrs:
+            key = (ins.op, ins.ew, ins.nlanes)
+            f = facts.get(key)
+            if f is None:
+                f = facts[key] = self._op_facts(ins)
+            kind, is_mem, is_fp, is_int, fp_cap, size, latency, div_block = f
+            base = ins.base
+            xdeps = () if base is None else (base,)
+            if kind == ADDI and ins.xsrc is not None:
+                xdeps += (ins.xsrc,)
+            rows.append((kind, ins.reads, xdeps, is_mem, is_fp, is_int,
+                         fp_cap, ins.dst, base, ins.offset, size, latency,
+                         div_block, ins.xdst, ins.xsrc, ins.ximm, ins))
+        rows = tuple(rows)
+        self._decoded[id(program)] = (program, program.instrs, rows)
+        return rows
+
+    def touch(self, program: Program,
+              xreg_init: dict[int, int] | None = None) -> None:
+        """Replay only the cache traffic of one invocation.
+
+        Runs the ADDI address arithmetic and the ``access``/``prefetch``
+        calls :meth:`simulate` would make, in the same (program) order,
+        and nothing else.  The cache hierarchy and stream window see
+        accesses in program order whatever cycle each issues in, and
+        timing reads the caches but never feeds back into them, so this
+        leaves the hierarchy in exactly the state :meth:`simulate`
+        would — at a fraction of the cost.  Used to prime a group whose
+        timing is discarded.
+        """
+        access = self.caches.access
+        prefetch = self.caches.prefetch
+        xval: dict[int, int] = dict(xreg_init or {})
+        for (kind, _r, _x, _m, _f, _i, _c, _d, base, offset, size, _l, _b,
+             xdst, xsrc, ximm, _ins) in self.decode(program):
+            if kind == OTHER:
+                continue
+            if kind == LOAD:
+                access(xval.get(base, 0) + offset, size)
+            elif kind == STORE:
+                access(xval.get(base, 0) + offset, size, write=True)
+            elif kind == PREFETCH:
+                prefetch(xval.get(base, 0) + offset, size)
+            else:
+                xval[xdst] = xval.get(xsrc, 0) + ximm
 
     def simulate(self, program: Program,
                  xreg_init: dict[int, int] | None = None,
@@ -180,12 +297,19 @@ class PipelineModel:
         ``trace``, if given, receives one ``(issue_cycle, instr)`` pair per
         instruction (see :mod:`repro.machine.trace`).
         """
-        rules, lat = self.rules, self.lat
+        rules = self.rules
+        width, max_mem, max_int = rules.width, rules.max_mem, rules.max_int
+        access = self.caches.access
+        prefetch = self.caches.prefetch
         vready = [0] * 32
         xval: dict[int, int] = dict(xreg_init or {})
         xready: dict[int, int] = {}
-        # per-cycle issue bookkeeping: cycle -> [total, mem, fp, int]
-        slots: dict[int, list[int]] = {}
+        # Issue counts of the open cycle ``cycle``.  Issue is in order, so
+        # no instruction issues before the previous one: every earlier
+        # cycle is closed for good and needs no counts.
+        cycle = start_cycle - 1          # no cycle open yet
+        n_all = n_mem = n_fp = n_int = 0
+        issue_cycles = 0
         fp_blocked_until = start_cycle  # unpipelined FDIV occupancy
 
         l1_m0 = self.caches.l1.stats.misses
@@ -197,75 +321,66 @@ class PipelineModel:
         fp_issued = 0
         mem_issued = 0
 
-        for ins in program.instrs:
-            icls = ins.iclass
+        rows = self.decode(program)
+        for (kind, reads, xdeps, is_mem, is_fp, is_int, fp_cap, dst, base,
+             offset, size, latency, div_block, xdst, xsrc, ximm,
+             ins) in rows:
             # dependency readiness
             t = cursor
-            for r in ins.reads:
+            for r in reads:
                 if vready[r] > t:
                     t = vready[r]
-            if ins.base is not None:
-                tr = xready.get(ins.base, 0)
+            for x in xdeps:
+                tr = xready.get(x, 0)
                 if tr > t:
                     t = tr
-            if ins.op is Op.ADDI and ins.xsrc is not None:
-                tr = xready.get(ins.xsrc, 0)
-                if tr > t:
-                    t = tr
-            if icls in (OpClass.FP, OpClass.FP_DIV) and t < fp_blocked_until:
+            if is_fp and t < fp_blocked_until:
                 t = fp_blocked_until
 
-            # find an issue slot honouring per-class caps
-            is_mem = icls in (OpClass.MEM_LOAD, OpClass.MEM_STORE,
-                              OpClass.PREFETCH)
-            is_fp = icls in (OpClass.FP, OpClass.FP_DIV)
-            fp_cap = rules.max_fp(ins.ew)
-            while True:
-                c = slots.get(t)
-                if c is None:
-                    c = [0, 0, 0, 0]
-                    slots[t] = c
-                if (c[0] < rules.width
-                        and (not is_mem or c[1] < rules.max_mem)
-                        and (not is_fp or c[2] < fp_cap)
-                        and (icls is not OpClass.INT or c[3] < rules.max_int)):
-                    break
+            # find an issue slot honouring per-class caps: a full open
+            # cycle pushes the instruction into the next one, which is
+            # empty (every cap is at least 1, so it has room)
+            if t == cycle and (n_all >= width
+                               or (is_mem and n_mem >= max_mem)
+                               or (is_fp and n_fp >= fp_cap)
+                               or (is_int and n_int >= max_int)):
                 t += 1
-            c[0] += 1
+            if t != cycle:
+                cycle = t
+                n_all = n_mem = n_fp = n_int = 0
+                issue_cycles += 1
+            n_all += 1
             if is_mem:
-                c[1] += 1
+                n_mem += 1
                 mem_issued += 1
             if is_fp:
-                c[2] += 1
+                n_fp += 1
                 fp_issued += 1
-            if icls is OpClass.INT:
-                c[3] += 1
+            if is_int:
+                n_int += 1
 
             # effects
-            if icls is OpClass.MEM_LOAD:
-                addr = xval.get(ins.base, 0) + ins.offset
-                extra = self.caches.access(addr, self._access_size(ins))
-                ready = t + lat.load_use + extra
-                for d in ins.dst:
+            if kind == OTHER:
+                ready = t + latency
+                for d in dst:
                     vready[d] = ready
-            elif icls is OpClass.MEM_STORE:
-                addr = xval.get(ins.base, 0) + ins.offset
-                self.caches.access(addr, self._access_size(ins), write=True)
-                ready = t + 1
-            elif icls is OpClass.PREFETCH:
-                addr = xval.get(ins.base, 0) + ins.offset
-                self.caches.prefetch(addr, self.caches.line)
-                ready = t + 1
-            elif ins.op is Op.ADDI:
-                xval[ins.xdst] = xval.get(ins.xsrc, 0) + ins.ximm
-                ready = t + lat.int_alu
-                xready[ins.xdst] = ready
+                if div_block is not None:
+                    fp_blocked_until = t + div_block
+            elif kind == LOAD:
+                extra = access(xval.get(base, 0) + offset, size)
+                ready = t + latency + extra
+                for d in dst:
+                    vready[d] = ready
+            elif kind == STORE:
+                access(xval.get(base, 0) + offset, size, write=True)
+                ready = t + latency
+            elif kind == PREFETCH:
+                prefetch(xval.get(base, 0) + offset, size)
+                ready = t + latency
             else:
-                ready = t + lat.result_latency(ins)
-                for d in ins.dst:
-                    vready[d] = ready
-                if ins.op is Op.FDIV:
-                    fp_blocked_until = t + lat.div_block(ins.ew)
+                xval[xdst] = xval.get(xsrc, 0) + ximm
+                ready = t + latency
+                xready[xdst] = ready
 
             if trace is not None:
                 trace.append((t, ins))
@@ -276,11 +391,11 @@ class PipelineModel:
                 last_ready = ready
 
         span = last_issue - start_cycle + 1
-        stall = span - len(slots)
+        stall = span - issue_cycles
         return TimingResult(
             cycles=span,
             drain_cycles=max(0, last_ready - last_issue - 1),
-            instructions=len(program.instrs),
+            instructions=len(rows),
             stall_cycles=max(0, stall),
             fp_issued=fp_issued,
             mem_issued=mem_issued,

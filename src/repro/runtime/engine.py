@@ -9,7 +9,8 @@ configured :class:`~repro.runtime.backends.ExecutorBackend` (by default
 ``fused``, the replayer of the pass-optimized command stream).
 ``time_plan`` replays the same command queue for a single
 representative group on the scoreboard pipeline with the cache hierarchy
-initialized to the batch counter's residency verdicts, then scales by
+initialized to the batch counter's residency verdicts (and primed by a
+cache-only replay of the group before it), then scales by
 the group count and adds the bandwidth-model packing cost — valid
 because compact kernels are data-independent and each group touches its
 own (identically laid out) data.  (Timing models the simulated silicon,
@@ -249,11 +250,19 @@ class Engine:
     def time_plan(self, plan: ExecutionPlan) -> PlanTiming:
         """Cycle-model timing of one steady-state group, scaled out.
 
-        Two consecutive groups are simulated: the first primes the cache
-        and stream-prefetcher state the way the previous group's
-        execution would have; the second is measured.  Each kernel call
-        also pays a small host-side setup cost (pointer materialization
-        and loop control around the branch-free kernels).
+        Two consecutive groups are replayed.  Group 0 only primes the
+        cache and stream-prefetcher state the way the previous group's
+        execution would have: :meth:`PipelineModel.touch` replays its
+        address arithmetic and cache accesses in program order, without
+        the scoreboard.  That is exact, because the hierarchy sees
+        accesses in program order whatever cycle each issues in and
+        timing never feeds back into the caches.  Group 1 is measured on
+        the full scoreboard (:meth:`PipelineModel.simulate`).  The
+        pipeline model is built per call, so each distinct kernel
+        program is decoded once per plan and the decode is dropped with
+        the model.  Each kernel call also pays a small host-side setup
+        cost (pointer materialization and loop control around the
+        branch-free kernels).
         """
         machine = plan.machine
         with obs.span("engine.time_plan", kind=plan.kind):
@@ -268,26 +277,27 @@ class Engine:
                 elif spec.warm == "l2":
                     caches.warm_range(base, 2 * spec.group_stride_bytes, "l2")
 
+            def xregs(call: KernelCall, group: int) -> dict[int, int]:
+                def addr(buf: str, off: int) -> int:
+                    return (asp.base(buf)
+                            + group * plan.buffers[buf].group_stride_bytes
+                            + off)
+                init = {
+                    regs.PA: addr(call.a_buf, call.a_off),
+                    regs.PB: addr(call.b_buf, call.b_off),
+                }
+                for j, off in enumerate(call.c_offsets):
+                    init[regs.pc(j)] = addr(call.c_buf, off)
+                if call.x_buf is not None:
+                    init[PX] = addr(call.x_buf, call.x_off)
+                return init
+
+            for call in plan.calls:              # group 0: cache replay only
+                pipe.touch(call.program, xregs(call, 0))
             total: TimingResult | None = None
-            for group in (0, 1):
-                group_total: TimingResult | None = None
-                for call in plan.calls:
-                    def addr(buf: str, off: int) -> int:
-                        return (asp.base(buf)
-                                + group * plan.buffers[buf].group_stride_bytes
-                                + off)
-                    init = {
-                        regs.PA: addr(call.a_buf, call.a_off),
-                        regs.PB: addr(call.b_buf, call.b_off),
-                    }
-                    for j, off in enumerate(call.c_offsets):
-                        init[regs.pc(j)] = addr(call.c_buf, off)
-                    if call.x_buf is not None:
-                        init[PX] = addr(call.x_buf, call.x_off)
-                    r = pipe.simulate(call.program, init)
-                    group_total = (r if group_total is None
-                                   else group_total + r)
-                total = group_total
+            for call in plan.calls:              # group 1: scoreboard
+                r = pipe.simulate(call.program, xregs(call, 1))
+                total = r if total is None else total + r
             assert total is not None, "plan has no kernel calls"
             setup = PER_KERNEL_CALL_SETUP_CYCLES * len(plan.calls)
             total = TimingResult(total.cycles + setup, total.drain_cycles,

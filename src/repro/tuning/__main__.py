@@ -272,7 +272,9 @@ def main(argv: "list[str] | None" = None) -> int:
                          "of square sizes (default 1:16)")
     p_sweep.add_argument("--batch", type=int, default=16384)
     p_sweep.add_argument("--repeats", type=int, default=1,
-                         help="measurement repeats (median)")
+                         help="wall-clock replays per candidate (best "
+                         "of); the deterministic cycle model is timed "
+                         "once")
     p_sweep.add_argument("--schedule-variants", action="store_true",
                          help="also sweep unscheduled-kernel variants")
     p_sweep.add_argument("--wall-clock", action="store_true",

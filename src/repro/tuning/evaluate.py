@@ -9,15 +9,14 @@ executor backend over a small random batch — host-time provenance for the DB, 
 selection metric (host timing is noisy; the cycle model is the
 simulated silicon).
 
-``repeats``/median controls exist for both paths.  They are a no-op for
-the cycle model (every repeat returns the same number — asserted by
-``tests/tuning/test_tuner.py``) and genuinely reduce variance for wall
-clock.
+``repeats`` governs the wall-clock path only (best of ``repeats``
+replays, which genuinely reduces variance).  The cycle model is
+deterministic, so each candidate is timed on it exactly once however
+many repeats were asked for; the record still stamps ``repeats``.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -38,7 +37,8 @@ EVALUATOR_VERSION = 1
 """Measurement-procedure version stamped into record provenance: bump
 when the metric itself changes (what is timed, how repeats aggregate),
 so fleet merges can tell records measured under different rules apart.
-v1 = median cycle-model samples, best-of-repeats wall clock."""
+v1 = cycle-model cycles (deterministic, so one timing equals the median
+of any number of samples), best-of-repeats wall clock."""
 
 WALL_CLOCK_BATCH_CAP = 512
 """Wall-clock replays cap the batch: host time scales linearly with
@@ -100,12 +100,12 @@ class Evaluator:
     # -- measurement ------------------------------------------------------
 
     def evaluate(self, problem, cand: Candidate) -> Measurement:
-        """Measure one candidate; median over ``repeats``."""
+        """Measure one candidate: one cycle-model timing (deterministic,
+        so repeating it would only repeat the number) plus, with
+        ``wall_clock``, a best-of-``repeats`` host replay."""
         with obs.span("tuning.evaluate", candidate=cand.label):
             plan = self.build_plan(problem, cand)
-            cycle_samples = [self._engine.time_plan(plan).total_cycles
-                             for _ in range(self.repeats)]
-            cycles = statistics.median(cycle_samples)
+            cycles = self._engine.time_plan(plan).total_cycles
             gflops = self.machine.gflops(problem.flops, cycles)
             wall = (self._wall_run(problem, cand, DEFAULT_BACKEND)
                     if self.wall_clock else None)
@@ -147,13 +147,7 @@ class Evaluator:
         """
         if cand is None:
             cand = Candidate(main=None)
-        small = min(problem.batch, WALL_CLOCK_BATCH_CAP)
-        if isinstance(problem, GemmProblem):
-            p = problem.with_batch(small)
-        else:
-            p = TrsmProblem(problem.m, problem.n, problem.dtype,
-                            problem.side, problem.uplo, problem.transa,
-                            problem.diag, small, problem.alpha)
+        p = problem.with_batch(min(problem.batch, WALL_CLOCK_BATCH_CAP))
         predicted = self._engine.time_plan(self.build_plan(p, cand)).seconds
         out: "dict[str, dict]" = {}
         for backend in backends:
@@ -184,8 +178,8 @@ class Evaluator:
                                               lanes, dt)
 
         engine = Engine(self.machine, backend=backend)
+        p = problem.with_batch(small)
         if isinstance(problem, GemmProblem):
-            p = problem.with_batch(small)
             reg = self.registry(cand.schedule)
             small_plan = build_gemm_plan(p, self.machine, reg,
                                          force_pack=cand.force_pack,
@@ -195,9 +189,6 @@ class Evaluator:
             c = batch_of(*p.c_shape)
             run = lambda: engine.execute_gemm(small_plan, a, b, c)
         else:
-            p = TrsmProblem(problem.m, problem.n, dt, problem.side,
-                            problem.uplo, problem.transa, problem.diag,
-                            small, problem.alpha)
             reg = self.registry(cand.schedule)
             small_plan = build_trsm_plan(p, self.machine, reg,
                                          force_pack=cand.force_pack)

@@ -151,6 +151,12 @@ class TestStreamPrefetcher:
         h.access(0, 8)
         h.flush()
         assert h.access(0, 8) == 100
+        # the stream window is forgotten too: the line next to a
+        # pre-flush miss is a cold miss, as on a fresh hierarchy
+        h = small_hierarchy()
+        h.access(0, 8)
+        h.flush()
+        assert h.access(64, 8) == 100
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,11 +1,21 @@
-"""Scoreboard pipeline tests: issue rules, dependencies, latencies, FDIV."""
+"""Scoreboard pipeline tests: issue rules, dependencies, latencies, FDIV,
+and the equivalences the cheap timing path rests on (per-model decode,
+cache-only replay, a golden digest of timed plans)."""
+
+import hashlib
+import json
+from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine.cache import CacheConfig, CacheHierarchy
-from repro.machine.isa import addi, fdiv, fmla, fmul, ldrv, nop, prfm, strv
-from repro.machine.machines import KUNPENG_920, XEON_GOLD_6240
-from repro.machine.pipeline import (AddressSpace, IssueRules, Latencies,
+from repro.machine.isa import (addi, fdiv, fmla, fmul, ld1r, ld2v, ldpv, ldrv,
+                               nop, prfm, st2v, stpv, strv)
+from repro.machine.machines import A64FX, KUNPENG_920, XEON_GOLD_6240
+from repro.machine.pipeline import (ADDI, LOAD, OTHER, PREFETCH, STORE,
+                                    AddressSpace, IssueRules, Latencies,
                                     PipelineModel, TimingResult)
 from repro.machine.program import Program
 
@@ -206,3 +216,148 @@ def test_dgemm_kernel_reaches_near_peak():
     r = pipe.simulate(prog, init)
     gflops = m.gflops(prog.flops_per_group, r.cycles)
     assert gflops > 0.85 * m.peak_gflops("d")
+
+
+class TestDecode:
+    def test_rows_carry_static_facts(self):
+        pipe = make_pipe()
+        prog = Program("t", [ldpv(0, 1, 0, 32), fmla(2, 0, 1, ew=8),
+                             strv(2, 1, 16, nlanes=1), prfm(2, 64),
+                             addi(3, 0, 48), fdiv(4, 2, 2, ew=4)],
+                       ew=8, lanes=2)
+        rows = pipe.decode(prog)
+        assert [r[0] for r in rows] == [LOAD, OTHER, STORE, PREFETCH, ADDI,
+                                        OTHER]
+        assert rows[0][10] == 2 * KUNPENG_920.vector_bytes   # pair load
+        assert rows[1][1] == (0, 1, 2)          # accumulator is read
+        assert rows[1][4] and rows[1][6] == KUNPENG_920.rules.max_fp64
+        assert rows[2][10] == 8                 # one 8-byte lane
+        assert rows[3][10] == pipe.caches.line
+        assert rows[4][2] == (0,) and rows[4][5]
+        assert rows[5][12] == KUNPENG_920.lat.div_block32
+        assert rows[1][12] is None
+        assert [r[-1] for r in rows] == prog.instrs
+
+    def test_memo_hit_is_the_same_decode(self):
+        pipe = make_pipe()
+        prog = Program("t", [ldrv(0, 0, 0), fmul(1, 0, 0, ew=8)],
+                       ew=8, lanes=2)
+        assert pipe.decode(prog) is pipe.decode(prog)
+
+    def test_memo_invalidated_when_instrs_replaced(self):
+        pipe = make_pipe()
+        prog = Program("t", [ldrv(0, 0, 0), fmul(1, 0, 0, ew=8)],
+                       ew=8, lanes=2)
+        init = {0: 0}
+        before = pipe.decode(prog)
+        prog.instrs = [fmla(0, 30, 31, ew=8) for _ in range(6)]
+        after = pipe.decode(prog)
+        assert after is not before
+        assert [r[-1] for r in after] == prog.instrs
+        r = pipe.simulate(prog, init)
+        assert r.instructions == 6
+        fresh = make_pipe().simulate(prog, init)
+        assert astuple(r) == astuple(fresh)
+        # an equal but distinct list is not trusted either
+        prog.instrs = list(prog.instrs)
+        assert pipe.decode(prog) is not after
+
+    def test_memo_lives_on_the_model(self):
+        prog = Program("t", [ldrv(0, 0, 0)], ew=8, lanes=2)
+        a, b = make_pipe(), make_pipe()
+        assert a.decode(prog) is not b.decode(prog)
+        assert a.decode(prog) == b.decode(prog)
+
+
+# -- touch == simulate, as far as the caches can tell ----------------------
+
+_BASES = {0: 0, 1: 4096, 2: 9000, 3: 1 << 14}
+
+
+def _mem_instr():
+    reg = st.integers(0, 3)
+    off = st.integers(0, 64).map(lambda i: 8 * i)
+    v = st.integers(0, 29)
+    ew = st.sampled_from((4, 8))
+    return st.one_of(
+        st.builds(lambda d, b, o, e: ldrv(d, b, o, ew=e), v, reg, off, ew),
+        st.builds(lambda d, b, o: ldpv(d, d + 1, b, o), v, reg, off),
+        st.builds(lambda d, b, o, e: ld1r(d, b, o, ew=e), v, reg, off, ew),
+        st.builds(lambda d, b, o: ld2v(d, d + 1, b, o), v, reg, off),
+        st.builds(lambda s, b, o: st2v(s, s + 1, b, o), v, reg, off),
+        st.builds(lambda s, b, o, n: strv(s, b, o, nlanes=n), v, reg, off,
+                  st.sampled_from((None, 1))),
+        st.builds(lambda s, b, o: stpv(s, s + 1, b, o), v, reg, off),
+        st.builds(prfm, reg, off),
+        st.builds(addi, reg, reg, st.integers(0, 64).map(lambda i: 16 * i)),
+        st.builds(lambda d: fmla(d, 30, 31, ew=8), v),
+    )
+
+
+def _cache_state(h: CacheHierarchy) -> tuple:
+    """Everything later accesses can observe: per-set LRU order on both
+    levels, hit/access counters, and the stream window in order."""
+    return ([list(s) for s in h.l1._sets], [list(s) for s in h.l2._sets],
+            (h.l1.stats.accesses, h.l1.stats.hits),
+            (h.l2.stats.accesses, h.l2.stats.hits),
+            list(h._recent_misses))
+
+
+def _small_pipe(vector_bytes: int) -> PipelineModel:
+    caches = CacheHierarchy(CacheConfig(1024, 2, 64, 10),
+                            CacheConfig(4096, 4, 64), 100)
+    caches.warm_range(4096, 512, "l1")
+    caches.warm_range(9000, 1024, "l2")
+    return PipelineModel(KUNPENG_920.rules, KUNPENG_920.lat, caches,
+                         vector_bytes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_mem_instr(), min_size=1, max_size=60),
+       st.sampled_from((16, 64)), st.integers(0, 3))
+def test_touch_leaves_caches_as_simulate_does(instrs, vector_bytes, shift):
+    """Cache-only replay is exact: after the same invocations (two
+    groups, the second shifted like the next group's data), the
+    hierarchy is in the same state whether the scoreboard ran or not."""
+    prog = Program("t", instrs, ew=8, lanes=2)
+    replayed, timed = _small_pipe(vector_bytes), _small_pipe(vector_bytes)
+    for group in (0, 1):
+        init = {r: a + group * 64 * shift for r, a in _BASES.items()}
+        replayed.touch(prog, init)
+        timed.simulate(prog, init)
+        assert _cache_state(replayed.caches) == _cache_state(timed.caches)
+
+
+# -- golden digest of timed plans ------------------------------------------
+
+SMOKE_TIMING_DIGEST = ("8cfbb3bdefa56265bdb69e3de810439e"
+                       "9f299906c2129506c66f016ee439b6db")
+"""sha256 over every timing field of 387 plans (see below), pinned from
+the cycle model that ran both groups of a plan through the scoreboard.
+Any change to any figure the cycle model produces changes it."""
+
+
+def test_time_plan_golden_digest():
+    """Every :meth:`Engine.time_plan` figure — the ``PlanTiming`` cycle
+    fields and all eight ``TimingResult`` fields — for the perfbench
+    SMOKE problems x each one's tuner candidates x three machines."""
+    from perfbench.grids import SMOKE
+    from repro.runtime.engine import Engine
+    from repro.tuning.evaluate import Evaluator
+    from repro.tuning.tuner import _space_for
+
+    digest = hashlib.sha256()
+    plans = 0
+    for machine in (KUNPENG_920, XEON_GOLD_6240, A64FX):
+        ev, engine = Evaluator(machine), Engine(machine)
+        for p in SMOKE.bulk + SMOKE.cold + SMOKE.tune:
+            for cand in _space_for(p, machine, False):
+                t = engine.time_plan(ev.build_plan(p, cand))
+                row = [machine.machine_id, repr(p), cand.label,
+                       t.kernel_cycles_per_group, t.pack_cycles,
+                       t.unpack_cycles, t.overhead_cycles, t.total_cycles,
+                       list(astuple(t.detail))]
+                digest.update(json.dumps(row).encode() + b"\n")
+                plans += 1
+    assert plans == 387
+    assert digest.hexdigest() == SMOKE_TIMING_DIGEST

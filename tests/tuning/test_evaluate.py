@@ -33,6 +33,34 @@ class TestCycleModel:
         assert one.cycles == five.cycles
         assert five.repeats == 5
 
+    def test_time_plan_is_deterministic(self, ev):
+        """Why one cycle-model timing per candidate suffices: timing the
+        same plan twice gives equal figures, field for field."""
+        from dataclasses import asdict
+        for p, cand in ((GemmProblem(7, 5, 6, "s", batch=256),
+                         Candidate(None)),
+                        (TrsmProblem(5, 4, "z", batch=64), Candidate(None))):
+            plan = ev.build_plan(p, cand)
+            engine = Engine(KUNPENG_920)
+            a, b = engine.time_plan(plan), engine.time_plan(plan)
+            assert a.plan is b.plan
+            assert asdict(a.detail) == asdict(b.detail)
+            assert ((a.kernel_cycles_per_group, a.pack_cycles,
+                     a.unpack_cycles, a.overhead_cycles, a.total_cycles)
+                    == (b.kernel_cycles_per_group, b.pack_cycles,
+                        b.unpack_cycles, b.overhead_cycles, b.total_cycles))
+
+    def test_cycle_model_timed_once_per_candidate(self, monkeypatch):
+        ev5 = Evaluator(KUNPENG_920, repeats=5)
+        calls = []
+        real = ev5._engine.time_plan
+        monkeypatch.setattr(ev5._engine, "time_plan",
+                            lambda plan: calls.append(plan) or real(plan))
+        meas = ev5.evaluate(GemmProblem(4, 4, 4, "d", batch=64),
+                            Candidate((4, 4)))
+        assert len(calls) == 1
+        assert meas.repeats == 5
+
     def test_trsm_candidates(self, ev):
         p = TrsmProblem(4, 4, "d", batch=256)
         auto = ev.evaluate(p, Candidate(None))
