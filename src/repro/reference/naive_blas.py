@@ -31,12 +31,19 @@ def gemm_reference(problem: GemmProblem, a: np.ndarray, b: np.ndarray,
 
     Arrays are standard ``(batch, rows, cols)`` layout; ``a`` and ``b``
     carry their *stored* (pre-op) shapes.  Returns a new array; inputs are
-    not modified.
+    not modified.  As in Netlib BLAS, ``alpha == 0`` references neither A
+    nor B, and ``C`` too only when ``beta != 0``.
     """
     p = problem
     _check_batch_shape("A", a, p.a_shape, p.batch)
     _check_batch_shape("B", b, p.b_shape, p.batch)
     _check_batch_shape("C", c, p.c_shape, p.batch)
+    if p.alpha == 0:
+        # Netlib BLAS: A and B are not referenced; C := beta * C, or 0
+        # when beta is 0 (C not referenced either)
+        if p.beta == 0:
+            return np.zeros(c.shape, dtype=p.dtype.np_dtype)
+        return (p.beta * c).astype(p.dtype.np_dtype)
     opa = a if p.transa is Trans.N else a.transpose(0, 2, 1)
     opb = b if p.transb is Trans.N else b.transpose(0, 2, 1)
     acc = np.matmul(opa.astype(np.complex128 if p.dtype.is_complex else np.float64),
@@ -51,12 +58,16 @@ def trsm_reference(problem: TrsmProblem, a: np.ndarray,
 
     ``a`` is ``(batch, d, d)`` where ``d`` is :attr:`TrsmProblem.a_dim`;
     only the :attr:`~TrsmProblem.uplo` triangle is referenced, and the
-    diagonal is taken as 1 when ``diag`` is UNIT.  Returns X with B's shape.
+    diagonal is taken as 1 when ``diag`` is UNIT.  Returns X with B's shape;
+    as in Netlib BLAS, ``alpha == 0`` gives zeros and never references A.
     """
     p = problem
     d = p.a_dim
     _check_batch_shape("A", a, (d, d), p.batch)
     _check_batch_shape("B", b, p.b_shape, p.batch)
+    if p.alpha == 0:
+        # Netlib BLAS: B := 0 and A is not referenced
+        return np.zeros(b.shape, dtype=p.dtype.np_dtype)
     lower = p.uplo is UpLo.LOWER
     unit = p.diag is Diag.UNIT
     trans = 1 if p.transa is Trans.T else 0

@@ -54,7 +54,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -129,8 +129,7 @@ class InterpretBackend:
 
 
 class FusedBackend:
-    """Replays a lowered plan's pass-optimized command stream
-    (``fused_commands``) in L2-resident group blocks — the
+    """Replays a lowered plan's pass-optimized command stream — the
     compile-once / execute-many half of the paper's run-time stage,
     extended from kernel selection down to execution.
 
@@ -138,15 +137,34 @@ class FusedBackend:
     view per buffer, a preallocated register bank, and a flat loop of
     slice copies and in-place ufuncs.  Macro-ops (fused FMLA chains,
     coalesced wide copies, dead writes gone) cut the Python dispatches
-    per block roughly in half, which is what makes small blocks
-    affordable; blocking keeps the whole register bank hot in L2, so
-    the dispatches that remain run at cache speed instead of memory
-    bandwidth.  Groups are independent, so blocking is bit-exact by
-    construction — the equivalence suite enforces it.
+    roughly in half.  Groups are independent, so every ordering below is
+    bit-exact by construction — the equivalence suite enforces it.
+
+    Two schedules drive the one replay loop (:meth:`_replay`), which
+    takes operands with any number of leading axes:
+
+    * **waves** (at most :data:`WAVE_GROUPS` groups, and some wave
+      holds more than one call): levels → waves → one replay per wave.  Each wave replays its template's stream once
+      over a ``(calls, groups, lanes)`` register bank, its memory
+      operands being one ``(calls, groups, width)`` view per buffer — a
+      strided view when the calls' deltas form an arithmetic
+      progression, else a gathered copy whose written elements are
+      scattered back.  With few groups a ufunc is pure dispatch
+      overhead, so one dispatch per wave instead of per call is the
+      whole gain;
+    * **plan order** (more groups, or two bound buffers sharing memory,
+      which the per-buffer footprints cannot see): ``fused_commands``
+      call by call — a wave of width 1 — in L2-resident group blocks,
+      so the register bank stays hot in L2 and the dispatches run at
+      cache speed instead of memory bandwidth.
     """
 
     name = "fused"
     needs_lowering = True
+
+    WAVE_GROUPS = 64
+    """Largest group count replayed in waves: the floor of
+    :meth:`_block_groups`, below which a ufunc is dispatch overhead."""
 
     @staticmethod
     def stream(compiled: CompiledPlan) -> "tuple[list[tuple], int]":
@@ -154,7 +172,8 @@ class FusedBackend:
         stack depth it needs (0 = no macro-ops, no stack scratch
         allocated).  Public so the attribution profiler
         (:mod:`repro.obs.profile`) can profile exactly what a backend
-        would execute."""
+        would execute (a wave replays the same commands for each of its
+        calls)."""
         return compiled.fused_commands, compiled.stats["passes"]["max_stack"]
 
     @staticmethod
@@ -178,36 +197,28 @@ class FusedBackend:
         mats = self._bind(compiled, mem, strides, groups)
         dtype = compiled.dtype
         lanes = compiled.lanes
+        block = self._block_groups(plan.machine.l2.size, lanes,
+                                   np.dtype(dtype).itemsize)
+        waves = (groups <= self.WAVE_GROUPS
+                 and len(compiled.waves) < compiled.stats["calls"]
+                 and not _aliased(mats))
+        if waves:
+            cap = block // groups
+            rows = groups * min(cap, max(len(w.calls)
+                                         for w in compiled.waves))
+        else:
+            block = rows = min(groups, block)
         commands, max_stack = self.stream(compiled)
-        block = min(groups, self._block_groups(
-            plan.machine.l2.size, lanes, np.dtype(dtype).itemsize))
-        rbank = np.empty((NUM_VREGS, block, lanes), dtype=dtype)
-        scratch = np.empty((block, lanes), dtype=dtype)
-        stacks = (np.empty((2, max_stack, block, lanes), dtype=dtype)
-                  if max_stack else None)
-        # 16-byte-unit reinterpretations for the vectorized wide copies
-        # (commands carry cfirst >= 0 only for buffers whose stride
-        # passed the lower-time eligibility check)
-        rbankC = (rbank.view(np.complex128)
-                  if (lanes * rbank.itemsize) % 16 == 0 else None)
-        matsC = {name: (v.view(np.complex128)
-                        if (v.shape[1] * v.itemsize) % 16 == 0 else None)
-                 for name, v in mats.items()}
+        bank = _Bank(rows, lanes, dtype, max_stack)
         with np.errstate(all="ignore"):
+            if waves:
+                self._run_waves(compiled, mats, groups, cap, bank)
+                return
             for start in range(0, groups, block):
                 n = min(block, groups - start)
-                if n == groups:
-                    # one block covers every group: no per-block views
-                    bm, bmC, rb = mats, matsC, rbank
-                else:
-                    cut = slice(start, start + n)
-                    bm = {k: v[cut] for k, v in mats.items()}
-                    bmC = {k: None if v is None else v[cut]
-                           for k, v in matsC.items()}
-                    rb = rbank[:, :n]
-                self._replay(commands, bm, list(rb), rb, scratch[:n],
-                             None if stacks is None else stacks[:, :, :n],
-                             bmC, None if rbankC is None else rbankC[:, :n])
+                bm = (mats if n == groups else
+                      {k: v[start:start + n] for k, v in mats.items()})
+                bank.replay(commands, bm, (n,), _wide(bm))
 
     # -- binding -------------------------------------------------------
 
@@ -234,13 +245,72 @@ class FusedBackend:
             mats[name] = mem.group_view(name, groups, lay.stride_elems)
         return mats
 
+    # -- waves ---------------------------------------------------------
+
+    @staticmethod
+    def _run_waves(compiled: CompiledPlan, mats: "dict[str, np.ndarray]",
+                   groups: int, cap: int, bank: "_Bank") -> None:
+        """Replay every wave, at most ``cap`` calls per pass, in order."""
+        isz = compiled.ew
+        for wave in compiled.waves:
+            stream, window, writes, wide = (
+                compiled.templates[wave.template].wave_form)
+            for c0 in range(0, len(wave.calls), cap):
+                deltas = wave.deltas[c0:c0 + cap]
+                width = len(deltas)
+                strided = wave.ap or width == 1
+                views: "dict[str, np.ndarray]" = {}
+                viewsC: "dict[str, np.ndarray | None]" = {}
+                scatter = []
+                for j, buf in enumerate(wave.buffers):
+                    if buf not in window:
+                        continue            # a root the kernel never uses
+                    lo, span = window[buf]
+                    m = mats[buf]
+                    if strided:
+                        # one strided view: call axis steps by the delta
+                        d0 = deltas[0][j]
+                        step = deltas[1][j] - d0 if width > 1 else 0
+                        base, off = m, (d0 + lo) * isz
+                        st = (step * isz, m.strides[0])
+                        v = np.ndarray((width, groups, span), m.dtype,
+                                       base, off, st + (isz,))
+                    else:
+                        # gathered copy; written elements go back below
+                        idx = (np.array([d[j] for d in deltas])[:, None]
+                               + np.arange(lo, lo + span))
+                        base, off = np.take(m, idx, axis=1), 0
+                        st = (span * isz, width * span * isz)
+                        v = base.transpose(1, 0, 2)
+                        w = writes.get(buf)
+                        if w is not None:
+                            scatter.append((m, idx[:, w], base, w))
+                    views[buf] = v
+                    viewsC[buf] = (
+                        np.ndarray((width, groups, span * isz // 16),
+                                   np.complex128, base, off, st + (16,))
+                        if buf in wide else None)
+                bank.replay(stream, views, (width, groups), viewsC)
+                for m, idx, g, w in scatter:
+                    m[:, idx] = g[:, :, w]
+
     # -- replay --------------------------------------------------------
 
     @staticmethod
-    def _replay(commands: "list[tuple]", mats: "dict[str, np.ndarray]",
+    def _replay(commands: "Sequence[tuple]", mats: "dict[str, np.ndarray]",
                 rfile: "list[np.ndarray]", rbank: np.ndarray,
                 scratch: np.ndarray, stacks: "np.ndarray | None",
                 matsC: "dict | None", rbankC: "np.ndarray | None") -> None:
+        """The one replay loop.  Registers are ``(*lead, lanes)`` and
+        memory operands ``(*lead, elements)``: ``lead`` is ``(groups,)``
+        for a plain replay and ``(calls, groups)`` for a wave; every
+        command addresses the last axis only."""
+        lead = rbank.shape[1:-1]
+        nl = len(lead)
+        # wide copies split the last axis into (count, n) registers and
+        # move count to the front (loads) or back from it (stores)
+        to_regs = (nl,) + tuple(range(nl)) + (nl + 1,)
+        to_mem = tuple(range(1, nl + 1)) + (0, nl + 1)
         # Ordered roughly by dynamic frequency in GEMM/TRSM kernels
         # (raw streams are FMLA-heavy; fused streams lead with macro-ops).
         for cmd in commands:
@@ -280,20 +350,21 @@ class FusedBackend:
                 # elementwise loop instead of a segmented float copy
                 _, dsel, buf, first, n, count, cfirst = cmd
                 if cfirst >= 0:
-                    vb = rbankC.shape[2]
-                    src = matsC[buf][:, cfirst:cfirst + count * vb]
+                    vb = rbankC.shape[-1]
+                    src = matsC[buf][..., cfirst:cfirst + count * vb]
                     if count == 1:
                         d = dsel.start if type(dsel) is slice else dsel[0]
                         np.copyto(rbankC[d], src)
                     else:
-                        src = src.reshape(-1, count, vb).transpose(1, 0, 2)
+                        src = src.reshape(lead + (count, vb)).transpose(
+                            to_regs)
                         if type(dsel) is slice:
                             np.copyto(rbankC[dsel], src)
                         else:
                             rbankC[dsel] = src
                 else:
-                    src = mats[buf][:, first:first + count * n]
-                    src = src.reshape(-1, count, n).transpose(1, 0, 2)
+                    src = mats[buf][..., first:first + count * n]
+                    src = src.reshape(lead + (count, n)).transpose(to_regs)
                     if type(dsel) is slice:
                         np.copyto(rbank[dsel], src)
                     else:
@@ -301,66 +372,66 @@ class FusedBackend:
             elif k == K_STOREW:
                 _, ssel, buf, first, n, count, cfirst = cmd
                 if cfirst >= 0:
-                    vb = rbankC.shape[2]
-                    dst = matsC[buf][:, cfirst:cfirst + count * vb]
+                    vb = rbankC.shape[-1]
+                    dst = matsC[buf][..., cfirst:cfirst + count * vb]
                     if count == 1:
                         s = ssel.start if type(ssel) is slice else ssel[0]
                         np.copyto(dst, rbankC[s])
                     else:
                         gs = rbankC[ssel]   # fancy-index copy is fine: read-only
-                        np.copyto(dst.reshape(-1, count, vb),
-                                  gs.transpose(1, 0, 2))
+                        np.copyto(dst.reshape(lead + (count, vb)),
+                                  gs.transpose(to_mem))
                 else:
                     if type(ssel) is slice:
                         gs = rbank[ssel]
                     else:
                         gs = np.take(rbank, ssel, axis=0,
                                      out=stacks[0, :count])
-                    dst = mats[buf][:, first:first + count * n]
-                    np.copyto(dst.reshape(-1, count, n),
-                              gs[:, :, :n].transpose(1, 0, 2))
+                    dst = mats[buf][..., first:first + count * n]
+                    np.copyto(dst.reshape(lead + (count, n)),
+                              gs[..., :n].transpose(to_mem))
             elif k == K_LOAD:
                 _, d, buf, first, n = cmd
-                np.copyto(rfile[d], mats[buf][:, first:first + n])
+                np.copyto(rfile[d], mats[buf][..., first:first + n])
             elif k == K_LOADPAIR:
                 _, d1, d2, buf, first, n = cmd
-                view = mats[buf][:, first:first + 2 * n]
-                np.copyto(rfile[d1], view[:, :n])
-                np.copyto(rfile[d2], view[:, n:])
+                view = mats[buf][..., first:first + 2 * n]
+                np.copyto(rfile[d1], view[..., :n])
+                np.copyto(rfile[d2], view[..., n:])
             elif k == K_STORE:
                 _, s, buf, first, n = cmd
-                np.copyto(mats[buf][:, first:first + n], rfile[s][:, :n])
+                np.copyto(mats[buf][..., first:first + n], rfile[s][..., :n])
             elif k == K_STOREPAIR:
                 _, s1, s2, buf, first, n = cmd
-                view = mats[buf][:, first:first + 2 * n]
-                np.copyto(view[:, :n], rfile[s1])
-                np.copyto(view[:, n:], rfile[s2])
+                view = mats[buf][..., first:first + 2 * n]
+                np.copyto(view[..., :n], rfile[s1])
+                np.copyto(view[..., n:], rfile[s2])
             elif k == K_FMLS:
                 _, d, a, b = cmd
                 np.multiply(rfile[a], rfile[b], out=scratch)
                 np.subtract(rfile[d], scratch, out=rfile[d])
             elif k == K_LOAD1R:
                 _, d, buf, first = cmd
-                np.copyto(rfile[d], mats[buf][:, first:first + 1])
+                np.copyto(rfile[d], mats[buf][..., first:first + 1])
             elif k == K_LOAD2:
                 _, de, do, buf, first, n = cmd
                 reg = rfile[de]
-                reg[:, n:] = 0.0
-                reg[:, :n] = mats[buf][:, first:first + 2 * n:2]
+                reg[..., n:] = 0.0
+                reg[..., :n] = mats[buf][..., first:first + 2 * n:2]
                 reg = rfile[do]
-                reg[:, n:] = 0.0
-                reg[:, :n] = mats[buf][:, first + 1:first + 2 * n:2]
+                reg[..., n:] = 0.0
+                reg[..., :n] = mats[buf][..., first + 1:first + 2 * n:2]
             elif k == K_STORE2:
                 _, se, so, buf, first, n = cmd
-                np.copyto(mats[buf][:, first:first + 2 * n:2],
-                          rfile[se][:, :n])
-                np.copyto(mats[buf][:, first + 1:first + 2 * n:2],
-                          rfile[so][:, :n])
+                np.copyto(mats[buf][..., first:first + 2 * n:2],
+                          rfile[se][..., :n])
+                np.copyto(mats[buf][..., first + 1:first + 2 * n:2],
+                          rfile[so][..., :n])
             elif k == K_LOAD_PART:
                 _, d, buf, first, n = cmd
                 reg = rfile[d]
-                reg[:, n:] = 0.0
-                reg[:, :n] = mats[buf][:, first:first + n]
+                reg[..., n:] = 0.0
+                reg[..., :n] = mats[buf][..., first:first + n]
             elif k == K_FMUL:
                 _, d, a, b = cmd
                 np.multiply(rfile[a], rfile[b], out=rfile[d])
@@ -388,6 +459,56 @@ class FusedBackend:
                 rfile[cmd[1]].fill(cmd[2])
             else:  # pragma: no cover - lowering emits only known kinds
                 raise ExecutionError(f"unknown compiled command kind {k}")
+
+
+def _aliased(mats: "dict[str, np.ndarray]") -> bool:
+    """Whether two bound buffers share memory (``gemm_compact(p, C, B,
+    C)`` binds one array as A and C): per-buffer footprints cannot see
+    such conflicts, so the plan must replay in plan order."""
+    views = list(mats.values())
+    return any(np.may_share_memory(a, b)
+               for i, a in enumerate(views) for b in views[i + 1:])
+
+
+def _wide(mats: "dict[str, np.ndarray]") -> "dict[str, np.ndarray | None]":
+    """16-byte-unit reinterpretations for the vectorized wide copies
+    (commands carry cfirst >= 0 only for buffers whose stride passed the
+    lower-time eligibility check)."""
+    return {name: (v.view(np.complex128)
+                   if (v.shape[-1] * v.itemsize) % 16 == 0 else None)
+            for name, v in mats.items()}
+
+
+class _Bank:
+    """Register bank, scratch and macro-op stacks for up to ``rows``
+    register rows (groups, or calls x groups), shaped per replay."""
+
+    def __init__(self, rows: int, lanes: int, dtype,
+                 max_stack: int) -> None:
+        size = rows * lanes
+        self.lanes = lanes
+        self.max_stack = max_stack
+        self.regs = np.empty(NUM_VREGS * size, dtype=dtype)
+        self.scratch = np.empty(size, dtype=dtype)
+        self.stacks = (np.empty(2 * max_stack * size, dtype=dtype)
+                       if max_stack else None)
+        self.cplx = (lanes * self.regs.itemsize) % 16 == 0
+
+    def replay(self, commands: "Sequence[tuple]",
+               mats: "dict[str, np.ndarray]", lead: "tuple[int, ...]",
+               matsC: "dict[str, np.ndarray | None]") -> None:
+        shape = lead + (self.lanes,)
+        size = self.lanes
+        for n in lead:
+            size *= n
+        rbank = self.regs[:NUM_VREGS * size].reshape((NUM_VREGS,) + shape)
+        stacks = (None if self.stacks is None else
+                  self.stacks[:2 * self.max_stack * size].reshape(
+                      (2, self.max_stack) + shape))
+        FusedBackend._replay(
+            commands, mats, list(rbank), rbank,
+            self.scratch[:size].reshape(shape), stacks, matsC,
+            rbank.view(np.complex128) if self.cplx else None)
 
 
 def _default_workers() -> int:

@@ -103,6 +103,23 @@ def _check_compact(name: str, cb: CompactBatch, rows: int, cols: int,
         raise PlanError(f"{name} lanes {cb.lanes} != machine lanes")
 
 
+def _scale_compact(c: CompactBatch, beta: complex) -> None:
+    """``C := beta * C`` in place (``C := 0`` when beta is 0, so NaN in C
+    does not survive), in C's element type; complex batches keep split
+    re/im planes."""
+    buf = c.buffer
+    if beta == 0:
+        buf.fill(0)
+    elif not c.dtype.is_complex:
+        np.multiply(buf, buf.dtype.type(beta), out=buf)
+    else:
+        br, bi = buf.dtype.type(beta.real), buf.dtype.type(beta.imag)
+        planes = buf.reshape(-1, 2, c.lanes)
+        re, im = planes[:, 0].copy(), planes[:, 1]
+        planes[:, 0] = br * re - bi * im
+        planes[:, 1] = br * im + bi * re
+
+
 class Engine:
     """Executes and times execution plans on one machine.
 
@@ -176,6 +193,10 @@ class Engine:
         _check_compact("A", a, *p.a_shape, plan)
         _check_compact("B", b, *p.b_shape, plan)
         _check_compact("C", c, *p.c_shape, plan)
+        if p.alpha == 0:
+            # Netlib BLAS: alpha == 0 references neither A nor B
+            _scale_compact(c, p.beta)
+            return c
         obs.count("engine.execute.gemm")
         obs.count("engine.kernel_calls", len(plan.calls))
 
@@ -210,6 +231,10 @@ class Engine:
         p: TrsmProblem = plan.problem
         _check_compact("A", a, p.a_dim, p.a_dim, plan)
         _check_compact("B", b, *p.b_shape, plan)
+        if p.alpha == 0:
+            # Netlib BLAS: alpha == 0 sets B := 0 without referencing A
+            b.buffer.fill(0)
+            return b
         norm = plan.meta["norm"]
         blocks = plan.meta["blocks"]
         obs.count("engine.execute.trsm")

@@ -49,10 +49,23 @@ attribution profiler's ``raw`` stream reports against.
 **Templates.**  Resolution, validation and the passes run once per
 distinct call binding: the program, each root's offset relative to the
 lowest root in its buffer, and that lowest offset mod 16 B.  Later calls
-with the key re-check its extents against the group stride and relocate
-it (memory commands move by the buffer's delta; the rest are shared).
-Registers never live across a call, so the per-call optimized streams
-concatenate to the whole-stream result.
+with the key re-check its extents against the group stride and keep
+only their per-buffer element delta.  Registers never live across a
+call, so the per-call optimized streams concatenate to the
+whole-stream result.  The plan stores the templates; ``commands``,
+``fused_commands``, ``call_ranges`` and ``fused_ranges`` are views that
+relocate them on first element access (memory commands move by the
+buffer's delta; the rest are shared), and ``len`` never relocates.
+
+**Waves.**  Each template's read and write footprint is a per-buffer
+list of element intervals within one group stride; a call's footprint
+is the template's, shifted by its delta.  A call's *level* is 1 + the
+highest level of any earlier call it conflicts with (RAW, WAR or WAW on
+one element), and a :class:`Wave` is every call of one (level,
+template), in call order.  Levels replay in order and calls of one
+level never conflict, so the ``fused`` backend can replay a wave's
+template once over all of its calls (levels → waves → one replay per
+wave) and every element still sees its plan-order sequence of ufuncs.
 
 Lowering is pure analysis: it never touches matrix data, so a
 ``CompiledPlan`` is cached alongside its plan in the
@@ -61,6 +74,7 @@ Lowering is pure analysis: it never touches matrix data, so a
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -73,8 +87,8 @@ from ..errors import LoweringError
 from ..machine.isa import NUM_VREGS, Op
 from .plan import ExecutionPlan, KernelCall
 
-__all__ = ["CompiledPlan", "CompiledCommand", "BufferLayout", "lower_plan",
-           "optimize_commands", "FUSE_MIN_CHAIN",
+__all__ = ["CompiledPlan", "CompiledCommand", "BufferLayout", "Wave",
+           "lower_plan", "optimize_commands", "FUSE_MIN_CHAIN",
            "TraceSegment", "partition_trace",
            "K_LOAD", "K_LOAD_PART", "K_LOADPAIR", "K_LOAD1R", "K_LOAD2",
            "K_STORE", "K_STOREPAIR", "K_STORE2", "K_FMLA", "K_FMLS",
@@ -205,17 +219,27 @@ class CompiledPlan:
     lanes: int
     ew: int                       # element width in bytes (4 or 8)
     buffers: dict[str, BufferLayout]
-    commands: list[tuple]
-    fused_commands: list = field(default_factory=list)
+    commands: "Sequence[tuple]"
+    fused_commands: "Sequence[tuple]" = field(default_factory=list)
     """The pass-optimized stream (macro-ops allowed) the ``fused``
-    backend replays; ``commands`` stays the validated raw stream."""
-    call_ranges: "list[tuple[str, int, int]]" = field(default_factory=list)
+    backend replays in plan order; ``commands`` stays the validated raw
+    stream."""
+    call_ranges: "Sequence[tuple[str, int, int]]" = field(
+        default_factory=list)
     """``(kernel_name, start, stop)`` per plan call over ``commands`` —
     which slice of the raw stream each kernel invocation lowered to."""
-    fused_ranges: "list[tuple[int, int]]" = field(default_factory=list)
+    fused_ranges: "Sequence[tuple[int, int]]" = field(default_factory=list)
     """``(start, stop)`` per plan call over ``fused_commands`` (each call
     is optimized on its own, so its macro-ops are contiguous)."""
     stats: dict = field(default_factory=dict)
+    templates: "list[_Template]" = field(default_factory=list,
+                                         compare=False, repr=False)
+    """Each distinct call binding lowered once: raw and optimized
+    streams plus footprints; the four views above relocate these."""
+    waves: "list[Wave]" = field(default_factory=list, compare=False,
+                                repr=False)
+    """The calls grouped into waves, in replay order (see
+    :func:`_build_waves`)."""
     attachments: dict = field(default_factory=dict, compare=False,
                               repr=False)
     """Side slot for derived per-plan artifacts (e.g. the megakernel's
@@ -259,8 +283,9 @@ class CompiledPlan:
 
     def calls_summary(self) -> str:
         t = self.stats.get("templates", 0)
+        w = self.stats.get("waves", 0)
         return (f"{self.stats.get('calls', 0)} calls from {t} "
-                f"template{'s' * (t != 1)}")
+                f"template{'s' * (t != 1)} in {w} wave{'s' * (w != 1)}")
 
     def describe(self) -> str:
         s = self.stats
@@ -337,10 +362,7 @@ def _lower(plan: ExecutionPlan) -> CompiledPlan:
         return lay
 
     templates: "dict[tuple, _Template]" = {}
-    commands: list[tuple] = []
-    fused_commands: list[tuple] = []
-    call_ranges: "list[tuple[str, int, int]]" = []
-    fused_ranges: "list[tuple[int, int]]" = []
+    calls: "list[tuple[_Template, dict[str, int]]]" = []
 
     for ci, call in enumerate(plan.calls):
         prog = call.program
@@ -361,7 +383,9 @@ def _lower(plan: ExecutionPlan) -> CompiledPlan:
             opt, passes = optimize_commands(
                 raw, lanes, ew,
                 {name: lay.stride_bytes for name, lay in layouts.items()})
-            tpl = templates[key] = _Template(raw, opt, base, counts, passes)
+            tpl = templates[key] = _Template(
+                len(templates), prog.name, ew, raw, opt, base, counts, passes)
+            delta = dict.fromkeys(base, 0)
         else:
             # same key => same lattice, 16 B apart: only bounds can differ
             delta = {buf: (off - tpl.base[buf]) // isz
@@ -371,38 +395,43 @@ def _lower(plan: ExecutionPlan) -> CompiledPlan:
                    for buf, (lo, hi) in tpl.extents.items()):
                 # raises this call's exact per-instruction error
                 _lower_call(prog, roots, ci, layout, lanes, ew)
-            raw = _relocate(tpl.raw, tpl.sites[0], delta, ew)
-            opt = _relocate(tpl.opt, tpl.sites[1], delta, ew)
         tpl.uses += 1
-        start, fstart = len(commands), len(fused_commands)
-        commands.extend(raw)
-        fused_commands.extend(opt)
-        call_ranges.append((prog.name, start, len(commands)))
-        fused_ranges.append((fstart, len(fused_commands)))
+        calls.append((tpl, delta))
 
     counts = dict.fromkeys(("instructions", "mem_commands", "folded_addi",
                             "dropped"), 0)
     passes = {}
+    raw_len = opt_len = 0
     for tpl in templates.values():
         for k in counts:
             counts[k] += tpl.uses * tpl.counts[k]
         for k, v in tpl.passes.items():
             passes[k] = (max(passes.get(k, 0), v) if k in _PEAK_PASSES
                          else passes.get(k, 0) + tpl.uses * v)
+        raw_len += tpl.uses * len(tpl.raw)
+        opt_len += tpl.uses * len(tpl.opt)
+    waves = _build_waves(calls, layouts)
     return CompiledPlan(
         kind=plan.kind, groups=plan.groups, lanes=lanes, ew=ew,
-        buffers=layouts, commands=commands, fused_commands=fused_commands,
-        call_ranges=call_ranges, fused_ranges=fused_ranges,
+        buffers=layouts,
+        commands=_Relocated(calls, ew, _RAW, raw_len),
+        fused_commands=_Relocated(calls, ew, _OPT, opt_len),
+        call_ranges=_Relocated(calls, ew, _RAW_RANGES, len(calls)),
+        fused_ranges=_Relocated(calls, ew, _OPT_RANGES, len(calls)),
         stats={"calls": len(plan.calls),
                "instructions": counts["instructions"],
                "mem_commands": counts["mem_commands"],
-               "fp_commands": len(commands) - counts["mem_commands"],
+               "fp_commands": raw_len - counts["mem_commands"],
                "folded_addi": counts["folded_addi"],
                "dropped": counts["dropped"],
-               "passes": passes, "templates": len(templates)})
+               "passes": passes, "templates": len(templates),
+               "waves": len(waves)},
+        templates=list(templates.values()), waves=waves)
 
 
 _PEAK_PASSES = ("fuse_max_chain", "max_stack")
+
+_STORE_KINDS = frozenset((K_STORE, K_STOREPAIR, K_STORE2))
 
 
 @dataclass
@@ -410,6 +439,9 @@ class _Template:
     """One call lowered at its own offsets, relocatable to every later
     call of the plan with the same key."""
 
+    index: int                    # position in CompiledPlan.templates
+    name: str                     # kernel (program) name
+    ew: int                       # element width in bytes
     raw: "list[tuple]"            # the validated raw stream
     opt: "list[tuple]"            # its pass-optimized stream
     base: "dict[str, int]"        # buffer -> lowest root byte offset
@@ -418,19 +450,151 @@ class _Template:
     uses: int = 0                 # calls of the plan it lowered
 
     @cached_property
+    def footprint(self) -> "dict[str, tuple[list, list]]":
+        """Buffer -> ``(reads, writes)``: sorted, merged ``[start, end)``
+        element intervals within one group stride, over the raw stream."""
+        acc: "dict[str, tuple[list, list]]" = {}
+        for cmd in self.raw:
+            k = cmd[0]
+            if k in _MEM_KINDS:
+                buf, first, n, _ = CompiledCommand(k, cmd).access()
+                acc.setdefault(buf, ([], []))[k in _STORE_KINDS].append(
+                    (first, first + n))
+        return {buf: (_merge(r), _merge(w)) for buf, (r, w) in acc.items()}
+
+    @cached_property
     def extents(self) -> "dict[str, tuple[int, int]]":
         """Buffer -> ``[min_first, max_end)`` over every access."""
-        ext: "dict[str, tuple[int, int]]" = {}
-        for cmd in self.raw:
-            if cmd[0] in _MEM_KINDS:
-                buf, first, n, _ = CompiledCommand(cmd[0], cmd).access()
-                lo, hi = ext.get(buf, (first, first + n))
-                ext[buf] = (min(lo, first), max(hi, first + n))
-        return ext
+        return {buf: (min(iv[0][0] for iv in rw if iv),
+                      max(iv[-1][1] for iv in rw if iv))
+                for buf, rw in self.footprint.items()}
 
     @cached_property
     def sites(self) -> "tuple[dict, dict]":
         return _mem_sites(self.raw), _mem_sites(self.opt)
+
+    @cached_property
+    def wave_form(self) -> "tuple[list[tuple], dict, dict, frozenset]":
+        """What a wave replays: the optimized stream with every memory
+        operand re-based to its buffer's window, the windows ``buffer ->
+        (start, width)`` (start rounded down to 16 B, so the rebase keeps
+        ``cfirst`` whole and a window never starts before the group),
+        each written buffer's element offsets within its window, and the
+        buffers the 16-byte-unit wide copies address."""
+        unit = 16 // self.ew
+        window = {buf: (lo - lo % unit, hi - lo + lo % unit)
+                  for buf, (lo, hi) in self.extents.items()}
+        stream = _relocate(self.opt, self.sites[1],
+                           {buf: -lo for buf, (lo, _) in window.items()},
+                           self.ew)
+        writes = {buf: np.concatenate([np.arange(s, e) - window[buf][0]
+                                       for s, e in w])
+                  for buf, (_, w) in self.footprint.items() if w}
+        wide = frozenset(buf for buf, sites in self.sites[1].items()
+                         if any(w for _, _, w in sites))
+        return stream, window, writes, wide
+
+
+def _merge(ivs: "list[tuple[int, int]]") -> "list[tuple[int, int]]":
+    """Sorted, coalesced union of ``[start, end)`` intervals."""
+    out: "list[list[int]]" = []
+    for s, e in sorted(ivs):
+        if out and s <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], e)
+        else:
+            out.append([s, e])
+    return [(s, e) for s, e in out]
+
+
+def _subtract(ivs: "list[tuple[int, int]]",
+              cut: "list[tuple[int, int]]") -> "list[tuple[int, int]]":
+    """``ivs`` minus ``cut`` (both sorted and merged)."""
+    out = []
+    for s, e in ivs:
+        for cs, ce in cut:
+            if ce <= s or cs >= e:
+                continue
+            if cs > s:
+                out.append((s, cs))
+            s = max(s, ce)
+            if s >= e:
+                break
+        if s < e:
+            out.append((s, e))
+    return out
+
+
+@dataclass(frozen=True)
+class Wave:
+    """Calls of one template with pairwise-disjoint footprints, replayed
+    as one pass over a ``(calls, groups, lanes)`` register bank."""
+
+    level: int                    # conflict depth; levels replay in order
+    template: int                 # index into CompiledPlan.templates
+    calls: "tuple[int, ...]"      # plan call indices, in call order
+    buffers: "tuple[str, ...]"    # the template's root buffers
+    deltas: "tuple[tuple[int, ...], ...]"  # per call, per buffer: elements
+    ap: bool                      # deltas form an arithmetic progression
+
+
+def _build_waves(calls: "list[tuple[_Template, dict[str, int]]]",
+                 layouts: "dict[str, BufferLayout]") -> "list[Wave]":
+    """Group a plan's calls into waves, in replay order.
+
+    A call's *level* is 1 + the highest level of any earlier call it
+    conflicts with: a write against any earlier access, or a read
+    against any earlier write, of one element of one buffer (buffers no
+    call writes never conflict).  Per written buffer two level maps —
+    highest level of any access and of any write, per element — are read
+    and updated with interval slices.  A wave is every call of one
+    (level, template), in call order; waves replay level by level.  A
+    level is an antichain of the conflict order, so the reordering is
+    exact: every element sees its accesses in plan order.
+    """
+    def wave(level: int, tpl: _Template, members: "list[int]") -> Wave:
+        bufs = tuple(tpl.base)
+        deltas = tuple(tuple(calls[ci][1][b] for b in bufs) for ci in members)
+        steps = {tuple(y - x for x, y in zip(d0, d1))
+                 for d0, d1 in zip(deltas, deltas[1:])}
+        return Wave(level, tpl.index, tuple(members), bufs, deltas,
+                    len(steps) <= 1)
+
+    if len(calls) == 1:
+        return [wave(1, calls[0][0], [0])]
+    written = {buf for tpl, _ in calls
+               for buf, (_, w) in tpl.footprint.items() if w}
+    seen = {buf: [0] * layouts[buf].stride_elems for buf in written}
+    wrote = {buf: [0] * layouts[buf].stride_elems for buf in written}
+    spans: "dict[int, list[tuple]]" = {}
+    buckets: "dict[tuple[int, int], list[int]]" = {}
+    for ci, (tpl, delta) in enumerate(calls):
+        tracked = spans.get(tpl.index)
+        if tracked is None:
+            tracked = spans[tpl.index] = [
+                (buf, w, _subtract(r, w))
+                for buf, (r, w) in tpl.footprint.items() if buf in written]
+        level = 0
+        for buf, writes, reads in tracked:
+            d = delta[buf]
+            lv = seen[buf]
+            for s, e in writes:         # WAW, WAR
+                level = max(level, max(lv[s + d:e + d]))
+            lv = wrote[buf]
+            for s, e in reads:          # RAW
+                level = max(level, max(lv[s + d:e + d]))
+        level += 1
+        for buf, writes, reads in tracked:
+            d = delta[buf]
+            lv = seen[buf]
+            for s, e in writes:
+                lv[s + d:e + d] = wrote[buf][s + d:e + d] = [level] * (e - s)
+            for s, e in reads:
+                lv[s + d:e + d] = [x if x > level else level
+                                   for x in lv[s + d:e + d]]
+        buckets.setdefault((level, tpl.index), []).append(ci)
+    order = sorted(buckets.items(), key=lambda kv: (kv[0][0], kv[1][0]))
+    return [wave(level, calls[members[0]][0], members)
+            for (level, _), members in order]
 
 
 # tuple index of the buffer name in each memory command (first follows)
@@ -448,6 +612,63 @@ def _mem_sites(stream: "list[tuple]") -> "dict[str, list[tuple]]":
             sites.setdefault(cmd[b], []).append(
                 (i, b, cmd[0] in (K_LOADW, K_STOREW) and cmd[6] >= 0))
     return sites
+
+
+_RAW, _OPT, _RAW_RANGES, _OPT_RANGES = range(4)
+
+
+class _Relocated(Sequence):
+    """One per-call view of a plan — its raw or optimized stream, or the
+    per-call ranges over either — built from the templates on first
+    element access and kept for the plan's life.  ``len`` never builds."""
+
+    def __init__(self, calls: "list[tuple[_Template, dict[str, int]]]",
+                 ew: int, which: int, length: int) -> None:
+        self._calls, self._ew, self._which = calls, ew, which
+        self._len = length
+        self._items: "list | None" = None
+
+    def _list(self) -> list:
+        items = self._items
+        if items is None:
+            items = []
+            which, pos = self._which, 0
+            for tpl, delta in self._calls:
+                stream = tpl.raw if which in (_RAW, _RAW_RANGES) else tpl.opt
+                if which == _RAW_RANGES:
+                    items.append((tpl.name, pos, pos + len(stream)))
+                elif which == _OPT_RANGES:
+                    items.append((pos, pos + len(stream)))
+                elif any(delta.values()):
+                    items.extend(_relocate(stream, tpl.sites[which], delta,
+                                           self._ew))
+                else:
+                    items.extend(stream)
+                pos += len(stream)
+            self._items = items
+        return items
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __reversed__(self):
+        return reversed(self._list())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_Relocated, list, tuple)):
+            return self._list() == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._list())
 
 
 def _relocate(stream: "list[tuple]", sites: "dict[str, list[tuple]]",

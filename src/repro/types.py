@@ -191,6 +191,21 @@ def _check_dim(name: str, value: int, minimum: int = 1) -> int:
     return int(value)
 
 
+def _check_scalar(name: str, value: complex, dtype: BlasDType) -> complex:
+    """alpha/beta as the problem's scalar type: real (``float``) for s/d,
+    ``complex`` for c/z, and finite either way — a NaN or Inf scalar
+    would otherwise surface only as a kernel-validation error."""
+    if not dtype.is_complex:
+        if isinstance(value, complex) and value.imag != 0.0:
+            raise InvalidProblemError(f"{name} must be real for dtype {dtype.value}")
+        value = float(np.real(value))
+    else:
+        value = complex(value)
+    if not np.isfinite(value):
+        raise InvalidProblemError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GemmProblem:
     """Descriptor of a compact batched GEMM: ``C = alpha * op(A) op(B) + beta * C``.
@@ -217,15 +232,9 @@ class GemmProblem:
         object.__setattr__(self, "dtype", BlasDType.from_any(self.dtype))
         object.__setattr__(self, "transa", Trans.from_any(self.transa))
         object.__setattr__(self, "transb", Trans.from_any(self.transb))
-        if not self.dtype.is_complex:
-            for name in ("alpha", "beta"):
-                v = getattr(self, name)
-                if isinstance(v, complex) and v.imag != 0.0:
-                    raise InvalidProblemError(f"{name} must be real for dtype {self.dtype.value}")
-                object.__setattr__(self, name, float(np.real(v)))
-        else:
-            object.__setattr__(self, "alpha", complex(self.alpha))
-            object.__setattr__(self, "beta", complex(self.beta))
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, _check_scalar(
+                name, getattr(self, name), self.dtype))
 
     @property
     def mode(self) -> str:
@@ -283,12 +292,8 @@ class TrsmProblem:
         object.__setattr__(self, "uplo", UpLo.from_any(self.uplo))
         object.__setattr__(self, "transa", Trans.from_any(self.transa))
         object.__setattr__(self, "diag", Diag.from_any(self.diag))
-        if not self.dtype.is_complex:
-            if isinstance(self.alpha, complex) and self.alpha.imag != 0.0:
-                raise InvalidProblemError(f"alpha must be real for dtype {self.dtype.value}")
-            object.__setattr__(self, "alpha", float(np.real(self.alpha)))
-        else:
-            object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "alpha", _check_scalar(
+            "alpha", self.alpha, self.dtype))
 
     @property
     def mode(self) -> str:
@@ -375,13 +380,8 @@ class TrmmProblem:
         object.__setattr__(self, "uplo", UpLo.from_any(self.uplo))
         object.__setattr__(self, "transa", Trans.from_any(self.transa))
         object.__setattr__(self, "diag", Diag.from_any(self.diag))
-        if not self.dtype.is_complex:
-            if isinstance(self.alpha, complex) and self.alpha.imag != 0.0:
-                raise InvalidProblemError(
-                    f"alpha must be real for dtype {self.dtype.value}")
-            object.__setattr__(self, "alpha", float(np.real(self.alpha)))
-        else:
-            object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "alpha", _check_scalar(
+            "alpha", self.alpha, self.dtype))
 
     @property
     def mode(self) -> str:

@@ -9,6 +9,7 @@ from repro.codegen.registry import KernelRegistry
 from repro.errors import ProfileError
 from repro.machine.machines import KUNPENG_920
 from repro.obs.profile import apportion
+from repro.runtime.lowering import lower_plan
 from repro.runtime.plan import build_gemm_plan, build_trsm_plan
 from repro.types import GemmProblem, TrsmProblem
 
@@ -82,6 +83,34 @@ class TestConservation:
         assert sum(k.cycles for k in prof.kernels.values()) == budget
         for k in prof.kernels.values():
             assert sum(k.classes.values()) == k.cycles
+
+    @pytest.mark.parametrize("stream", ["raw", "fused", "megakernel"])
+    @pytest.mark.parametrize("problem", [
+        GemmProblem(20, 13, 7, "d", batch=16),
+        TrsmProblem(17, 33, "z", batch=5)], ids=["gemm", "trsm"])
+    def test_multi_wave_plan_conserves(self, registry, problem, stream):
+        """A wave replays N calls of one kernel at once; attribution
+        walks the per-call streams, so it is conserved the same way."""
+        build = (build_gemm_plan if isinstance(problem, GemmProblem)
+                 else build_trsm_plan)
+        plan = build(problem, KUNPENG_920, registry)
+        compiled = lower_plan(plan)
+        assert 1 < len(compiled.waves) < compiled.stats["calls"]
+        assert any(len(w.calls) > 1 for w in compiled.waves)
+        prof = obs.profile_plan(plan, stream=stream, compiled=compiled)
+        budget = prof.kernel_cycle_budget
+        assert sum(c.cycles for c in prof.classes.values()) == budget
+        if stream != "fused":
+            assert sum(k.cycles for k in prof.kernels.values()) == budget
+            calls = {}
+            for name, _, _ in compiled.call_ranges:
+                calls[name] = calls.get(name, 0) + 1
+            waved = {}
+            for w in compiled.waves:
+                name = compiled.templates[w.template].name
+                waved[name] = waved.get(name, 0) + len(w.calls)
+            assert waved == calls
+            assert set(prof.kernels) == set(calls)
 
     def test_fused_stream_has_no_kernel_split(self, registry):
         p = GemmProblem(8, 8, 8, "s", batch=256)

@@ -143,6 +143,43 @@ class TestTrsmExecution:
         assert np.allclose(outs[0], outs[1], atol=1e-12)
 
 
+class TestAlphaZero:
+    """Netlib BLAS: alpha == 0 references neither A nor B (GEMM), nor A
+    (TRSM), so NaN operands and a singular A leave no trace."""
+
+    @pytest.mark.parametrize("backend", ["interpret", "fused"])
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    @pytest.mark.parametrize("beta", [2.0, 0.0])
+    def test_gemm_scales_c_only(self, rng, backend, dtype, beta):
+        p = GemmProblem(9, 6, 5, dtype, batch=7, alpha=0.0, beta=beta)
+        a = np.full((7, 9, 5), np.nan, dtype=NP_DTYPES[dtype])
+        b = np.full((7, 5, 6), np.inf, dtype=NP_DTYPES[dtype])
+        c = random_batch(rng, 7, 9, 6, dtype)
+        if beta == 0.0:
+            c[0, 0, 0] = np.nan          # C is not referenced either
+        got = IATF(KUNPENG_920, backend=backend).gemm(a, b, c, alpha=0.0,
+                                                      beta=beta)
+        want = gemm_reference(p, a, b, c)
+        assert not np.isnan(got).any()
+        assert np.array_equal(got, want)
+        assert np.array_equal(want, beta * c if beta else np.zeros_like(c))
+
+    @pytest.mark.parametrize("backend", ["interpret", "fused"])
+    @pytest.mark.parametrize("dtype", ALL_DTYPES)
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_trsm_zeroes_b(self, rng, backend, dtype, side):
+        p = TrsmProblem(6, 4, dtype, side, batch=5, alpha=0.0)
+        d = p.a_dim
+        a = random_batch(rng, 5, d, d, dtype)
+        a[:, np.arange(d), np.arange(d)] = 0     # singular: zero diagonal
+        b = random_batch(rng, 5, 6, 4, dtype)
+        b[1, 2, 3] = np.nan
+        got = IATF(KUNPENG_920, backend=backend).trsm(a, b, alpha=0.0,
+                                                      side=side)
+        assert np.array_equal(got, np.zeros_like(b))
+        assert np.array_equal(trsm_reference(p, a, b), got)
+
+
 class TestTiming:
     def test_gemm_timing_below_peak_and_positive(self, iatf):
         for n in (2, 8, 24):

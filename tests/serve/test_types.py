@@ -60,6 +60,20 @@ class TestGemmRequests:
         with pytest.raises(InvalidProblemError, match="alpha"):
             Request.gemm(a, b, alpha=1 + 2j)
 
+    @pytest.mark.parametrize("scalars", [{"alpha": float("nan")},
+                                         {"beta": float("inf")}])
+    def test_non_finite_scalar_rejected(self, scalars):
+        a, b, c = mats((4, 4), (4, 4), (4, 4))
+        name = next(iter(scalars))
+        with pytest.raises(InvalidProblemError, match=f"{name} must be finite"):
+            Request.gemm(a, b, c, **scalars)
+
+    def test_non_finite_trsm_alpha_rejected(self):
+        a, b = mats((4, 4), (4, 3))
+        with pytest.raises(InvalidProblemError, match="alpha must be finite"):
+            Request.trsm(a + 4 * np.eye(4, dtype=np.float32), b,
+                         alpha=float("nan"))
+
     def test_operands_cast_to_problem_dtype(self):
         a, b = mats((4, 4), (4, 4), dtype=np.float64)
         req = Request.gemm(a, b, dtype="s")

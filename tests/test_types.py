@@ -117,6 +117,16 @@ class TestGemmProblem:
         p = GemmProblem(1, 1, 1, "z", alpha=1 + 1j)
         assert p.alpha == 1 + 1j
 
+    @pytest.mark.parametrize("dtype", ["d", "z"])
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf"), complex(1, float("nan"))])
+    def test_rejects_non_finite_scalars(self, dtype, name, bad):
+        if dtype == "d" and isinstance(bad, complex):
+            bad = complex(float("nan"), 0.0)
+        with pytest.raises(InvalidProblemError, match=f"{name} must be finite"):
+            GemmProblem(2, 2, 2, dtype, **{name: bad})
+
     def test_flops(self):
         assert GemmProblem(2, 3, 4, "d", batch=10).flops == 2 * 2 * 3 * 4 * 10
         assert GemmProblem(2, 3, 4, "z", batch=10).flops == 8 * 2 * 3 * 4 * 10
@@ -150,6 +160,13 @@ class TestTrsmProblem:
     def test_rejects_complex_alpha_for_real(self):
         with pytest.raises(InvalidProblemError):
             TrsmProblem(2, 2, "s", alpha=1j)
+
+    @pytest.mark.parametrize("dtype", ["s", "c"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     np.float32("-inf")])
+    def test_rejects_non_finite_alpha(self, dtype, bad):
+        with pytest.raises(InvalidProblemError, match="alpha must be finite"):
+            TrsmProblem(2, 2, dtype, alpha=bad)
 
 
 def test_gemm_flops_helper():
