@@ -52,10 +52,10 @@ lowest root in its buffer, and that lowest offset mod 16 B.  Later calls
 with the key re-check its extents against the group stride and keep
 only their per-buffer element delta.  Registers never live across a
 call, so the per-call optimized streams concatenate to the
-whole-stream result.  The plan stores the templates; ``commands``,
-``fused_commands``, ``call_ranges`` and ``fused_ranges`` are views that
-relocate them on first element access (memory commands move by the
-buffer's delta; the rest are shared), and ``len`` never relocates.
+whole-stream result.  The plan stores the templates; ``commands`` and
+``fused_commands`` are views that relocate them on first element access
+(memory commands move by the buffer's delta; the rest are shared), and
+``len`` never relocates.
 
 **Waves.**  Each template's read and write footprint is a per-buffer
 list of element intervals within one group stride; a call's footprint
@@ -235,7 +235,8 @@ class CompiledPlan:
     templates: "list[_Template]" = field(default_factory=list,
                                          compare=False, repr=False)
     """Each distinct call binding lowered once: raw and optimized
-    streams plus footprints; the four views above relocate these."""
+    streams plus footprints; ``commands``/``fused_commands`` relocate
+    these."""
     waves: "list[Wave]" = field(default_factory=list, compare=False,
                                 repr=False)
     """The calls grouped into waves, in replay order (see
@@ -363,6 +364,9 @@ def _lower(plan: ExecutionPlan) -> CompiledPlan:
 
     templates: "dict[tuple, _Template]" = {}
     calls: "list[tuple[_Template, dict[str, int]]]" = []
+    call_ranges: "list[tuple[str, int, int]]" = []
+    fused_ranges: "list[tuple[int, int]]" = []
+    raw_len = opt_len = 0
 
     for ci, call in enumerate(plan.calls):
         prog = call.program
@@ -397,27 +401,27 @@ def _lower(plan: ExecutionPlan) -> CompiledPlan:
                 _lower_call(prog, roots, ci, layout, lanes, ew)
         tpl.uses += 1
         calls.append((tpl, delta))
+        call_ranges.append((prog.name, raw_len, raw_len + len(tpl.raw)))
+        fused_ranges.append((opt_len, opt_len + len(tpl.opt)))
+        raw_len += len(tpl.raw)
+        opt_len += len(tpl.opt)
 
     counts = dict.fromkeys(("instructions", "mem_commands", "folded_addi",
                             "dropped"), 0)
     passes = {}
-    raw_len = opt_len = 0
     for tpl in templates.values():
         for k in counts:
             counts[k] += tpl.uses * tpl.counts[k]
         for k, v in tpl.passes.items():
             passes[k] = (max(passes.get(k, 0), v) if k in _PEAK_PASSES
                          else passes.get(k, 0) + tpl.uses * v)
-        raw_len += tpl.uses * len(tpl.raw)
-        opt_len += tpl.uses * len(tpl.opt)
     waves = _build_waves(calls, layouts)
     return CompiledPlan(
         kind=plan.kind, groups=plan.groups, lanes=lanes, ew=ew,
         buffers=layouts,
-        commands=_Relocated(calls, ew, _RAW, raw_len),
-        fused_commands=_Relocated(calls, ew, _OPT, opt_len),
-        call_ranges=_Relocated(calls, ew, _RAW_RANGES, len(calls)),
-        fused_ranges=_Relocated(calls, ew, _OPT_RANGES, len(calls)),
+        commands=_Relocated(calls, ew, False, raw_len),
+        fused_commands=_Relocated(calls, ew, True, opt_len),
+        call_ranges=call_ranges, fused_ranges=fused_ranges,
         stats={"calls": len(plan.calls),
                "instructions": counts["instructions"],
                "mem_commands": counts["mem_commands"],
@@ -614,17 +618,14 @@ def _mem_sites(stream: "list[tuple]") -> "dict[str, list[tuple]]":
     return sites
 
 
-_RAW, _OPT, _RAW_RANGES, _OPT_RANGES = range(4)
-
-
 class _Relocated(Sequence):
-    """One per-call view of a plan — its raw or optimized stream, or the
-    per-call ranges over either — built from the templates on first
-    element access and kept for the plan's life.  ``len`` never builds."""
+    """A plan's whole raw (or optimized) stream, relocated call by call
+    from the templates on first element access and kept for the plan's
+    life.  ``len`` never relocates."""
 
     def __init__(self, calls: "list[tuple[_Template, dict[str, int]]]",
-                 ew: int, which: int, length: int) -> None:
-        self._calls, self._ew, self._which = calls, ew, which
+                 ew: int, optimized: bool, length: int) -> None:
+        self._calls, self._ew, self._optimized = calls, ew, optimized
         self._len = length
         self._items: "list | None" = None
 
@@ -632,19 +633,13 @@ class _Relocated(Sequence):
         items = self._items
         if items is None:
             items = []
-            which, pos = self._which, 0
+            which = int(self._optimized)
             for tpl, delta in self._calls:
-                stream = tpl.raw if which in (_RAW, _RAW_RANGES) else tpl.opt
-                if which == _RAW_RANGES:
-                    items.append((tpl.name, pos, pos + len(stream)))
-                elif which == _OPT_RANGES:
-                    items.append((pos, pos + len(stream)))
-                elif any(delta.values()):
-                    items.extend(_relocate(stream, tpl.sites[which], delta,
-                                           self._ew))
-                else:
-                    items.extend(stream)
-                pos += len(stream)
+                stream = tpl.opt if which else tpl.raw
+                if any(delta.values()):
+                    stream = _relocate(stream, tpl.sites[which], delta,
+                                       self._ew)
+                items.extend(stream)
             self._items = items
         return items
 

@@ -35,6 +35,7 @@ from repro.types import BlasDType, GemmProblem, TrsmProblem
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 FW = IATF(KUNPENG_920)
+FW_INTERPRET = IATF(KUNPENG_920, backend="interpret")
 SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0])
 
 
@@ -112,13 +113,13 @@ def _check_parity(problem, monkeypatch, seed=0, special=False,
                   interpret=True):
     """Waves, plan order and (optionally) interpret give equal bytes."""
     ops = _operands(problem, seed, special)
-    waves = _call(IATF(KUNPENG_920), problem, ops)
+    waves = _call(FW, problem, ops)
     with monkeypatch.context() as mp:
         mp.setattr(FusedBackend, "WAVE_GROUPS", 0)
-        order = _call(IATF(KUNPENG_920), problem, ops)
+        order = _call(FW, problem, ops)
     assert _same(waves, order, special), problem
     if interpret:
-        ref = _call(IATF(KUNPENG_920, backend="interpret"), problem, ops)
+        ref = _call(FW_INTERPRET, problem, ops)
         assert _same(waves, ref, special), problem
 
 
@@ -263,9 +264,8 @@ ALIASED = [GemmProblem(m, s, s, dt, batch=batch)
            for batch in (5, 64)]
 
 
-def _aliased_run(problem, backend):
+def _aliased_run(problem, fw):
     a, b, c = _operands(problem, 11)
-    fw = IATF(KUNPENG_920, backend=backend)
     cc = _compact(fw, c)
     fw.gemm_compact(problem, cc, _compact(fw, b), cc)
     return cc.buffer
@@ -275,8 +275,8 @@ def _aliased_run(problem, backend):
 def test_aliased_a_and_c_match_interpret(problem):
     """A is C and A is not packed, so the plan reads what it writes
     through another buffer: only plan order is exact."""
-    assert np.array_equal(_bytes(_aliased_run(problem, "fused")),
-                          _bytes(_aliased_run(problem, "interpret")))
+    assert np.array_equal(_bytes(_aliased_run(problem, FW)),
+                          _bytes(_aliased_run(problem, FW_INTERPRET)))
 
 
 def test_aliased_cases_need_the_guard(monkeypatch):
@@ -285,8 +285,8 @@ def test_aliased_cases_need_the_guard(monkeypatch):
     monkeypatch.setattr(backends, "_aliased", lambda mats: False)
     problem = GemmProblem(2, 12, 12, "s", batch=5)
     assert problem in ALIASED
-    assert not np.array_equal(_bytes(_aliased_run(problem, "fused")),
-                              _bytes(_aliased_run(problem, "interpret")))
+    assert not np.array_equal(_bytes(_aliased_run(problem, FW)),
+                              _bytes(_aliased_run(problem, FW_INTERPRET)))
 
 
 # -- (e) chunking and the group gate ------------------------------------------
