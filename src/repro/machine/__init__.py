@@ -13,6 +13,9 @@ that exercises the same code path:
 * :mod:`repro.machine.cache` / :mod:`pipeline` — a set-associative cache
   hierarchy and an in-order dual-issue scoreboard that together produce
   deterministic cycle counts (the figure-of-merit for every experiment).
+* :mod:`repro.machine.facts` — the per-machine opcode-facts table (issue
+  class, memory kind, latency, FP cap) the scheduler, the kernel
+  validator and the scoreboard all read.
 * :mod:`repro.machine.machines` — concrete configurations reproducing the
   paper's Table 2 (Kunpeng 920 and Intel Xeon Gold 6240).
 """

@@ -285,9 +285,12 @@ class Engine:
         the full scoreboard (:meth:`PipelineModel.simulate`).  The
         pipeline model is built per call, so each distinct kernel
         program is decoded once per plan and the decode is dropped with
-        the model.  Each kernel call also pays a small host-side setup
-        cost (pointer materialization and loop control around the
-        branch-free kernels).
+        the model; the per-opcode part of the decode (issue class,
+        latency, FP cap) comes from the machine's shared
+        :func:`~repro.machine.facts.opcode_facts` table, the one the
+        scheduler and validator read.  Each kernel call also pays a
+        small host-side setup cost (pointer materialization and loop
+        control around the branch-free kernels).
         """
         machine = plan.machine
         with obs.span("engine.time_plan", kind=plan.kind):

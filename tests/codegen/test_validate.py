@@ -54,6 +54,17 @@ class TestDefects:
                        ew=8, lanes=2)
         assert validate_kernel(prog, KUNPENG_920) == []
 
+    def test_addi_from_unknown_pointer_is_one_issue(self):
+        prog = Program("bad", [vzero(0), addi(21, 20, 64)], ew=8, lanes=2)
+        assert validate_kernel(prog, KUNPENG_920) == [
+            "@1 (add   x21, x20, #64): ADDI reads unknown x20"]
+
+    def test_access_through_undefined_pointer_is_one_issue(self):
+        prog = Program("bad", [vzero(1), ldrv(0, 20, 16)], ew=8, lanes=2)
+        assert validate_kernel(prog, KUNPENG_920) == [
+            "@1 (ldrv  v0.2d, [x20, #16]): memory access through unknown "
+            "pointer x20"]
+
     def test_nonfinite_immediate(self):
         prog = Program("bad", [vzero(0), fmai(0, 0, float("nan"), ew=8)],
                        ew=8, lanes=2)
