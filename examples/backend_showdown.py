@@ -1,5 +1,4 @@
-"""Walking the executor-backend ladder: interpret -> fused -> megakernel
--> parallel.
+"""Walking the executor-backend ladder: interpret -> fused -> megakernel.
 
 Every backend executes the *same* plan and must produce the *same
 bytes* — what changes is how much work survives to run time.  The
@@ -10,11 +9,9 @@ FMLA-chain fusion into macro-ops, load/store coalescing into wide
 copies), and replays it in L2-resident group blocks; the
 megakernel backend goes one further and trace-compiles the whole fused
 stream into generated straight-line NumPy source — compiled once,
-cached on the lowering, zero per-instruction dispatch in steady state;
-the parallel wrapper shards the group axis across threads (or
-shared-memory processes) around any of them.
+cached on the lowering, zero per-instruction dispatch in steady state.
 
-This example times all four on the paper's headline shape (sgemm
+This example times all three on the paper's headline shape (sgemm
 8x8x8, batch 16384), verifies bit-identical results, and prints the
 explain report's execution-backend section — where the pass pipeline's
 per-pass statistics are narrated.
@@ -30,12 +27,7 @@ from repro import IATF, KUNPENG_920
 from repro.layout import CompactBatch
 from repro.types import GemmProblem
 
-BACKENDS = (
-    ("interpret", {}),
-    ("fused", {}),
-    ("megakernel", {}),
-    ("parallel", {"inner": "megakernel", "workers": 4}),
-)
+BACKENDS = ("interpret", "fused", "megakernel")
 
 
 def main() -> None:
@@ -53,8 +45,8 @@ def main() -> None:
 
     results = {}
     reference = None
-    for name, kw in BACKENDS:
-        fw = IATF(KUNPENG_920, backend=name, **kw)
+    for name in BACKENDS:
+        fw = IATF(KUNPENG_920, backend=name)
         ca = CompactBatch.from_matrices(a, lanes)
         cb = CompactBatch.from_matrices(b, lanes)
         cc = CompactBatch.from_matrices(c, lanes)
@@ -72,9 +64,7 @@ def main() -> None:
         else:
             verdict = ("bit-identical" if digest == reference
                        else "DIVERGED (bug!)")
-        label = name if not kw else \
-            f"{name}({kw['inner']}, workers={kw['workers']})"
-        print(f"  {label:>28}: {best * 1e3:8.2f} ms  "
+        print(f"  {name:>10}: {best * 1e3:8.2f} ms  "
               f"{results['interpret'] / best:5.2f}x vs interpret  "
               f"[{verdict}]")
 

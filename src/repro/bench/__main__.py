@@ -43,8 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--full", action="store_true",
                         help="use the paper's full 1..33 size grid")
     parser.add_argument("--backend", choices=["interpret", "fused",
-                                              "megakernel", "parallel",
-                                              "both"],
+                                              "megakernel", "both"],
                         default="both",
                         help="executor backend(s): the 'backend'/"
                         "'backends' experiments compare them head to "
@@ -89,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.experiment == "fig5":
             print(experiments.fig5_scheduling()["render"])
         elif args.experiment in ("backend", "backends"):
-            backends = (("interpret", "fused", "megakernel", "parallel")
+            backends = (("interpret", "fused", "megakernel")
                         if args.backend == "both" else (args.backend,))
             dt = args.dtype or "s"
             result = experiments.backend_showdown(dtype=dt,

@@ -405,7 +405,7 @@ def ablation_tuned(sizes=tuple(range(1, 34)), dtype: str = "d",
 def backend_showdown(size: int = 8, dtype: str = "s",
                      batch: int = 16384, repeats: int = 5,
                      backends: "tuple[str, ...]" = ("interpret", "fused",
-                                                    "megakernel", "parallel"),
+                                                    "megakernel"),
                      machine=KUNPENG_920) -> dict:
     """Wall-clock plan-execute loop per executor backend.
 

@@ -36,9 +36,9 @@ Five layers:
 
 Spans carry a **trace context** (``trace_id`` / ``span_id`` /
 ``parent_id``) propagated through :mod:`contextvars`; cross-thread
-handoff is explicit via :func:`carrier` / :func:`attach` — the
-``parallel`` executor backend uses it so one ``run_plan`` records one
-coherent span tree across worker threads.
+handoff is explicit via :func:`carrier` / :func:`attach` — the serve
+scheduler uses it so a flush on the pump thread joins the trace of the
+request that opened its bucket.
 
 Quick start::
 
@@ -65,7 +65,6 @@ from .explain import ExplainReport, explain
 from .export import (DeltaExporter, Exporter, JsonExporter,
                      PrometheusExporter, snapshot_delta)
 from .flight import FlightRecorder, get_flight, install_flight
-from .procagg import child_begin, child_capture, merge_child
 from .profile import (ClassProfile, KernelProfile, PlanProfile,
                       ProfileReport, model_drift, profile_plan,
                       profile_report)
@@ -85,7 +84,6 @@ __all__ = [
     "Exporter", "PrometheusExporter", "JsonExporter", "DeltaExporter",
     "snapshot_delta",
     "Budget", "BudgetLedger", "BUDGET_STAGES",
-    "child_begin", "child_capture", "merge_child",
     "SLOSpec", "SLOMonitor", "default_specs",
     "FlightRecorder", "get_flight", "install_flight",
     "ExplainReport", "explain",

@@ -118,30 +118,6 @@ class Histogram:
             if idx < len(self._bucket_counts):
                 self._bucket_counts[idx] += 1
 
-    def merge(self, shipped: dict) -> None:
-        """Fold a shipped histogram capture (the cross-process merge
-        payload built by :func:`repro.obs.procagg.child_capture`:
-        count/total/min/max, raw per-bucket counts, recent sample) into
-        this histogram.  Exact for count/total/min/max and buckets; the
-        percentile sample becomes a blend of both processes' recent
-        observations, which is all the bounded sample ever promised.
-        """
-        n = int(shipped.get("count", 0))
-        if n <= 0:
-            return
-        with self._lock:
-            self.count += n
-            self.total += float(shipped.get("total", 0.0))
-            lo, hi = shipped.get("min"), shipped.get("max")
-            if lo is not None and lo < self.min:
-                self.min = lo
-            if hi is not None and hi > self.max:
-                self.max = hi
-            for i, c in enumerate(shipped.get("bucket_counts", ())):
-                if i < len(self._bucket_counts):
-                    self._bucket_counts[i] += c
-            self._sample.extend(shipped.get("sample", ()))
-
     def buckets(self) -> "list[tuple[float, int]]":
         """Cumulative ``(le, count)`` pairs, le-sorted, excluding the
         implicit +Inf bucket (whose cumulative count is ``count``)."""

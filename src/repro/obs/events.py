@@ -140,22 +140,6 @@ class EventLog:
             flight.note_event(record)
         return record
 
-    def absorb(self, record: dict) -> None:
-        """Append an already-built event record verbatim (the
-        cross-process merge re-homing a forked worker's events) —
-        same ring/drop/sink accounting as :meth:`emit`, no
-        re-stamping."""
-        with self._lock:
-            if len(self._ring) == self._ring.maxlen:
-                self.dropped += 1
-            self._ring.append(record)
-            self.logged += 1
-            if self._sink is not None:
-                self._sink.write(record)
-        flight = self._flight
-        if flight is not None:
-            flight.note_event(record)
-
     def tail(self, n: int = 100, level: "str | None" = None,
              prefix: "str | None" = None) -> "list[dict]":
         """The most recent ``n`` events (oldest first; none when

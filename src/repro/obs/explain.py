@@ -245,13 +245,7 @@ def _backend_section(backend, compiled) -> "list[str]":
              + ("(replays the lowered command stream)"
                 if backend.needs_lowering
                 else "(interprets programs instruction by instruction)")]
-    inner = getattr(backend, "inner", None)
-    if inner is not None:
-        lines.append(f"sharding: group axis over {backend.workers} "
-                     f"{getattr(backend, 'mode', 'thread')} workers, "
-                     f"inner backend {inner.name!r}")
-    names = {backend.name, inner.name if inner is not None else ""}
-    if "megakernel" in names and compiled is not None:
+    if backend.name == "megakernel" and compiled is not None:
         lines.extend(_megakernel_section(compiled))
     if compiled is not None:
         s = compiled.stats

@@ -18,8 +18,8 @@ post-mortem when triggered:
 
 Feeding the rings costs one deque append per span/event, and only for
 telemetry that is already being recorded — :meth:`attach` hooks the
-registry's ``record_span`` and the event log's ``emit``/``absorb``, so
-the disabled path (no spans, no events) stays allocation-free and the
+registry's ``record_span`` and the event log's ``emit``, so the
+disabled path (no spans, no events) stays allocation-free and the
 recorder never makes quiet code loud.  Stats pulses are pushed by the
 service (one compact dict per flush), not pulled, so the recorder
 needs no thread.
@@ -103,7 +103,7 @@ class FlightRecorder:
                ) -> "FlightRecorder":
         """Hook this recorder into ``registry`` (the process-wide one
         by default): every span it records and every event its log
-        emits or absorbs is mirrored into the rings."""
+        emits is mirrored into the rings."""
         reg = registry if registry is not None else core.get_registry()
         reg._flight = self
         reg.events._flight = self

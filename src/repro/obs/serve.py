@@ -169,16 +169,14 @@ def make_server(host: str = "127.0.0.1", port: int = 9109,
 def run_demo(stop: threading.Event, batch: int = 512,
              interval: float = 2.0) -> None:
     """Demo workload loop: the bench ``backends`` showdown (fused vs
-    megakernel vs parallel) on a small batch, round after
-    round, until ``stop`` is set — so every endpoint has live data to
-    serve."""
+    megakernel) on a small batch, round after round, until ``stop`` is
+    set — so every endpoint has live data to serve."""
     from ..bench.experiments import backend_showdown
 
     rounds = 0
     while not stop.is_set():
         result = backend_showdown(batch=batch, repeats=1,
-                                  backends=("fused", "megakernel",
-                                            "parallel"))
+                                  backends=("fused", "megakernel"))
         rounds += 1
         core.gauge("serve.demo.rounds", rounds)
         event("serve.demo.round",

@@ -14,16 +14,15 @@ with an empty context), so cross-thread handoff is **explicit**:
 :func:`attach` adopts it inside the worker::
 
     car = obs.carrier()                 # in the submitting thread
-    pool.submit(lambda: run_shard(car))
+    queue.put((request, car))
 
-    def run_shard(car):
+    def flush(request, car):
         with obs.attach(car):           # in the worker thread
-            with obs.span("backend.parallel.shard"):
+            with obs.span("serve.flush"):
                 ...                     # same trace_id, valid parent_id
 
-The ``parallel`` executor backend does exactly this for its group-axis
-shards, so one ``run_plan`` yields one coherent trace tree across all
-worker threads.
+The serve scheduler does exactly this, so a flush on the pump thread
+joins the trace of the request that opened its bucket.
 
 When instrumentation is disabled (the default), :func:`span` returns a
 shared no-op context manager — one global check, no allocation — so
@@ -65,11 +64,8 @@ class SpanRecord:
     ``trace_id`` groups every span of one logical operation (one
     ``run_plan``, one bench point); ``span_id`` is unique per span and
     ``parent_id`` links to the enclosing span's id (``None`` for a
-    trace root).  ``pid`` is 0 for spans recorded in this process; the
-    cross-process merge (:mod:`repro.obs.procagg`) stamps the worker's
-    OS pid when it re-homes a forked shard's spans, so the Chrome
-    export can keep each process on its own track.  The defaults keep
-    hand-built records (tests, tools) valid.
+    trace root).  The defaults keep hand-built records (tests, tools)
+    valid.
     """
 
     name: str
@@ -81,7 +77,6 @@ class SpanRecord:
     trace_id: str = ""
     span_id: str = ""
     parent_id: "str | None" = None
-    pid: int = 0                  # 0 = recorded in this process
 
 
 class _NullSpan:
@@ -235,32 +230,17 @@ def chrome_trace(registry: "core.Registry | None" = None,
     cycle attribution side by side.
     """
     reg = registry if registry is not None else core.get_registry()
-    own_pid = os.getpid()
-
-    def event_pid(s) -> int:
-        return getattr(s, "pid", 0) or own_pid
-
+    pid = os.getpid()
     spans = sorted(reg.spans, key=lambda s: getattr(s, "trace_id", ""))
     events: list[dict] = [{
-        "name": "process_name", "ph": "M", "pid": own_pid, "tid": 0,
+        "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
         "args": {"name": "repro (IATF reproduction)"},
     }]
-    # merged shard spans keep their own pid, so each forked worker gets
-    # its own named process track (tids are per-pid namespaces: both
-    # parent and child number their threads from 1)
-    for pid in sorted({event_pid(s) for s in spans} - {own_pid}):
-        events.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": f"repro shard worker (pid {pid})"},
-        })
-    for pid, tid in sorted({(event_pid(s), s.tid) for s in spans}):
+    for tid in sorted({s.tid for s in spans}):
         events.append({
             "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
             "args": {"name": f"thread-{tid}"},
         })
-    # parent span_id -> its X event, for cross-pid flow arrows
-    by_id: dict = {}
-    flows: list = []
     for s in spans:
         args = dict(s.args)
         if getattr(s, "trace_id", ""):
@@ -268,35 +248,16 @@ def chrome_trace(registry: "core.Registry | None" = None,
             args["span_id"] = s.span_id
             if s.parent_id is not None:
                 args["parent_id"] = s.parent_id
-        ev = {
+        events.append({
             "name": s.name,
             "cat": s.name.split(".", 1)[0],
             "ph": "X",
             "ts": s.start_us,
             "dur": s.dur_us,
-            "pid": event_pid(s),
+            "pid": pid,
             "tid": s.tid,
             "args": args,
-        }
-        events.append(ev)
-        if getattr(s, "span_id", ""):
-            by_id[s.span_id] = ev
-        if s.args.get("shard_root") and s.parent_id is not None:
-            flows.append((s.parent_id, s.span_id, ev))
-    # one flow ("s" -> "f") per re-homed shard root: an arrow in the
-    # viewer from the parent-process span that forked the worker to the
-    # worker's root span
-    for parent_id, span_id, child_ev in flows:
-        parent_ev = by_id.get(parent_id)
-        if parent_ev is None or parent_ev["pid"] == child_ev["pid"]:
-            continue
-        for ph, ev in (("s", parent_ev), ("f", child_ev)):
-            flow = {"name": "shard", "cat": "flow", "ph": ph,
-                    "id": span_id, "ts": ev["ts"], "pid": ev["pid"],
-                    "tid": ev["tid"]}
-            if ph == "f":
-                flow["bp"] = "e"
-            events.append(flow)
+        })
     if extra_events:
         events.extend(extra_events)
     return {"displayTimeUnit": "ms", "traceEvents": events}
@@ -324,15 +285,6 @@ def validate_chrome_trace(trace: dict) -> None:
     open ``B`` on the same ``(pid, tid)`` track with a matching name
     and a non-negative duration, and no ``B`` may be left open at the
     end of the trace.
-
-    Merged multi-pid traces add three checks: flow events (``"s"`` /
-    ``"f"``) must carry an ``id``, every ``f`` must bind a previously
-    started ``s`` with the same id, and no flow may run backwards in
-    time; and on any pid that carries shard-root spans (the re-homed
-    worker processes — ``args.shard_root``), every other ``X`` event
-    must lie inside one of that shard's root spans, since a child
-    event outside its shard's time bounds means the merge stitched
-    timestamps from incomparable clocks.
     """
     if not isinstance(trace, dict):
         raise ValueError("trace must be a JSON object")
@@ -340,14 +292,11 @@ def validate_chrome_trace(trace: dict) -> None:
     if not isinstance(events, list):
         raise ValueError("trace.traceEvents must be a list")
     open_spans: "dict[tuple, list]" = {}   # (pid, tid) -> [(name, ts, i)]
-    flow_starts: "dict[object, float]" = {}   # flow id -> start ts
-    shard_roots: "dict[int, list]" = {}    # pid -> [(ts, ts+dur)]
-    shard_events: "dict[int, list]" = {}   # pid -> [(ts, dur, i)]
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
             raise ValueError(f"event {i} is not an object")
         ph = ev.get("ph")
-        if ph not in ("X", "M", "B", "E", "C", "i", "s", "f"):
+        if ph not in ("X", "M", "B", "E", "C", "i"):
             raise ValueError(f"event {i} has unknown phase {ph!r}")
         if not isinstance(ev.get("name"), str):
             raise ValueError(f"event {i} has no string name")
@@ -361,30 +310,7 @@ def validate_chrome_trace(trace: dict) -> None:
         for k in ("pid", "tid"):
             if not isinstance(ev.get(k), int):
                 raise ValueError(f"event {i} field {k} must be an int")
-        if ph in ("s", "f"):
-            fid = ev.get("id")
-            if not isinstance(fid, (str, int)):
-                raise ValueError(f"event {i}: flow event without an id")
-            if ph == "s":
-                flow_starts[fid] = ev["ts"]
-            else:
-                start = flow_starts.get(fid)
-                if start is None:
-                    raise ValueError(f"event {i}: flow finish {fid!r} "
-                                     f"has no matching start")
-                if ev["ts"] < start:
-                    raise ValueError(
-                        f"event {i}: flow {fid!r} runs backwards "
-                        f"({ev['ts']} < {start})")
-        elif ph == "X":
-            args = ev.get("args")
-            if isinstance(args, dict) and args.get("shard_root"):
-                shard_roots.setdefault(ev["pid"], []).append(
-                    (ev["ts"], ev["ts"] + ev["dur"]))
-            else:
-                shard_events.setdefault(ev["pid"], []).append(
-                    (ev["ts"], ev["dur"], i))
-        elif ph == "B":
+        if ph == "B":
             open_spans.setdefault((ev["pid"], ev["tid"]), []).append(
                 (ev["name"], ev["ts"], i))
         elif ph == "E":
@@ -406,10 +332,3 @@ def validate_chrome_trace(trace: dict) -> None:
             name, _, bi = stack[-1]
             raise ValueError(f"unclosed B span {name!r} (event {bi}) on "
                              f"pid={pid} tid={tid}")
-    for pid, bounds in shard_roots.items():
-        for ts, dur, i in shard_events.get(pid, ()):
-            if not any(lo <= ts and ts + dur <= hi for lo, hi in bounds):
-                raise ValueError(
-                    f"event {i}: escapes its shard's time bounds — "
-                    f"[{ts}, {ts + dur}] on pid={pid} lies in none of "
-                    f"that shard's root spans")

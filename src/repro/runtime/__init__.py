@@ -7,17 +7,15 @@ compute kernels into a command queue.  Plans are then *lowered* once to
 a flat command stream (:mod:`.lowering`) and executed by a pluggable
 backend (:mod:`.backends`): the ``interpret`` reference interpreter,
 the ``fused`` replayer over the pass-optimized macro-op stream (the
-default), the trace-compiled ``megakernel``, or the ``parallel``
-group-sharding wrapper.  The engine drives any of them and times plans on the
-pipeline model.
+default), or the trace-compiled ``megakernel``.  The engine drives any
+of them and times plans on the pipeline model.
 """
 
 from .batch_counter import groups_per_round
 from .plan import ExecutionPlan, KernelCall, BufferSpec, build_gemm_plan, build_trsm_plan
 from .lowering import CompiledPlan, CompiledCommand, BufferLayout, lower_plan
 from .backends import (ExecutorBackend, InterpretBackend, FusedBackend,
-                       ParallelBackend, BACKENDS,
-                       DEFAULT_BACKEND, DEFAULT_INNER, resolve_backend)
+                       BACKENDS, DEFAULT_BACKEND, resolve_backend)
 from .engine import Engine, PlanTiming
 from .iatf import IATF, PlanCache
 
@@ -26,6 +24,5 @@ __all__ = [
     "build_gemm_plan", "build_trsm_plan", "Engine", "PlanTiming", "IATF",
     "PlanCache", "CompiledPlan", "CompiledCommand", "BufferLayout",
     "lower_plan", "ExecutorBackend", "InterpretBackend", "FusedBackend",
-    "ParallelBackend", "BACKENDS", "DEFAULT_BACKEND",
-    "DEFAULT_INNER", "resolve_backend",
+    "BACKENDS", "DEFAULT_BACKEND", "resolve_backend",
 ]

@@ -31,17 +31,6 @@ The engine separates *what* to run (the plan), *how it was compiled*
     The program is cached on the lowered plan and rides the engine's
     ``PlanCache``; results stay bit-identical to ``interpret``.
 
-``parallel``
-    A wrapper that shards the *group axis* across a
-    ``ThreadPoolExecutor``, running an inner backend (``fused`` by
-    default) on each contiguous shard.  Groups are fully independent
-    and NumPy releases the GIL inside ufuncs, so sharding is bit-exact
-    by construction and genuinely concurrent.  Configure via
-    ``IATF(backend="parallel", inner="fused", workers=N)``; with
-    ``mode="process"`` the shards run in a fork-based process pool
-    over shared-memory buffer slices instead, sidestepping the GIL
-    entirely for inner backends that do not release it.
-
 Adding a backend means implementing the :class:`ExecutorBackend`
 protocol (``name``, ``needs_lowering``, ``run``) and registering it in
 ``BACKENDS``; see ``docs/architecture.md`` for the contract.
@@ -49,16 +38,10 @@ protocol (``name``, ``needs_lowering``, ``run``) and registering it in
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .. import obs
 from ..codegen import regs
 from ..codegen.templates_trsm import PX
 from ..errors import ExecutionError, PlanError
@@ -76,15 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .plan import ExecutionPlan
 
 __all__ = ["ExecutorBackend", "InterpretBackend", "FusedBackend",
-           "MegakernelBackend", "ParallelBackend", "BACKENDS",
-           "DEFAULT_BACKEND", "DEFAULT_INNER", "resolve_backend",
-           "backend_name"]
+           "MegakernelBackend", "BACKENDS", "DEFAULT_BACKEND",
+           "resolve_backend", "backend_name"]
 
 DEFAULT_BACKEND = "fused"
-
-DEFAULT_INNER = "fused"
-"""The inner backend a ``parallel`` wrapper shards over when none is
-named — the optimized replayer, so the two tentpole halves compose."""
 
 
 @runtime_checkable
@@ -195,25 +173,30 @@ class FusedBackend:
                 f"compiled plan covers {compiled.groups} groups, "
                 f"execution asked for {groups}")
         mats = self._bind(compiled, mem, strides, groups)
-        dtype = compiled.dtype
-        lanes = compiled.lanes
-        block = self._block_groups(plan.machine.l2.size, lanes,
-                                   np.dtype(dtype).itemsize)
-        waves = (groups <= self.WAVE_GROUPS
-                 and len(compiled.waves) < compiled.stats["calls"]
-                 and not _aliased(mats))
-        if waves:
-            cap = block // groups
-            rows = groups * min(cap, max(len(w.calls)
-                                         for w in compiled.waves))
-        else:
-            block = rows = min(groups, block)
-        commands, max_stack = self.stream(compiled)
-        bank = _Bank(rows, lanes, dtype, max_stack)
+        block = self._block_groups(plan.machine.l2.size, compiled.lanes,
+                                   compiled.dtype.itemsize)
+        if (groups > self.WAVE_GROUPS
+                or len(compiled.waves) >= compiled.stats["calls"]
+                or _aliased(mats)):
+            self.run_plan_order(compiled, mats, groups, block)
+            return
+        cap = block // groups
+        rows = groups * min(cap, max(len(w.calls) for w in compiled.waves))
+        bank = _Bank(rows, compiled.lanes, compiled.dtype,
+                     self.stream(compiled)[1])
         with np.errstate(all="ignore"):
-            if waves:
-                self._run_waves(compiled, mats, groups, cap, bank)
-                return
+            self._run_waves(compiled, mats, groups, cap, bank)
+
+    @classmethod
+    def run_plan_order(cls, compiled: CompiledPlan,
+                       mats: "dict[str, np.ndarray]", groups: int,
+                       block: int) -> None:
+        """Replay ``fused_commands`` call by call over group blocks of at
+        most ``block`` — correct for any binding, aliased ones too."""
+        block = min(groups, block)
+        commands, max_stack = cls.stream(compiled)
+        bank = _Bank(block, compiled.lanes, compiled.dtype, max_stack)
+        with np.errstate(all="ignore"):
             for start in range(0, groups, block):
                 n = min(block, groups - start)
                 bm = (mats if n == groups else
@@ -463,8 +446,9 @@ class FusedBackend:
 
 def _aliased(mats: "dict[str, np.ndarray]") -> bool:
     """Whether two bound buffers share memory (``gemm_compact(p, C, B,
-    C)`` binds one array as A and C): per-buffer footprints cannot see
-    such conflicts, so the plan must replay in plan order."""
+    C)`` binds one array as A and C): per-buffer footprints and the
+    megakernel's per-buffer staging cannot see such conflicts, so the
+    plan must replay in plan order."""
     views = list(mats.values())
     return any(np.may_share_memory(a, b)
                for i, a in enumerate(views) for b in views[i + 1:])
@@ -511,271 +495,10 @@ class _Bank:
             rbank.view(np.complex128) if self.cplx else None)
 
 
-def _default_workers() -> int:
-    """Worker-count default: the host's cores, capped — oversubscribing
-    tiny per-shard workloads with threads only adds overhead."""
-    return max(1, min(8, os.cpu_count() or 1))
-
-
-class ParallelBackend:
-    """Shards the group axis across a thread pool, one inner-backend
-    run per contiguous shard.
-
-    Groups are independent by construction (each owns a disjoint
-    ``stride_elems`` slice of every buffer), so per-shard
-    :class:`MemorySpace` views over disjoint slices of the same arrays
-    produce bit-identical bytes to a single whole-batch run — in any
-    execution order.  NumPy releases the GIL inside ufuncs, so shards
-    genuinely overlap.  The pool is created lazily and reused across
-    runs; the inner backend must be shard-agnostic (every registered
-    backend is — per-run state only).
-    """
-
-    name = "parallel"
-
-    MODES = ("thread", "process")
-
-    def __init__(self, inner: "str | ExecutorBackend | None" = None,
-                 workers: "int | None" = None,
-                 mode: "str | None" = None) -> None:
-        self.inner = resolve_backend(DEFAULT_INNER if inner is None
-                                     else inner)
-        if self.inner.name == self.name:
-            raise PlanError("parallel backend cannot wrap itself")
-        self.workers = _default_workers() if workers is None else int(workers)
-        if self.workers < 1:
-            raise PlanError("parallel backend needs workers >= 1")
-        self.mode = "thread" if mode is None else str(mode)
-        if self.mode not in self.MODES:
-            raise PlanError(f"parallel mode must be one of {self.MODES}, "
-                            f"got {mode!r}")
-        if (self.mode == "process"
-                and "fork" not in multiprocessing.get_all_start_methods()):
-            raise PlanError("parallel mode='process' needs the fork start "
-                            "method, which this platform does not offer")
-        self._pool: "ThreadPoolExecutor | None" = None
-        self._pool_lock = threading.Lock()
-
-    @property
-    def needs_lowering(self) -> bool:
-        return self.inner.needs_lowering
-
-    @staticmethod
-    def shard_ranges(groups: int, shards: int) -> "list[tuple[int, int]]":
-        """Contiguous, balanced ``[start, stop)`` group ranges (never
-        more shards than groups; sizes differ by at most one)."""
-        shards = max(1, min(shards, groups))
-        base, extra = divmod(groups, shards)
-        ranges, start = [], 0
-        for i in range(shards):
-            count = base + (1 if i < extra else 0)
-            ranges.append((start, start + count))
-            start += count
-        return ranges
-
-    def _pool_get(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            with self._pool_lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="repro-parallel")
-        return self._pool
-
-    def run(self, plan: "ExecutionPlan", mem: MemorySpace,
-            strides: "dict[str, int]", groups: int,
-            compiled: "CompiledPlan | None" = None) -> None:
-        if self.inner.needs_lowering and compiled is None:
-            compiled = lower_plan(plan)
-        ranges = self.shard_ranges(groups, self.workers)
-        obs.count("backend.parallel.shards", len(ranges))
-        if len(ranges) == 1:
-            self.inner.run(plan, mem, strides, groups, compiled)
-            return
-        if self.mode == "process":
-            self._run_process(plan, mem, strides, compiled, ranges)
-            return
-        # pool threads do not inherit the caller's trace context, so
-        # capture it once and hand it to every shard explicitly — the
-        # shard spans then join the plan-run's trace instead of
-        # becoming orphaned roots
-        car = obs.carrier()
-        pool = self._pool_get()
-        futures = []
-        for idx, (start, stop) in enumerate(ranges):
-            smem = self._shard_memory(mem, strides, start, stop)
-            count = stop - start
-            scompiled = (compiled.for_groups(count)
-                         if compiled is not None else None)
-            futures.append(pool.submit(self._run_shard, idx, start, plan,
-                                       smem, strides, count, scompiled,
-                                       car))
-        for f in futures:
-            f.result()          # re-raises any shard failure
-
-    @staticmethod
-    def _shard_memory(mem: MemorySpace, strides: "dict[str, int]",
-                      start: int, stop: int) -> MemorySpace:
-        """A MemorySpace whose buffers are zero-copy slices covering
-        groups ``[start, stop)`` — writes land in the caller's arrays."""
-        smem = MemorySpace()
-        for name, stride_bytes in strides.items():
-            arr = mem[name]
-            se = stride_bytes // arr.dtype.itemsize
-            smem.bind(name, arr[start * se:stop * se])
-        return smem
-
-    def _run_shard(self, idx: int, start: int, plan: "ExecutionPlan",
-                   smem: MemorySpace, strides: "dict[str, int]",
-                   count: int, compiled: "CompiledPlan | None",
-                   car: "tuple | None" = None) -> None:
-        if car is not None:
-            obs.count("obs.overhead.trace.attach")
-            with obs.attach(car):
-                with obs.span("backend.parallel.shard", shard=idx,
-                              start=start, groups=count,
-                              inner=self.inner.name):
-                    self.inner.run(plan, smem, strides, count, compiled)
-            return
-        with obs.span("backend.parallel.shard", shard=idx, start=start,
-                      groups=count, inner=self.inner.name):
-            self.inner.run(plan, smem, strides, count, compiled)
-
-    # -- process mode --------------------------------------------------
-
-    def _run_process(self, plan: "ExecutionPlan", mem: MemorySpace,
-                     strides: "dict[str, int]",
-                     compiled: "CompiledPlan | None",
-                     ranges: "list[tuple[int, int]]") -> None:
-        """Shards across fork()ed worker processes over shared memory.
-
-        Every bound buffer is copied once into a
-        :mod:`multiprocessing.shared_memory` block; forked children
-        inherit the mappings (and the plan, the lowering, even an
-        already-compiled megakernel program — fork never pickles), bind
-        zero-copy slice views over their disjoint group ranges, and
-        write results straight into the shared block, which the parent
-        copies back after every child exits.  The two extra full-buffer
-        passes buy a pool the GIL cannot serialize — worth it only for
-        inner work that holds the GIL, which is why ``mode="process"``
-        is opt-in rather than the wrapper default.
-
-        When instrumentation is on, each child records into a fresh
-        registry and ships it back over the same queue as errors (see
-        :mod:`repro.obs.procagg`); the parent merges every shard's
-        counters, histograms, spans, and events after the join, so a
-        process-mode run is exactly as observable as a thread-mode one.
-        """
-        obs.count("backend.parallel.process.runs")
-        telemetry = obs.enabled()
-        # captured before the fork: the merge re-parents each shard's
-        # span tree under the span that is open right here
-        car = obs.carrier() if telemetry else None
-        shms: "list[shared_memory.SharedMemory]" = []
-        shared: "dict[str, np.ndarray]" = {}
-        ctx = multiprocessing.get_context("fork")
-        try:
-            for name in strides:
-                arr = mem[name]
-                shm = shared_memory.SharedMemory(create=True,
-                                                 size=max(1, arr.nbytes))
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-                np.copyto(view, arr)
-                shms.append(shm)
-                shared[name] = view
-            errq = ctx.SimpleQueue()
-            procs = []
-            for idx, (start, stop) in enumerate(ranges):
-                p = ctx.Process(target=self._process_shard,
-                                args=(idx, start, stop, plan, strides,
-                                      shared, compiled, errq),
-                                daemon=True)
-                p.start()
-                procs.append(p)
-            failures: "list[tuple[str, str]]" = []
-            payloads: "list[dict]" = []
-
-            def drain() -> None:
-                while not errq.empty():
-                    msg = errq.get()
-                    if msg[0] == "telemetry":
-                        payloads.append(msg[1])
-                    else:
-                        failures.append((msg[1], msg[2]))
-
-            # drain while joining: a child blocked writing a large
-            # telemetry payload into the queue's pipe cannot exit, and
-            # a parent blocked in join() would never read — the classic
-            # SimpleQueue deadlock
-            for p in procs:
-                while p.is_alive():
-                    p.join(timeout=0.05)
-                    drain()
-                p.join()
-            drain()
-            for p, (start, stop) in zip(procs, ranges):
-                if p.exitcode != 0 and not failures:
-                    failures.append((f"groups [{start}, {stop})",
-                                     f"exit code {p.exitcode}"))
-            if telemetry and payloads:
-                from ..obs import procagg
-                for payload in sorted(
-                        payloads, key=lambda d: d.get("shard") or 0):
-                    procagg.merge_child(payload, carrier=car)
-            if failures:
-                detail = "; ".join(f"shard {who}: {why}"
-                                   for who, why in failures)
-                raise ExecutionError(
-                    f"parallel process shard failed: {detail}")
-            for name, view in shared.items():
-                np.copyto(mem[name], view)
-        finally:
-            for shm in shms:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover - double clean
-                    pass
-
-    def _process_shard(self, idx: int, start: int, stop: int,
-                       plan: "ExecutionPlan", strides: "dict[str, int]",
-                       shared: "dict[str, np.ndarray]",
-                       compiled: "CompiledPlan | None", errq) -> None:
-        """Body of one forked worker (child process only)."""
-        telemetry = obs.enabled()
-        if telemetry:
-            # fresh registry: ship only what THIS child records (the
-            # inherited pre-fork contents would double-count on merge)
-            from ..obs import procagg
-            procagg.child_begin()
-        try:
-            smem = MemorySpace()
-            for name, stride_bytes in strides.items():
-                arr = shared[name]
-                se = stride_bytes // arr.dtype.itemsize
-                smem.bind(name, arr[start * se:stop * se])
-            count = stop - start
-            scompiled = (compiled.for_groups(count)
-                         if compiled is not None else None)
-            with obs.span("backend.parallel.shard", shard=idx,
-                          start=start, groups=count,
-                          inner=self.inner.name):
-                self.inner.run(plan, smem, strides, count, scompiled)
-        except BaseException as exc:
-            errq.put(("error", str(idx), f"{type(exc).__name__}: {exc}"))
-            raise
-        finally:
-            # ships even for a failed shard — a crashed worker's
-            # telemetry is exactly what the post-mortem wants
-            if telemetry:
-                errq.put(("telemetry", procagg.child_capture(shard=idx)))
-
-
 BACKENDS: "dict[str, type]" = {
     InterpretBackend.name: InterpretBackend,
     FusedBackend.name: FusedBackend,
     MegakernelBackend.name: MegakernelBackend,
-    ParallelBackend.name: ParallelBackend,
 }
 
 
@@ -792,11 +515,10 @@ def backend_name(backend: "str | ExecutorBackend | None") -> str:
     return name
 
 
-#: shared instances per configuration — backends are stateless across
-#: runs (the parallel pool is reused deliberately), so every
-#: ``Engine``/``IATF`` resolving the same name shares one object
-#: instead of constructing a fresh backend per resolution
-_INSTANCES: "dict[tuple, ExecutorBackend]" = {}
+#: one shared instance per name — backends keep no state across runs,
+#: so every ``Engine``/``IATF`` resolving the same name shares one
+#: object instead of constructing a fresh backend per resolution
+_INSTANCES: "dict[str, ExecutorBackend]" = {}
 
 
 def _conforms(backend: object) -> bool:
@@ -807,18 +529,13 @@ def _conforms(backend: object) -> bool:
             and callable(getattr(backend, "run", None)))
 
 
-def resolve_backend(backend: "str | ExecutorBackend | None" = None, *,
-                    inner: "str | ExecutorBackend | None" = None,
-                    workers: "int | None" = None,
-                    mode: "str | None" = None) -> ExecutorBackend:
+def resolve_backend(
+        backend: "str | ExecutorBackend | None" = None) -> ExecutorBackend:
     """Turn a backend name (or ready instance) into an instance.
 
-    Named backends are cached per configuration, so repeated
-    resolutions share one instance; an explicit instance passes through
-    untouched (never cached, never reconfigured).  ``inner``,
-    ``workers``, and ``mode`` configure the ``parallel`` wrapper and
-    are rejected for anything else — a silently ignored option would
-    read as applied.
+    Named backends are cached, so repeated resolutions share one
+    instance; an explicit instance passes through untouched (never
+    cached).
     """
     if backend is None:
         backend = DEFAULT_BACKEND
@@ -828,35 +545,10 @@ def resolve_backend(backend: "str | ExecutorBackend | None" = None, *,
             raise PlanError(
                 f"unknown executor backend {backend!r}; available: "
                 f"{', '.join(sorted(BACKENDS))}")
-        if backend == ParallelBackend.name:
-            if inner is not None and not isinstance(inner, str):
-                # instance-configured wrapper: build fresh, don't cache
-                return ParallelBackend(inner=inner, workers=workers,
-                                       mode=mode)
-            # cache on the FULL parameterization, with omitted options
-            # normalized to their defaults first — resolve(workers=None)
-            # and resolve(workers=<host default>) must share one
-            # instance (and one pool), not build two
-            key = (backend, DEFAULT_INNER if inner is None else inner,
-                   _default_workers() if workers is None else int(workers),
-                   "thread" if mode is None else mode)
-            instance = _INSTANCES.get(key)
-            if instance is None:
-                instance = _INSTANCES.setdefault(
-                    key, ParallelBackend(inner=inner, workers=workers,
-                                         mode=mode))
-            return instance
-        if inner is not None or workers is not None or mode is not None:
-            raise PlanError(
-                f"inner=/workers=/mode= configure the 'parallel' backend; "
-                f"{backend!r} takes none of them")
-        instance = _INSTANCES.get((backend,))
+        instance = _INSTANCES.get(backend)
         if instance is None:
-            instance = _INSTANCES.setdefault((backend,), cls())
+            instance = _INSTANCES.setdefault(backend, cls())
         return instance
-    if inner is not None or workers is not None or mode is not None:
-        raise PlanError("inner=/workers=/mode= cannot reconfigure a ready "
-                        "backend instance")
     if not _conforms(backend):
         raise PlanError(f"object {backend!r} does not implement the "
                         f"ExecutorBackend protocol (name, needs_lowering, "

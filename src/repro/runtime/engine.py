@@ -125,22 +125,15 @@ class Engine:
 
     ``backend`` selects the functional-execution strategy: a name from
     :data:`repro.runtime.backends.BACKENDS` (``"interpret"``,
-    ``"fused"``, ``"megakernel"``, or ``"parallel"``), a ready
-    :class:`ExecutorBackend` instance, or ``None`` for the default.
-    ``inner``, ``workers``, and ``mode`` configure the ``parallel``
-    wrapper (which backend runs each group shard, across how many
-    workers, and whether those are threads or forked processes); they
-    are rejected for any other backend.  Timing is backend-independent.
+    ``"fused"`` or ``"megakernel"``), a ready :class:`ExecutorBackend`
+    instance, or ``None`` for the default.  Timing is
+    backend-independent.
     """
 
     def __init__(self, machine: MachineConfig,
-                 backend: "str | ExecutorBackend | None" = None, *,
-                 inner: "str | ExecutorBackend | None" = None,
-                 workers: "int | None" = None,
-                 mode: "str | None" = None) -> None:
+                 backend: "str | ExecutorBackend | None" = None) -> None:
         self.machine = machine
-        self.backend: ExecutorBackend = resolve_backend(
-            backend, inner=inner, workers=workers, mode=mode)
+        self.backend: ExecutorBackend = resolve_backend(backend)
 
     # ------------------------------------------------------------------
     # functional execution

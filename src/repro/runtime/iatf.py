@@ -165,16 +165,12 @@ class IATF:
 
     def __init__(self, machine: MachineConfig = KUNPENG_920, *,
                  backend: "str | ExecutorBackend | None" = None,
-                 inner: "str | ExecutorBackend | None" = None,
-                 workers: "int | None" = None,
-                 mode: "str | None" = None,
                  optimize_kernels: bool = True,
                  plan_cache_size: int = 1024,
                  tuning_db=None) -> None:
         self.machine = machine
         self.registry = KernelRegistry(machine, optimize=optimize_kernels)
-        self.engine = Engine(machine, backend=backend, inner=inner,
-                             workers=workers, mode=mode)
+        self.engine = Engine(machine, backend=backend)
         self._plan_cache = PlanCache(plan_cache_size)
         self._alt_registry: "KernelRegistry | None" = None
         self._alt_lock = threading.Lock()

@@ -244,10 +244,7 @@ class CompiledPlan:
     attachments: dict = field(default_factory=dict, compare=False,
                               repr=False)
     """Side slot for derived per-plan artifacts (e.g. the megakernel's
-    compiled program).  Excluded from equality; shared — deliberately —
-    by the shallow :meth:`for_groups` copies the ``parallel`` backend
-    makes, so shards reuse the one compiled artifact.  Not pickled
-    (artifacts hold code objects); see ``__getstate__``."""
+    compiled program).  Excluded from equality."""
 
     @property
     def dtype(self) -> np.dtype:
@@ -260,27 +257,6 @@ class CompiledPlan:
     def mem_commands(self) -> "list[CompiledCommand]":
         return [CompiledCommand(t[0], t) for t in self.commands
                 if t[0] in _MEM_KINDS]
-
-    def __getstate__(self) -> dict:
-        # attachments carry compiled code objects (unpicklable) and are
-        # re-derivable from the plan; drop them when crossing a process
-        # boundary (the parallel backend's process mode pickles plans)
-        state = self.__dict__.copy()
-        state["attachments"] = {}
-        return state
-
-    def for_groups(self, groups: int) -> "CompiledPlan":
-        """A shallow copy covering a different group count.
-
-        Commands and buffer layouts are group-independent (group base
-        offsets are affine), so sharding the group axis — the
-        ``parallel`` backend's whole job — only needs the count
-        adjusted; the command streams are shared, never copied.
-        """
-        if groups == self.groups:
-            return self
-        from dataclasses import replace
-        return replace(self, groups=groups)
 
     def calls_summary(self) -> str:
         t = self.stats.get("templates", 0)

@@ -792,14 +792,22 @@ class MegakernelBackend:
             raise ExecutionError(
                 f"compiled plan covers {compiled.groups} groups, "
                 f"execution asked for {groups}")
-        prog = ensure_program(compiled)
-        from .backends import FusedBackend
+        from .backends import FusedBackend, _aliased
         mats = FusedBackend._bind(compiled, mem, strides, groups)
-        if not prog.segs:
-            return
         dtype = compiled.dtype
         lanes = compiled.lanes
         itemsize = np.dtype(dtype).itemsize
+        if _aliased(mats):
+            # staging snapshots a buffer at block start, seeing only
+            # stores to that buffer's own name
+            FusedBackend.run_plan_order(
+                compiled, mats, groups,
+                FusedBackend._block_groups(plan.machine.l2.size, lanes,
+                                           itemsize))
+            return
+        prog = ensure_program(compiled)
+        if not prog.segs:
+            return
         cplx = (lanes * itemsize) % 16 == 0
         block = min(groups, self._block_groups(
             plan.machine.l2.size, lanes, itemsize, prog.stack_need))

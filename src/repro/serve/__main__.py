@@ -65,7 +65,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--machine", choices=sorted(MACHINES),
                         default="kunpeng920")
     parser.add_argument("--backend", choices=["interpret", "fused",
-                                              "megakernel", "parallel"],
+                                              "megakernel"],
                         default=None, help="executor backend (default: "
                         "the engine's default)")
     parser.add_argument("--tuning-db", metavar="PATH",

@@ -76,10 +76,10 @@ def test_backend_flag_restricts_backends(capsys):
     assert "megakernel" in out and "interpret" not in out
 
 
-def test_backends_showdown_covers_all_four(capsys):
+def test_backends_showdown_covers_all_backends(capsys):
     assert main(["backends", "--batch", "512"]) == 0
     out = capsys.readouterr().out
-    for name in ("interpret", "fused", "megakernel", "parallel"):
+    for name in ("interpret", "fused", "megakernel"):
         assert name in out
     assert "pass pipeline" in out and "megakernel vs fused" in out
 

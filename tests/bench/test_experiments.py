@@ -120,8 +120,7 @@ def test_ablation_batch_counter_never_hurts():
 def test_backend_showdown_structure():
     from repro.bench.experiments import backend_showdown
     res = backend_showdown(size=4, batch=64, repeats=1)
-    assert set(res["seconds"]) == {"interpret", "fused", "megakernel",
-                                   "parallel"}
+    assert set(res["seconds"]) == {"interpret", "fused", "megakernel"}
     assert all(sec > 0 for sec in res["seconds"].values())
     assert res["mega_vs_fused"] > 0
     assert res["passes"]["commands_after"] <= res["passes"][

@@ -162,9 +162,3 @@ class TestReportObject:
         assert any("pass pipeline" in line for line in lines)
         assert any("fused chains" in line for line in lines)
 
-    def test_explain_shows_parallel_sharding(self):
-        fw = IATF(KUNPENG_920, backend="parallel", workers=3)
-        p = GemmProblem(4, 4, 4, "d", batch=64)
-        lines = fw.explain_gemm(p).section("execution backend")
-        assert any("3 thread workers" in line and "fused" in line
-                   for line in lines)

@@ -123,30 +123,6 @@ class TestTraceContext:
         assert len(tids) == 2
         assert all(isinstance(t, int) and t >= 1 for t in tids)
 
-    def test_parallel_backend_shards_join_the_run_trace(self):
-        import numpy as np
-
-        from repro import IATF
-        with obs.scoped() as reg:
-            iatf = IATF(backend="parallel", workers=2)
-            rng = np.random.default_rng(0)
-            a = rng.standard_normal((64, 4, 4))
-            b = rng.standard_normal((64, 4, 4))
-            iatf.gemm(a, b, np.zeros((64, 4, 4)), beta=0.0)
-            trace = obs.chrome_trace(reg)
-        obs.validate_chrome_trace(trace)
-        shards = [s for s in reg.spans
-                  if s.name == "backend.parallel.shard"]
-        kernels = [s for s in reg.spans if s.name == "engine.kernels"]
-        assert len(shards) >= 2
-        assert kernels, "parallel run must record the engine.kernels span"
-        span_ids = {s.span_id for s in reg.spans}
-        run_trace = kernels[0].trace_id
-        for s in shards:
-            assert s.trace_id == run_trace
-            assert s.parent_id in span_ids
-
-
 class TestChromeTrace:
     def test_export_round_trips_json(self, tmp_path):
         with obs.scoped() as reg:
@@ -294,60 +270,7 @@ class TestValidator:
 
 
 class TestMultiPidValidator:
-    """Merged multi-pid traces: flow binding and shard time bounds."""
-
-    ROOT = {"name": "shard", "ph": "X", "ts": 10.0, "dur": 10.0,
-            "pid": 7, "tid": 1, "args": {"shard_root": True}}
-
-    def test_accepts_flow_pair_and_bounded_shard_events(self):
-        good = {"traceEvents": [
-            {"name": "shard", "ph": "s", "ts": 5.0, "pid": 1, "tid": 1,
-             "id": "p7.s1", "cat": "flow"},
-            dict(self.ROOT),
-            {"name": "shard", "ph": "f", "ts": 10.0, "pid": 7, "tid": 1,
-             "id": "p7.s1", "cat": "flow", "bp": "e"},
-            {"name": "inner", "ph": "X", "ts": 12.0, "dur": 3.0,
-             "pid": 7, "tid": 1}]}
-        obs.validate_chrome_trace(good)      # must not raise
-
-    def test_rejects_flow_event_without_id(self):
-        bad = {"traceEvents": [
-            {"name": "shard", "ph": "s", "ts": 5.0, "pid": 1, "tid": 1}]}
-        with pytest.raises(ValueError, match="without an id"):
-            obs.validate_chrome_trace(bad)
-
-    def test_rejects_flow_finish_without_start(self):
-        bad = {"traceEvents": [
-            {"name": "shard", "ph": "f", "ts": 5.0, "pid": 7, "tid": 1,
-             "id": "nope"}]}
-        with pytest.raises(ValueError, match="no matching start"):
-            obs.validate_chrome_trace(bad)
-
-    def test_rejects_flow_running_backwards(self):
-        bad = {"traceEvents": [
-            {"name": "shard", "ph": "s", "ts": 9.0, "pid": 1, "tid": 1,
-             "id": "x"},
-            {"name": "shard", "ph": "f", "ts": 5.0, "pid": 7, "tid": 1,
-             "id": "x"}]}
-        with pytest.raises(ValueError, match="backwards"):
-            obs.validate_chrome_trace(bad)
-
-    def test_rejects_child_event_escaping_shard_bounds(self):
-        # pid 7 carries a shard root [10, 20]; an event at [25, 27] on
-        # the same pid claims time the shard never spanned — stitched
-        # from an incomparable clock
-        bad = {"traceEvents": [
-            dict(self.ROOT),
-            {"name": "stray", "ph": "X", "ts": 25.0, "dur": 2.0,
-             "pid": 7, "tid": 1}]}
-        with pytest.raises(ValueError, match="escapes its shard"):
-            obs.validate_chrome_trace(bad)
-
-    def test_pids_without_shard_roots_are_unconstrained(self):
-        good = {"traceEvents": [
-            {"name": "anywhere", "ph": "X", "ts": 999.0, "dur": 1.0,
-             "pid": 1, "tid": 1}]}
-        obs.validate_chrome_trace(good)      # no roots, no bounds
+    """Traces spanning several pids: B/E nesting is per (pid, tid)."""
 
     def test_per_pid_tid_namespaces_do_not_collide(self):
         # the same tid on two pids is two tracks: B/E nesting must be

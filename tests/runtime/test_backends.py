@@ -3,8 +3,8 @@
 Every executor backend must be *bit-identical* to the ``interpret``
 reference on every supported configuration — not merely within
 tolerance: all paths perform the same float operations in the same
-order (fusion never reassociates, sharding splits independent groups),
-so their results are the same bytes.
+order (fusion never reassociates), so their results are the same
+bytes.
 """
 
 import time
@@ -17,10 +17,9 @@ from repro.layout import CompactBatch
 from repro.machine.machines import KUNPENG_920
 from repro.machine.memory import MemorySpace
 from repro.runtime.backends import (BACKENDS, DEFAULT_BACKEND,
-                                    DEFAULT_INNER, ExecutorBackend,
-                                    FusedBackend,
+                                    ExecutorBackend, FusedBackend,
                                     InterpretBackend, MegakernelBackend,
-                                    ParallelBackend, resolve_backend)
+                                    resolve_backend)
 from repro.runtime.engine import Engine
 from repro.runtime.iatf import IATF
 from repro.runtime.lowering import lower_plan
@@ -29,25 +28,15 @@ from tests.conftest import ALL_DTYPES, random_batch, random_triangular
 
 LANES = {"s": 4, "d": 2, "c": 4, "z": 2}
 
-# every registered backend, the parallel wrapper at worker counts that
-# divide the group count, exceed it, and split it unevenly, and the
-# trace compiler both bare and sharded under the wrapper
-EQUIV_BACKENDS = (
-    ("interpret", {}),
-    ("fused", {}),
-    ("megakernel", {}),
-    ("parallel", {"workers": 1}),
-    ("parallel", {"workers": 2}),
-    ("parallel", {"workers": 5}),
-    ("parallel", {"inner": "megakernel", "workers": 3}),
-)
+# every registered backend, the interpret reference first
+EQUIV_BACKENDS = ("interpret", "fused", "megakernel")
 
 
 def assert_bit_identical(outs):
     ref = outs[0].tobytes()
-    for (backend, kw), out in zip(EQUIV_BACKENDS[1:], outs[1:]):
+    for backend, out in zip(EQUIV_BACKENDS[1:], outs[1:]):
         assert out.tobytes() == ref, (
-            f"backend {backend!r} ({kw}) diverged from interpret")
+            f"backend {backend!r} diverged from interpret")
 
 
 @pytest.fixture(scope="module")
@@ -66,12 +55,11 @@ def run_gemm_both(iatf, rng, problem, force_pack=False):
     c = random_batch(rng, problem.batch, problem.m, problem.n,
                      problem.dtype.value)
     outs = []
-    for backend, kw in EQUIV_BACKENDS:
+    for backend in EQUIV_BACKENDS:
         ca = CompactBatch.from_matrices(a, lanes)
         cb = CompactBatch.from_matrices(b, lanes)
         cc = CompactBatch.from_matrices(c, lanes)
-        Engine(KUNPENG_920, backend=backend,
-               **kw).execute_gemm(plan, ca, cb, cc)
+        Engine(KUNPENG_920, backend=backend).execute_gemm(plan, ca, cb, cc)
         outs.append(cc.buffer)
     return outs
 
@@ -85,11 +73,10 @@ def run_trsm_both(iatf, rng, problem, force_pack=False):
     b = random_batch(rng, problem.batch, problem.m, problem.n,
                      problem.dtype.value)
     outs = []
-    for backend, kw in EQUIV_BACKENDS:
+    for backend in EQUIV_BACKENDS:
         ca = CompactBatch.from_matrices(a, lanes)
         cb = CompactBatch.from_matrices(b, lanes)
-        Engine(KUNPENG_920, backend=backend,
-               **kw).execute_trsm(plan, ca, cb)
+        Engine(KUNPENG_920, backend=backend).execute_trsm(plan, ca, cb)
         outs.append(cb.buffer)
     return outs
 
@@ -220,12 +207,10 @@ class TestBackendSelection:
         assert IATF(KUNPENG_920).backend.name == "fused"
 
     def test_registry_contents(self):
-        assert set(BACKENDS) == {"interpret", "fused", "megakernel",
-                                 "parallel"}
+        assert set(BACKENDS) == {"interpret", "fused", "megakernel"}
         assert isinstance(resolve_backend("interpret"), InterpretBackend)
         assert isinstance(resolve_backend("fused"), FusedBackend)
         assert isinstance(resolve_backend("megakernel"), MegakernelBackend)
-        assert isinstance(resolve_backend("parallel"), ParallelBackend)
 
     def test_unknown_name_error_lists_all_backends(self):
         """The unknown-name PlanError must name every registered
@@ -237,7 +222,7 @@ class TestBackendSelection:
             resolve_backend("jit")
         except PlanError as e:
             msg = str(e)
-        for name in ("interpret", "fused", "megakernel", "parallel"):
+        for name in ("interpret", "fused", "megakernel"):
             assert name in msg, f"error message omits {name!r}: {msg}"
 
     def test_non_backend_object_rejected_before_first_use(self):
@@ -260,85 +245,32 @@ class TestBackendSelection:
 
     def test_named_backends_are_cached(self):
         """Every run_plan used to construct a fresh backend object;
-        named resolutions now share one instance per configuration."""
+        named resolutions now share one instance per name."""
         for name in ("interpret", "fused", "megakernel"):
             assert resolve_backend(name) is resolve_backend(name)
         assert Engine(KUNPENG_920).backend is Engine(KUNPENG_920).backend
-        p2 = resolve_backend("parallel", workers=2)
-        assert p2 is resolve_backend("parallel", workers=2)
-        assert p2 is not resolve_backend("parallel", workers=3)
-        assert (resolve_backend("parallel", inner="megakernel", workers=2)
-                is not p2)
-
-    def test_parallel_cache_key_normalizes_defaults(self):
-        """The wrapper cache keys on the FULL parameterization with
-        defaults normalized first: omitting an option and spelling out
-        its default must resolve to the same instance (two pools for
-        one configuration was the bug), while a different mode is a
-        different instance."""
-        from repro.runtime.backends import _default_workers
-        p = resolve_backend("parallel")
-        assert p is resolve_backend("parallel", inner=DEFAULT_INNER)
-        assert p is resolve_backend("parallel",
-                                    workers=_default_workers())
-        assert p is resolve_backend("parallel", mode="thread")
-        proc = resolve_backend("parallel", mode="process")
-        assert proc is not p
-        assert proc is resolve_backend("parallel", mode="process")
-        assert proc.mode == "process" and p.mode == "thread"
 
     def test_explicit_instance_passes_through_uncached(self):
         mine = FusedBackend()
         assert resolve_backend(mine) is mine
         assert resolve_backend(mine) is not resolve_backend("fused")
 
-    def test_inner_workers_rejected_for_non_parallel(self):
-        with pytest.raises(PlanError, match="parallel"):
-            resolve_backend("fused", workers=2)
-        with pytest.raises(PlanError, match="parallel"):
-            resolve_backend("fused", inner="interpret")
-        with pytest.raises(PlanError, match="parallel"):
-            resolve_backend("megakernel", mode="process")
-        with pytest.raises(PlanError, match="instance"):
-            resolve_backend(FusedBackend(), workers=2)
-        with pytest.raises(PlanError, match="instance"):
-            resolve_backend(FusedBackend(), mode="thread")
-
-    def test_parallel_configuration_errors(self):
-        with pytest.raises(PlanError, match="wrap itself"):
-            ParallelBackend(inner="parallel")
-        with pytest.raises(PlanError, match="workers"):
-            ParallelBackend(workers=0)
-        with pytest.raises(PlanError, match="mode"):
-            ParallelBackend(mode="fiber")
-
-    def test_parallel_defaults_and_inner_instance(self):
-        p = resolve_backend("parallel")
-        assert p.inner.name == DEFAULT_INNER == "fused"
-        assert p.workers >= 1
-        assert p.needs_lowering == p.inner.needs_lowering
-        inner = InterpretBackend()
-        q = resolve_backend("parallel", inner=inner, workers=2)
-        assert q.inner is inner
-        assert not q.needs_lowering
-
-    def test_shard_ranges_cover_and_balance(self):
-        for groups in (1, 2, 7, 16, 4096):
-            for shards in (1, 2, 3, 5, 8, 100):
-                ranges = ParallelBackend.shard_ranges(groups, shards)
-                assert ranges[0][0] == 0 and ranges[-1][1] == groups
-                sizes = [stop - start for start, stop in ranges]
-                assert all(s > 0 for s in sizes)
-                assert max(sizes) - min(sizes) <= 1
-                assert len(ranges) <= min(shards, groups)
-                for (_, a), (b, _) in zip(ranges, ranges[1:]):
-                    assert a == b
+    def test_sharding_knobs_are_gone(self):
+        """Backends take no configuration: no entry point accepts
+        inner=/workers=/mode=, so a stray one fails loudly instead of
+        being silently ignored."""
+        for kw in ({"inner": "fused"}, {"workers": 2}, {"mode": "thread"}):
+            with pytest.raises(TypeError):
+                resolve_backend("fused", **kw)
+            with pytest.raises(TypeError):
+                Engine(KUNPENG_920, **kw)
+            with pytest.raises(TypeError):
+                IATF(KUNPENG_920, **kw)
 
     def test_instances_satisfy_protocol(self):
         assert isinstance(InterpretBackend(), ExecutorBackend)
         assert isinstance(FusedBackend(), ExecutorBackend)
         assert isinstance(MegakernelBackend(), ExecutorBackend)
-        assert isinstance(ParallelBackend(), ExecutorBackend)
 
     def test_custom_backend_instance_accepted(self, iatf, rng):
         """A user-supplied object implementing the protocol plugs in."""

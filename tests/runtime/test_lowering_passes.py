@@ -300,10 +300,3 @@ class TestPlanIntegration:
                      "lower.fuse.commands", "lower.coalesce.merged"):
             assert name in counters, name
         assert counters["lower.fuse.chains"] > 0
-
-    def test_for_groups_shares_streams(self, compiled):
-        assert compiled.for_groups(compiled.groups) is compiled
-        half = compiled.for_groups(3)
-        assert half.groups == 3
-        assert half.commands is compiled.commands
-        assert half.fused_commands is compiled.fused_commands

@@ -1,11 +1,10 @@
 """Trace-compiler (megakernel backend) specific tests.
 
 Bit-equivalence across the full backend matrix lives in
-``test_backends.py`` (EQUIV_BACKENDS includes ``megakernel`` and the
-``parallel``x``megakernel`` composition); this module covers what is
-unique to the trace compiler: deterministic codegen, compile-once
-caching, special-value replay, trace partitioning invariants, and the
-process-mode sharding it composes with.
+``test_backends.py`` (EQUIV_BACKENDS includes ``megakernel``); this
+module covers what is unique to the trace compiler: deterministic
+codegen, compile-once caching, special-value replay, and trace
+partitioning invariants.
 """
 
 import time
@@ -17,7 +16,6 @@ import repro.obs as obs
 from repro.errors import ExecutionError
 from repro.layout import CompactBatch
 from repro.machine.machines import KUNPENG_920
-from repro.runtime.backends import ParallelBackend, resolve_backend
 from repro.runtime.engine import Engine
 from repro.runtime.iatf import IATF
 from repro.runtime.lowering import lower_plan, partition_trace
@@ -130,19 +128,6 @@ class TestCodegen:
         assert counters.get("megakernel.compile.miss", 0) == 0
         assert counters.get("megakernel.compile.hit", 0) >= 1
 
-    def test_attachments_never_pickle(self, iatf):
-        """Generated code objects cannot pickle; the side slot must be
-        stripped so a lowered plan stays shippable across processes."""
-        import pickle
-
-        compiled = lower_plan(iatf.plan_gemm(GemmProblem(4, 4, 4, "d",
-                                                         batch=8)))
-        ensure_program(compiled)
-        clone = pickle.loads(pickle.dumps(compiled))
-        assert clone.attachments == {}
-        assert clone.commands == compiled.commands
-
-
 class TestSpecialValues:
     @pytest.mark.parametrize("dtype", ["s", "d"])
     def test_nan_inf_negzero_replay_bit_identical(self, rng, dtype):
@@ -171,55 +156,6 @@ class TestSpecialValues:
                                                               cb, cc)
             outs.append(cc.buffer.tobytes())
         assert outs[0] == outs[1]
-
-
-class TestProcessMode:
-    def test_process_mode_bit_identical(self, rng):
-        p = GemmProblem(8, 8, 8, "s", batch=40)
-        lanes = LANES["s"]
-        a = random_batch(rng, p.batch, 8, 8, "s")
-        fw = IATF(KUNPENG_920)
-        plan = fw.plan_gemm(p)
-        outs = []
-        for cfg in ({"backend": "interpret"},
-                    {"backend": "parallel", "inner": "megakernel",
-                     "workers": 3, "mode": "process"},
-                    {"backend": "parallel", "inner": "fused",
-                     "workers": 2, "mode": "process"}):
-            ca = CompactBatch.from_matrices(a, lanes)
-            cb = CompactBatch.from_matrices(a, lanes)
-            cc = CompactBatch.from_matrices(np.zeros_like(a), lanes)
-            Engine(KUNPENG_920, **cfg).execute_gemm(plan, ca, cb, cc)
-            outs.append(cc.buffer.tobytes())
-        assert outs[1] == outs[0]
-        assert outs[2] == outs[0]
-
-    def test_process_shard_failure_surfaces(self, rng, iatf):
-        """A crashing shard must fail the whole run with a diagnosable
-        error, not hang or silently drop the shard's groups."""
-        class Exploding:
-            name = "exploding"
-            needs_lowering = False
-
-            def run(self, plan, mem, strides, groups, compiled=None):
-                raise RuntimeError("boom in shard")
-
-        backend = ParallelBackend(inner=Exploding(), workers=2,
-                                  mode="process")
-        plan = iatf.plan_gemm(GemmProblem(4, 4, 4, "d", batch=8))
-        lanes = LANES["d"]
-        a = random_batch(rng, 8, 4, 4, "d")
-        with pytest.raises(ExecutionError, match="shard"):
-            Engine(KUNPENG_920, backend=backend).execute_gemm(
-                plan, CompactBatch.from_matrices(a, lanes),
-                CompactBatch.from_matrices(a, lanes),
-                CompactBatch.from_matrices(np.zeros_like(a), lanes))
-
-    def test_mode_reported_by_resolver(self):
-        proc = resolve_backend("parallel", inner="megakernel", workers=2,
-                               mode="process")
-        assert proc.mode == "process"
-        assert proc.inner.name == "megakernel"
 
 
 @pytest.mark.slow

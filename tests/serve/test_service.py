@@ -239,3 +239,23 @@ class TestLifecycleAndStats:
         assert out is not None
         assert stats["requests"]["completed"] == 1
         assert stats["requests"]["deadline_missed"] == 1
+
+    def test_flush_spans_join_the_request_traces(self):
+        """The pump thread re-attaches the oldest request's carrier, so
+        every flush span, and the engine spans under it, belong to a
+        submit-side request trace."""
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((4, 4))
+        with obs.scoped() as reg:
+            with BlasService(max_batch=4, max_wait_ms=0.5) as svc:
+                futs = [svc.submit(Request.gemm(a, a)) for _ in range(4)]
+                for f in futs:
+                    f.result(timeout=60.0)
+        requests = [s for s in reg.spans if s.name == "serve.request"]
+        flushes = [s for s in reg.spans if s.name == "serve.flush"]
+        kernels = [s for s in reg.spans if s.name == "engine.kernels"]
+        assert requests and flushes and kernels
+        request_traces = {s.trace_id for s in requests}
+        assert all(f.trace_id in request_traces for f in flushes)
+        assert all(k.trace_id in request_traces for k in kernels)
+        obs.validate_chrome_trace(obs.chrome_trace(reg))
