@@ -87,27 +87,33 @@ class CompactBatch:
                       dtype: "BlasDType | str | None" = None) -> "CompactBatch":
         """Interleave a standard ``(batch, rows, cols)`` array.
 
-        The batch axis is zero-padded up to a multiple of ``lanes``.
+        The batch axis is zero-padded up to a multiple of ``lanes``.  One
+        transposing copy from a real re/im view of the input (any memory
+        order) fills the buffer; only the padding lanes are zeroed.
         """
         if matrices.ndim != 3:
             raise LayoutError(
                 f"expected (batch, rows, cols) array, got {matrices.ndim}-D")
         dt = BlasDType.from_any(dtype if dtype is not None else matrices.dtype)
-        matrices = np.ascontiguousarray(matrices, dtype=dt.np_dtype)
+        ncomp = 2 if dt.is_complex else 1
+        if ncomp == 2 and matrices.dtype.kind != "c":
+            matrices = matrices.astype(dt.np_dtype)   # real into complex
         batch, rows, cols = matrices.shape
         groups = padded_count(batch, lanes) // lanes
-        padded = np.zeros((groups * lanes, rows, cols), dtype=dt.np_dtype)
-        padded[:batch] = matrices
-        grouped = padded.reshape(groups, lanes, rows, cols)
-        if dt.is_complex:
-            planes = np.stack([grouped.real, grouped.imag], axis=2)
-            # (G, P, comp, r, c) -> column-major (G, c, r, comp, P)
-            interleaved = planes.transpose(0, 4, 3, 2, 1)
-        else:
-            # (G, P, r, c) -> column-major (G, c, r, P)
-            interleaved = grouped.transpose(0, 3, 2, 1)
-        buf = np.ascontiguousarray(interleaved,
-                                   dtype=dt.real_dtype).reshape(-1)
+        buf = np.empty(groups * rows * cols * ncomp * lanes,
+                       dtype=dt.real_dtype)
+        # column-major (G, c, r, comp, P) <- (batch, r, c, comp)
+        dst = buf.reshape(groups, cols, rows, ncomp, lanes)
+        src = _planes(matrices, ncomp)
+        full, rem = divmod(batch, lanes)
+        np.copyto(dst[:full],
+                  src[:full * lanes].reshape(full, lanes, rows, cols, ncomp)
+                  .transpose(0, 3, 2, 4, 1), casting="unsafe")
+        if rem:
+            np.copyto(dst[full, ..., :rem],
+                      src[full * lanes:].transpose(2, 1, 3, 0),
+                      casting="unsafe")
+            dst[full, ..., rem:] = 0
         return cls(buf, rows, cols, batch, dt, lanes)
 
     # -- geometry --------------------------------------------------------
@@ -170,17 +176,22 @@ class CompactBatch:
         return colmajor.transpose(0, 2, 1, 3, 4)
 
     def to_matrices(self) -> np.ndarray:
-        """De-interleave back to a standard ``(batch, rows, cols)`` array."""
-        grid = self.as_grid()
-        if self.dtype.is_complex:
-            # (G, r, c, comp, P) -> complex (G, P, r, c)
-            planes = grid.transpose(0, 4, 3, 1, 2)
-            full = planes[:, :, 0] + 1j * planes[:, :, 1]
-            full = full.astype(self.dtype.np_dtype)
-        else:
-            full = grid[:, :, :, 0, :].transpose(0, 3, 1, 2)
-        out = full.reshape(self.groups * self.lanes, self.rows, self.cols)
-        return np.ascontiguousarray(out[: self.batch])
+        """De-interleave back to a standard ``(batch, rows, cols)`` array:
+        one transposing copy into the re/im planes of the output."""
+        ncomp, lanes = self.ncomp, self.lanes
+        out = np.empty((self.batch, self.rows, self.cols),
+                       dtype=self.dtype.np_dtype)
+        dst = _planes(out, ncomp)
+        src = self.buffer.reshape(self.groups, self.cols, self.rows, ncomp,
+                                  lanes)
+        full, rem = divmod(self.batch, lanes)
+        np.copyto(dst[:full * lanes].reshape(full, lanes, self.rows,
+                                             self.cols, ncomp),
+                  src[:full].transpose(0, 4, 2, 1, 3))
+        if rem:
+            np.copyto(dst[full * lanes:],
+                      src[full, ..., :rem].transpose(3, 1, 0, 2))
+        return out
 
     def matrix(self, index: int) -> np.ndarray:
         """One logical matrix (copy), mostly for tests and examples."""
@@ -228,3 +239,14 @@ class CompactBatch:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CompactBatch({self.batch}x[{self.rows}x{self.cols}] "
                 f"{self.dtype.value}, P={self.lanes}, groups={self.groups})")
+
+
+def _planes(x: np.ndarray, ncomp: int) -> np.ndarray:
+    """``(..., ncomp)`` view of ``x``: its re/im planes when ``ncomp`` is
+    2 (``x`` complex, any strides), else ``x`` with a unit axis."""
+    if ncomp == 1:
+        return x[..., None]
+    re = x.real
+    return np.lib.stride_tricks.as_strided(
+        re, x.shape + (2,), re.strides + (re.itemsize,),
+        writeable=x.flags.writeable)

@@ -38,6 +38,8 @@ protocol (``name``, ``needs_lowering``, ``run``) and registering it in
 
 from __future__ import annotations
 
+import functools
+from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -52,7 +54,7 @@ from .lowering import (K_FADD, K_FDIV, K_FIMM, K_FMAI, K_FMLA, K_FMLS,
                        K_FMUL, K_FMULI, K_FSUB, K_LOAD, K_LOAD1R, K_LOAD2,
                        K_LOAD_PART, K_LOADPAIR, K_LOADW, K_MACC, K_STORE,
                        K_STORE2, K_STOREPAIR, K_STOREW, K_VMOV, K_VZERO,
-                       CompiledPlan, lower_plan)
+                       CompiledPlan, Wave, lower_plan)
 from .megakernel import MegakernelBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -118,31 +120,28 @@ class FusedBackend:
     roughly in half.  Groups are independent, so every ordering below is
     bit-exact by construction — the equivalence suite enforces it.
 
-    Two schedules drive the one replay loop (:meth:`_replay`), which
-    takes operands with any number of leading axes:
+    One schedule drives the one replay loop (:meth:`_replay`), which
+    takes operands with any number of leading axes: **group blocks x
+    wave chunks**.  The groups split into blocks of at most
+    :meth:`_block_groups` (half the host's L2 holds the register bank),
+    and each block replays every wave in level order, in passes of at
+    most ``block // groups-per-block`` calls.  A pass holds whole rows
+    of the wave's lattice (a row is split only when it alone exceeds the
+    budget) and binds each buffer as one strided ``(rows, cols, groups,
+    width)`` view, so a GEMM tile grid replays its template once per
+    pass, not once per tile; an irregular wave's calls are gathered and
+    their written elements scattered back.  With few groups a ufunc is
+    pure dispatch overhead, so one dispatch per pass instead of per call
+    is the whole gain.
 
-    * **waves** (at most :data:`WAVE_GROUPS` groups, and some wave
-      holds more than one call): levels → waves → one replay per wave.  Each wave replays its template's stream once
-      over a ``(calls, groups, lanes)`` register bank, its memory
-      operands being one ``(calls, groups, width)`` view per buffer — a
-      strided view when the calls' deltas form an arithmetic
-      progression, else a gathered copy whose written elements are
-      scattered back.  With few groups a ufunc is pure dispatch
-      overhead, so one dispatch per wave instead of per call is the
-      whole gain;
-    * **plan order** (more groups, or two bound buffers sharing memory,
-      which the per-buffer footprints cannot see): ``fused_commands``
-      call by call — a wave of width 1 — in L2-resident group blocks,
-      so the register bank stays hot in L2 and the dispatches run at
-      cache speed instead of memory bandwidth.
+    Plan order — ``fused_commands`` call by call over the same group
+    blocks — remains for two bound buffers sharing memory, which the
+    per-buffer footprints cannot see, and for plans whose waves all
+    hold one call.
     """
 
     name = "fused"
     needs_lowering = True
-
-    WAVE_GROUPS = 64
-    """Largest group count replayed in waves: the floor of
-    :meth:`_block_groups`, below which a ufunc is dispatch overhead."""
 
     @staticmethod
     def stream(compiled: CompiledPlan) -> "tuple[list[tuple], int]":
@@ -156,12 +155,14 @@ class FusedBackend:
 
     @staticmethod
     def _block_groups(l2_bytes: int, lanes: int, itemsize: int) -> int:
-        """Largest group block whose register bank fits half of L2 (the
-        other half is left to the operand panels streaming through);
-        the floor keeps per-ufunc work from degenerating into pure
-        dispatch overhead on machines modelled with tiny caches."""
-        block = (l2_bytes // 2) // (NUM_VREGS * lanes * itemsize)
-        return max(64, block)
+        """Largest register-bank row count (groups, or calls x groups)
+        that fits half of the host's L2 (the other half is left to the
+        operand panels streaming through); ``l2_bytes``, the plan
+        machine's modelled L2, stands in where the host's is unknown.
+        The floor keeps per-ufunc work from degenerating into pure
+        dispatch overhead with tiny caches."""
+        l2 = _host_l2_bytes() or l2_bytes
+        return max(64, (l2 // 2) // (NUM_VREGS * lanes * itemsize))
 
     def run(self, plan: "ExecutionPlan", mem: MemorySpace,
             strides: "dict[str, int]", groups: int,
@@ -175,17 +176,20 @@ class FusedBackend:
         mats = self._bind(compiled, mem, strides, groups)
         block = self._block_groups(plan.machine.l2.size, compiled.lanes,
                                    compiled.dtype.itemsize)
-        if (groups > self.WAVE_GROUPS
-                or len(compiled.waves) >= compiled.stats["calls"]
-                or _aliased(mats)):
+        if len(compiled.waves) >= compiled.stats["calls"] or _aliased(mats):
             self.run_plan_order(compiled, mats, groups, block)
             return
-        cap = block // groups
-        rows = groups * min(cap, max(len(w.calls) for w in compiled.waves))
+        per_block = min(groups, block)
+        cap = block // per_block
+        rows = per_block * min(cap, max(len(w.calls) for w in compiled.waves))
         bank = _Bank(rows, compiled.lanes, compiled.dtype,
                      self.stream(compiled)[1])
         with np.errstate(all="ignore"):
-            self._run_waves(compiled, mats, groups, cap, bank)
+            for start in range(0, groups, per_block):
+                n = min(per_block, groups - start)
+                bm = (mats if n == groups else
+                      {k: v[start:start + n] for k, v in mats.items()})
+                self._run_waves(compiled, bm, n, cap, bank)
 
     @classmethod
     def run_plan_order(cls, compiled: CompiledPlan,
@@ -233,15 +237,22 @@ class FusedBackend:
     @staticmethod
     def _run_waves(compiled: CompiledPlan, mats: "dict[str, np.ndarray]",
                    groups: int, cap: int, bank: "_Bank") -> None:
-        """Replay every wave, at most ``cap`` calls per pass, in order."""
+        """Replay every wave over ``groups`` groups in level order, at
+        most ``cap`` calls per pass (see :func:`_passes`)."""
         isz = compiled.ew
         for wave in compiled.waves:
             stream, window, writes, wide = (
                 compiled.templates[wave.template].wave_form)
-            for c0 in range(0, len(wave.calls), cap):
-                deltas = wave.deltas[c0:c0 + cap]
-                width = len(deltas)
-                strided = wave.ap or width == 1
+            deltas = wave.deltas
+            lattice = wave.lattice
+            if lattice is not None:
+                # per-buffer element steps along a lattice row and down
+                # its columns (unused where the lattice is one wide)
+                rows, cols = lattice
+                col = _steps(deltas[0], deltas[min(1, cols - 1)])
+                row = _steps(deltas[0], deltas[cols * (rows > 1)])
+            for first, nrows, ncols in _passes(wave, cap):
+                calls = (nrows, ncols) if nrows > 1 else (ncols,)
                 views: "dict[str, np.ndarray]" = {}
                 viewsC: "dict[str, np.ndarray | None]" = {}
                 scatter = []
@@ -250,30 +261,29 @@ class FusedBackend:
                         continue            # a root the kernel never uses
                     lo, span = window[buf]
                     m = mats[buf]
-                    if strided:
-                        # one strided view: call axis steps by the delta
-                        d0 = deltas[0][j]
-                        step = deltas[1][j] - d0 if width > 1 else 0
-                        base, off = m, (d0 + lo) * isz
-                        st = (step * isz, m.strides[0])
-                        v = np.ndarray((width, groups, span), m.dtype,
-                                       base, off, st + (isz,))
+                    if lattice is not None:
+                        # one strided view: rows and cols step by the
+                        # lattice's deltas
+                        st = ((row[j] * isz,) if nrows > 1 else ()) + (
+                            col[j] * isz, m.strides[0])
+                        base, off = m, (deltas[first][j] + lo) * isz
                     else:
                         # gathered copy; written elements go back below
-                        idx = (np.array([d[j] for d in deltas])[:, None]
+                        idx = (np.array([d[j] for d in
+                                         deltas[first:first + ncols]])[:, None]
                                + np.arange(lo, lo + span))
                         base, off = np.take(m, idx, axis=1), 0
-                        st = (span * isz, width * span * isz)
-                        v = base.transpose(1, 0, 2)
+                        st = (span * isz, ncols * span * isz)
                         w = writes.get(buf)
                         if w is not None:
                             scatter.append((m, idx[:, w], base, w))
-                    views[buf] = v
+                    views[buf] = np.ndarray(calls + (groups, span), m.dtype,
+                                            base, off, st + (isz,))
                     viewsC[buf] = (
-                        np.ndarray((width, groups, span * isz // 16),
+                        np.ndarray(calls + (groups, span * isz // 16),
                                    np.complex128, base, off, st + (16,))
                         if buf in wide else None)
-                bank.replay(stream, views, (width, groups), viewsC)
+                bank.replay(stream, views, calls + (groups,), viewsC)
                 for m, idx, g, w in scatter:
                     m[:, idx] = g[:, :, w]
 
@@ -286,8 +296,9 @@ class FusedBackend:
                 matsC: "dict | None", rbankC: "np.ndarray | None") -> None:
         """The one replay loop.  Registers are ``(*lead, lanes)`` and
         memory operands ``(*lead, elements)``: ``lead`` is ``(groups,)``
-        for a plain replay and ``(calls, groups)`` for a wave; every
-        command addresses the last axis only."""
+        for a plain replay and ``(calls, groups)`` or ``(rows, cols,
+        groups)`` for a wave pass; every command addresses the last axis
+        only."""
         lead = rbank.shape[1:-1]
         nl = len(lead)
         # wide copies split the last axis into (count, n) registers and
@@ -442,6 +453,46 @@ class FusedBackend:
                 rfile[cmd[1]].fill(cmd[2])
             else:  # pragma: no cover - lowering emits only known kinds
                 raise ExecutionError(f"unknown compiled command kind {k}")
+
+
+@functools.cache
+def _host_l2_bytes(
+        root: Path = Path("/sys/devices/system/cpu/cpu0/cache")
+) -> "int | None":
+    """The host's per-core L2 size from Linux sysfs (the level-2 data or
+    unified cache of cpu0), read once; None where it cannot be read."""
+    try:
+        for index in sorted(root.glob("index*")):
+            if ((index / "level").read_text().strip() == "2"
+                    and (index / "type").read_text().strip()
+                    in ("Data", "Unified")):
+                size = (index / "size").read_text().strip()
+                unit = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
+                return int(size.rstrip("KMG")) * unit.get(size[-1], 1)
+    except (OSError, ValueError):
+        pass
+    return None
+
+
+def _steps(d0: "tuple[int, ...]", d1: "tuple[int, ...]") -> "list[int]":
+    return [y - x for x, y in zip(d0, d1)]
+
+
+def _passes(wave: Wave, cap: int) -> "list[tuple[int, int, int]]":
+    """``(first call, rows, cols)`` of each pass over a wave of at most
+    ``cap`` calls: whole lattice rows, a row split into column runs only
+    when it alone exceeds ``cap``; an irregular wave in runs of ``cap``
+    calls."""
+    n = len(wave.calls)
+    if wave.lattice is None:
+        return [(c0, 1, min(cap, n - c0)) for c0 in range(0, n, cap)]
+    rows, cols = wave.lattice
+    if cols <= cap:
+        per = cap // cols
+        return [(r0 * cols, min(per, rows - r0), cols)
+                for r0 in range(0, rows, per)]
+    return [(r * cols + c0, 1, min(cap, cols - c0))
+            for r in range(rows) for c0 in range(0, cols, cap)]
 
 
 def _aliased(mats: "dict[str, np.ndarray]") -> bool:

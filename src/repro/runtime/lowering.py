@@ -62,10 +62,12 @@ list of element intervals within one group stride; a call's footprint
 is the template's, shifted by its delta.  A call's *level* is 1 + the
 highest level of any earlier call it conflicts with (RAW, WAR or WAW on
 one element), and a :class:`Wave` is every call of one (level,
-template), in call order.  Levels replay in order and calls of one
-level never conflict, so the ``fused`` backend can replay a wave's
-template once over all of its calls (levels → waves → one replay per
-wave) and every element still sees its plan-order sequence of ufuncs.
+template), in call order, with the lattice its deltas lie on (a
+progression, or rows x cols for a GEMM tile grid).  Levels replay in
+order and calls of one level never conflict, so the ``fused`` backend
+can replay a wave's template once per pass over whole lattice rows,
+bound as one strided view per buffer (levels → waves → passes), and
+every element still sees its plan-order sequence of ufuncs.
 
 Lowering is pure analysis: it never touches matrix data, so a
 ``CompiledPlan`` is cached alongside its plan in the
@@ -507,14 +509,44 @@ def _subtract(ivs: "list[tuple[int, int]]",
 @dataclass(frozen=True)
 class Wave:
     """Calls of one template with pairwise-disjoint footprints, replayed
-    as one pass over a ``(calls, groups, lanes)`` register bank."""
+    in passes over a ``(rows, cols, groups, lanes)`` register bank.
+
+    ``lattice`` is ``(rows, cols)`` when call ``i`` sits at ``deltas[0]
+    + (i // cols) * row step + (i % cols) * col step`` in every buffer —
+    a 1-D progression is one row, a GEMM tile grid is rows x cols — so a
+    pass binds each buffer as one strided view; ``None`` marks an
+    irregular wave, whose calls are gathered and scattered back."""
 
     level: int                    # conflict depth; levels replay in order
     template: int                 # index into CompiledPlan.templates
     calls: "tuple[int, ...]"      # plan call indices, in call order
     buffers: "tuple[str, ...]"    # the template's root buffers
     deltas: "tuple[tuple[int, ...], ...]"  # per call, per buffer: elements
-    ap: bool                      # deltas form an arithmetic progression
+    lattice: "tuple[int, int] | None"      # (rows, cols), None: irregular
+
+
+def _lattice(deltas: "tuple[tuple[int, ...], ...]"
+             ) -> "tuple[int, int] | None":
+    """``(rows, cols)`` of the lattice the per-call deltas lie on, in
+    call order (row-major), or None.  ``cols`` is the length of the
+    first run of equal steps, so a progression is ``(1, calls)``."""
+    n = len(deltas)
+    d0 = deltas[0]
+    if n == 1:
+        return 1, 1
+    col = tuple(y - x for x, y in zip(d0, deltas[1]))
+    cols = next((i for i in range(2, n)
+                 if tuple(y - x for x, y in zip(deltas[i - 1], deltas[i]))
+                 != col), n)
+    if n % cols:
+        return None
+    row = tuple(y - x for x, y in zip(d0, deltas[cols] if cols < n else d0))
+    for i, d in enumerate(deltas):
+        r, c = divmod(i, cols)
+        if any(x != b + r * rs + c * cs
+               for x, b, rs, cs in zip(d, d0, row, col)):
+            return None
+    return n // cols, cols
 
 
 def _build_waves(calls: "list[tuple[_Template, dict[str, int]]]",
@@ -534,10 +566,8 @@ def _build_waves(calls: "list[tuple[_Template, dict[str, int]]]",
     def wave(level: int, tpl: _Template, members: "list[int]") -> Wave:
         bufs = tuple(tpl.base)
         deltas = tuple(tuple(calls[ci][1][b] for b in bufs) for ci in members)
-        steps = {tuple(y - x for x, y in zip(d0, d1))
-                 for d0, d1 in zip(deltas, deltas[1:])}
         return Wave(level, tpl.index, tuple(members), bufs, deltas,
-                    len(steps) <= 1)
+                    _lattice(deltas))
 
     if len(calls) == 1:
         return [wave(1, calls[0][0], [0])]

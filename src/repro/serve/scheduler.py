@@ -195,7 +195,7 @@ class Scheduler:
             self._on_flush(bucket, wall, error)
 
     def _run_bucket(self, bucket: Bucket,
-                    marks: "dict | None" = None) -> np.ndarray:
+                    marks: "dict | None" = None) -> "list[np.ndarray]":
         from ..api.compact_blas import compact_from_batch
 
         if marks is None:
@@ -238,7 +238,7 @@ class Scheduler:
             marks["plan_cache"] = "hit" if hit else "compile"
             iatf.engine.execute_gemm(plan, ca, cb, cc, compiled=compiled)
             marks["execute"] = time.perf_counter()
-            return cc.to_matrices()[:n]
+            return _owned(cc, n)
         ca = compact_from_batch(stacked(lambda e: e.request.a), machine, dt)
         cb = compact_from_batch(stacked(lambda e: e.request.b), machine, dt)
         marks["stack"] = time.perf_counter()
@@ -247,4 +247,11 @@ class Scheduler:
         marks["plan_cache"] = "hit" if hit else "compile"
         iatf.engine.execute_trsm(plan, ca, cb, compiled=compiled)
         marks["execute"] = time.perf_counter()
-        return cb.to_matrices()[:n]
+        return _owned(cb, n)
+
+
+def _owned(compact, n: int) -> "list[np.ndarray]":
+    """The first ``n`` matrices of a flush's compact batch, each copied
+    into its own array: a row view would keep the whole padded batch
+    alive for as long as any one caller holds its result."""
+    return [m.copy() for m in compact.to_matrices()[:n]]

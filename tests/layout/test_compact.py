@@ -156,3 +156,64 @@ def test_property_roundtrip(batch, rows, cols, dtype, seed):
     a = random_batch(rng, batch, rows, cols, dtype)
     cb = CompactBatch.from_matrices(a, LANES[dtype])
     assert np.array_equal(cb.to_matrices(), a)
+
+
+# -- single-copy conversion vs the textbook formulas --------------------------
+
+def _formula_from(matrices, lanes):
+    """Zero-fill the padded batch, copy in, stack re/im, transpose."""
+    batch, rows, cols = matrices.shape
+    groups = padded_count(batch, lanes) // lanes
+    padded = np.zeros((groups * lanes, rows, cols), dtype=matrices.dtype)
+    padded[:batch] = matrices
+    grouped = padded.reshape(groups, lanes, rows, cols)
+    if matrices.dtype.kind == "c":
+        planes = np.stack([grouped.real, grouped.imag], axis=2)
+        return np.ascontiguousarray(planes.transpose(0, 4, 3, 2, 1))
+    return np.ascontiguousarray(grouped.transpose(0, 3, 2, 1))
+
+
+def _formula_to(cb):
+    """``re + 1j * im`` over the grid, cast back, trimmed."""
+    grid = cb.as_grid()
+    if cb.dtype.is_complex:
+        planes = grid.transpose(0, 4, 3, 1, 2)
+        full = (planes[:, :, 0] + 1j * planes[:, :, 1]).astype(
+            cb.dtype.np_dtype)
+    else:
+        full = grid[:, :, :, 0, :].transpose(0, 3, 1, 2)
+    return full.reshape(-1, cb.rows, cb.cols)[:cb.batch]
+
+
+def _layouts(a):
+    """C-ordered, Fortran-ordered, transposed and strided inputs."""
+    wide = np.zeros(a.shape[:2] + (2 * a.shape[2],), dtype=a.dtype)
+    wide[:, :, ::2] = a
+    return {"C": a, "F": np.asfortranarray(a),
+            "T": np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(
+                0, 2, 1),
+            "strided": wide[:, :, ::2]}
+
+
+BATCHES = {"1": lambda p: 1, "P-1": lambda p: p - 1, "P": lambda p: p,
+           "P+1": lambda p: p + 1, "2P+1": lambda p: 2 * p + 1}
+
+
+@pytest.mark.parametrize("dtype", ALL_DTYPES)
+@pytest.mark.parametrize("batch_of", BATCHES)
+def test_conversion_matches_the_formulas(rng, dtype, batch_of):
+    """Every input memory order interleaves to the bytes the
+    zero-fill/stack/transpose formula gives, and de-interleaves to the
+    bytes ``re + 1j * im`` gives."""
+    lanes = LANES[dtype]
+    batch = BATCHES[batch_of](lanes)
+    a = random_batch(rng, batch, 5, 3, dtype)
+    want = _formula_from(a, lanes).reshape(-1)
+    for name, x in _layouts(a).items():
+        assert np.array_equal(x, a)
+        cb = CompactBatch.from_matrices(x, lanes)
+        assert cb.buffer.tobytes() == want.tobytes(), name
+        out = cb.to_matrices()
+        assert out.flags.c_contiguous and out.dtype == a.dtype
+        assert out.tobytes() == _formula_to(cb).tobytes(), name
+        assert out.tobytes() == a.tobytes(), name

@@ -79,6 +79,23 @@ class TestBitIdenticalToSerial:
         assert np.array_equal(a, a0) and np.array_equal(b, b0)
         assert x.shape == (5, 3)
 
+    def test_results_own_their_memory(self):
+        """A result is its own array, not a row view keeping the flush's
+        whole padded batch alive."""
+        rng = np.random.default_rng(2)
+        reqs = [Request.gemm(rng.standard_normal((3, 4)),
+                             rng.standard_normal((4, 2)))
+                for _ in range(3)]
+        a = np.tril(rng.standard_normal((4, 4))) + 4 * np.eye(4)
+        reqs += [Request.trsm(a, rng.standard_normal((4, 3)))
+                 for _ in range(3)]
+        with BlasService(max_batch=8, max_wait_ms=0.5) as svc:
+            outs = [f.result(timeout=60.0)
+                    for f in [svc.submit(r) for r in reqs]]
+        for req, out in zip(reqs, outs):
+            assert out.base is None and out.flags.owndata, req.describe()
+            assert out.tobytes() == serial_result(req).tobytes()
+
 
 class TestAdmissionIntegration:
     def _held_service(self):
