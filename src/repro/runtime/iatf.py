@@ -583,6 +583,9 @@ class IATF:
         cb = CompactBatch.from_matrices(b, lanes, dt)
         cc = CompactBatch.from_matrices(c, lanes, dt)
         self.gemm_compact(problem, ca, cb, cc)
+        # free the operand batches first, so the result can take their
+        # memory instead of growing the heap past them
+        del ca, cb
         return cc.to_matrices()
 
     def trsm(self, a: np.ndarray, b: np.ndarray, alpha: complex = 1.0,
@@ -611,6 +614,7 @@ class IATF:
         ca = CompactBatch.from_matrices(a, lanes, dt)
         cb = CompactBatch.from_matrices(b, lanes, dt)
         self.trsm_compact(problem, ca, cb)
+        del ca              # as in gemm: the result may reuse its memory
         return cb.to_matrices()
 
     # -- timing -------------------------------------------------------------
