@@ -20,7 +20,6 @@ import sys
 from . import experiments
 from .harness import PAPER_SIZES, QUICK_SIZES, BenchHarness
 from .reporting import ratio_summary, series_table
-from .trajectory import append_points, points_from_serve, points_from_showdown
 
 SWEEP_EXPERIMENTS = ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
                      "headline")
@@ -52,14 +51,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch", type=int, default=16384,
                         help="batch size for the 'backends' showdown "
                         "(default: the paper's headline 16384)")
-    parser.add_argument("--json", nargs="?", const="BENCH_backends.json",
-                        metavar="PATH",
-                        help="append the 'backends' showdown as uniform-"
-                        "schema trajectory points (one per backend: machine "
-                        "id, dtype, shape, modeled gflops / %% of peak, "
-                        "wall seconds) to a JSON list file the watchdog "
-                        "('python -m repro.obs watch') diffs (default "
-                        "path: BENCH_backends.json)")
     parser.add_argument("--requests", type=int, default=512,
                         help="request count per run of the 'serve' "
                         "throughput experiment")
@@ -91,26 +82,13 @@ def main(argv: list[str] | None = None) -> int:
             backends = (("interpret", "fused", "megakernel")
                         if args.backend == "both" else (args.backend,))
             dt = args.dtype or "s"
-            result = experiments.backend_showdown(dtype=dt,
-                                                  backends=backends,
-                                                  batch=args.batch)
-            print(result["render"])
-            if args.json:
-                points = points_from_showdown(result)
-                path = append_points(args.json, points)
-                print(f"{len(points)} trajectory points (schema v"
-                      f"{points[0]['schema']}) appended to {path}")
+            print(experiments.backend_showdown(
+                dtype=dt, backends=backends, batch=args.batch)["render"])
         elif args.experiment == "serve":
             dt = args.dtype or "s"
-            result = experiments.serve_throughput(
+            print(experiments.serve_throughput(
                 dtype=dt, n_requests=args.requests,
-                max_batch=args.max_batch)
-            print(result["render"])
-            if args.json:
-                points = points_from_serve(result)
-                path = append_points(args.json, points)
-                print(f"{len(points)} trajectory points (schema v"
-                      f"{points[0]['schema']}) appended to {path}")
+                max_batch=args.max_batch)["render"])
         elif args.experiment == "tuned":
             sizes = (PAPER_SIZES if args.full else QUICK_SIZES)
             dt = args.dtype or "d"

@@ -458,7 +458,7 @@ def backend_showdown(size: int = 8, dtype: str = "s",
     plan = IATF(machine).plan_gemm(prob)
     passes = lower_plan(plan).stats["passes"]
     # the cycle model is backend-independent: one deterministic
-    # gflops / %-of-peak figure per problem, the watchdog's CI metric
+    # gflops / %-of-peak figure per problem, printed beside the walls
     timing = Engine(machine).time_plan(plan)
 
     lines = [f"Backend showdown — {dt.value}gemm NN {size}x{size}x{size}, "
@@ -482,15 +482,8 @@ def backend_showdown(size: int = 8, dtype: str = "s",
     lines.append(f"cycle model: {timing.gflops:.2f} GFLOPS "
                  f"({timing.percent_of_peak:.1f}% of peak, "
                  f"backend-independent)")
-    return {"seconds": results, "repeats": repeats, "size": size,
-            "batch": batch, "dtype": dt.value, "passes": passes,
-            "mega_vs_fused": mega_vs_fused,
-            "machine": machine.name, "machine_id": machine.machine_id,
-            "routine": "gemm", "shape": [size, size, size],
-            "modeled_gflops": timing.gflops,
-            "modeled_percent_peak": timing.percent_of_peak,
-            "modeled_cycles": timing.total_cycles,
-            "render": "\n".join(lines)}
+    return {"seconds": results, "passes": passes,
+            "mega_vs_fused": mega_vs_fused, "render": "\n".join(lines)}
 
 
 def serve_throughput(size: int = 8, dtype: str = "s",
@@ -511,10 +504,9 @@ def serve_throughput(size: int = 8, dtype: str = "s",
     by roughly the lane-occupancy factor times the amortized per-flush
     overhead, which is the whole argument for the serving frontend.
 
-    Wall-clock based like :func:`backend_showdown`; the deterministic
-    CI metric is the cycle model's per-request efficiency at the two
-    batch sizes (``modeled_gflops``), which captures the same lane-
-    waste story without host noise.
+    Wall-clock based like :func:`backend_showdown`; the render also
+    prints the cycle model's per-request efficiency at the two batch
+    sizes, which tells the same lane-waste story without host noise.
     """
     from ..runtime.engine import Engine
     from ..serve.client import run_traffic
@@ -527,7 +519,6 @@ def serve_throughput(size: int = 8, dtype: str = "s",
                "batch1": dict(max_batch=1, max_wait_ms=0.0)}
 
     rows: "list[dict]" = []
-    firehose: "dict[str, dict]" = {}
     services: "dict[str, dict]" = {}
     for mode, kw in configs.items():
         svc = BlasService(machine, **kw)
@@ -541,8 +532,6 @@ def serve_throughput(size: int = 8, dtype: str = "s",
                               rate=rate, shapes=shapes,
                               dtypes=(dt.value,))
             per_rate[rate] = res
-            if rate is None:
-                firehose[mode] = res
         stats = svc.stats()
         svc.stop()
         services[mode] = {"per_rate": per_rate,
@@ -560,14 +549,13 @@ def serve_throughput(size: int = 8, dtype: str = "s",
                      "ratio": round(ratio, 3)})
 
     # deterministic per-request efficiency at the two batch sizes: the
-    # cycle model's view of what lane occupancy buys (CI diffs this)
+    # cycle model's view of what lane occupancy buys
     engine = Engine(machine)
     fw = IATF(machine)
     t_full = engine.time_plan(fw.plan_gemm(
         GemmProblem(size, size, size, dt, batch=max_batch)))
     t_one = engine.time_plan(fw.plan_gemm(
         GemmProblem(size, size, size, dt, batch=1)))
-    modeled = {"coalesced": t_full, "batch1": t_one}
 
     headline = rows[-1]["ratio"] if rows else 0.0
     lines = [f"Serve throughput — {dt.value}gemm {size}x{size}x{size}, "
@@ -594,14 +582,4 @@ def serve_throughput(size: int = 8, dtype: str = "s",
     lines.append(f"firehose speedup: {headline:.2f}x coalesced over "
                  f"batch-of-1")
     return {"rows": rows, "services": services,
-            "firehose_ratio": headline,
-            "machine": machine.name, "machine_id": machine.machine_id,
-            "routine": "serve", "dtype": dt.value,
-            "shape": [size, size, size], "n_requests": n_requests,
-            "max_batch": max_batch,
-            "wall_seconds": {m: firehose[m]["wall_seconds"]
-                             for m in firehose},
-            "modeled": {m: {"gflops": t.gflops,
-                            "percent_peak": t.percent_of_peak}
-                        for m, t in modeled.items()},
-            "render": "\n".join(lines)}
+            "firehose_ratio": headline, "render": "\n".join(lines)}

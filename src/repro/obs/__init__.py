@@ -1,6 +1,6 @@
 """repro.obs — zero-dependency observability for the run-time stage.
 
-Five layers:
+The layers:
 
 * :mod:`repro.obs.core` — the process-wide :class:`Registry` of named
   :class:`Counter`/:class:`Histogram` objects and the hot-path helpers
@@ -19,12 +19,10 @@ Five layers:
   :class:`ProfileReport` adds the %-of-peak roofline view, collapsed
   flamegraph stacks, and a modeled Chrome-trace track;
   :func:`model_drift` compares the cycle model to wall clock;
-* :mod:`repro.obs.watch` — the stdlib-pure bench-trajectory watchdog
-  behind ``python -m repro.obs watch``;
 * :mod:`repro.obs.events` — leveled structured events
   (:func:`event`): a bounded in-memory ring per registry plus an
   optional size-rotated JSONL file sink — the durable record for
-  plan-cache evictions, TuningDB fallbacks, and watchdog verdicts;
+  plan-cache evictions, TuningDB fallbacks, and re-tuning episodes;
 * :mod:`repro.obs.export` — pluggable snapshot exporters
   (:class:`PrometheusExporter`, :class:`JsonExporter`,
   :class:`DeltaExporter`) rendering one :meth:`Registry.snapshot`
@@ -32,7 +30,7 @@ Five layers:
   delta view;
 * :mod:`repro.obs.serve` — ``python -m repro.obs serve``, the stdlib
   ``http.server`` endpoint exposing ``/metrics``, ``/snapshot.json``,
-  ``/delta.json``, ``/events``, ``/healthz``, and ``/trajectory``.
+  ``/delta.json``, ``/events``, and ``/healthz``.
 
 Spans carry a **trace context** (``trace_id`` / ``span_id`` /
 ``parent_id``) propagated through :mod:`contextvars`; cross-thread

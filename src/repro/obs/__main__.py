@@ -9,13 +9,9 @@ Usage::
     python -m repro.obs profile gemm --m 8 --n 8 --k 8 --dtype s \\
         [--stream raw|fused] [--json out.json] [--flame out.folded] \\
         [--trace-out out.trace.json] [--drift]
-    python -m repro.obs watch BENCH_backends.json [--threshold 0.10] \\
-        [--wall-threshold 0.5] [--mega-floor 1.2] \\
-        [--drift-threshold 0.5] [--slo slo.json]
     python -m repro.obs flight [--url http://127.0.0.1:9110/flight] \\
         [--last] [-o dump.json]
-    python -m repro.obs serve [--port 9109] [--demo] \\
-        [--trajectory BENCH_backends.json] [--for-seconds 30]
+    python -m repro.obs serve [--port 9109] [--demo] [--for-seconds 30]
 
 ``snapshot`` runs a small representative GEMM+TRSM workload with
 instrumentation enabled, prints the registry report, and (with
@@ -23,11 +19,10 @@ instrumentation enabled, prints the registry report, and (with
 ``.trace.json``.  ``profile`` renders the attribution profiler's
 roofline report for one problem shape (optionally persisting the JSON,
 collapsed-stack flamegraph, and merged Chrome-trace artifacts).
-``watch`` is the bench-trajectory regression watchdog; its exit code
-feeds CI.  ``serve`` is the live telemetry endpoint (``/metrics``,
-``/snapshot.json``, ``/delta.json``, ``/events``, ``/healthz``,
-``/trajectory``); ``--demo`` keeps a small bench workload running so
-there is something to scrape.
+``serve`` is the live telemetry endpoint (``/metrics``,
+``/snapshot.json``, ``/delta.json``, ``/events``, ``/healthz``);
+``--demo`` keeps a small bench workload running so there is something
+to scrape.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ import json
 import sys
 
 from . import model_drift, profile_report, scoped, write_chrome_trace
-from .watch import watch
 
 __all__ = ["main"]
 
@@ -156,16 +150,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_watch(args) -> int:
-    result = watch(args.paths, gflops_threshold=args.threshold,
-                   wall_threshold=args.wall_threshold,
-                   mega_floor=args.mega_floor,
-                   drift_threshold=args.drift_threshold,
-                   slo_path=args.slo_path)
-    print(result.render())
-    return result.exit_code
-
-
 def _cmd_flight(args) -> int:
     """Fetch (or locally produce) one flight-recorder post-mortem."""
     if args.url:
@@ -260,7 +244,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     p_serve = sub.add_parser("serve", help="live telemetry endpoint: "
                              "/metrics (Prometheus), /snapshot.json, "
-                             "/delta.json, /events, /healthz, /trajectory")
+                             "/delta.json, /events, /healthz")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=9109,
                          help="TCP port (0 picks an ephemeral one; "
@@ -270,40 +254,11 @@ def main(argv: "list[str] | None" = None) -> int:
                          "a background thread so the metrics move")
     p_serve.add_argument("--demo-batch", type=int, default=512,
                          help="batch size for the demo workload rounds")
-    p_serve.add_argument("--trajectory", default="BENCH_backends.json",
-                         metavar="PATH", help="trajectory file served "
-                         "at /trajectory (default BENCH_backends.json)")
     p_serve.add_argument("--for-seconds", type=float, default=None,
                          metavar="S", help="shut down after S seconds "
                          "instead of serving forever (CI smoke)")
     p_serve.add_argument("--quiet", action="store_true",
                          help="suppress the startup banner")
-
-    p_watch = sub.add_parser("watch", help="bench-trajectory regression "
-                             "watchdog: diff BENCH_*.json series, exit "
-                             "nonzero on regressions (CI gate)")
-    p_watch.add_argument("paths", nargs="*", default=["BENCH_backends.json"],
-                         metavar="PATH", help="trajectory JSON files "
-                         "(default: BENCH_backends.json)")
-    p_watch.add_argument("--threshold", type=float, default=0.10,
-                         help="modeled-GFLOPS regression threshold as a "
-                         "fraction (default 0.10 = 10%%)")
-    p_watch.add_argument("--wall-threshold", type=float, default=None,
-                         help="opt-in wall-clock regression threshold "
-                         "(host-dependent; pinned perf runners only)")
-    p_watch.add_argument("--mega-floor", type=float, default=None,
-                         help="require wall(fused)/wall(megakernel) >= "
-                         "floor in the latest run — the trace-compiled "
-                         "backend must keep its measured speedup")
-    p_watch.add_argument("--drift-threshold", type=float, default=None,
-                         help="flag series whose wall/model ratio grew "
-                         "past 1+T vs baseline (advisory: feeds online "
-                         "re-tuning, never the exit code)")
-    p_watch.add_argument("--slo", dest="slo_path", metavar="PATH",
-                         default=None,
-                         help="fold a saved /slo dump's warn/page "
-                         "burn-rate verdicts into the report (advisory: "
-                         "never the exit code)")
 
     p_flight = sub.add_parser("flight", help="flight-recorder post-"
                               "mortem: dump the recent-history rings of "
@@ -326,15 +281,12 @@ def main(argv: "list[str] | None" = None) -> int:
         return _cmd_explain(args)
     if args.command == "profile":
         return _cmd_profile(args)
-    if args.command == "watch":
-        return _cmd_watch(args)
     if args.command == "flight":
         return _cmd_flight(args)
     if args.command == "serve":
         from .serve import serve
         return serve(args.host, args.port, demo=args.demo,
                      demo_batch=args.demo_batch,
-                     trajectory_path=args.trajectory,
                      for_seconds=args.for_seconds, quiet=args.quiet)
     parser.print_help()
     return 2

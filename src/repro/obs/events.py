@@ -2,7 +2,7 @@
 
 Counters say *how often*, histograms say *how much*, spans say *how
 long* — events say **what happened**: a plan-cache eviction, a TuningDB
-fallback, a watchdog verdict.  Each event is one flat JSON-able record
+fallback, a re-tune record swap.  Each event is one flat JSON-able record
 (timestamp, level, name, free-form fields, and the live trace context
 if a span is open), appended to a bounded in-memory ring on the
 registry and, optionally, to a size-rotated JSONL file sink.
@@ -12,7 +12,7 @@ Usage::
     from repro import obs
     with obs.scoped() as reg:
         obs.event("tuning.fallback", reason="corrupt db")
-        obs.event("watch.regression", level="warn", series="sgemm8")
+        obs.event("tuning.retune.skipped", level="warn", op="gemm")
         for rec in reg.events.tail(10):
             print(rec["name"], rec["fields"])
 

@@ -2,7 +2,7 @@
 
 One :meth:`Registry.snapshot` dict is the wire format; everything here
 is a pure function of it, so the same registry feeds CI artifacts
-(JSON), the watchdog (deltas/rates), and a live scraper (Prometheus)
+(JSON), windowed scrapes (deltas/rates), and a live scraper (Prometheus)
 without three instrumentation paths.  Renders are deterministic —
 names sorted, no timestamps — so two scrapes of an idle registry are
 bit-identical (the property the serve smoke test pins).
@@ -196,8 +196,8 @@ class DeltaExporter:
 
     The first render diffs against an empty snapshot (everything is
     new); each subsequent render diffs against the previous one and
-    derives rates from the wall time between the two — the watchdog's
-    "what moved in this window" view.
+    derives rates from the wall time between the two — the "what moved
+    in this window" view.
     """
 
     format = "delta"

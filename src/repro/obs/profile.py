@@ -35,8 +35,7 @@ On top of the attribution sit three consumers:
   ridge point, flagging memory- vs compute-bound plans;
 * :func:`model_drift` — cycle-model predictions cross-checked against
   ``Evaluator`` wall-clock replays, ratio per executor backend;
-* ``python -m repro.obs profile`` / the bench watchdog, which persist
-  the JSON form.
+* ``python -m repro.obs profile``, which persists the JSON form.
 
 Runtime imports happen inside functions (the ``explain`` idiom):
 ``repro.runtime`` imports ``repro.obs`` for instrumentation, so
@@ -534,7 +533,8 @@ def model_drift(problem, machine=None, *,
     "ratio"}}`` where the ratio is wall over predicted (>1 means the
     host is slower than the modeled silicon — expected, since the
     replay is NumPy, not ARM assembly; what matters is that the ratio
-    is *stable* per backend, which is what the watchdog tracks).
+    is *stable* per backend; a shape whose ratio grows is a candidate
+    for :meth:`IATF.retune <repro.runtime.iatf.IATF.retune>`).
     """
     from ..machine.machines import KUNPENG_920
     from ..tuning.evaluate import Evaluator

@@ -1,7 +1,7 @@
 """``python -m repro.obs serve`` — the live telemetry endpoint.
 
 A stdlib :mod:`http.server` plane over the process registry, so a
-Prometheus scraper, the watchdog, or a human with ``curl`` can watch a
+Prometheus scraper or a human with ``curl`` can watch a
 long-running IATF process (a bench sweep, a future service frontend)
 instead of waiting for the batch ``report()`` at the end:
 
@@ -12,8 +12,6 @@ instead of waiting for the batch ``report()`` at the end:
 * ``/events?n=100&level=warn`` — the structured-event ring, oldest
   first
 * ``/healthz``        — liveness (also reports exporter self-accounting)
-* ``/trajectory``     — the schema-v2 ``BENCH_backends.json`` series
-  the watchdog diffs
 
 Scrapes are **read-only**: handlers never write into the registry they
 render, so an idle registry serves bit-identical ``/metrics`` bodies.
@@ -37,8 +35,6 @@ from .export import (DeltaExporter, JsonExporter, PrometheusExporter,
                      render_stats)
 
 __all__ = ["TelemetryServer", "make_server", "serve", "run_demo"]
-
-DEFAULT_TRAJECTORY = "BENCH_backends.json"
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -81,12 +77,9 @@ class TelemetryServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, address: "tuple[str, int]",
-                 registry=None,
-                 trajectory_path: str = DEFAULT_TRAJECTORY) -> None:
+    def __init__(self, address: "tuple[str, int]", registry=None) -> None:
         super().__init__(address, _Handler)
         self._registry = registry
-        self.trajectory_path = trajectory_path
         self._prometheus = PrometheusExporter()
         self._json = JsonExporter()
         self._delta = DeltaExporter()
@@ -96,7 +89,6 @@ class TelemetryServer(ThreadingHTTPServer):
             "/delta.json": self._delta_view,
             "/events": self._events,
             "/healthz": self._healthz,
-            "/trajectory": self._trajectory,
         }
 
     # routes return (body, content_type)
@@ -146,24 +138,13 @@ class TelemetryServer(ThreadingHTTPServer):
         return (json.dumps(health, sort_keys=True) + "\n",
                 "application/json")
 
-    def _trajectory(self, query) -> "tuple[str, str]":
-        try:
-            with open(self.trajectory_path) as f:
-                raw = f.read()
-            json.loads(raw)          # malformed history is a 500, not junk
-        except OSError:
-            return (json.dumps([]) + "\n", "application/json")
-        return raw, "application/json"
-
 
 def make_server(host: str = "127.0.0.1", port: int = 9109,
-                registry=None,
-                trajectory_path: str = DEFAULT_TRAJECTORY) -> TelemetryServer:
+                registry=None) -> TelemetryServer:
     """Construct (but do not start) a telemetry server; ``port=0``
     binds an ephemeral port (``server.server_address`` has the real
     one — what the tests use)."""
-    return TelemetryServer((host, port), registry=registry,
-                           trajectory_path=trajectory_path)
+    return TelemetryServer((host, port), registry=registry)
 
 
 def run_demo(stop: threading.Event, batch: int = 512,
@@ -188,7 +169,6 @@ def run_demo(stop: threading.Event, batch: int = 512,
 
 def serve(host: str = "127.0.0.1", port: int = 9109, *,
           demo: bool = False, demo_batch: int = 512,
-          trajectory_path: str = DEFAULT_TRAJECTORY,
           for_seconds: "float | None" = None,
           quiet: bool = False) -> int:
     """Run the endpoint until interrupted (the CLI entry point).
@@ -196,7 +176,7 @@ def serve(host: str = "127.0.0.1", port: int = 9109, *,
     ``--demo`` flips instrumentation on process-wide and starts the
     demo thread; ``for_seconds`` bounds the run (CI smoke).
     """
-    server = make_server(host, port, trajectory_path=trajectory_path)
+    server = make_server(host, port)
     stop = threading.Event()
     if demo:
         core.enable()

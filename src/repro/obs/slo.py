@@ -49,7 +49,7 @@ __all__ = ["SLOSpec", "SLOMonitor", "KINDS", "default_specs"]
 #: objective kinds the monitor evaluates
 KINDS = ("latency", "deadline_miss", "reject")
 
-#: verdicts, least to most severe (the order ``obs watch`` folds them in)
+#: verdicts, least to most severe (``dump`` reports the worst one)
 VERDICTS = ("no_data", "ok", "warn", "page")
 
 

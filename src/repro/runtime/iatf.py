@@ -280,7 +280,8 @@ class IATF:
                timestamp: float = 0.0):
         """Bounded re-sweep for one shape, swapping the DB record and
         invalidating the stale cached plans — the run-time half of the
-        drift loop (``obs watch`` detects, ``retune`` corrects).
+        drift loop (``python -m repro.obs profile --drift`` detects,
+        ``retune`` corrects).
 
         The sweep is the analytical-first top-k one (``top_k=None``
         takes the tuner default), so a retune costs a handful of
@@ -347,52 +348,6 @@ class IATF:
         if op not in ("gemm", "trsm"):
             return False
         return self._tuning_key(op, problem) == tuning_key
-
-    def retune_from_watch(self, drifts, *, top_k: "int | None" = None,
-                          save: bool = True, timestamp: float = 0.0):
-        """Act on ``obs watch`` drift verdicts: re-tune every drifting
-        series that belongs to *this* machine.
-
-        ``drifts`` is :attr:`repro.obs.watch.WatchResult.drifts` (or any
-        iterable of such dicts).  Verdicts for other machines are
-        ignored; verdicts whose routine/shape cannot be mapped to a
-        tunable problem are counted (``tuning.retune.unmapped``) and
-        skipped.  Returns the list of :class:`TuneOutcome`\\ s swapped
-        in."""
-        outcomes = []
-        for d in drifts:
-            if d.get("machine_id") != self.machine.machine_id:
-                continue
-            problem = self._problem_from_drift(d)
-            if problem is None:
-                obs.count("tuning.retune.unmapped")
-                obs.event("tuning.retune.unmapped", level="warn",
-                          routine=str(d.get("routine")),
-                          shape=str(d.get("shape")))
-                continue
-            out = self.retune(
-                problem, reason=f"drift x{float(d.get('ratio', 0.0)):.2f}",
-                top_k=top_k, save=save, timestamp=timestamp)
-            if out is not None:
-                outcomes.append(out)
-        return outcomes
-
-    def _problem_from_drift(self, d: dict):
-        """Map one watch drift verdict back to a tunable problem, or
-        ``None`` when the point describes something we cannot tune."""
-        try:
-            shape = [int(x) for x in d["shape"]]
-            dtype = BlasDType.from_any(d["dtype"])
-            batch = int(d["batch"])
-            routine = d["routine"]
-        except (KeyError, TypeError, ValueError):
-            return None
-        if routine == "gemm" and len(shape) == 3:
-            return GemmProblem(shape[0], shape[1], shape[2], dtype,
-                               batch=batch)
-        if routine == "trsm" and len(shape) == 2:
-            return TrsmProblem(shape[0], shape[1], dtype, batch=batch)
-        return None
 
     def _registry_for(self, schedule: bool) -> KernelRegistry:
         """The main registry, or the alternate-schedule one a tuned

@@ -238,6 +238,9 @@ class Scheduler:
             marks["plan_cache"] = "hit" if hit else "compile"
             iatf.engine.execute_gemm(plan, ca, cb, cc, compiled=compiled)
             marks["execute"] = time.perf_counter()
+            # free the operand batches first, so the copied-out results
+            # can take their memory instead of growing the heap past them
+            del ca, cb
             return _owned(cc, n)
         ca = compact_from_batch(stacked(lambda e: e.request.a), machine, dt)
         cb = compact_from_batch(stacked(lambda e: e.request.b), machine, dt)
@@ -247,6 +250,7 @@ class Scheduler:
         marks["plan_cache"] = "hit" if hit else "compile"
         iatf.engine.execute_trsm(plan, ca, cb, compiled=compiled)
         marks["execute"] = time.perf_counter()
+        del ca              # as in gemm: the results may reuse its memory
         return _owned(cb, n)
 
 

@@ -82,27 +82,3 @@ def test_backends_showdown_covers_all_backends(capsys):
     for name in ("interpret", "fused", "megakernel"):
         assert name in out
     assert "pass pipeline" in out and "megakernel vs fused" in out
-
-
-def test_backends_json_artifact_appends(capsys, tmp_path):
-    import json
-
-    from repro.obs.watch import SCHEMA_VERSION, watch
-
-    path = tmp_path / "traj.json"
-    for expected_points in (1, 2):   # one v2 point per backend per run
-        assert main(["backends", "--batch", "256",
-                     "--backend", "fused", "--json", str(path)]) == 0
-        points = json.loads(path.read_text())
-        assert len(points) == expected_points
-    point = points[-1]
-    assert point["schema"] == SCHEMA_VERSION
-    assert point["batch"] == 256
-    assert point["backend"] == "fused"
-    assert point["machine_id"] == "kunpeng-920"
-    assert point["shape"] == [8, 8, 8]
-    assert point["gflops"] > 0 and point["wall_seconds"] > 0
-    assert "trajectory points (schema v2) appended" \
-        in capsys.readouterr().out
-    # the artifact it writes is exactly what the watchdog consumes
-    assert watch([str(path)]).exit_code == 0

@@ -162,8 +162,8 @@ class TestDelta:
 class _Endpoint:
     """A telemetry server on an ephemeral port, torn down on exit."""
 
-    def __init__(self, registry, **kw):
-        self.server = obs_serve.make_server(port=0, registry=registry, **kw)
+    def __init__(self, registry):
+        self.server = obs_serve.make_server(port=0, registry=registry)
         self.base = "http://127.0.0.1:%d" % self.server.server_address[1]
         self._thread = threading.Thread(target=self.server.serve_forever,
                                         daemon=True)
@@ -254,20 +254,6 @@ class TestServeHTTP:
                 server.add_route("serve/stats", lambda q: ("", "text/plain"))
         finally:
             server.server_close()
-
-    def test_trajectory_endpoint_serves_the_file(self, tmp_path):
-        path = tmp_path / "BENCH_t.json"
-        path.write_text('[{"schema": 2}]')
-        reg = obs.Registry()
-        with _Endpoint(reg, trajectory_path=str(path)) as ep:
-            _, _, body = ep.get("/trajectory")
-        assert json.loads(body) == [{"schema": 2}]
-
-    def test_missing_trajectory_serves_empty_list(self):
-        with _Endpoint(obs.Registry(),
-                       trajectory_path="/nonexistent/t.json") as ep:
-            _, _, body = ep.get("/trajectory")
-        assert json.loads(body) == []
 
     def test_unknown_path_is_404(self):
         with _Endpoint(obs.Registry()) as ep:

@@ -1,10 +1,15 @@
 """Public-API tests for the IATF facade."""
 
+import hashlib
+import json
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from repro import IATF, KUNPENG_920, XEON_GOLD_6240
 from repro.errors import InvalidProblemError
+from repro.machine.machines import A64FX
 from repro.reference import gemm_reference, trsm_reference
 from repro.types import GemmProblem, TrsmProblem
 from tests.conftest import (ALL_DTYPES, random_batch, random_triangular,
@@ -185,3 +190,42 @@ class TestOperandShapeValidation:
         b = random_batch(rng, 4, 4, 3, "d")
         with pytest.raises(InvalidProblemError, match=r"side=R.* 3x3"):
             iatf.trsm(a, b, side="R")
+
+
+# -- pinned analytic plan choice ---------------------------------------------
+
+BULK_PLAN_DIGEST = ("b70f7cd8598980cf698db69a3d896930"
+                    "69dcaea5b997fd48c2c2afa779dc4b1a")
+"""sha256 over the modeled timing of the plan IATF picks analytically for
+each perfbench FULL bulk problem on three machines.  A change to plan
+choice (tiling, packing, batch counter) or to the cycle model changes
+it."""
+
+
+def test_analytic_plan_choice_golden_digest():
+    """Every ``PlanTiming`` cycle field, the ``TimingResult`` detail and
+    the GFLOPS figure of ``IATF(machine).time_gemm``/``time_trsm`` (no
+    TuningDB) for ``perfbench.grids.FULL.bulk`` x three machines."""
+    from perfbench.grids import FULL
+
+    digest = hashlib.sha256()
+    plans = 0
+    headline = None
+    for machine in (KUNPENG_920, XEON_GOLD_6240, A64FX):
+        iatf = IATF(machine)
+        for p in FULL.bulk:
+            t = (iatf.time_gemm(p) if isinstance(p, GemmProblem)
+                 else iatf.time_trsm(p))
+            assert t.plan.meta["decision"]["source"] == "analytic"
+            row = [machine.machine_id, repr(p), t.kernel_cycles_per_group,
+                   t.pack_cycles, t.unpack_cycles, t.overhead_cycles,
+                   t.total_cycles, t.gflops, list(astuple(t.detail))]
+            digest.update(json.dumps(row).encode() + b"\n")
+            plans += 1
+            if (machine is KUNPENG_920
+                    and p == GemmProblem(8, 8, 8, "s", batch=16384)):
+                headline = t.gflops
+    assert plans == 18
+    # the paper's headline shape, by name: sgemm 8^3, batch 16384
+    assert headline is not None and round(headline, 3) == 12.731
+    assert digest.hexdigest() == BULK_PLAN_DIGEST

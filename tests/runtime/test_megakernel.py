@@ -164,8 +164,7 @@ class TestPerfGuard:
         """The trace compiler's payoff on the headline shape: measured
         ~1.5x over fused on an otherwise idle single core, guarded here
         only as not-slower so background load cannot flake CI (the CI
-        perf smoke and the watchdog's --mega-floor carry the real
-        floor)."""
+        perf smoke carries the real floor)."""
         p = GemmProblem(8, 8, 8, "s", batch=16384)
         a = random_batch(rng, p.batch, 8, 8, "s")
         lanes = LANES["s"]

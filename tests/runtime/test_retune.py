@@ -1,14 +1,11 @@
 """Drift-triggered online re-tuning: record swap, plan-cache
-invalidation, and the watch-verdict mapping."""
-
-import pytest
+invalidation, DB self-heal."""
 
 from repro import IATF, KUNPENG_920
 from repro import obs
-from repro.obs.watch import check_trajectory
 from repro.tuning.db import TuningDB
 from repro.tuning.tuner import tune_problem
-from repro.types import GemmProblem, TrsmProblem
+from repro.types import GemmProblem
 
 PROBLEM = GemmProblem(6, 6, 6, "d", batch=512)
 
@@ -20,14 +17,6 @@ def _tuned_iatf(tmp_path):
     db.put(out.key, out.record)
     db.save()
     return IATF(KUNPENG_920, tuning_db=db), out
-
-
-def _drift(ratio=2.5, **over):
-    d = {"machine_id": KUNPENG_920.machine_id, "routine": "gemm",
-         "backend": "fused", "dtype": "d", "shape": [6, 6, 6],
-         "batch": 512, "ratio": ratio, "threshold": 0.5}
-    d.update(over)
-    return d
 
 
 class TestRetune:
@@ -91,52 +80,3 @@ class TestRetune:
         for name in ("tuning.retune.scheduled", "tuning.retune.swapped",
                      "tuning.retune.plans_invalidated"):
             assert counters.get(name, 0) > 0, name
-
-
-class TestRetuneFromWatch:
-    def test_drift_verdict_maps_and_swaps(self, tmp_path):
-        iatf, _ = _tuned_iatf(tmp_path)
-        outs = iatf.retune_from_watch([_drift()], timestamp=7.0)
-        assert len(outs) == 1
-        assert outs[0].record.sweep == "retune"
-        assert outs[0].record.timestamp == 7.0
-
-    def test_other_machines_ignored(self, tmp_path):
-        iatf, _ = _tuned_iatf(tmp_path)
-        assert iatf.retune_from_watch([_drift(machine_id="a64fx")]) == []
-
-    def test_unmappable_verdict_counted(self, tmp_path):
-        iatf, _ = _tuned_iatf(tmp_path)
-        with obs.scoped() as reg:
-            outs = iatf.retune_from_watch(
-                [_drift(routine="getrf", shape=[6, 6])])
-        assert outs == []
-        assert reg.snapshot()["counters"]["tuning.retune.unmapped"] == 1
-
-    def test_trsm_drift_maps(self, tmp_path):
-        iatf, _ = _tuned_iatf(tmp_path)
-        outs = iatf.retune_from_watch(
-            [_drift(routine="trsm", shape=[5, 5])])
-        assert len(outs) == 1
-        assert outs[0].key.op == "trsm"
-        assert outs[0].key == iatf._tuning_key(
-            "trsm", TrsmProblem(5, 5, "d", batch=512))
-
-    def test_end_to_end_with_watchdog(self, tmp_path):
-        """The full loop: trajectory points -> watch drift verdict ->
-        retune -> fresh record + invalidated plan."""
-        iatf, old = _tuned_iatf(tmp_path)
-        plan = iatf.plan_gemm(PROBLEM)
-        pts = [{"schema": 2, "machine": KUNPENG_920.name,
-                "machine_id": KUNPENG_920.machine_id, "routine": "gemm",
-                "backend": "fused", "dtype": "d", "shape": [6, 6, 6],
-                "batch": 512, "gflops": 8.0, "percent_peak": 30.0,
-                "wall_seconds": w, "repeats": 3, "timestamp": ts}
-               for w, ts in ((0.010, 1.0), (0.025, 2.0))]
-        result = check_trajectory(pts, drift_threshold=0.5)
-        assert result.exit_code == 0          # drift is advisory
-        assert len(result.drifts) == 1
-        outs = iatf.retune_from_watch(result.drifts, timestamp=123.0)
-        assert len(outs) == 1
-        assert iatf.tuning_db.get(old.key).sweep == "retune"
-        assert iatf.plan_gemm(PROBLEM) is not plan
