@@ -24,7 +24,7 @@ from .reporting import ratio_summary, series_table
 SWEEP_EXPERIMENTS = ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
                      "headline")
 LOCAL_EXPERIMENTS = ("table1", "table2", "fig4", "fig5", "ablation",
-                     "backend", "backends", "tuned", "serve")
+                     "tuned", "serve")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -41,16 +41,10 @@ def main(argv: list[str] | None = None) -> int:
                         "(LNLN/...) mode for fig8/fig10")
     parser.add_argument("--full", action="store_true",
                         help="use the paper's full 1..33 size grid")
-    parser.add_argument("--backend", choices=["interpret", "fused",
-                                              "megakernel", "both"],
+    parser.add_argument("--backend", choices=["interpret", "fused", "both"],
                         default="both",
-                        help="executor backend(s): the 'backend'/"
-                        "'backends' experiments compare them head to "
-                        "head ('both' = every registered backend); "
-                        "sweep experiments run on the selected one")
-    parser.add_argument("--batch", type=int, default=16384,
-                        help="batch size for the 'backends' showdown "
-                        "(default: the paper's headline 16384)")
+                        help="executor backend sweep experiments run on "
+                        "('both' = the default backend)")
     parser.add_argument("--requests", type=int, default=512,
                         help="request count per run of the 'serve' "
                         "throughput experiment")
@@ -78,12 +72,6 @@ def main(argv: list[str] | None = None) -> int:
             print(experiments.fig4_tiling()["render"])
         elif args.experiment == "fig5":
             print(experiments.fig5_scheduling()["render"])
-        elif args.experiment in ("backend", "backends"):
-            backends = (("interpret", "fused", "megakernel")
-                        if args.backend == "both" else (args.backend,))
-            dt = args.dtype or "s"
-            print(experiments.backend_showdown(
-                dtype=dt, backends=backends, batch=args.batch)["render"])
         elif args.experiment == "serve":
             dt = args.dtype or "s"
             print(experiments.serve_throughput(

@@ -24,7 +24,7 @@ __all__ = ["fig4_tiling", "fig5_scheduling", "fig7_gemm_nn",
            "fig11_mkl_gemm", "fig12_mkl_trsm", "table1_kernels",
            "table2_machines", "headline_speedups", "ablation_scheduling",
            "ablation_nopack", "ablation_batch_counter",
-           "ablation_tuned", "backend_showdown",
+           "ablation_tuned",
            "serve_throughput"]
 
 GEMM_MODES = ("NN", "NT", "TN", "TT")
@@ -402,90 +402,6 @@ def ablation_tuned(sizes=tuple(range(1, 34)), dtype: str = "d",
             "outcomes": swept, "db": db, "render": "\n".join(lines)}
 
 
-def backend_showdown(size: int = 8, dtype: str = "s",
-                     batch: int = 16384, repeats: int = 5,
-                     backends: "tuple[str, ...]" = ("interpret", "fused",
-                                                    "megakernel"),
-                     machine=KUNPENG_920) -> dict:
-    """Wall-clock plan-execute loop per executor backend.
-
-    Unlike every other experiment (deterministic cycle model), this one
-    measures real host time: the plan is generated and lowered once,
-    then the execute loop replays it ``repeats`` times per backend and
-    the best iteration is kept.  Two payoffs are on display: the fused
-    replay must beat the interpreter on the paper's headline batch
-    (16384) because all per-instruction address resolution moved to
-    lower time and the pass pipeline (macro-op fusion, wide copies,
-    DCE) replaced dozens of tiny ufunc dispatches with a few large
-    ones, and the megakernel must beat the fused replay because it
-    removes the per-command dispatch altogether.
-    """
-    import time
-
-    import numpy as np
-
-    from ..layout.compact import CompactBatch
-    from ..runtime.engine import Engine
-    from ..runtime.lowering import lower_plan
-
-    dt = BlasDType.from_any(dtype)
-    prob = GemmProblem(size, size, size, dt, batch=batch)
-    lanes = machine.lanes(dt)
-    rng = np.random.default_rng(20220829)
-
-    def batch_of(rows: int, cols: int) -> CompactBatch:
-        m = rng.uniform(0.0, 1.0, (batch, rows, cols))
-        if dt.is_complex:
-            m = m + 1j * rng.uniform(0.0, 1.0, (batch, rows, cols))
-        return CompactBatch.from_matrices(m.astype(dt.np_dtype), lanes, dt)
-
-    a = batch_of(*prob.a_shape)
-    b = batch_of(*prob.b_shape)
-    c = batch_of(*prob.c_shape)
-
-    results: "dict[str, float]" = {}
-    for name in backends:
-        fw = IATF(machine, backend=name)
-        fw.gemm_compact(prob, a, b, c)        # warm: plan + lower + caches
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fw.gemm_compact(prob, a, b, c)
-            best = min(best, time.perf_counter() - t0)
-        results[name] = best
-        obs.count(f"bench.backend.{name}")
-
-    plan = IATF(machine).plan_gemm(prob)
-    passes = lower_plan(plan).stats["passes"]
-    # the cycle model is backend-independent: one deterministic
-    # gflops / %-of-peak figure per problem, printed beside the walls
-    timing = Engine(machine).time_plan(plan)
-
-    lines = [f"Backend showdown — {dt.value}gemm NN {size}x{size}x{size}, "
-             f"batch {batch} (wall clock, best of {repeats})",
-             f"{'backend':>10} {'seconds':>10} {'speedup':>8}"]
-    ref = results.get("interpret", next(iter(results.values())))
-    for name, sec in results.items():
-        lines.append(f"{name:>10} {sec:>10.4f} {ref / sec:>7.2f}x")
-    lines.append(
-        f"pass pipeline: {passes['commands_before']} -> "
-        f"{passes['commands_after']} commands ({passes['fuse_chains']} "
-        f"fused chains, "
-        f"{passes['coalesce_loads'] + passes['coalesce_stores']} wide "
-        f"copies / {passes['coalesce_vectorized']} vectorized, "
-        f"{passes['dce_removed']} dead)")
-    mega_vs_fused = (results["fused"] / results["megakernel"]
-                     if {"fused", "megakernel"} <= results.keys()
-                     else None)
-    if mega_vs_fused is not None:
-        lines.append(f"megakernel vs fused: {mega_vs_fused:.2f}x")
-    lines.append(f"cycle model: {timing.gflops:.2f} GFLOPS "
-                 f"({timing.percent_of_peak:.1f}% of peak, "
-                 f"backend-independent)")
-    return {"seconds": results, "passes": passes,
-            "mega_vs_fused": mega_vs_fused, "render": "\n".join(lines)}
-
-
 def serve_throughput(size: int = 8, dtype: str = "s",
                      n_requests: int = 512, max_batch: int = 64,
                      max_wait_ms: float = 2.0,
@@ -504,7 +420,7 @@ def serve_throughput(size: int = 8, dtype: str = "s",
     by roughly the lane-occupancy factor times the amortized per-flush
     overhead, which is the whole argument for the serving frontend.
 
-    Wall-clock based like :func:`backend_showdown`; the render also
+    Wall-clock based; the render also
     prints the cycle model's per-request efficiency at the two batch
     sizes, which tells the same lane-waste story without host noise.
     """

@@ -198,11 +198,28 @@ class CompactBatch:
         if not 0 <= index < self.batch:
             raise LayoutError(f"matrix index {index} out of range {self.batch}")
         g, lane = divmod(index, self.lanes)
-        grid = self.as_grid()
-        if self.dtype.is_complex:
-            return (grid[g, :, :, 0, lane]
-                    + 1j * grid[g, :, :, 1, lane]).astype(self.dtype.np_dtype)
-        return grid[g, :, :, 0, lane].copy()
+        return self._owned(self.as_grid()[g, ..., lane])
+
+    def matrices(self, count: "int | None" = None) -> "list[np.ndarray]":
+        """The first ``count`` matrices (default: all), each copied once,
+        straight out of the batch, into an array of its own: no result
+        shares memory with the batch or with another result."""
+        count = self.batch if count is None else count
+        if not 0 <= count <= self.batch:
+            raise LayoutError(f"cannot take {count} of {self.batch} matrices")
+        by_lane = self.as_grid().transpose(0, 4, 1, 2, 3)
+        return [self._owned(by_lane[divmod(i, self.lanes)])
+                for i in range(count)]
+
+    def _owned(self, planes: np.ndarray) -> np.ndarray:
+        """A new ``(rows, cols)`` array of the element planes ``(rows,
+        cols, ncomp)`` (complex parts assigned plane by plane, so
+        ``-0.0`` and infinities keep their bits)."""
+        if self.ncomp == 1:
+            return planes[..., 0].copy()
+        out = np.empty((self.rows, self.cols), dtype=self.dtype.np_dtype)
+        np.copyto(out.view(planes.dtype).reshape(planes.shape), planes)
+        return out
 
     def extract_block(self, i0: int, i1: int, j0: int,
                       j1: int) -> "CompactBatch":

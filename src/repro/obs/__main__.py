@@ -21,7 +21,7 @@ roofline report for one problem shape (optionally persisting the JSON,
 collapsed-stack flamegraph, and merged Chrome-trace artifacts).
 ``serve`` is the live telemetry endpoint (``/metrics``,
 ``/snapshot.json``, ``/delta.json``, ``/events``, ``/healthz``);
-``--demo`` keeps a small bench workload running so there is something
+``--demo`` keeps a small warm workload running so there is something
 to scrape.
 """
 
@@ -225,10 +225,10 @@ def main(argv: "list[str] | None" = None) -> int:
     p_prof.add_argument("--batch", type=int, default=16384)
     p_prof.add_argument("--mode", default="LLNN",
                         help="TRSM side/uplo/trans/diag letters")
-    p_prof.add_argument("--stream", choices=("raw", "fused", "megakernel"),
+    p_prof.add_argument("--stream", choices=("raw", "fused"),
                         default="raw",
                         help="which compiled command stream to attribute "
-                        "(raw and megakernel carry a per-kernel breakdown)")
+                        "(both carry a per-kernel breakdown)")
     p_prof.add_argument("--json", dest="json_out", metavar="PATH",
                         help="also write the profile as JSON (the CI "
                         "artifact)")
@@ -250,8 +250,8 @@ def main(argv: "list[str] | None" = None) -> int:
                          help="TCP port (0 picks an ephemeral one; "
                          "default 9109)")
     p_serve.add_argument("--demo", action="store_true",
-                         help="also run the backend-showdown workload in "
-                         "a background thread so the metrics move")
+                         help="also run a warm sgemm workload in a "
+                         "background thread so the metrics move")
     p_serve.add_argument("--demo-batch", type=int, default=512,
                          help="batch size for the demo workload rounds")
     p_serve.add_argument("--for-seconds", type=float, default=None,

@@ -242,11 +242,18 @@ def _timing_section(plan) -> "list[str]":
 
 def _backend_section(backend, compiled) -> "list[str]":
     lines = [f"backend: {backend.name} "
-             + ("(replays the lowered command stream)"
+             + ("(replays the lowered command stream, then runs code "
+                "generated from it)"
                 if backend.needs_lowering
                 else "(interprets programs instruction by instruction)")]
-    if backend.name == "megakernel" and compiled is not None:
-        lines.extend(_megakernel_section(compiled))
+    if compiled is not None and backend.needs_lowering:
+        made = (0 if compiled.programs is None else
+                sum(p is not None for p in compiled.programs.programs))
+        lines.append(
+            f"tier: {'generated' if made else 'replay'} — {made} of "
+            f"{len(compiled.templates)} template streams have generated "
+            f"programs after {compiled.runs} execute"
+            f"{'s' * (compiled.runs != 1)}")
     if compiled is not None:
         s = compiled.stats
         lines.append(
@@ -271,32 +278,6 @@ def _backend_section(backend, compiled) -> "list[str]":
                 f"store ({p['coalesce_vectorized']} vectorized 16-B)")
     return lines
 
-
-def _megakernel_section(compiled) -> "list[str]":
-    """Trace-compiler stats for a plan run under ``megakernel``.
-
-    Reports the cached program when one is already riding the lowered
-    plan; otherwise compiles it here (explain is diagnostic — warming
-    the cache is a feature, and the miss is reported honestly).
-    """
-    from ..runtime.megakernel import PROGRAM_KEY, ensure_program
-
-    hit = PROGRAM_KEY in compiled.attachments
-    prog = ensure_program(compiled)
-    s = prog.stats
-    lines = [
-        f"megakernel: {s['segments']} trace segments -> "
-        f"{s['loc']} generated lines, compiled in "
-        f"{s['compile_ms']:.2f} ms "
-        + ("(cache hit: program reused)" if hit
-           else "(cache miss: compiled now, cached on the plan)"),
-        f"  staging: {len(prog.staged)} buffers / {prog.stage_slots} "
-        f"stage slots; macro-op stack depth {prog.stack_need}",
-        f"  ops: {s['batched_macc']} batched MACC "
-        f"({s['scalar_macc']} scalar), {s['batched_runs']} batched "
-        f"runs, {s['prop_loads']} loads propagated away",
-    ]
-    return lines
 
 
 def _plan_cache_section(stats: dict) -> "list[str]":

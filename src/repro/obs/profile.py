@@ -163,15 +163,15 @@ class PlanProfile:
     kind: str                     # "gemm" | "trsm"
     problem: object
     machine: object               # MachineConfig
-    stream: str                   # "raw" | "fused" | "megakernel"
+    stream: str                   # "raw" | "fused"
     groups: int
     timing: object                # PlanTiming
     classes: "dict[str, ClassProfile]"
     kernels: "dict[str, KernelProfile]"
-    """Per-kernel attribution.  For ``"raw"`` it comes from the
-    lowering's ``call_ranges``; for ``"megakernel"`` from each call's
-    ``fused_ranges`` slice (the trace segments merge exactly these, so
-    coverage is total by construction).  Empty for ``stream == "fused"``."""
+    """Per-kernel attribution: from the lowering's ``call_ranges`` for
+    ``"raw"``, from each call's ``fused_ranges`` slice for ``"fused"``
+    (each call is optimized on its own, so coverage is total by
+    construction)."""
 
     # -- totals ----------------------------------------------------------
 
@@ -263,11 +263,10 @@ def profile_plan(plan, *, stream: str = "raw", compiled=None,
     """Attribute one plan's modeled cycles/flops/bytes.
 
     ``stream`` selects what to walk: ``"raw"`` (the unoptimized
-    lowering; enables per-kernel attribution), ``"fused"`` (the
-    pass-optimized macro-op stream the ``fused`` backend replays), or
-    ``"megakernel"`` (the same stream, which the trace compiler turns
-    into generated source segment by segment — per-kernel attribution
-    comes back here, because every trace segment belongs to one kernel).
+    lowering) or ``"fused"`` (the pass-optimized macro-op stream the
+    ``fused`` backend replays and generates code from).  Both carry a
+    per-kernel breakdown: every call's commands are one contiguous
+    slice of either stream.
     ``compiled`` and ``timing`` may be supplied to reuse a cached
     lowering / an existing ``PlanTiming``; otherwise both are computed
     here.  The returned profile has passed :meth:`PlanProfile.check`.
@@ -276,9 +275,9 @@ def profile_plan(plan, *, stream: str = "raw", compiled=None,
     from ..runtime import lowering as lw
     from ..runtime.engine import Engine
 
-    if stream not in ("raw", "fused", "megakernel"):
+    if stream not in ("raw", "fused"):
         raise ProfileError(f"unknown stream {stream!r} "
-                           "(expected 'raw', 'fused', or 'megakernel')")
+                           "(expected 'raw' or 'fused')")
     with obs.span("obs.profile", kind=plan.kind, stream=stream):
         if compiled is None:
             compiled = lw.lower_plan(plan)
@@ -287,13 +286,9 @@ def profile_plan(plan, *, stream: str = "raw", compiled=None,
         if stream == "raw":
             commands, ranges = compiled.commands, compiled.call_ranges
         else:
-            # megakernel trace segments are per-kernel slices of the
-            # fused stream, so both walk it; only the megakernel keeps
-            # the kernel boundaries its generated code is split at
             commands = compiled.fused_commands
-            ranges = ([(name, *fused) for (name, _, _), fused in
-                       zip(compiled.call_ranges, compiled.fused_ranges)]
-                      if stream == "megakernel" else [])
+            ranges = [(name, *fused) for (name, _, _), fused in
+                      zip(compiled.call_ranges, compiled.fused_ranges)]
         if not commands:
             raise ProfileError(f"plan has no {stream} commands to profile")
 
@@ -427,7 +422,7 @@ class ProfileReport:
                        f"{100.0 * c.cycles / budget:5.1f}% "
                        f"{c.flops:>14} {c.bytes_moved:>14}")
         if p.kernels:
-            out.append(sect("kernels (raw call ranges)"))
+            out.append(sect(f"kernels ({p.stream} call ranges)"))
             for k in sorted(p.kernels.values(), key=lambda k: -k.cycles):
                 out.append(f"  {k.name}: {k.cycles} cycles "
                            f"({100.0 * k.cycles / budget:.1f}%), "
@@ -525,7 +520,7 @@ def profile_report(plan, *, stream: str = "raw", compiled=None,
 
 
 def model_drift(problem, machine=None, *,
-                backends: "tuple[str, ...]" = ("fused", "megakernel"),
+                backends: "tuple[str, ...]" = ("fused",),
                 repeats: int = 3) -> "dict[str, dict]":
     """Cycle-model predictions vs wall-clock replays, per backend.
 

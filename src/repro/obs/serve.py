@@ -149,21 +149,27 @@ def make_server(host: str = "127.0.0.1", port: int = 9109,
 
 def run_demo(stop: threading.Event, batch: int = 512,
              interval: float = 2.0) -> None:
-    """Demo workload loop: the bench ``backends`` showdown (fused vs
-    megakernel) on a small batch, round after round, until ``stop`` is
-    set — so every endpoint has live data to serve."""
-    from ..bench.experiments import backend_showdown
+    """Demo workload loop: one warm batch-``batch`` sgemm 8x8x8 through
+    one :class:`~repro.runtime.iatf.IATF`, round after round, until
+    ``stop`` is set — so every endpoint has live data to serve."""
+    import time
 
+    import numpy as np
+
+    from ..runtime.iatf import IATF
+
+    iatf = IATF()
+    rng = np.random.default_rng(20220829)
+    a, b = (rng.uniform(0.0, 1.0, (batch, 8, 8)).astype(np.float32)
+            for _ in range(2))
     rounds = 0
     while not stop.is_set():
-        result = backend_showdown(batch=batch, repeats=1,
-                                  backends=("fused", "megakernel"))
+        t0 = time.perf_counter()
+        iatf.gemm(a, b, np.zeros_like(a), beta=0.0)
         rounds += 1
         core.gauge("serve.demo.rounds", rounds)
-        event("serve.demo.round",
-              round=rounds, batch=batch,
-              seconds={b: round(s, 6)
-                       for b, s in result["seconds"].items()})
+        event("serve.demo.round", round=rounds, batch=batch,
+              seconds=round(time.perf_counter() - t0, 6))
         stop.wait(interval)
 
 

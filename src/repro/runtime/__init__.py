@@ -5,10 +5,12 @@ to keep working sets L1-resident, the pack selector picks packing or the
 no-packing fast path, and the execution-plan generator binds packing and
 compute kernels into a command queue.  Plans are then *lowered* once to
 a flat command stream (:mod:`.lowering`) and executed by a pluggable
-backend (:mod:`.backends`): the ``interpret`` reference interpreter,
-the ``fused`` replayer over the pass-optimized macro-op stream (the
-default), or the trace-compiled ``megakernel``.  The engine drives any
-of them and times plans on the pipeline model.
+backend (:mod:`.backends`): the ``interpret`` reference interpreter or
+``fused`` (the default), one executor with two tiers over the
+pass-optimized macro-op stream — it replays a plan's first execute and
+runs code generated per template (:mod:`.megakernel`) once the plan
+executes again.  The engine drives either and times plans on the
+pipeline model.
 """
 
 from .batch_counter import groups_per_round

@@ -10,26 +10,19 @@ The engine separates *what* to run (the plan), *how it was compiled*
     :class:`~repro.layout.compact.CompactBatch` bytes.
 
 ``fused`` (the default)
-    Replays a :class:`~repro.runtime.lowering.CompiledPlan`'s
-    pass-*optimized* stream (``CompiledPlan.fused_commands``): one 2-D
-    ``(groups, stride_elems)`` view per buffer, a preallocated vector
-    register file, and a flat loop of slice copies and in-place ufuncs.
-    No pointer resolution, no alignment/bounds checks, no per-op
-    allocation — all of that happened once at lower time.  FMLA chains
-    are collapsed into stacked ``K_MACC`` macro-ops, adjacent
-    loads/stores merged into wide copies, dead register writes
-    eliminated, so each macro-op is a handful of large ufuncs instead
-    of dozens of tiny ones — with bit-exact results by pass
-    construction.
-
-``megakernel``
-    The trace-compiled backend
-    (:class:`~repro.runtime.megakernel.MegakernelBackend`): the fused
-    stream is partitioned into straight-line segments and compiled
-    *once* into generated Python source of whole-group NumPy ops, so
-    the steady state executes zero per-instruction Python dispatch.
-    The program is cached on the lowered plan and rides the engine's
-    ``PlanCache``; results stay bit-identical to ``interpret``.
+    Runs a :class:`~repro.runtime.lowering.CompiledPlan`'s
+    pass-*optimized* stream: one 2-D ``(groups, stride_elems)`` view per
+    buffer, a preallocated vector register bank, and no pointer
+    resolution, alignment/bounds checks or per-op allocation — all of
+    that happened once at lower time.  FMLA chains are collapsed into
+    stacked ``K_MACC`` macro-ops, adjacent loads/stores merged into wide
+    copies and dead register writes eliminated, with bit-exact results
+    by pass construction.  It has two tiers over one wave schedule: a
+    plan's first execute *replays* each template's stream command by
+    command; once a plan executes again, each template's stream runs as
+    *generated* straight-line NumPy code
+    (:mod:`repro.runtime.megakernel`), called in place of the replay
+    loop with the same inputs.
 
 Adding a backend means implementing the :class:`ExecutorBackend`
 protocol (``name``, ``needs_lowering``, ``run``) and registering it in
@@ -55,16 +48,25 @@ from .lowering import (K_FADD, K_FDIV, K_FIMM, K_FMAI, K_FMLA, K_FMLS,
                        K_LOAD_PART, K_LOADPAIR, K_LOADW, K_MACC, K_STORE,
                        K_STORE2, K_STOREPAIR, K_STOREW, K_VMOV, K_VZERO,
                        CompiledPlan, Wave, lower_plan)
-from .megakernel import MegakernelBackend
+from .megakernel import Program
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .plan import ExecutionPlan
 
 __all__ = ["ExecutorBackend", "InterpretBackend", "FusedBackend",
-           "MegakernelBackend", "BACKENDS", "DEFAULT_BACKEND",
+           "BACKENDS", "DEFAULT_BACKEND",
            "resolve_backend", "backend_name"]
 
 DEFAULT_BACKEND = "fused"
+
+PASS_GROUPS = 512
+"""Groups per pass that already amortize a ufunc's dispatch: past it a
+wave pass gains more from holding more calls, whose operands share
+cache lines (a tile grid's calls of one row read one A panel), than
+from more groups.  Measured on batch-16384 sgemm 8x8x8 (4-call
+waves, 2048-row bank, 2-vCPU x86 host): 512 groups x 4 calls per pass
+ran the waves 25-30 % faster than 2048 groups x 1 call with generated
+programs (~10 % replayed); 1024 x 2 and 256 x 4 were in between."""
 
 
 @runtime_checkable
@@ -123,21 +125,25 @@ class FusedBackend:
     One schedule drives the one replay loop (:meth:`_replay`), which
     takes operands with any number of leading axes: **group blocks x
     wave chunks**.  The groups split into blocks of at most
-    :meth:`_block_groups` (half the host's L2 holds the register bank),
-    and each block replays every wave in level order, in passes of at
-    most ``block // groups-per-block`` calls.  A pass holds whole rows
-    of the wave's lattice (a row is split only when it alone exceeds the
-    budget) and binds each buffer as one strided ``(rows, cols, groups,
-    width)`` view, so a GEMM tile grid replays its template once per
-    pass, not once per tile; an irregular wave's calls are gathered and
-    their written elements scattered back.  With few groups a ufunc is
-    pure dispatch overhead, so one dispatch per pass instead of per call
-    is the whole gain.
+    :meth:`_block_groups` (half the host's L2 holds the register bank)
+    — and of at most :data:`PASS_GROUPS` when that lets a pass hold a
+    wider wave — and each block replays every wave in level order, in
+    passes of at most ``block // groups-per-block`` calls.  A pass holds
+    whole rows of the wave's lattice (a row is split only when it alone
+    exceeds the budget) and binds each buffer as one strided ``(rows,
+    cols, groups, width)`` view, so a GEMM tile grid replays its
+    template once per pass, not once per tile; an irregular wave's calls
+    are gathered and their written elements scattered back.  With few
+    groups a ufunc is pure dispatch overhead, so one dispatch per pass
+    instead of per call is the whole gain.
 
-    Plan order — ``fused_commands`` call by call over the same group
-    blocks — remains for two bound buffers sharing memory, which the
-    per-buffer footprints cannot see, and for plans whose waves all
-    hold one call.
+    Each pass runs its template's generated program when the plan has
+    one (``CompiledPlan.programs``, bound by the engine per execute; see
+    :mod:`repro.runtime.megakernel`) and replays the stream otherwise.
+    Plan order — ``fused_commands`` interpreted call by call over the
+    same group blocks — remains for two bound buffers sharing memory,
+    which the per-buffer footprints cannot see, and, in the replay
+    tier, for plans whose waves all hold one call.
     """
 
     name = "fused"
@@ -176,20 +182,27 @@ class FusedBackend:
         mats = self._bind(compiled, mem, strides, groups)
         block = self._block_groups(plan.machine.l2.size, compiled.lanes,
                                    compiled.dtype.itemsize)
-        if len(compiled.waves) >= compiled.stats["calls"] or _aliased(mats):
+        progs = (None if compiled.programs is None
+                 else compiled.programs.programs)
+        if _aliased(mats) or (progs is None and len(compiled.waves)
+                              >= compiled.stats["calls"]):
             self.run_plan_order(compiled, mats, groups, block)
             return
-        per_block = min(groups, block)
+        widest = max(len(w.calls) for w in compiled.waves)
+        # every group in one block when they fit, but a pass that already
+        # spans PASS_GROUPS groups spends further bank rows on calls
+        per_block = min(groups, block, max(PASS_GROUPS, block // widest))
         cap = block // per_block
-        rows = per_block * min(cap, max(len(w.calls) for w in compiled.waves))
-        bank = _Bank(rows, compiled.lanes, compiled.dtype,
-                     self.stream(compiled)[1])
+        rows = per_block * min(cap, widest)
+        bank = _Bank(rows, compiled.lanes, compiled.dtype, max(
+            [self.stream(compiled)[1]]
+            + [p.stack_need for p in progs or () if p is not None]))
         with np.errstate(all="ignore"):
             for start in range(0, groups, per_block):
                 n = min(per_block, groups - start)
                 bm = (mats if n == groups else
                       {k: v[start:start + n] for k, v in mats.items()})
-                self._run_waves(compiled, bm, n, cap, bank)
+                self._run_waves(compiled, bm, n, cap, bank, progs)
 
     @classmethod
     def run_plan_order(cls, compiled: CompiledPlan,
@@ -236,13 +249,17 @@ class FusedBackend:
 
     @staticmethod
     def _run_waves(compiled: CompiledPlan, mats: "dict[str, np.ndarray]",
-                   groups: int, cap: int, bank: "_Bank") -> None:
-        """Replay every wave over ``groups`` groups in level order, at
-        most ``cap`` calls per pass (see :func:`_passes`)."""
+                   groups: int, cap: int, bank: "_Bank",
+                   progs: "Sequence[Program | None] | None" = None) -> None:
+        """Run every wave over ``groups`` groups in level order, at most
+        ``cap`` calls per pass (see :func:`_passes`): each pass calls the
+        template's program from ``progs`` or replays its stream."""
         isz = compiled.ew
         for wave in compiled.waves:
             stream, window, writes, wide = (
                 compiled.templates[wave.template].wave_form)
+            if progs is not None and progs[wave.template] is not None:
+                stream = progs[wave.template]
             deltas = wave.deltas
             lattice = wave.lattice
             if lattice is not None:
@@ -497,9 +514,8 @@ def _passes(wave: Wave, cap: int) -> "list[tuple[int, int, int]]":
 
 def _aliased(mats: "dict[str, np.ndarray]") -> bool:
     """Whether two bound buffers share memory (``gemm_compact(p, C, B,
-    C)`` binds one array as A and C): per-buffer footprints and the
-    megakernel's per-buffer staging cannot see such conflicts, so the
-    plan must replay in plan order."""
+    C)`` binds one array as A and C): per-buffer footprints cannot see
+    such conflicts, so the plan must replay in plan order."""
     views = list(mats.values())
     return any(np.may_share_memory(a, b)
                for i, a in enumerate(views) for b in views[i + 1:])
@@ -529,9 +545,12 @@ class _Bank:
                        if max_stack else None)
         self.cplx = (lanes * self.regs.itemsize) % 16 == 0
 
-    def replay(self, commands: "Sequence[tuple]",
+    def replay(self, commands: "Sequence[tuple] | Program",
                mats: "dict[str, np.ndarray]", lead: "tuple[int, ...]",
                matsC: "dict[str, np.ndarray | None]") -> None:
+        """Run ``commands`` — a stream to interpret, or the generated
+        :class:`~repro.runtime.megakernel.Program` of one — over
+        operands with leading shape ``lead``."""
         shape = lead + (self.lanes,)
         size = self.lanes
         for n in lead:
@@ -540,16 +559,18 @@ class _Bank:
         stacks = (None if self.stacks is None else
                   self.stacks[:2 * self.max_stack * size].reshape(
                       (2, self.max_stack) + shape))
-        FusedBackend._replay(
-            commands, mats, list(rbank), rbank,
-            self.scratch[:size].reshape(shape), stacks, matsC,
-            rbank.view(np.complex128) if self.cplx else None)
+        args = (mats, list(rbank), rbank, self.scratch[:size].reshape(shape),
+                stacks, matsC,
+                rbank.view(np.complex128) if self.cplx else None)
+        if isinstance(commands, Program):
+            commands.fn(*args)
+        else:
+            FusedBackend._replay(commands, *args)
 
 
 BACKENDS: "dict[str, type]" = {
     InterpretBackend.name: InterpretBackend,
     FusedBackend.name: FusedBackend,
-    MegakernelBackend.name: MegakernelBackend,
 }
 
 

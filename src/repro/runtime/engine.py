@@ -6,7 +6,9 @@ buffers (packing or aliasing the compact originals through one shared
 path), and hand the plan — plus, for backends that want it, its
 one-time :class:`~repro.runtime.lowering.CompiledPlan` — to the
 configured :class:`~repro.runtime.backends.ExecutorBackend` (by default
-``fused``, the replayer of the pass-optimized command stream).
+``fused``, which replays the pass-optimized command stream on a plan's
+first execute and runs generated code per template once the plan
+executes again).
 ``time_plan`` replays the same command queue for a single
 representative group on the scoreboard pipeline with the cache hierarchy
 initialized to the batch counter's residency verdicts (and primed by a
@@ -35,6 +37,7 @@ from ..codegen.templates_trsm import PX
 from ..packing.gemm_pack import pack_gemm_a, pack_gemm_b
 from ..packing.trsm_pack import pack_trsm_a, pack_trsm_b, unpack_trsm_b
 from ..types import GemmProblem, TrsmProblem
+from . import megakernel
 from .backends import ExecutorBackend, resolve_backend
 from .lowering import CompiledPlan, lower_plan
 from .plan import ExecutionPlan, KernelCall
@@ -124,16 +127,18 @@ class Engine:
     """Executes and times execution plans on one machine.
 
     ``backend`` selects the functional-execution strategy: a name from
-    :data:`repro.runtime.backends.BACKENDS` (``"interpret"``,
-    ``"fused"`` or ``"megakernel"``), a ready :class:`ExecutorBackend`
-    instance, or ``None`` for the default.  Timing is
-    backend-independent.
+    :data:`repro.runtime.backends.BACKENDS` (``"interpret"`` or
+    ``"fused"``), a ready :class:`ExecutorBackend` instance, or ``None``
+    for the default.  Timing is backend-independent.  ``programs`` holds
+    the code generated for the lowered plans this engine executes (see
+    :mod:`repro.runtime.megakernel`).
     """
 
     def __init__(self, machine: MachineConfig,
                  backend: "str | ExecutorBackend | None" = None) -> None:
         self.machine = machine
         self.backend: ExecutorBackend = resolve_backend(backend)
+        self.programs = megakernel.ProgramMemo()
 
     # ------------------------------------------------------------------
     # functional execution
@@ -146,11 +151,15 @@ class Engine:
 
         ``compiled`` is the plan's cached lowering; when the backend
         needs one and none is supplied (direct engine use, extensions
-        without their own cache) the plan is lowered on the spot.
+        without their own cache) the plan is lowered on the spot.  Each
+        execute of a lowered plan is counted on it and binds the
+        programs its tier calls for.
         """
         backend = self.backend
-        if backend.needs_lowering and compiled is None:
-            compiled = lower_plan(plan)
+        if backend.needs_lowering:
+            if compiled is None:
+                compiled = lower_plan(plan)
+            megakernel.bind_programs(compiled, self.programs)
         obs.count(f"backend.{backend.name}.runs")
         with obs.span("engine.kernels", calls=len(plan.calls),
                       backend=backend.name):

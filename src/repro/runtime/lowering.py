@@ -91,7 +91,6 @@ from .plan import ExecutionPlan, KernelCall
 
 __all__ = ["CompiledPlan", "CompiledCommand", "BufferLayout", "Wave",
            "lower_plan", "optimize_commands", "FUSE_MIN_CHAIN",
-           "TraceSegment", "partition_trace",
            "K_LOAD", "K_LOAD_PART", "K_LOADPAIR", "K_LOAD1R", "K_LOAD2",
            "K_STORE", "K_STOREPAIR", "K_STORE2", "K_FMLA", "K_FMLS",
            "K_FMUL", "K_FMAI", "K_FMULI", "K_FADD", "K_FSUB", "K_FDIV",
@@ -243,10 +242,14 @@ class CompiledPlan:
                                 repr=False)
     """The calls grouped into waves, in replay order (see
     :func:`_build_waves`)."""
-    attachments: dict = field(default_factory=dict, compare=False,
-                              repr=False)
-    """Side slot for derived per-plan artifacts (e.g. the megakernel's
-    compiled program).  Excluded from equality."""
+    runs: int = field(default=0, compare=False, repr=False)
+    """Executes so far (counted by the engine: the code-generation tier
+    keys off it, see :mod:`repro.runtime.megakernel`)."""
+    programs: "object | None" = field(default=None, compare=False,
+                                      repr=False)
+    """The :class:`~repro.runtime.megakernel.PlanPrograms` bound to the
+    plan (per template, a generated program or None), or None while it
+    replays."""
 
     @property
     def dtype(self) -> np.dtype:
@@ -475,6 +478,13 @@ class _Template:
         wide = frozenset(buf for buf, sites in self.sites[1].items()
                          if any(w for _, _, w in sites))
         return stream, window, writes, wide
+
+    @cached_property
+    def program_key(self) -> str:
+        """The ``wave_form`` stream as one string: equal keys (at equal
+        lanes) replay identically, whatever plan the template came
+        from."""
+        return repr((self.ew, self.wave_form[0]))
 
 
 def _merge(ivs: "list[tuple[int, int]]") -> "list[tuple[int, int]]":
@@ -1114,50 +1124,3 @@ def _imm(value: float, ew: int):
     """Immediates are pre-cast to the element dtype at lower time, so
     replay rounds exactly like the interpreter's ``dtype.type(imm)``."""
     return (np.float32 if ew == 4 else np.float64)(value)
-
-
-@dataclass(frozen=True)
-class TraceSegment:
-    """One straight-line span of the trace, ready for codegen.
-
-    The megakernel compiler consumes the plan segment by segment: each
-    segment covers one or more *consecutive same-kernel* entries of
-    ``call_ranges``, so generated code keeps a kernel-level boundary the
-    profiler can attribute time to (the Table-1 kernel mapping survives
-    code generation).  ``commands`` is the span's slice of
-    ``fused_commands`` — what the pass pipeline would make of the span
-    on its own, because registers never live across a call.
-    """
-
-    kernel: str                   # kernel name shared by the merged calls
-    calls: int                    # how many raw call_ranges were merged
-    start: int                    # raw-stream command index (inclusive)
-    stop: int                     # raw-stream command index (exclusive)
-    commands: "list[tuple]"       # pass-optimized stream for this span
-    max_stack: int                # scratch stack depth codegen must allocate
-
-
-def partition_trace(compiled: CompiledPlan) -> "list[TraceSegment]":
-    """Split a compiled plan's stream into codegen segments.
-
-    Consecutive ``call_ranges`` entries naming the same kernel merge
-    into one segment (a GEMM plan of 2048 identical microkernel calls
-    becomes a single segment).  Concatenating the segments' raw spans
-    reproduces ``compiled.commands`` and their ``commands`` reproduce
-    ``compiled.fused_commands``.
-    """
-    spans: "list[list]" = []      # kernel, calls, start, stop, fstart, fstop
-    for (kernel, start, stop), (fstart, fstop) in zip(compiled.call_ranges,
-                                                      compiled.fused_ranges):
-        if spans and spans[-1][0] == kernel and spans[-1][3] == start:
-            spans[-1][1] += 1
-            spans[-1][3], spans[-1][5] = stop, fstop
-        else:
-            spans.append([kernel, 1, start, stop, fstart, fstop])
-    segments = []
-    for kernel, calls, start, stop, fstart, fstop in spans:
-        cmds = compiled.fused_commands[fstart:fstop]
-        segments.append(TraceSegment(kernel=kernel, calls=calls, start=start,
-                                     stop=stop, commands=cmds,
-                                     max_stack=_max_stack(cmds)))
-    return segments

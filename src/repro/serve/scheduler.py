@@ -256,6 +256,7 @@ class Scheduler:
 
 def _owned(compact, n: int) -> "list[np.ndarray]":
     """The first ``n`` matrices of a flush's compact batch, each copied
-    into its own array: a row view would keep the whole padded batch
-    alive for as long as any one caller holds its result."""
-    return [m.copy() for m in compact.to_matrices()[:n]]
+    once straight into its own array: a row view would keep the whole
+    padded batch alive for as long as any one caller holds its result,
+    and the padding is never copied."""
+    return compact.matrices(n)

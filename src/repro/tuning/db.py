@@ -163,8 +163,8 @@ class TuningRecord:
     batch: int
     repeats: int = 1
     backend: str = "compiled"
-    """The executor backend the tuner recommended (the wall-clock race
-    winner when the sweep measured host time).  Provenance only: the
+    """The executor the record was tuned for (today always
+    :data:`~repro.tuning.tuner.DEFAULT_TUNED_BACKEND`).  Provenance only: the
     planner never applies it, so a record naming a backend that no
     longer exists still loads and applies.  Pre-backend DB files load
     as ``compiled``, the backend they were tuned under."""

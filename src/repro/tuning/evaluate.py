@@ -27,6 +27,7 @@ from ..codegen.registry import KernelRegistry
 from ..machine.machines import MachineConfig
 from ..runtime.backends import DEFAULT_BACKEND
 from ..runtime.engine import Engine
+from ..runtime.lowering import lower_plan
 from ..runtime.plan import ExecutionPlan, build_gemm_plan, build_trsm_plan
 from ..types import GemmProblem, TrsmProblem
 from .space import Candidate
@@ -113,27 +114,8 @@ class Evaluator:
         return Measurement(cycles=cycles, gflops=gflops,
                            repeats=self.repeats, wall_seconds=wall)
 
-    def race_backends(self, problem, cand: Candidate,
-                      backends: "tuple[str, ...]" = ("fused", "megakernel")
-                      ) -> "tuple[str, dict[str, float]]":
-        """Wall-clock race of executor backends on one candidate.
-
-        Returns the winning backend name plus every contestant's
-        best-of-``repeats`` seconds.  Ties go to the canonically
-        (lexicographically) first backend *name* — not the listing
-        order — so the race stays deterministic, and reproducible
-        across call sites, even when two backends measure identically.
-        This is host-time territory — the tuner only runs it when the
-        sweep was asked for wall-clock measurements; the default
-        (cycle-model) sweep must stay byte-reproducible.
-        """
-        times = {b: self._wall_run(problem, cand, b) for b in backends}
-        winner = min(sorted(backends), key=lambda b: (times[b], b))
-        obs.count("tuning.race.backends", len(backends))
-        return winner, times
-
     def drift(self, problem, cand: "Candidate | None" = None,
-              backends: "tuple[str, ...]" = ("fused", "megakernel")
+              backends: "tuple[str, ...]" = ("fused",)
               ) -> "dict[str, dict]":
         """Cycle-model prediction vs wall-clock replay, per backend.
 
@@ -160,7 +142,8 @@ class Evaluator:
 
     def _wall_run(self, problem, cand: Candidate, backend: str) -> float:
         """Best-of-``repeats`` host seconds executing the candidate's
-        plan on ``backend`` over a capped random batch."""
+        plan on ``backend`` over a capped random batch, lowered once and
+        warmed twice (``fused`` then runs its generated code)."""
         from ..layout.compact import CompactBatch
 
         dt = problem.dtype
@@ -187,16 +170,21 @@ class Evaluator:
             a = batch_of(*p.a_shape)
             b = batch_of(*p.b_shape)
             c = batch_of(*p.c_shape)
-            run = lambda: engine.execute_gemm(small_plan, a, b, c)
+            run = lambda: engine.execute_gemm(small_plan, a, b, c,
+                                              compiled=compiled)
         else:
             reg = self.registry(cand.schedule)
             small_plan = build_trsm_plan(p, self.machine, reg,
                                          force_pack=cand.force_pack)
             a = batch_of(p.a_dim, p.a_dim, spd=True)
             b = batch_of(*p.b_shape)
-            run = lambda: engine.execute_trsm(small_plan, a, b)
+            run = lambda: engine.execute_trsm(small_plan, a, b,
+                                              compiled=compiled)
 
-        run()                            # warm: lowering + allocations
+        compiled = (lower_plan(small_plan) if engine.backend.needs_lowering
+                    else None)
+        run()                            # warm: replay, then codegen
+        run()
         best = float("inf")
         for _ in range(self.repeats):
             t0 = time.perf_counter()

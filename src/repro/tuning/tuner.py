@@ -30,16 +30,15 @@ __all__ = ["TuneOutcome", "tune_problem", "sweep",
            "DEFAULT_TUNED_BACKEND", "DEFAULT_TOP_K"]
 
 DEFAULT_TUNED_BACKEND = "megakernel"
-"""Backend recorded when the sweep did not measure wall clock: the
-trace-compiled executor is bit-exact by construction (the equivalence
-matrix enforces identity with ``interpret``) and guarded against
-``fused`` by the perf smoke, so recommending it is safe without host
-timing — and a constant keeps the cycle-model sweep byte-reproducible.
-With ``wall_clock=True`` the tuner instead races the real backends on
-the winning candidate and records the host-time winner.  The recorded
-name is provenance only: no code applies ``record.backend``, so records
-from older DBs (``"compiled"`` included) apply unchanged and run on the
-IATF's own backend."""
+"""The executor label every tuned record carries: the generated-code
+tier of ``fused`` (:mod:`repro.runtime.megakernel`), which a tuned
+shape runs once its plan executes again.  It is a constant, with or
+without ``wall_clock`` (there is one executor, so nothing to race),
+which keeps the sweep byte-reproducible: the perfbench tune digest
+hashes it, so the label keeps its historical spelling.  The name is
+provenance only: no code applies ``record.backend``, so records from
+older DBs (``"compiled"``, ``"megakernel"``, ``"parallel"``) apply
+unchanged and run on the IATF's own backend."""
 
 DEFAULT_TOP_K = 8
 """How many candidates the analytical-first sweep measures per shape:
@@ -154,10 +153,6 @@ def tune_problem(problem, machine: MachineConfig, *,
             if best is None or meas.cycles < best.cycles:
                 best, best_cand = meas, cand
     assert best is not None
-    if ev.wall_clock:
-        backend, _race = ev.race_backends(problem, best_cand)
-    else:
-        backend = DEFAULT_TUNED_BACKEND
     record = TuningRecord(
         main=best_cand.main,
         force_pack=best_cand.force_pack,
@@ -168,7 +163,7 @@ def tune_problem(problem, machine: MachineConfig, *,
         tuner_version=TUNER_VERSION,
         batch=problem.batch,
         repeats=ev.repeats,
-        backend=backend,
+        backend=DEFAULT_TUNED_BACKEND,
         machine_id=machine.machine_id,
         sweep=sweep_label if sweep_label is not None else mode,
         evaluator_version=EVALUATOR_VERSION,

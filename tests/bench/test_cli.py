@@ -61,24 +61,3 @@ def test_ablation_cli(capsys):
     assert main(["ablation"]) == 0
     out = capsys.readouterr().out
     assert "scheduler" in out.lower() or "optimizer" in out.lower()
-
-
-def test_backend_showdown_cli(capsys):
-    assert main(["backend"]) == 0
-    out = capsys.readouterr().out
-    assert "interpret" in out and "megakernel" in out
-    assert "speedup" in out
-
-
-def test_backend_flag_restricts_backends(capsys):
-    assert main(["backend", "--backend", "megakernel"]) == 0
-    out = capsys.readouterr().out
-    assert "megakernel" in out and "interpret" not in out
-
-
-def test_backends_showdown_covers_all_backends(capsys):
-    assert main(["backends", "--batch", "512"]) == 0
-    out = capsys.readouterr().out
-    for name in ("interpret", "fused", "megakernel"):
-        assert name in out
-    assert "pass pipeline" in out and "megakernel vs fused" in out

@@ -115,16 +115,3 @@ def test_ablation_batch_counter_never_hurts():
     r = experiments.ablation_batch_counter(sizes=(2, 4), batch=1024)
     for n, on, off, gain in r["rows"]:
         assert gain >= 0.99, n
-
-
-def test_backend_showdown_structure():
-    from repro.bench.experiments import backend_showdown
-    res = backend_showdown(size=4, batch=64, repeats=1)
-    assert set(res["seconds"]) == {"interpret", "fused", "megakernel"}
-    assert all(sec > 0 for sec in res["seconds"].values())
-    assert res["mega_vs_fused"] > 0
-    assert res["passes"]["commands_after"] <= res["passes"][
-        "commands_before"]
-    assert "Backend showdown" in res["render"]
-    assert "sgemm" in res["render"]
-    assert "pass pipeline" in res["render"]

@@ -174,12 +174,15 @@ def _formula_from(matrices, lanes):
 
 
 def _formula_to(cb):
-    """``re + 1j * im`` over the grid, cast back, trimmed."""
+    """The re and im planes of the grid assigned to a complex array's
+    ``.real`` and ``.imag``, trimmed.  (``re + 1j * im`` is not exact:
+    ``1j * inf`` is ``nan+infj``, and ``-0.0 + 0j`` loses the sign.)"""
     grid = cb.as_grid()
     if cb.dtype.is_complex:
         planes = grid.transpose(0, 4, 3, 1, 2)
-        full = (planes[:, :, 0] + 1j * planes[:, :, 1]).astype(
-            cb.dtype.np_dtype)
+        full = np.empty(planes[:, :, 0].shape, dtype=cb.dtype.np_dtype)
+        full.real = planes[:, :, 0]
+        full.imag = planes[:, :, 1]
     else:
         full = grid[:, :, :, 0, :].transpose(0, 3, 1, 2)
     return full.reshape(-1, cb.rows, cb.cols)[:cb.batch]
@@ -203,17 +206,33 @@ BATCHES = {"1": lambda p: 1, "P-1": lambda p: p - 1, "P": lambda p: p,
 @pytest.mark.parametrize("batch_of", BATCHES)
 def test_conversion_matches_the_formulas(rng, dtype, batch_of):
     """Every input memory order interleaves to the bytes the
-    zero-fill/stack/transpose formula gives, and de-interleaves to the
-    bytes ``re + 1j * im`` gives."""
+    zero-fill/stack/transpose formula gives, and de-interleaves (whole,
+    the first ``n`` as arrays of their own, or one ``matrix`` at a time)
+    to the bytes of the planes assigned back — ``-0.0``, infinities and
+    NaN included."""
     lanes = LANES[dtype]
     batch = BATCHES[batch_of](lanes)
     a = random_batch(rng, batch, 5, 3, dtype)
+    flat = a.reshape(-1)
+    for i, v in enumerate((-0.0, np.inf, -np.inf, np.nan)):
+        flat[(3 * i) % flat.size] = v
+        if a.dtype.kind == "c":          # special imaginary parts too
+            flat[(3 * i + 7) % flat.size] = complex(-0.0, v)
     want = _formula_from(a, lanes).reshape(-1)
     for name, x in _layouts(a).items():
-        assert np.array_equal(x, a)
+        assert np.array_equal(x, a, equal_nan=True)
         cb = CompactBatch.from_matrices(x, lanes)
         assert cb.buffer.tobytes() == want.tobytes(), name
         out = cb.to_matrices()
         assert out.flags.c_contiguous and out.dtype == a.dtype
         assert out.tobytes() == _formula_to(cb).tobytes(), name
         assert out.tobytes() == a.tobytes(), name
+        for n in (0, batch // 2, batch):
+            ms = cb.matrices(n)
+            assert len(ms) == n
+            for i, m in enumerate(ms):
+                assert m.flags.owndata and m.dtype == a.dtype
+                assert m.tobytes() == a[i].tobytes(), (n, i)
+        for i in range(batch):
+            m = cb.matrix(i)
+            assert m.dtype == a.dtype and m.tobytes() == a[i].tobytes(), i

@@ -51,7 +51,7 @@ class TestConservation:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("force_pack", [False, True],
                              ids=["nopack-eligible", "forced-pack"])
-    @pytest.mark.parametrize("stream", ["raw", "fused", "megakernel"])
+    @pytest.mark.parametrize("stream", ["raw", "fused"])
     def test_gemm_exact(self, registry, dtype, force_pack, stream):
         # n=2 qualifies for the no-pack fast path; force_pack covers the
         # packed alternative on the same shape
@@ -65,7 +65,7 @@ class TestConservation:
         prof.check()                      # and the built-in invariant
 
     @pytest.mark.parametrize("dtype", ["s", "z"])
-    @pytest.mark.parametrize("stream", ["raw", "fused", "megakernel"])
+    @pytest.mark.parametrize("stream", ["raw", "fused"])
     def test_trsm_exact(self, registry, dtype, stream):
         p = TrsmProblem(8, 8, dtype, batch=128)
         plan = build_trsm_plan(p, KUNPENG_920, registry)
@@ -84,7 +84,7 @@ class TestConservation:
         for k in prof.kernels.values():
             assert sum(k.classes.values()) == k.cycles
 
-    @pytest.mark.parametrize("stream", ["raw", "fused", "megakernel"])
+    @pytest.mark.parametrize("stream", ["raw", "fused"])
     @pytest.mark.parametrize("problem", [
         GemmProblem(20, 13, 7, "d", batch=16),
         TrsmProblem(17, 33, "z", batch=5)], ids=["gemm", "trsm"])
@@ -100,32 +100,33 @@ class TestConservation:
         prof = obs.profile_plan(plan, stream=stream, compiled=compiled)
         budget = prof.kernel_cycle_budget
         assert sum(c.cycles for c in prof.classes.values()) == budget
-        if stream != "fused":
-            assert sum(k.cycles for k in prof.kernels.values()) == budget
-            calls = {}
-            for name, _, _ in compiled.call_ranges:
-                calls[name] = calls.get(name, 0) + 1
-            waved = {}
-            for w in compiled.waves:
-                name = compiled.templates[w.template].name
-                waved[name] = waved.get(name, 0) + len(w.calls)
-            assert waved == calls
-            assert set(prof.kernels) == set(calls)
+        assert sum(k.cycles for k in prof.kernels.values()) == budget
+        calls = {}
+        for name, _, _ in compiled.call_ranges:
+            calls[name] = calls.get(name, 0) + 1
+        waved = {}
+        for w in compiled.waves:
+            name = compiled.templates[w.template].name
+            waved[name] = waved.get(name, 0) + len(w.calls)
+        assert waved == calls
+        assert set(prof.kernels) == set(calls)
 
     def test_fused_stream_has_no_kernel_split(self, registry):
         p = GemmProblem(8, 8, 8, "s", batch=256)
         plan = build_gemm_plan(p, KUNPENG_920, registry)
         prof = obs.profile_plan(plan, stream="fused")
-        assert prof.kernels == {}
+        # one kernel: nothing to split, it carries the whole budget
+        (kernel,) = prof.kernels.values()
+        assert kernel.cycles == prof.kernel_cycle_budget
         assert "MACC" in prof.classes     # macro-ops visible as a class
 
     def test_megakernel_stream_recovers_kernel_split(self, registry):
-        # macro-op fusion blurs kernel boundaries, but the trace
-        # segments still know theirs: the megakernel stream must give
-        # back per-kernel attribution with total coverage
+        # macro-op fusion blurs instruction boundaries, but every call
+        # is optimized on its own: the fused stream must give back
+        # per-kernel attribution with total coverage
         p = GemmProblem(9, 9, 9, "d", batch=256)   # multiple kernels
         plan = build_gemm_plan(p, KUNPENG_920, registry)
-        prof = obs.profile_plan(plan, stream="megakernel")
+        prof = obs.profile_plan(plan, stream="fused")
         assert len(prof.kernels) >= 2
         assert sum(k.cycles for k in prof.kernels.values()) \
             == prof.kernel_cycle_budget
@@ -213,7 +214,7 @@ class TestModelDrift:
     def test_drift_reports_ratio_per_backend(self):
         result = obs.model_drift(GemmProblem(4, 4, 4, "d", batch=64),
                                  repeats=1)
-        assert set(result) == {"fused", "megakernel"}
+        assert set(result) == {"fused"}
         for d in result.values():
             assert d["predicted_seconds"] > 0
             assert d["wall_seconds"] > 0

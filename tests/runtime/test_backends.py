@@ -18,8 +18,7 @@ from repro.machine.machines import KUNPENG_920
 from repro.machine.memory import MemorySpace
 from repro.runtime.backends import (BACKENDS, DEFAULT_BACKEND,
                                     ExecutorBackend, FusedBackend,
-                                    InterpretBackend, MegakernelBackend,
-                                    resolve_backend)
+                                    InterpretBackend, resolve_backend)
 from repro.runtime.engine import Engine
 from repro.runtime.iatf import IATF
 from repro.runtime.lowering import lower_plan
@@ -29,14 +28,35 @@ from tests.conftest import ALL_DTYPES, random_batch, random_triangular
 LANES = {"s": 4, "d": 2, "c": 4, "z": 2}
 
 # every registered backend, the interpret reference first
-EQUIV_BACKENDS = ("interpret", "fused", "megakernel")
+EQUIV_BACKENDS = ("interpret", "fused")
+
+# fused executes each lowered plan this often: the first execute replays,
+# the second generates the plan's programs, the rest run them
+FUSED_RUNS = 3
 
 
 def assert_bit_identical(outs):
-    ref = outs[0].tobytes()
-    for backend, out in zip(EQUIV_BACKENDS[1:], outs[1:]):
-        assert out.tobytes() == ref, (
-            f"backend {backend!r} diverged from interpret")
+    (_, ref), *rest = outs
+    for label, out in rest:
+        assert out.tobytes() == ref.tobytes(), (
+            f"{label} diverged from interpret")
+
+
+def _runs(plan, execute):
+    """``(label, result)`` per run: interpret once, then fused
+    ``FUSED_RUNS`` times on one engine and one lowering, so both the
+    replay tier and the generated tier are compared."""
+    outs = [("interpret", execute(Engine(KUNPENG_920, backend="interpret"),
+                                  None))]
+    engine = Engine(KUNPENG_920, backend="fused")
+    compiled = lower_plan(plan)
+    for run in range(FUSED_RUNS):
+        out = execute(engine, compiled)
+        tier = "generated" if compiled.programs else "replay"
+        assert tier == "replay" or compiled.programs.complete
+        outs.append((f"fused run {run + 1} ({tier})", out))
+    assert tier == "generated"
+    return outs
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +65,8 @@ def iatf():
 
 
 def run_gemm_both(iatf, rng, problem, force_pack=False):
-    """Execute one GEMM plan on every backend; return the C buffers."""
+    """Execute one GEMM plan on every backend (fused in both tiers);
+    return the labelled C buffers."""
     plan = iatf.plan_gemm(problem, force_pack=force_pack)
     lanes = LANES[problem.dtype.value]
     a = random_batch(rng, problem.batch, *problem.a_shape,
@@ -54,14 +75,14 @@ def run_gemm_both(iatf, rng, problem, force_pack=False):
                      problem.dtype.value)
     c = random_batch(rng, problem.batch, problem.m, problem.n,
                      problem.dtype.value)
-    outs = []
-    for backend in EQUIV_BACKENDS:
+
+    def execute(engine, compiled):
         ca = CompactBatch.from_matrices(a, lanes)
         cb = CompactBatch.from_matrices(b, lanes)
         cc = CompactBatch.from_matrices(c, lanes)
-        Engine(KUNPENG_920, backend=backend).execute_gemm(plan, ca, cb, cc)
-        outs.append(cc.buffer)
-    return outs
+        engine.execute_gemm(plan, ca, cb, cc, compiled=compiled)
+        return cc.buffer
+    return _runs(plan, execute)
 
 
 def run_trsm_both(iatf, rng, problem, force_pack=False):
@@ -72,13 +93,13 @@ def run_trsm_both(iatf, rng, problem, force_pack=False):
                           problem.uplo.value)
     b = random_batch(rng, problem.batch, problem.m, problem.n,
                      problem.dtype.value)
-    outs = []
-    for backend in EQUIV_BACKENDS:
+
+    def execute(engine, compiled):
         ca = CompactBatch.from_matrices(a, lanes)
         cb = CompactBatch.from_matrices(b, lanes)
-        Engine(KUNPENG_920, backend=backend).execute_trsm(plan, ca, cb)
-        outs.append(cb.buffer)
-    return outs
+        engine.execute_trsm(plan, ca, cb, compiled=compiled)
+        return cb.buffer
+    return _runs(plan, execute)
 
 
 class TestGemmEquivalence:
@@ -207,10 +228,9 @@ class TestBackendSelection:
         assert IATF(KUNPENG_920).backend.name == "fused"
 
     def test_registry_contents(self):
-        assert set(BACKENDS) == {"interpret", "fused", "megakernel"}
+        assert set(BACKENDS) == {"interpret", "fused"}
         assert isinstance(resolve_backend("interpret"), InterpretBackend)
         assert isinstance(resolve_backend("fused"), FusedBackend)
-        assert isinstance(resolve_backend("megakernel"), MegakernelBackend)
 
     def test_unknown_name_error_lists_all_backends(self):
         """The unknown-name PlanError must name every registered
@@ -222,8 +242,14 @@ class TestBackendSelection:
             resolve_backend("jit")
         except PlanError as e:
             msg = str(e)
-        for name in ("interpret", "fused", "megakernel"):
+        for name in ("interpret", "fused"):
             assert name in msg, f"error message omits {name!r}: {msg}"
+
+    def test_megakernel_is_no_backend(self):
+        """The generated code is a tier of ``fused``; the old backend
+        name fails loudly and says what exists."""
+        with pytest.raises(PlanError, match="available: fused, interpret"):
+            IATF(KUNPENG_920, backend="megakernel")
 
     def test_non_backend_object_rejected_before_first_use(self):
         """A non-conforming object must fail at resolution time, not
@@ -246,7 +272,7 @@ class TestBackendSelection:
     def test_named_backends_are_cached(self):
         """Every run_plan used to construct a fresh backend object;
         named resolutions now share one instance per name."""
-        for name in ("interpret", "fused", "megakernel"):
+        for name in ("interpret", "fused"):
             assert resolve_backend(name) is resolve_backend(name)
         assert Engine(KUNPENG_920).backend is Engine(KUNPENG_920).backend
 
@@ -270,7 +296,6 @@ class TestBackendSelection:
     def test_instances_satisfy_protocol(self):
         assert isinstance(InterpretBackend(), ExecutorBackend)
         assert isinstance(FusedBackend(), ExecutorBackend)
-        assert isinstance(MegakernelBackend(), ExecutorBackend)
 
     def test_custom_backend_instance_accepted(self, iatf, rng):
         """A user-supplied object implementing the protocol plugs in."""
@@ -339,6 +364,6 @@ class TestPerfGuard:
                 fw.gemm_compact(p, ca, cb, cc)
                 best = min(best, time.perf_counter() - t0)
             times[backend] = best
-        # bench/experiments.backend_showdown shows several x; guard a
-        # softer bound so background load cannot flake CI
+        # measured several x; guard a softer bound so background load
+        # cannot flake CI
         assert times["fused"] < 0.75 * times["interpret"], times

@@ -18,6 +18,7 @@ from repro.runtime.lowering import (FUSE_MIN_CHAIN, K_FMLA, K_FMLS, K_FMUL,
                                     K_FMULI, K_LOAD, K_LOAD1R, K_LOADW,
                                     K_MACC, K_STORE, K_STOREPAIR, K_STOREW,
                                     K_VZERO, lower_plan, optimize_commands)
+from repro.runtime.megakernel import compile_program
 from repro.types import GemmProblem
 
 LANES = 4                     # float32 vector: 4 lanes * 4 B = 16 B
@@ -40,9 +41,14 @@ def kinds(commands):
     return [c[0] for c in commands]
 
 
-def replay(commands, bufs, max_stack=0):
-    """Drive the shared replay loop directly over synthetic buffers."""
+def replay(commands, bufs, max_stack=0, generated=False):
+    """Drive the shared replay loop — or, with ``generated``, the
+    program generated from ``commands`` — directly over synthetic
+    buffers."""
     groups = next(iter(bufs.values())).shape[0]
+    if generated:
+        prog = compile_program(commands, LANES, EW)
+        max_stack = max(max_stack, prog.stack_need)
     rbank = np.zeros((NUM_VREGS, groups, LANES), dtype=np.float32)
     scratch = np.empty((groups, LANES), dtype=np.float32)
     stacks = (np.empty((2, max_stack, groups, LANES), dtype=np.float32)
@@ -51,9 +57,12 @@ def replay(commands, bufs, max_stack=0):
     matsC = {name: (v.view(np.complex128)
                     if (v.shape[1] * v.itemsize) % 16 == 0 else None)
              for name, v in bufs.items()}
+    args = (bufs, list(rbank), rbank, scratch, stacks, matsC, rbankC)
     with np.errstate(all="ignore"):
-        FusedBackend._replay(commands, bufs, list(rbank), rbank,
-                             scratch, stacks, matsC, rbankC)
+        if generated:
+            prog.fn(*args)
+        else:
+            FusedBackend._replay(commands, *args)
     return rbank
 
 
@@ -251,10 +260,13 @@ class TestReplayEquivalence:
                         (groups, STRIDE_ELEMS)).astype(np.float32)
                     for name in ("a", "b", "c")}
             ref = {name: v.copy() for name, v in data.items()}
+            gen = {name: v.copy() for name, v in data.items()}
             replay(raw, ref)
             replay(opt, data, max_stack=p["max_stack"])
+            replay(opt, gen, max_stack=p["max_stack"], generated=True)
             for name in ("a", "b", "c"):
                 assert data[name].tobytes() == ref[name].tobytes(), name
+                assert gen[name].tobytes() == ref[name].tobytes(), name
 
     def test_special_values_survive_fusion(self, rng):
         """NaN payloads and signed zeros ride through macro-ops
@@ -267,9 +279,12 @@ class TestReplayEquivalence:
         data["a"][:, :2] = [np.nan, np.inf]
         data["b"][:, :2] = [-0.0, -np.inf]
         ref = {name: v.copy() for name, v in data.items()}
+        gen = {name: v.copy() for name, v in data.items()}
         replay(raw, ref)
         replay(opt, data, max_stack=p["max_stack"])
+        replay(opt, gen, max_stack=p["max_stack"], generated=True)
         assert data["c"].tobytes() == ref["c"].tobytes()
+        assert gen["c"].tobytes() == ref["c"].tobytes()
 
 
 class TestPlanIntegration:

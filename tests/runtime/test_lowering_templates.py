@@ -6,7 +6,9 @@ Three equalities pin that down on the benchmark grids and on drawn
 problems: each call's slice of ``commands``/``fused_commands`` equals
 a one-call plan of just that call; the fused stream and its pass
 statistics equal :func:`optimize_commands` over the whole raw stream;
-each megakernel trace segment equals the pipeline over its raw span.
+the fused slice of each run of consecutive same-kernel calls (what the
+profiler's ``fused`` per-kernel breakdown attributes) equals the
+pipeline over its raw span.
 A later call that reuses a template but leaves its buffer must still
 fail with that call's own error.
 """
@@ -21,8 +23,7 @@ from hypothesis import strategies as st
 from perfbench.grids import FULL, SMOKE
 from repro import IATF, KUNPENG_920
 from repro.errors import LoweringError
-from repro.runtime.lowering import (lower_plan, optimize_commands,
-                                    partition_trace)
+from repro.runtime.lowering import lower_plan, optimize_commands
 from repro.types import GemmProblem, TrsmProblem
 from tests.runtime.test_backends import _tampered
 
@@ -68,13 +69,26 @@ def _check_whole_stream(compiled):
     assert passes == compiled.stats["passes"]
 
 
+def _segments(compiled):
+    """``(kernel, raw start, raw stop, fused start, fused stop)`` per run
+    of consecutive same-kernel calls."""
+    spans = []
+    for (kernel, start, stop), (fstart, fstop) in zip(compiled.call_ranges,
+                                                      compiled.fused_ranges):
+        if spans and spans[-1][0] == kernel and spans[-1][2] == start:
+            spans[-1][2], spans[-1][4] = stop, fstop
+        else:
+            spans.append([kernel, start, stop, fstart, fstop])
+    return spans
+
+
 def _check_segments(compiled):
-    for seg in partition_trace(compiled):
-        cmds, passes = optimize_commands(compiled.commands[seg.start:seg.stop],
-                                         compiled.lanes, compiled.ew,
-                                         _strides(compiled))
-        assert _canon(seg.commands) == _canon(cmds), seg.kernel
-        assert seg.max_stack == passes["max_stack"]
+    for kernel, start, stop, fstart, fstop in _segments(compiled):
+        cmds, _ = optimize_commands(compiled.commands[start:stop],
+                                    compiled.lanes, compiled.ew,
+                                    _strides(compiled))
+        assert (_canon(compiled.fused_commands[fstart:fstop])
+                == _canon(cmds)), kernel
 
 
 def _check_all(problem):
@@ -96,8 +110,9 @@ def test_smoke_grid_matches_per_call_and_whole_stream(problem):
 
 @pytest.mark.parametrize("problem", SMOKE.bulk + FULL.cold, ids=repr)
 def test_segments_equal_pipeline_over_raw_span(problem):
-    """Bulk (reduced batch) and cold grids: trace segments are slices of
-    the fused stream, never a second optimization."""
+    """Bulk (reduced batch) and cold grids: a same-kernel run's fused
+    slice is the pipeline over its raw span, never a second
+    optimization."""
     _check_segments(lower_plan(_plan(problem)))
 
 

@@ -39,7 +39,6 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 FW = IATF(KUNPENG_920)
 FW_INTERPRET = IATF(KUNPENG_920, backend="interpret")
-FW_MEGAKERNEL = IATF(KUNPENG_920, backend="megakernel")
 SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0])
 
 
@@ -305,15 +304,15 @@ def _aliased_run(problem, fw):
     return cc.buffer
 
 
-@pytest.mark.parametrize("backend", ["fused", "megakernel"])
 @pytest.mark.parametrize("problem", ALIASED, ids=repr)
-def test_aliased_a_and_c_match_interpret(problem, backend):
+def test_aliased_a_and_c_match_interpret(problem):
     """A is C and A is not packed, so the plan reads what it writes
-    through another buffer: only plan order is exact (fused waves and
-    megakernel staging would both read stale A)."""
-    fw = FW if backend == "fused" else FW_MEGAKERNEL
-    assert np.array_equal(_bytes(_aliased_run(problem, fw)),
-                          _bytes(_aliased_run(problem, FW_INTERPRET)))
+    through another buffer: only plan order is exact (waves, replayed or
+    generated, would read stale A).  From the second run on the plan has
+    generated programs, which an aliased bind must still not use."""
+    ref = _bytes(_aliased_run(problem, FW_INTERPRET))
+    for _ in range(3):
+        assert np.array_equal(_bytes(_aliased_run(problem, FW)), ref)
 
 
 def test_aliased_cases_need_the_guard(monkeypatch):

@@ -276,3 +276,26 @@ class TestLifecycleAndStats:
         assert all(f.trace_id in request_traces for f in flushes)
         assert all(k.trace_id in request_traces for k in kernels)
         obs.validate_chrome_trace(obs.chrome_trace(reg))
+
+
+@pytest.mark.parametrize("dtype", ["s", "z"])
+def test_flush_results_are_one_copy_owning_no_batch_memory(dtype):
+    """A flush's results are copied once, straight out of the compact
+    batch: the same bytes as the whole-batch conversion, each in its own
+    array, none sharing memory with the batch."""
+    from repro.layout import CompactBatch
+    from repro.serve.scheduler import _owned
+
+    rng = np.random.default_rng(4)
+    mats = rng.standard_normal((11, 3, 5))
+    if dtype == "z":
+        mats = mats + 1j * rng.standard_normal(mats.shape)
+    cb = CompactBatch.from_matrices(mats, 2 if dtype == "z" else 4, dtype)
+    full = cb.to_matrices()
+    for n in (1, 7, 11):
+        got = _owned(cb, n)
+        assert len(got) == n
+        for i, r in enumerate(got):
+            assert r.tobytes() == full[i].tobytes()
+            assert r.flags.owndata
+            assert not np.shares_memory(r, cb.buffer)

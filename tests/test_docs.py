@@ -20,7 +20,7 @@ def test_required_deliverable_files_exist():
         assert (ROOT / name).exists(), name
     for name in ("quickstart.py", "cfd_flux_kernels.py",
                  "block_jacobi_preconditioner.py", "autotuning_tour.py",
-                 "simulator_tour.py", "backend_showdown.py"):
+                 "simulator_tour.py"):
         assert (ROOT / "examples" / name).exists(), name
 
 

@@ -63,28 +63,39 @@ class TestLookups:
         """The record's ``backend`` column is provenance only: a record
         naming the removed ``compiled`` backend still loads, is applied
         as a tuned decision, and runs on the IATF's own backend."""
-        import numpy as np
+        _apply_legacy_record(tmp_path, "compiled")
 
-        p = GemmProblem(9, 9, 9, "d", batch=8)
-        key = TuningKey.for_gemm(KUNPENG_920, p)
-        rec = TuningRecord(main=(3, 4), force_pack=False, schedule=True,
-                           cycles=1.0, gflops=1.0, candidates=4,
-                           tuner_version=TUNER_VERSION, batch=8,
-                           backend="compiled")
-        db = TuningDB(path=str(tmp_path / "legacy.json"))
-        db.put(key, rec)
-        db.save()
-        loaded = TuningDB.load(db.path)
-        assert loaded.get(key).backend == "compiled"
-        iatf = IATF(KUNPENG_920, tuning_db=loaded)
-        plan = iatf.plan_gemm(p)
-        assert plan.meta["decision"]["source"] == "tuned"
-        assert plan.meta["decision"]["backend"] == "compiled"
-        assert plan.meta["main_kernel"] == (3, 4)
-        assert iatf.backend.name == "fused"
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((8, 9, 9))
-        b = rng.standard_normal((8, 9, 9))
+    @pytest.mark.parametrize("backend", ["megakernel", "parallel"])
+    def test_legacy_backend_records_apply(self, tmp_path, backend):
+        """Records naming the other removed backends (and the label the
+        tuner still writes) load and apply the same way."""
+        _apply_legacy_record(tmp_path, backend)
+
+
+def _apply_legacy_record(tmp_path, backend: str) -> None:
+    import numpy as np
+
+    p = GemmProblem(9, 9, 9, "d", batch=8)
+    key = TuningKey.for_gemm(KUNPENG_920, p)
+    rec = TuningRecord(main=(3, 4), force_pack=False, schedule=True,
+                       cycles=1.0, gflops=1.0, candidates=4,
+                       tuner_version=TUNER_VERSION, batch=8,
+                       backend=backend)
+    db = TuningDB(path=str(tmp_path / "legacy.json"))
+    db.put(key, rec)
+    db.save()
+    loaded = TuningDB.load(db.path)
+    assert loaded.get(key).backend == backend
+    iatf = IATF(KUNPENG_920, tuning_db=loaded)
+    plan = iatf.plan_gemm(p)
+    assert plan.meta["decision"]["source"] == "tuned"
+    assert plan.meta["decision"]["backend"] == backend
+    assert plan.meta["main_kernel"] == (3, 4)
+    assert iatf.backend.name == "fused"
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((8, 9, 9))
+    b = rng.standard_normal((8, 9, 9))
+    for _ in range(3):              # replay, then generated code
         got = iatf.gemm(a, b, np.zeros((8, 9, 9)), beta=0.0)
         assert np.abs(got - a @ b).max() < 1e-9
 
