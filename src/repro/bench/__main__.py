@@ -41,10 +41,9 @@ def main(argv: list[str] | None = None) -> int:
                         "(LNLN/...) mode for fig8/fig10")
     parser.add_argument("--full", action="store_true",
                         help="use the paper's full 1..33 size grid")
-    parser.add_argument("--backend", choices=["interpret", "fused", "both"],
-                        default="both",
-                        help="executor backend sweep experiments run on "
-                        "('both' = the default backend)")
+    parser.add_argument("--backend", choices=["interpret", "fused"],
+                        default="fused",
+                        help="executor backend sweep experiments run on")
     parser.add_argument("--requests", type=int, default=512,
                         help="request count per run of the 'serve' "
                         "throughput experiment")
@@ -91,8 +90,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sizes = PAPER_SIZES if args.full else QUICK_SIZES
     h = BenchHarness(sizes=sizes,
-                     backend=None if args.backend == "both"
-                     else args.backend,
+                     backend=args.backend,
                      tuning_db=args.tuning_db)
     dtypes = [args.dtype] if args.dtype else ["s", "d", "c", "z"]
 

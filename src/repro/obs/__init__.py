@@ -5,7 +5,9 @@ The layers:
 * :mod:`repro.obs.core` — the process-wide :class:`Registry` of named
   :class:`Counter`/:class:`Histogram` objects and the hot-path helpers
   (:func:`count`, :func:`observe`) that are true no-ops while
-  instrumentation is disabled (the default);
+  instrumentation is disabled (the default).  The registry is the one
+  store of history (spans, events, :meth:`Registry.sample` snapshots):
+  the flight recorder, SLO monitor and ``/delta.json`` only read it;
 * :mod:`repro.obs.spans` — hierarchical :func:`span` timing regions,
   exportable to Chrome ``chrome://tracing`` / Perfetto JSON;
 * :mod:`repro.obs.explain` — :func:`explain` reports narrating every
@@ -23,11 +25,9 @@ The layers:
   (:func:`event`): a bounded in-memory ring per registry plus an
   optional size-rotated JSONL file sink — the durable record for
   plan-cache evictions, TuningDB fallbacks, and re-tuning episodes;
-* :mod:`repro.obs.export` — pluggable snapshot exporters
-  (:class:`PrometheusExporter`, :class:`JsonExporter`,
-  :class:`DeltaExporter`) rendering one :meth:`Registry.snapshot`
-  as Prometheus text exposition, stable JSON, or a rate-computing
-  delta view;
+* :mod:`repro.obs.export` — :class:`PrometheusExporter` and
+  :class:`JsonExporter` render one :meth:`Registry.snapshot`;
+  :func:`snapshot_delta` diffs two into deltas and rates;
 * :mod:`repro.obs.serve` — ``python -m repro.obs serve``, the stdlib
   ``http.server`` endpoint exposing ``/metrics``, ``/snapshot.json``,
   ``/delta.json``, ``/events``, and ``/healthz``.
@@ -60,9 +60,8 @@ from .core import (Counter, Histogram, Registry, count, disable, enable,
                    set_registry, tick, tock)
 from .events import EventLog, FileSink, event
 from .explain import ExplainReport, explain
-from .export import (DeltaExporter, Exporter, JsonExporter,
-                     PrometheusExporter, snapshot_delta)
-from .flight import FlightRecorder, get_flight, install_flight
+from .export import JsonExporter, PrometheusExporter, snapshot_delta
+from .flight import FlightRecorder
 from .profile import (ClassProfile, KernelProfile, PlanProfile,
                       ProfileReport, model_drift, profile_plan,
                       profile_report)
@@ -79,11 +78,10 @@ __all__ = [
     "SpanRecord", "span", "carrier", "attach", "current_context",
     "chrome_trace", "write_chrome_trace", "validate_chrome_trace",
     "EventLog", "FileSink", "event",
-    "Exporter", "PrometheusExporter", "JsonExporter", "DeltaExporter",
-    "snapshot_delta",
+    "PrometheusExporter", "JsonExporter", "snapshot_delta",
     "Budget", "BudgetLedger", "BUDGET_STAGES",
     "SLOSpec", "SLOMonitor", "default_specs",
-    "FlightRecorder", "get_flight", "install_flight",
+    "FlightRecorder",
     "ExplainReport", "explain",
     "ClassProfile", "KernelProfile", "PlanProfile", "ProfileReport",
     "profile_plan", "profile_report", "model_drift",

@@ -162,13 +162,12 @@ def _cmd_flight(args) -> int:
             print(f"error: could not fetch {url}: {e}")
             return 1
     else:
-        # no live service: run the demo workload with a recorder
-        # attached so the dump shows a real span/event sequence
+        # no live service: run the demo workload in a fresh registry
+        # so the dump shows a real span/event sequence
         from .flight import FlightRecorder
         with scoped():
-            rec = FlightRecorder().attach()
             _demo_workload()
-            dump = rec.dump("cli_demo")
+            dump = FlightRecorder().dump("cli_demo")
     body = json.dumps(dump, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as f:

@@ -136,6 +136,14 @@ class Budget:
         ulps at most in floats."""
         return abs(math.fsum(self.stages().values()) - self.total)
 
+    def split(self) -> "tuple[dict[str, float], bool]":
+        """:meth:`stages` and whether :meth:`check` passes, from one
+        pass over the marks (what a ledger folds)."""
+        stages = self.stages()
+        err = abs(math.fsum(stages.values()) - self.total)
+        bound = EPSILON * max(1.0, self.total)
+        return stages, self.closed and not err > bound   # as check()
+
     def check(self) -> None:
         """Raise :class:`BudgetError` unless the budget is closed and
         its stage sum reproduces the end-to-end wall within epsilon."""
@@ -193,20 +201,17 @@ class BudgetLedger:
 
     OVERFLOW = "(other)"
 
-    def record(self, group: str, budget: Budget) -> None:
-        """Fold one closed budget into ``group``'s totals.
+    def record(self, group: str, budget: Budget,
+               split: "tuple[dict, bool] | None" = None) -> None:
+        """Fold one closed budget into ``group``'s totals; ``split`` is
+        its :meth:`Budget.split` when the caller already has it.
 
         A budget that fails its own conservation check is counted in
         ``violations`` (the number an operator alerts on — it should
         stay zero forever) but still aggregated, so the evidence is in
         the totals rather than silently dropped.
         """
-        try:
-            budget.check()
-            ok = True
-        except BudgetError:
-            ok = False
-        stages = budget.stages()
+        stages, ok = budget.split() if split is None else split
         with self._lock:
             g = self._groups.get(group)
             if g is None:

@@ -29,6 +29,7 @@ import time
 from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
+from itertools import islice
 
 __all__ = ["Counter", "Histogram", "Registry", "get_registry",
            "set_registry", "enabled", "enable", "disable", "scoped",
@@ -155,18 +156,23 @@ class Histogram:
 
 
 class Registry:
-    """Named counters, histograms, and recorded spans for one scope."""
+    """Named counters and histograms, and the one store of telemetry
+    history for one scope: the newest spans, the event ring, and the
+    :meth:`sample` ring.  Readers get locked copies, never a live ring.
+    """
 
     MAX_SPANS = 100_000
-    """Recorded-span cap; beyond it spans are dropped (and counted)."""
+    """Span-store cap; beyond it the oldest span is dropped (counted)."""
+    SAMPLE_RING = 720
+    """How many :meth:`sample` snapshots the registry keeps."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
         self._events = None          # EventLog, created on first use
-        self._flight = None          # FlightRecorder, via attach()
-        self.spans: list = []
+        self._spans: deque = deque()
+        self._samples: deque = deque(maxlen=self.SAMPLE_RING)
         self.dropped_spans = 0
 
     # -- accessors (create on first use) --------------------------------
@@ -186,18 +192,24 @@ class Registry:
         return h
 
     def record_span(self, record) -> None:
-        # the flight recorder's ring is bounded while self.spans is
-        # capped: the ring keeps the most RECENT spans even after the
-        # registry stops accepting new ones (exactly the post-mortem's
-        # question), so it is fed before the cap check
-        flight = self._flight
-        if flight is not None:
-            flight.note_span(record)
         with self._lock:
-            if len(self.spans) >= self.MAX_SPANS:
+            if len(self._spans) >= self.MAX_SPANS:
+                self._spans.popleft()
                 self.dropped_spans += 1
-                return
-            self.spans.append(record)
+            self._spans.append(record)
+
+    @property
+    def spans(self) -> list:
+        """Every stored span, oldest first (a copy)."""
+        with self._lock:
+            return list(self._spans)
+
+    def recent_spans(self, n: int) -> list:
+        """The newest ``n`` stored spans, oldest first (a copy)."""
+        with self._lock:
+            out = list(islice(reversed(self._spans), max(0, n)))
+        out.reverse()
+        return out
 
     @property
     def events(self):
@@ -233,7 +245,7 @@ class Registry:
         with self._lock:
             counters = sorted(self._counters.items())
             histograms = sorted(self._histograms.items())
-            n_spans = len(self.spans)
+            n_spans = len(self._spans)
             events = self._events
         hist_out = {}
         for name, h in histograms:
@@ -250,6 +262,22 @@ class Registry:
             "events": (events.stats() if events is not None
                        else {"logged": 0, "dropped": 0}),
         }
+
+    def sample(self, now: "float | None" = None) -> "tuple[float, dict]":
+        """Append one ``(monotonic seconds, snapshot())`` pair to the
+        sample ring (not part of :meth:`snapshot`) and return it; the
+        ``/slo`` and ``/delta.json`` scrapes are what call this."""
+        snap = self.snapshot()
+        with self._lock:   # clock read under the lock: rings stay sorted
+            t = time.monotonic() if now is None else now
+            self._samples.append((t, snap))
+        return t, snap
+
+    def samples(self, n: "int | None" = None) -> list:
+        """The newest ``n`` samples (all by default), oldest first."""
+        with self._lock:
+            out = list(self._samples)
+        return out if n is None else out[max(0, len(out) - n):]
 
     def report(self) -> str:
         """Human-readable snapshot (the CLI's default output)."""
@@ -278,7 +306,8 @@ class Registry:
         with self._lock:
             self._counters.clear()
             self._histograms.clear()
-            self.spans.clear()
+            self._spans.clear()
+            self._samples.clear()
             self.dropped_spans = 0
             self._events = None
 

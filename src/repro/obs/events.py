@@ -107,7 +107,6 @@ class EventLog:
         self._ring: deque = deque(maxlen=ring)
         self._lock = threading.Lock()
         self._sink: "FileSink | None" = None
-        self._flight = None          # FlightRecorder, via attach()
         self.logged = 0
         self.dropped = 0
 
@@ -135,9 +134,6 @@ class EventLog:
             self.logged += 1
             if self._sink is not None:
                 self._sink.write(record)
-        flight = self._flight
-        if flight is not None:
-            flight.note_event(record)
         return record
 
     def tail(self, n: int = 100, level: "str | None" = None,

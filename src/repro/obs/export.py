@@ -1,9 +1,11 @@
-"""Registry-snapshot exporters: Prometheus text, JSON, and delta views.
+"""Registry-snapshot exporters: Prometheus text, JSON, and deltas.
 
 One :meth:`Registry.snapshot` dict is the wire format; everything here
 is a pure function of it, so the same registry feeds CI artifacts
-(JSON), windowed scrapes (deltas/rates), and a live scraper (Prometheus)
-without three instrumentation paths.  Renders are deterministic —
+(JSON), windowed scrapes (:func:`snapshot_delta` of two
+:meth:`Registry.sample` snapshots, served as ``/delta.json``), and a
+live scraper (Prometheus) without three instrumentation paths.
+Renders are deterministic —
 names sorted, no timestamps — so two scrapes of an idle registry are
 bit-identical (the property the serve smoke test pins).
 
@@ -28,10 +30,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Protocol, runtime_checkable
 
-__all__ = ["Exporter", "PrometheusExporter", "JsonExporter",
-           "snapshot_delta", "DeltaExporter", "EXPORTERS", "render",
+__all__ = ["PrometheusExporter", "JsonExporter", "snapshot_delta",
            "render_stats"]
 
 _PREFIX = "repro_"
@@ -54,21 +54,6 @@ def _account(t0: float) -> None:
     with _stats_lock:
         _stats["renders"] += 1
         _stats["seconds"] += dt
-
-
-@runtime_checkable
-class Exporter(Protocol):
-    """Renders one registry snapshot dict as text."""
-
-    #: short identifier (``"prometheus"``, ``"json"``) used by the
-    #: serve endpoint and the EXPORTERS registry
-    format: str
-    #: the Content-Type the serve endpoint sends for this render
-    content_type: str
-
-    def render(self, snapshot: dict) -> str:
-        """The snapshot as this exporter's text format."""
-        ...
 
 
 def _metric_name(name: str) -> str:
@@ -96,7 +81,6 @@ def _fmt(value: "int | float") -> str:
 class PrometheusExporter:
     """The text-exposition format a Prometheus scraper ingests."""
 
-    format = "prometheus"
     content_type = "text/plain; version=0.0.4; charset=utf-8"
 
     def render(self, snapshot: dict) -> str:
@@ -135,9 +119,9 @@ class PrometheusExporter:
 
 
 class JsonExporter:
-    """The snapshot as stable (sorted-keys) JSON — the CI artifact."""
+    """A snapshot (or a :func:`snapshot_delta`) as stable sorted-keys
+    JSON — the CI artifact and the ``/delta.json`` body."""
 
-    format = "json"
     content_type = "application/json"
 
     def render(self, snapshot: dict) -> str:
@@ -189,49 +173,3 @@ def snapshot_delta(before: dict, after: dict,
             entry["rate"] = dcount / seconds
         out["histograms"][name] = entry
     return out
-
-
-class DeltaExporter:
-    """Stateful delta view: render what changed since the last render.
-
-    The first render diffs against an empty snapshot (everything is
-    new); each subsequent render diffs against the previous one and
-    derives rates from the wall time between the two — the "what moved
-    in this window" view.
-    """
-
-    format = "delta"
-    content_type = "application/json"
-
-    def __init__(self) -> None:
-        self._prev: dict = {}
-        self._prev_t: "float | None" = None
-        self._lock = threading.Lock()
-
-    def render(self, snapshot: dict) -> str:
-        t0 = time.perf_counter()
-        now = time.monotonic()
-        with self._lock:
-            seconds = (now - self._prev_t
-                       if self._prev_t is not None else None)
-            delta = snapshot_delta(self._prev, snapshot, seconds)
-            self._prev, self._prev_t = snapshot, now
-        text = json.dumps(delta, sort_keys=True, indent=2) + "\n"
-        _account(t0)
-        return text
-
-
-EXPORTERS: "dict[str, type]" = {
-    PrometheusExporter.format: PrometheusExporter,
-    JsonExporter.format: JsonExporter,
-    DeltaExporter.format: DeltaExporter,
-}
-
-
-def render(snapshot: dict, format: str = "prometheus") -> str:
-    """One-shot render of a snapshot in the named format."""
-    cls = EXPORTERS.get(format)
-    if cls is None:
-        raise ValueError(f"unknown exporter format {format!r}; "
-                         f"available: {', '.join(sorted(EXPORTERS))}")
-    return cls().render(snapshot)

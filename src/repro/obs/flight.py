@@ -1,28 +1,15 @@
-"""The flight recorder: an always-on ring that answers "what just
-happened?" after something went wrong.
+"""The flight recorder: "what just happened?" after something went
+wrong.
 
-Counters and histograms survive an incident but lose its *sequence*;
-the event ring keeps sequence but only for events.  The
-:class:`FlightRecorder` keeps a small bounded ring of the most recent
-**spans**, **events**, and **stats pulses** — cheap enough to leave on
-in production — and freezes them into one self-contained JSON
-post-mortem when triggered:
-
-* automatically, on a poisoned bucket (a flush error fails every
-  request in the batch) or a :class:`~repro.errors.RejectedError`
-  storm (admission rejecting faster than a configured rate), both
-  rate-limited by a cooldown so an incident produces one dump, not one
-  per failure;
-* on demand, via the ``/flight`` endpoint or
-  ``python -m repro.obs flight``.
-
-Feeding the rings costs one deque append per span/event, and only for
-telemetry that is already being recorded — :meth:`attach` hooks the
-registry's ``record_span`` and the event log's ``emit``, so the
-disabled path (no spans, no events) stays allocation-free and the
-recorder never makes quiet code loud.  Stats pulses are pushed by the
-service (one compact dict per flush), not pulled, so the recorder
-needs no thread.
+Counters survive an incident but lose its *sequence*.  A
+:class:`FlightRecorder` dump freezes the registry's newest ``SPANS``
+spans and ``EVENTS`` events (read at dump time; the registry is the
+one store of history) and the last ``PULSES`` per-flush stats pulses,
+which only the recorder keeps: the service pushes one per flush,
+whether or not obs is enabled.  Dumps are taken automatically on a
+poisoned bucket or a reject storm (``STORM_THRESHOLD`` rejections
+within ``STORM_WINDOW_S``), at most one per ``COOLDOWN_S``, and on
+demand via ``/flight`` or ``python -m repro.obs flight``.
 """
 
 from __future__ import annotations
@@ -34,46 +21,40 @@ from collections import deque
 
 from . import core
 
-__all__ = ["FlightRecorder", "get_flight", "install_flight"]
+__all__ = ["FlightRecorder"]
+
+#: how many of the registry's newest spans / events a dump carries
+SPANS = 512
+EVENTS = 512
+#: stats pulses kept (the service pushes one per flush)
+PULSES = 128
+#: automatic dumps closer than this to the previous one are suppressed
+COOLDOWN_S = 30.0
+#: a reject storm is STORM_THRESHOLD rejections within STORM_WINDOW_S
+STORM_WINDOW_S = 10.0
+STORM_THRESHOLD = 50
 
 
 class FlightRecorder:
-    """Bounded recent-history rings plus triggered post-mortem dumps.
+    """Stats pulses, reject timestamps, and triggered post-mortems.
 
-    ``dump_dir`` makes automatic dumps durable (one
-    ``flight-<n>-<trigger>.json`` per trigger); without it the latest
+    ``dump_dir`` makes dumps durable (one
+    ``flight-<n>-<trigger>.json`` per dump); without it the latest
     dump is kept in memory (``last_dump``) where the ``/flight``
     endpoint and tests can read it.
     """
 
-    def __init__(self, spans: int = 512, events: int = 512,
-                 pulses: int = 128, dump_dir: "str | None" = None,
-                 cooldown_s: float = 30.0,
-                 storm_window_s: float = 10.0,
-                 storm_threshold: int = 50) -> None:
-        self._spans: deque = deque(maxlen=max(1, spans))
-        self._events: deque = deque(maxlen=max(1, events))
-        self._pulses: deque = deque(maxlen=max(1, pulses))
+    def __init__(self, dump_dir: "str | None" = None) -> None:
+        self._pulses: deque = deque(maxlen=PULSES)
         self._rejects: deque = deque()   # monotonic reject timestamps
         self._lock = threading.Lock()
         self.dump_dir = dump_dir
-        self.cooldown_s = float(cooldown_s)
-        self.storm_window_s = float(storm_window_s)
-        self.storm_threshold = int(storm_threshold)
         self.dumps = 0
         self.suppressed = 0
         self.last_dump: "dict | None" = None
         self._last_trigger_t: "float | None" = None
 
     # -- feeding (hot paths: one lock, one append) ----------------------
-
-    def note_span(self, record) -> None:
-        with self._lock:
-            self._spans.append(record)
-
-    def note_event(self, record: dict) -> None:
-        with self._lock:
-            self._events.append(record)
 
     def note_pulse(self, pulse: dict) -> None:
         """One compact stats delta (the service pushes one per flush)."""
@@ -87,42 +68,25 @@ class FlightRecorder:
         t = time.monotonic() if now is None else now
         with self._lock:
             self._rejects.append(t)
-            horizon = t - self.storm_window_s
+            horizon = t - STORM_WINDOW_S
             while self._rejects and self._rejects[0] < horizon:
                 self._rejects.popleft()
-            storm = len(self._rejects) >= self.storm_threshold
-        if storm:
+            in_window = len(self._rejects)
+        if in_window >= STORM_THRESHOLD:
             return self.trigger("reject_storm", now=t, tenant=tenant,
-                                rejects_in_window=len(self._rejects),
-                                window_s=self.storm_window_s)
+                                rejects_in_window=in_window,
+                                window_s=STORM_WINDOW_S)
         return None
-
-    # -- attachment -----------------------------------------------------
-
-    def attach(self, registry: "core.Registry | None" = None
-               ) -> "FlightRecorder":
-        """Hook this recorder into ``registry`` (the process-wide one
-        by default): every span it records and every event its log
-        emits is mirrored into the rings."""
-        reg = registry if registry is not None else core.get_registry()
-        reg._flight = self
-        reg.events._flight = self
-        return self
-
-    @staticmethod
-    def detach(registry: "core.Registry | None" = None) -> None:
-        reg = registry if registry is not None else core.get_registry()
-        reg._flight = None
-        if reg._events is not None:
-            reg._events._flight = None
 
     # -- dumping --------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The rings as JSON-able lists, oldest first."""
+        """The registry's newest spans and events and the pulse ring,
+        as JSON-able lists, oldest first."""
+        reg = core.get_registry()
+        spans = reg.recent_spans(SPANS)
+        events = [dict(r) for r in reg.events.tail(EVENTS)]
         with self._lock:
-            spans = list(self._spans)
-            events = [dict(r) for r in self._events]
             pulses = [dict(p) for p in self._pulses]
         return {
             "spans": [{
@@ -137,8 +101,8 @@ class FlightRecorder:
         }
 
     def dump(self, trigger: str, **detail) -> dict:
-        """Freeze the rings into one post-mortem dict (no rate limit —
-        this is the on-demand path)."""
+        """Freeze the recent history into one post-mortem dict (no rate
+        limit — this is the on-demand path)."""
         dump = {
             "trigger": trigger,
             "detail": detail,
@@ -160,52 +124,35 @@ class FlightRecorder:
     def trigger(self, trigger: str, now: "float | None" = None,
                 **detail) -> "dict | None":
         """Rate-limited dump for automatic triggers: within
-        ``cooldown_s`` of the previous automatic dump the trigger is
+        ``COOLDOWN_S`` of the previous automatic dump the trigger is
         counted (``suppressed``) but produces nothing, so one incident
         yields one post-mortem instead of hundreds."""
         t = time.monotonic() if now is None else now
         with self._lock:
             last = self._last_trigger_t
-            if last is not None and (t - last) < self.cooldown_s:
+            if last is not None and (t - last) < COOLDOWN_S:
                 self.suppressed += 1
                 return None
             self._last_trigger_t = t
         return self.dump(trigger, **detail)
 
     def stats(self) -> dict:
+        """Depths of what the next dump would carry, and dump counts."""
+        reg = core.get_registry()
+        spans = len(reg.recent_spans(SPANS))
+        events = min(len(reg.events), EVENTS)
         with self._lock:
-            return {"spans": len(self._spans), "events": len(self._events),
+            return {"spans": spans, "events": events,
                     "stats_pulses": len(self._pulses), "dumps": self.dumps,
                     "suppressed": self.suppressed}
 
     def route(self, query) -> "tuple[str, str]":
-        """``/flight`` handler: an on-demand post-mortem of the current
-        rings (pass ``?last=1`` for the most recent *triggered* dump
-        instead — the one that captured the incident)."""
+        """``/flight`` handler: an on-demand post-mortem (pass
+        ``?last=1`` for the most recent *triggered* dump instead — the
+        one that captured the incident)."""
         if query.get("last") and self.last_dump is not None:
             body = self.last_dump
         else:
             body = self.dump("on_demand")
         return (json.dumps(body, sort_keys=True, indent=2) + "\n",
                 "application/json")
-
-
-#: process-wide recorder (None until something installs one)
-_flight: "FlightRecorder | None" = None
-
-
-def get_flight() -> "FlightRecorder | None":
-    """The installed process-wide recorder, if any."""
-    return _flight
-
-
-def install_flight(recorder: "FlightRecorder | None" = None,
-                   registry: "core.Registry | None" = None
-                   ) -> FlightRecorder:
-    """Install (and attach) a process-wide flight recorder; reuses the
-    existing one when called twice without an explicit recorder."""
-    global _flight
-    if recorder is None:
-        recorder = _flight if _flight is not None else FlightRecorder()
-    _flight = recorder
-    return recorder.attach(registry)

@@ -7,19 +7,18 @@ instead of waiting for the batch ``report()`` at the end:
 
 * ``/metrics``        — Prometheus text exposition of the registry
 * ``/snapshot.json``  — the full :meth:`Registry.snapshot` as JSON
-* ``/delta.json``     — what moved since the previous ``/delta.json``
-  scrape (counter deltas + per-second rates)
+* ``/delta.json``     — takes one :meth:`Registry.sample`: what moved
+  since the previous sample, whichever scrape (``/slo`` too) took it
 * ``/events?n=100&level=warn`` — the structured-event ring, oldest
   first
 * ``/healthz``        — liveness (also reports exporter self-accounting)
 
-Scrapes are **read-only**: handlers never write into the registry they
-render, so an idle registry serves bit-identical ``/metrics`` bodies.
+Scrapes never change :meth:`Registry.snapshot` (samples are not part
+of it), so an idle registry serves bit-identical ``/metrics`` bodies.
 
-``--demo`` enables instrumentation and loops the bench ``backends``
-experiment (small batch by default) in a daemon thread so a fresh
-process has live counters, spans, and events to scrape — the CI smoke
-step and local exploration both use it.
+``--demo`` enables instrumentation and loops a warm batch sgemm in a
+daemon thread so a fresh process has live counters, spans, and events
+to scrape — the CI smoke step and local exploration both use it.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from urllib.parse import parse_qs, urlsplit
 
 from . import core
 from .events import event
-from .export import (DeltaExporter, JsonExporter, PrometheusExporter,
-                     render_stats)
+from .export import (JsonExporter, PrometheusExporter, render_stats,
+                     snapshot_delta)
 
 __all__ = ["TelemetryServer", "make_server", "serve", "run_demo"]
 
@@ -82,7 +81,6 @@ class TelemetryServer(ThreadingHTTPServer):
         self._registry = registry
         self._prometheus = PrometheusExporter()
         self._json = JsonExporter()
-        self._delta = DeltaExporter()
         self.routes = {
             "/metrics": self._metrics,
             "/snapshot.json": self._snapshot,
@@ -114,8 +112,13 @@ class TelemetryServer(ThreadingHTTPServer):
         return exp.render(self.registry().snapshot()), exp.content_type
 
     def _delta_view(self, query) -> "tuple[str, str]":
-        exp = self._delta
-        return exp.render(self.registry().snapshot()), exp.content_type
+        reg = self.registry()
+        reg.sample()
+        *prev, (t, snap) = reg.samples(2)
+        t0, before = prev[0] if prev else (None, {})
+        delta = snapshot_delta(before, snap,
+                               None if t0 is None else t - t0)
+        return self._json.render(delta), self._json.content_type
 
     def _events(self, query) -> "tuple[str, str]":
         try:

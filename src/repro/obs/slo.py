@@ -13,11 +13,12 @@ happening now?) and a slow window (has it been happening long enough
 to matter?).  Burn ≥ ``page_burn`` in both windows pages; burn ≥
 ``warn_burn`` in both warns; anything else is ok.
 
-The monitor is deliberately shaped like :class:`DeltaExporter`: it
-keeps its own ring of timestamped :meth:`Registry.snapshot` dicts and
-every evaluation is a pure function of two snapshots, so scrapes stay
-read-only on the registry (idle must remain observable) and sampling
-is driven by whoever scrapes ``/slo`` — no extra thread.
+The monitor keeps no history of its own: it evaluates over the
+registry's ring of timestamped snapshots (:meth:`Registry.sample`),
+each evaluation is a pure function of two of them, and sampling is
+driven by whoever scrapes ``/slo`` or ``/delta.json`` — no extra
+thread.  Sampling never changes :meth:`Registry.snapshot`, so idle
+stays observable.
 
 All three objective kinds read the per-tenant telemetry the service
 emits (``serve.tenant.<t>.submitted`` / ``.completed`` /
@@ -36,10 +37,8 @@ emits (``serve.tenant.<t>.submitted`` / ``.completed`` /
 from __future__ import annotations
 
 import json
-import threading
 import time
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 
 from . import core
@@ -135,39 +134,23 @@ def _cum_le(hist: dict, threshold: float) -> float:
 
 
 class SLOMonitor:
-    """Evaluates a set of :class:`SLOSpec` over snapshot history.
+    """Evaluates a set of :class:`SLOSpec` over the registry's samples.
 
-    ``sample()`` appends one timestamped registry snapshot to the
-    ring; ``evaluate()`` diffs the latest sample against the newest
-    sample old enough for each window (truncating to monitor age while
-    the history is younger than the window, so a fresh service still
-    gets verdicts).  ``route`` is the ``/slo`` endpoint handler: each
-    scrape takes one sample, then evaluates — the scraper's own
-    cadence is the sampling cadence, exactly like ``/delta.json``.
+    ``evaluate()`` diffs the newest sample against the newest sample
+    old enough for each window (truncating to the history's age while
+    it is younger than the window, so a fresh service still gets
+    verdicts).  ``route`` is the ``/slo`` endpoint handler: each scrape
+    takes one :meth:`Registry.sample`, then evaluates.
     """
 
-    MAX_SAMPLES = 720
-
     def __init__(self, specs: "list[SLOSpec] | None" = None,
-                 registry: "core.Registry | None" = None,
-                 max_samples: int = MAX_SAMPLES) -> None:
+                 registry: "core.Registry | None" = None) -> None:
         self.specs = list(specs) if specs is not None else default_specs()
         self._registry = registry
-        self._samples: "deque[tuple[float, dict]]" = deque(
-            maxlen=max(2, int(max_samples)))
-        # concurrent /slo scrapes append while another evaluates
-        self._lock = threading.Lock()
 
     def registry(self) -> "core.Registry":
         return (self._registry if self._registry is not None
                 else core.get_registry())
-
-    def sample(self, now: "float | None" = None) -> None:
-        """Append one timestamped snapshot to the history ring."""
-        t = time.monotonic() if now is None else now
-        snap = self.registry().snapshot()
-        with self._lock:
-            self._samples.append((t, snap))
 
     # -- evaluation -----------------------------------------------------
 
@@ -224,10 +207,11 @@ class SLOMonitor:
                 "ratio": ratio, "burn": ratio / spec.allowed_ratio}
 
     def evaluate(self, now: "float | None" = None) -> "list[dict]":
-        """One verdict dict per spec, from the current history."""
+        """One verdict dict per spec, from the registry's samples."""
+        return self._verdicts(self.registry().samples(), now)
+
+    def _verdicts(self, samples: list, now: "float | None") -> "list[dict]":
         t = time.monotonic() if now is None else now
-        with self._lock:
-            samples = list(self._samples)
         out = []
         for spec in self.specs:
             fast = self._window_view(spec, samples, t, spec.fast_window_s)
@@ -262,20 +246,18 @@ class SLOMonitor:
 
     def dump(self, now: "float | None" = None) -> dict:
         """The ``/slo`` payload: verdicts plus monitor health."""
-        verdicts = self.evaluate(now)
+        samples = self.registry().samples()
+        verdicts = self._verdicts(samples, now)
         worst = "no_data"
         for v in verdicts:
             if VERDICTS.index(v["verdict"]) > VERDICTS.index(worst):
                 worst = v["verdict"]
         return {"slos": verdicts, "worst": worst,
-                "samples": len(self._samples)}
+                "samples": len(samples)}
 
     def route(self, query) -> "tuple[str, str]":
-        """``/slo`` handler for :meth:`TelemetryServer.add_route`.
-
-        Takes one sample, then evaluates — read-only on the registry
-        (the history ring lives in the monitor, like
-        :class:`DeltaExporter`'s previous snapshot)."""
-        self.sample()
+        """``/slo`` handler for :meth:`TelemetryServer.add_route`:
+        takes one :meth:`Registry.sample`, then evaluates."""
+        self.registry().sample()
         return (json.dumps(self.dump(), sort_keys=True, indent=2) + "\n",
                 "application/json")

@@ -47,7 +47,11 @@ class PlanCache:
     operations take one re-entrant lock, making concurrent planning
     from multiple threads safe (worst case: two threads race to build
     the same plan and the second ``put`` wins — wasted work, never a
-    corrupt cache).
+    corrupt cache; the fresh plan drops any lowering of the old one).
+    Lowerings are different: ``put_compiled`` keeps the first one
+    attached to an entry and hands it to later callers, so concurrent
+    first executes of one plan share one :class:`CompiledPlan` and the
+    executes counted on it.
     """
 
     def __init__(self, maxsize: int = 1024) -> None:
@@ -106,13 +110,19 @@ class PlanCache:
             entry = self._data.get(key)
             return None if entry is None else entry[1]
 
-    def put_compiled(self, key: tuple, compiled: "CompiledPlan") -> None:
-        """Attach a lowering to an already-cached plan (no-op if the
-        plan was evicted meanwhile)."""
+    def put_compiled(self, key: tuple,
+                     compiled: "CompiledPlan") -> "CompiledPlan":
+        """Attach a lowering to an already-cached plan and return the
+        one the entry holds: a lowering attached first (by a concurrent
+        first execute) wins, so every caller shares one.  A plan evicted
+        meanwhile caches nothing and ``compiled`` comes back."""
         with self._lock:
             entry = self._data.get(key)
-            if entry is not None:
+            if entry is None:
+                return compiled
+            if entry[1] is None:
                 entry[1] = compiled
+            return entry[1]
 
     def invalidate(self, match) -> int:
         """Drop every entry whose key satisfies ``match(key)``; returns
@@ -451,8 +461,7 @@ class IATF:
             return None
         compiled = self._plan_cache.get_compiled(key)
         if compiled is None:
-            compiled = lower_plan(plan)
-            self._plan_cache.put_compiled(key, compiled)
+            compiled = self._plan_cache.put_compiled(key, lower_plan(plan))
         return compiled
 
     @property

@@ -79,13 +79,13 @@ class BlasService:
         # view — where do *this shape's* milliseconds go?)
         self._budget_by_tenant = BudgetLedger()
         self._budget_by_key = BudgetLedger()
-        # per-tenant objectives evaluated from registry snapshots on
-        # every /slo scrape (obs must be enabled for the per-tenant
+        # per-tenant objectives evaluated over the registry's samples
+        # on every /slo scrape (obs must be enabled for the per-tenant
         # telemetry the monitor reads)
         self.slo = SLOMonitor(specs=slos)
-        # post-mortem rings: attached to the process registry at
-        # start() so spans/events mirror in; the service triggers
-        # dumps on poisoned buckets and reject storms
+        # post-mortems: per-flush stats pulses plus the registry's
+        # newest spans/events, dumped on poisoned buckets and reject
+        # storms
         self.flight = flight if flight is not None else FlightRecorder()
 
     # -- lifecycle ------------------------------------------------------
@@ -94,7 +94,6 @@ class BlasService:
         with self._lock:
             if self._t_start is None:
                 self._t_start = time.perf_counter()
-        self.flight.attach()
         self.scheduler.start()
         obs.event("serve.start", machine=self.machine.name,
                   backend=backend_name(self.iatf.engine.backend),
@@ -169,12 +168,14 @@ class BlasService:
             self._submitted += 1
             self._routines[request.routine] = \
                 self._routines.get(request.routine, 0) + 1
-        obs.count("serve.submitted")
-        obs.count(f"serve.tenant.{request.tenant}.submitted")
+        if obs.enabled():
+            obs.count("serve.submitted")
+            obs.count(f"serve.tenant.{request.tenant}.submitted")
         return entry.future
 
     def _note_reject(self, tenant: str) -> None:
-        obs.count(f"serve.tenant.{tenant}.rejected")
+        if obs.enabled():
+            obs.count(f"serve.tenant.{tenant}.rejected")
         self.flight.note_reject(tenant)
 
     # -- scheduler callbacks --------------------------------------------
@@ -192,17 +193,22 @@ class BlasService:
             if missed:
                 self._deadline_missed += 1
             self._wait_ms.observe(wait_ms)
+        budget = entry.budget
+        split = (budget.split() if budget is not None and budget.closed
+                 else None)
+        if split is not None:
+            self._budget_by_tenant.record(tenant, budget, split)
+            self._budget_by_key.record(entry.request.label, budget, split)
+        if not obs.enabled():   # skip formatting per-request metric names
+            return
         obs.observe("serve.wait_ms", wait_ms)
         obs.observe(f"serve.tenant.{tenant}.wait_ms", wait_ms)
         obs.count(f"serve.tenant.{tenant}.completed")
         if missed:
             obs.count("serve.deadline.missed")
             obs.count(f"serve.tenant.{tenant}.deadline_missed")
-        budget = entry.budget
-        if budget is not None and budget.closed:
-            self._budget_by_tenant.record(tenant, budget)
-            self._budget_by_key.record(entry.request.label, budget)
-            for stage, seconds in budget.stages().items():
+        if split is not None:
+            for stage, seconds in split[0].items():
                 obs.observe(f"serve.budget.{stage}.ms", seconds * 1e3)
 
     def _on_flush(self, bucket, wall: float, error) -> None:

@@ -115,7 +115,7 @@ class TestRegistry:
         reg.MAX_SPANS = 3
         for i in range(5):
             reg.record_span(i)
-        assert len(reg.spans) == 3
+        assert reg.spans == [2, 3, 4]          # the newest survive
         assert reg.dropped_spans == 2
 
     def test_scoped_restores_previous_state(self):

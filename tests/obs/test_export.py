@@ -10,9 +10,8 @@ import pytest
 
 from repro import obs
 from repro.obs import serve as obs_serve
-from repro.obs.export import (DeltaExporter, JsonExporter,
-                              PrometheusExporter, render, render_stats,
-                              snapshot_delta)
+from repro.obs.export import (JsonExporter, PrometheusExporter,
+                              render_stats, snapshot_delta)
 
 #: one Prometheus sample line: name, optional le label, numeric value
 SAMPLE = re.compile(
@@ -97,17 +96,6 @@ class TestJsonAndDispatch:
         assert loaded["counters"]["plan_cache.misses"] == 3
         assert loaded["gauge_names"] == ["tuning.db.entries"]
 
-    def test_render_dispatch_and_unknown_format(self):
-        snap = _demo_registry().snapshot()
-        assert render(snap, "prometheus").startswith("# TYPE")
-        json.loads(render(snap, "json"))
-        with pytest.raises(ValueError, match="unknown exporter"):
-            render(snap, "xml")
-
-    def test_exporters_satisfy_the_protocol(self):
-        from repro.obs.export import Exporter
-        for exp in (PrometheusExporter(), JsonExporter(), DeltaExporter()):
-            assert isinstance(exp, Exporter)
 
 
 class TestDelta:
@@ -149,14 +137,23 @@ class TestDelta:
         assert h["mean"] == pytest.approx(2.0)
 
     def test_stateful_delta_exporter_diffs_consecutive_renders(self):
+        # each /delta.json scrape samples the registry and diffs the
+        # two newest samples; the first diffs against nothing
         reg = _demo_registry()
-        exp = DeltaExporter()
-        first = json.loads(exp.render(reg.snapshot()))
+        with _Endpoint(reg) as ep:
+            first = json.loads(ep.get("/delta.json")[2])
+            reg.counter("plan_cache.misses").inc()
+            second = json.loads(ep.get("/delta.json")[2])
+            reg.counter("plan_cache.misses").inc(2)
+            reg.sample()                     # e.g. an /slo scrape
+            third = json.loads(ep.get("/delta.json")[2])
         assert first["counters"]["plan_cache.misses"]["delta"] == 3
-        reg.counter("plan_cache.misses").inc()
-        second = json.loads(exp.render(reg.snapshot()))
+        assert first["seconds"] is None
         assert second["counters"]["plan_cache.misses"]["delta"] == 1
         assert second["seconds"] is not None
+        # the last scrape reports what moved since the /slo sample
+        assert third["counters"]["plan_cache.misses"]["delta"] == 0
+        assert len(reg.samples()) == 4
 
 
 class _Endpoint:
@@ -265,7 +262,8 @@ class TestServeHTTP:
         reg = _demo_registry()
         before = reg.snapshot()
         with _Endpoint(reg) as ep:
-            for path in ("/metrics", "/snapshot.json", "/healthz"):
+            for path in ("/metrics", "/snapshot.json", "/healthz",
+                         "/delta.json", "/delta.json"):
                 ep.get(path)
         assert reg.snapshot() == before
 

@@ -1,4 +1,4 @@
-"""Flight recorder: rings mirror live telemetry, triggers freeze them.
+"""Flight recorder: dumps read the registry's history, triggers freeze it.
 
 The end-to-end test injects a poisoned bucket into a running
 :class:`BlasService` and asserts the failure froze a post-mortem that
@@ -7,65 +7,120 @@ reason to exist.
 """
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs.flight import FlightRecorder, get_flight, install_flight
+from repro.obs import flight
+from repro.obs.flight import FlightRecorder
 
 
 class TestRings:
     def test_attach_mirrors_spans_and_events(self):
+        # the dump reads the registry's newest spans and events
         with obs.scoped():
-            rec = FlightRecorder().attach()
             with obs.span("work.outer"):
                 with obs.span("work.inner"):
                     pass
             obs.event("work.done", items=3)
-            snap = rec.snapshot()
+            snap = FlightRecorder().snapshot()
         names = [s["name"] for s in snap["spans"]]
         assert names == ["work.inner", "work.outer"]   # completion order
         assert [e["name"] for e in snap["events"]] == ["work.done"]
 
-    def test_rings_keep_the_most_recent_past_capacity(self):
-        with obs.scoped():
-            rec = FlightRecorder(spans=4).attach()
+    def test_rings_keep_the_most_recent_past_capacity(self, monkeypatch):
+        monkeypatch.setattr(obs.Registry, "MAX_SPANS", 4)
+        with obs.scoped() as reg:
             for i in range(10):
                 with obs.span("s", i=i):
                     pass
-            snap = rec.snapshot()
-        assert [s["args"]["i"] for s in snap["spans"]] == [6, 7, 8, 9]
+                obs.event("e", i=i)
+            dump = FlightRecorder().dump("unit_test")
+        assert reg.dropped_spans == 6
+        assert [s["args"]["i"] for s in dump["spans"]] == [6, 7, 8, 9]
+        assert [e["fields"]["i"] for e in dump["events"]] == list(range(10))
 
-    def test_detach_stops_the_mirror(self):
-        with obs.scoped() as reg:
-            rec = FlightRecorder().attach()
-            FlightRecorder.detach()
-            with obs.span("quiet"):
-                pass
-            obs.event("quiet.event")
-        assert reg.snapshot()["spans"] == 1       # still recorded...
-        assert rec.snapshot()["spans"] == []      # ...but not mirrored
-        assert rec.snapshot()["events"] == []
+    def test_dump_carries_only_the_newest_spans_and_events(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(flight, "SPANS", 3)
+        monkeypatch.setattr(flight, "EVENTS", 2)
+        with obs.scoped():
+            for i in range(5):
+                with obs.span("s", i=i):
+                    pass
+                obs.event("e", i=i)
+            rec = FlightRecorder()
+            dump = rec.dump("unit_test")
+            assert rec.stats()["spans"] == 3
+            assert rec.stats()["events"] == 2
+        assert [s["args"]["i"] for s in dump["spans"]] == [2, 3, 4]
+        assert [e["fields"]["i"] for e in dump["events"]] == [3, 4]
 
     def test_disabled_obs_feeds_nothing(self):
         rec = FlightRecorder()
-        with obs.scoped():
-            rec.attach()
-        assert not obs.enabled()
-        with obs.span("never"):
-            pass
-        obs.event("never.event")
-        snap = rec.snapshot()
+        old = obs.set_registry(obs.Registry())
+        try:
+            assert not obs.enabled()
+            with obs.span("never"):
+                pass
+            obs.event("never.event")
+            snap = rec.dump("unit_test")
+        finally:
+            obs.set_registry(old)
         assert snap["spans"] == [] and snap["events"] == []
+
+    def test_concurrent_recording_and_dumps_do_not_race(self):
+        # two threads record spans and events while a third exports the
+        # trace and dumps, so every reader copies a ring being appended
+        errors = []
+        stop = threading.Event()
+
+        def loop(fn):
+            try:
+                while not stop.is_set():
+                    fn()
+            except Exception as e:   # noqa: BLE001 - any raise is the bug
+                errors.append(e)
+                stop.set()
+
+        def record():
+            with obs.span("stress"):
+                pass
+
+        def read():
+            obs.chrome_trace()
+            rec.dump("stress")
+
+        rec = FlightRecorder()
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.scoped():
+                threads = [threading.Thread(target=loop, args=(fn,))
+                           for fn in (record, lambda: obs.event("stress"),
+                                      read)]
+                for th in threads:
+                    th.start()
+                stop.wait(0.25)
+                stop.set()
+                for th in threads:
+                    th.join()
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert errors == []
+        assert rec.dumps > 0
 
 
 class TestTriggers:
     def test_reject_storm_triggers_one_dump_within_cooldown(self):
-        rec = FlightRecorder(storm_window_s=10.0, storm_threshold=5,
-                             cooldown_s=30.0)
+        # 200 rejects 0.1 s apart: the 50th tips the 10 s window, and
+        # the rest fall inside the 30 s cooldown
+        rec = FlightRecorder()
         dumps = [rec.note_reject("hog", now=100.0 + 0.1 * i)
-                 for i in range(20)]
+                 for i in range(200)]
         produced = [d for d in dumps if d is not None]
         assert len(produced) == 1
         assert produced[0]["trigger"] == "reject_storm"
@@ -74,13 +129,14 @@ class TestTriggers:
         assert rec.suppressed > 0
 
     def test_rejects_outside_the_window_do_not_storm(self):
-        rec = FlightRecorder(storm_window_s=1.0, storm_threshold=5)
-        for i in range(20):
-            assert rec.note_reject("slow", now=100.0 + 2.0 * i) is None
+        # one reject a second never holds 50 in the 10 s window
+        rec = FlightRecorder()
+        for i in range(200):
+            assert rec.note_reject("slow", now=100.0 + 1.0 * i) is None
         assert rec.dumps == 0
 
     def test_cooldown_expires_and_a_second_incident_dumps(self):
-        rec = FlightRecorder(cooldown_s=30.0)
+        rec = FlightRecorder()
         assert rec.trigger("flush_error", now=100.0) is not None
         assert rec.trigger("flush_error", now=110.0) is None
         assert rec.trigger("flush_error", now=140.0) is not None
@@ -110,17 +166,6 @@ class TestTriggers:
         assert json.loads(body)["trigger"] == "reject_storm"
         body, _ = rec.route({})
         assert json.loads(body)["trigger"] == "on_demand"
-
-
-class TestInstallGlobal:
-    def test_install_flight_is_idempotent(self):
-        with obs.scoped():
-            first = install_flight()
-            again = install_flight()
-            assert first is again is get_flight()
-            mine = FlightRecorder()
-            assert install_flight(mine) is mine
-            assert get_flight() is mine
 
 
 class TestServiceIntegration:
@@ -154,7 +199,8 @@ class TestServiceIntegration:
     def test_stats_counts_ring_depths(self):
         rec = FlightRecorder()
         rec.note_pulse({"flushes": 1})
-        rec.note_event({"name": "e"})
-        assert rec.stats() == {"spans": 0, "events": 1,
-                               "stats_pulses": 1, "dumps": 0,
-                               "suppressed": 0}
+        with obs.scoped():
+            obs.event("e")
+            stats = rec.stats()
+        assert stats == {"spans": 0, "events": 1, "stats_pulses": 1,
+                         "dumps": 0, "suppressed": 0}

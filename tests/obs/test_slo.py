@@ -31,11 +31,11 @@ def miss_snap(done, missed):
 
 
 def fed(specs, samples):
-    """A monitor with ``samples`` = [(t, snapshot), ...] preloaded."""
-    mon = SLOMonitor(specs=specs)
-    for t, snap in samples:
-        mon._samples.append((t, snap))
-    return mon
+    """A monitor over a registry whose sample ring holds ``samples`` =
+    [(t, snapshot), ...] (synthetic snapshots, so no ``sample()``)."""
+    reg = obs.Registry()
+    reg._samples.extend(samples)
+    return SLOMonitor(specs, reg)
 
 
 class TestSpecValidation:
@@ -81,7 +81,7 @@ class TestVerdicts:
         assert mon.evaluate(now=100.0)[0]["verdict"] == "ok"
         # inject a miss storm: 50% of the next 200 requests miss —
         # burning 50x the 1% budget in both windows
-        mon._samples.append((200.0, miss_snap(1200, 101)))
+        mon.registry()._samples.append((200.0, miss_snap(1200, 101)))
         v = mon.evaluate(now=200.0)[0]
         assert v["verdict"] == "page"
         assert v["fast"]["burn"] >= v["page_burn"]
@@ -130,15 +130,20 @@ class TestMonitorPlumbing:
     def test_window_truncates_to_monitor_age(self):
         # two samples 10s apart, a 600s window: the oldest sample is
         # the base, so a young monitor still produces verdicts
-        mon = fed([spec(fast_window_s=600.0, slow_window_s=600.0)],
-                  [(0.0, miss_snap(0, 0)), (10.0, miss_snap(100, 50))])
+        reg = obs.Registry()
+        mon = SLOMonitor([spec(fast_window_s=600.0, slow_window_s=600.0)],
+                         reg)
+        reg.sample(now=0.0)
+        reg.counter("serve.tenant.t.completed").inc(100)
+        reg.counter("serve.tenant.t.deadline_missed").inc(50)
+        reg.sample(now=10.0)
         assert mon.evaluate(now=10.0)[0]["verdict"] == "page"
 
     def test_route_samples_live_registry_and_serves_json(self):
         with obs.scoped():
             obs.count("serve.tenant.t.completed", 100)
             mon = SLOMonitor(specs=[spec()])
-            mon.sample(now=0.0)
+            obs.get_registry().sample(now=0.0)
             obs.count("serve.tenant.t.completed", 100)
             obs.count("serve.tenant.t.deadline_missed", 100)
             body, ctype = mon.route({})
@@ -174,14 +179,14 @@ class TestMonitorPlumbing:
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with obs.scoped():
+            with obs.scoped() as reg:
                 obs.count("serve.tenant.t.completed", 1)
-                mon = SLOMonitor(specs=[spec()], max_samples=64)
-                for _ in range(64):
-                    mon.sample()
+                mon = SLOMonitor(specs=[spec()])
+                for _ in range(reg.SAMPLE_RING):
+                    reg.sample()
                 threads = [
-                    threading.Thread(target=loop, args=(mon.sample,)),
-                    threading.Thread(target=loop, args=(mon.sample,)),
+                    threading.Thread(target=loop, args=(reg.sample,)),
+                    threading.Thread(target=loop, args=(reg.sample,)),
                     threading.Thread(target=loop, args=(
                         lambda: mon.evaluate(now=time.monotonic() + 1e4),)),
                 ]

@@ -161,6 +161,15 @@ class TestCompiledSideSlot:
         cache.put_compiled(("a",), "late")
         assert cache.get_compiled(("a",)) is None
 
+    def test_put_compiled_keeps_the_first_lowering(self):
+        cache = PlanCache(maxsize=2)
+        cache.put(("a",), "plan-a")
+        assert cache.put_compiled(("a",), "first") == "first"
+        assert cache.put_compiled(("a",), "second") == "first"
+        assert cache.get_compiled(("a",)) == "first"
+        # an evicted plan caches nothing; the caller keeps its own
+        assert cache.put_compiled(("gone",), "orphan") == "orphan"
+
     def test_iatf_reuses_cached_lowering(self):
         import numpy as np
         iatf = IATF(KUNPENG_920)
@@ -204,6 +213,38 @@ class TestThreadSafety:
         assert len(cache) <= 16
         s = cache.stats()
         assert s["size"] == len(cache)
+
+    def test_concurrent_first_executes_share_one_lowering(self,
+                                                          monkeypatch):
+        """Two threads lowering one cached plan at once: the first
+        lowering attached wins and both get it back."""
+        import threading
+
+        from repro.runtime import iatf as iatf_mod
+
+        fw = IATF(KUNPENG_920)
+        p = GemmProblem(4, 4, 4, "d", batch=4)
+        fw.plan_gemm(p)                       # plan once, serially
+        barrier = threading.Barrier(2, timeout=30.0)
+        real_lower = iatf_mod.lower_plan
+
+        def lower_in_step(plan):
+            barrier.wait()                    # both threads are lowering
+            return real_lower(plan)
+
+        monkeypatch.setattr(iatf_mod, "lower_plan", lower_in_step)
+        got = [None, None]
+
+        def prepare(i: int) -> None:
+            got[i] = fw.prepare_gemm(p)[1]
+
+        threads = [threading.Thread(target=prepare, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got[0] is not None and got[0] is got[1]
 
     def test_concurrent_planning_through_one_framework(self):
         """Many threads planning and executing distinct shapes through a
