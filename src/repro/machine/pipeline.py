@@ -20,6 +20,12 @@ properties the paper's optimizations target:
   (unpipelined), reproducing the paper's remark that ARM division is
   expensive enough to justify reciprocal packing in TRSM.
 
+:meth:`PipelineModel.simulate` is a cache pass (:meth:`~PipelineModel.touch`:
+each load's extra latency, in program order) then a scoreboard that
+reads no cache (:meth:`~PipelineModel.scoreboard`).  Timing never feeds
+back into the caches, so the split is exact and the model may reuse
+the scoreboard's counts for a repeated (program, load extras) pair.
+
 The model is deliberately in-order.  The real TaiShan V110 core has some
 out-of-order capacity, but the paper's entire install-time optimizer is
 motivated by static instruction placement mattering; an in-order
@@ -139,15 +145,17 @@ class AddressSpace:
 class PipelineModel:
     """Scoreboard simulator producing deterministic cycle counts.
 
-    Everything :meth:`simulate` needs to know about an instruction that
+    Everything :meth:`scoreboard` needs to know about an instruction that
     does not depend on run-time state (issue class, registers read,
     latency, access size) is derived once per program by :meth:`decode`
     and memoized on the model, so a model that times the same kernels
     many times (one plan's calls, two groups) decodes each program once.
-    The per-opcode part of a row (issue class, memory kind, FP cap,
-    latency, FDIV occupancy) comes from the machine's shared
-    :func:`~repro.machine.facts.opcode_facts` table, the same one the
-    scheduler and the kernel validator read.
+    The scoreboard's counts are memoized the same way, per (program,
+    load extras), so a model is meant for one evaluation (one plan, one
+    problem) and is dropped with it.  The per-opcode part of a row
+    (issue class, memory kind, FP cap, latency, FDIV occupancy) comes
+    from the machine's shared :func:`~repro.machine.facts.opcode_facts`
+    table, the same one the scheduler and the kernel validator read.
     """
 
     def __init__(self, rules: IssueRules, lat: Latencies,
@@ -159,6 +167,9 @@ class PipelineModel:
         self._facts = opcode_facts(rules, lat)
         # id(program) -> (program, its instrs list, decoded rows)
         self._decoded: dict[int, tuple[Program, list, tuple]] = {}
+        # (id(rows), load extras) -> (rows, scoreboard counts); holding
+        # ``rows`` keeps its id unique while the entry lives
+        self._scored: dict[tuple, tuple[tuple, tuple]] = {}
 
     def _access_size(self, ins: Instr) -> int:
         """Bytes a memory op touches."""
@@ -213,73 +224,62 @@ class PipelineModel:
         return rows
 
     def touch(self, program: Program,
-              xreg_init: dict[int, int] | None = None) -> None:
-        """Replay only the cache traffic of one invocation.
+              xreg_init: dict[int, int] | None = None) -> tuple[int, ...]:
+        """The cache pass: replay one invocation's cache traffic.
 
-        Runs the ADDI address arithmetic and the ``access``/``prefetch``
-        calls :meth:`simulate` would make, in the same (program) order,
-        and nothing else.  The cache hierarchy and stream window see
-        accesses in program order whatever cycle each issues in, and
-        timing reads the caches but never feeds back into them, so this
-        leaves the hierarchy in exactly the state :meth:`simulate`
-        would — at a fraction of the cost.  Used to prime a group whose
-        timing is discarded.
+        Issues the loads, stores and prefetches in program order and
+        returns each load's extra latency beyond an L1 hit.  The
+        hierarchy and stream window see accesses in program order
+        whatever cycle each issues in, and timing never feeds back into
+        them, so this leaves the caches exactly as :meth:`simulate`
+        would.  Alone, it primes a group whose timing is discarded.
         """
         access = self.caches.access
         prefetch = self.caches.prefetch
         xval: dict[int, int] = dict(xreg_init or {})
+        extras = []
         for (kind, _r, _x, _m, _f, _i, _c, _d, base, offset, size, _l, _b,
              xdst, xsrc, ximm, _ins) in self.decode(program):
             if kind == OTHER:
                 continue
             if kind == LOAD:
-                access(xval.get(base, 0) + offset, size)
+                extras.append(access(xval.get(base, 0) + offset, size))
             elif kind == STORE:
                 access(xval.get(base, 0) + offset, size, write=True)
             elif kind == PREFETCH:
                 prefetch(xval.get(base, 0) + offset, size)
             else:
                 xval[xdst] = xval.get(xsrc, 0) + ximm
+        return tuple(extras)
 
-    def simulate(self, program: Program,
-                 xreg_init: dict[int, int] | None = None,
-                 start_cycle: int = 0,
-                 trace: list | None = None) -> TimingResult:
-        """Time one invocation.
-
-        ``xreg_init`` maps scalar registers to flat byte addresses (from an
-        :class:`AddressSpace`).  The cache hierarchy retains state across
-        calls, so back-to-back invocations see realistic residency.
-        ``trace``, if given, receives one ``(issue_cycle, instr)`` pair per
-        instruction (see :mod:`repro.machine.trace`).
+    def scoreboard(self, rows: tuple, extras: tuple[int, ...],
+                   trace: list | None = None) -> tuple[int, ...]:
+        """Issue decoded ``rows`` from an empty pipeline at cycle 0, the
+        i-th load ``extras[i]`` cycles later than an L1 hit; returns the
+        first six :class:`TimingResult` fields.  Pure: it reads no cache.
+        ``trace``, if given, receives ``(issue_cycle, instr)`` per row.
         """
         rules = self.rules
         width, max_mem, max_int = rules.width, rules.max_mem, rules.max_int
-        access = self.caches.access
-        prefetch = self.caches.prefetch
+        next_extra = iter(extras).__next__
         vready = [0] * 32
-        xval: dict[int, int] = dict(xreg_init or {})
         xready: dict[int, int] = {}
         # Issue counts of the open cycle ``cycle``.  Issue is in order, so
         # no instruction issues before the previous one: every earlier
         # cycle is closed for good and needs no counts.
-        cycle = start_cycle - 1          # no cycle open yet
+        cycle = -1                       # no cycle open yet
         n_all = n_mem = n_fp = n_int = 0
         issue_cycles = 0
-        fp_blocked_until = start_cycle  # unpipelined FDIV occupancy
+        fp_blocked_until = 0             # unpipelined FDIV occupancy
 
-        l1_m0 = self.caches.l1.stats.misses
-        l2_m0 = self.caches.l2.stats.misses
-
-        cursor = start_cycle
-        last_issue = start_cycle
-        last_ready = start_cycle
+        cursor = 0
+        last_issue = 0
+        last_ready = 0
         fp_issued = 0
         mem_issued = 0
 
-        rows = self.decode(program)
-        for (kind, reads, xdeps, is_mem, is_fp, is_int, fp_cap, dst, base,
-             offset, size, latency, div_block, xdst, xsrc, ximm,
+        for (kind, reads, xdeps, is_mem, is_fp, is_int, fp_cap, dst, _base,
+             _offset, _size, latency, div_block, xdst, _xsrc, _ximm,
              ins) in rows:
             # dependency readiness
             t = cursor
@@ -316,26 +316,17 @@ class PipelineModel:
                 n_int += 1
 
             # effects
+            ready = t + latency
             if kind == OTHER:
-                ready = t + latency
                 for d in dst:
                     vready[d] = ready
                 if div_block is not None:
                     fp_blocked_until = t + div_block
             elif kind == LOAD:
-                extra = access(xval.get(base, 0) + offset, size)
-                ready = t + latency + extra
+                ready += next_extra()
                 for d in dst:
                     vready[d] = ready
-            elif kind == STORE:
-                access(xval.get(base, 0) + offset, size, write=True)
-                ready = t + latency
-            elif kind == PREFETCH:
-                prefetch(xval.get(base, 0) + offset, size)
-                ready = t + latency
-            else:
-                xval[xdst] = xval.get(xsrc, 0) + ximm
-                ready = t + latency
+            elif kind == ADDI:
                 xready[xdst] = ready
 
             if trace is not None:
@@ -346,15 +337,33 @@ class PipelineModel:
             if ready > last_ready:
                 last_ready = ready
 
-        span = last_issue - start_cycle + 1
-        stall = span - issue_cycles
-        return TimingResult(
-            cycles=span,
-            drain_cycles=max(0, last_ready - last_issue - 1),
-            instructions=len(rows),
-            stall_cycles=max(0, stall),
-            fp_issued=fp_issued,
-            mem_issued=mem_issued,
-            l1_misses=self.caches.l1.stats.misses - l1_m0,
-            l2_misses=self.caches.l2.stats.misses - l2_m0,
-        )
+        span = last_issue + 1
+        return (span, max(0, last_ready - last_issue - 1), len(rows),
+                max(0, span - issue_cycles), fp_issued, mem_issued)
+
+    def simulate(self, program: Program,
+                 xreg_init: dict[int, int] | None = None,
+                 trace: list | None = None) -> TimingResult:
+        """Time one invocation: the cache pass, then the scoreboard.
+
+        ``xreg_init`` maps scalar registers to flat byte addresses (from an
+        :class:`AddressSpace`).  The cache hierarchy retains state across
+        calls, so back-to-back invocations see realistic residency.
+        ``trace``, if given, receives one ``(issue_cycle, instr)`` pair per
+        instruction (see :mod:`repro.machine.trace`).  The cache pass
+        always runs; the scoreboard's counts are memoized on the model
+        per (program, load extras), except when tracing.
+        """
+        stats1, stats2 = self.caches.l1.stats, self.caches.l2.stats
+        l1_m0, l2_m0 = stats1.misses, stats2.misses
+        extras = self.touch(program, xreg_init)
+        misses = (stats1.misses - l1_m0, stats2.misses - l2_m0)
+        rows = self.decode(program)
+        if trace is not None:
+            return TimingResult(*self.scoreboard(rows, extras, trace),
+                                *misses)
+        key = (id(rows), extras)
+        hit = self._scored.get(key)
+        if hit is None:
+            hit = self._scored[key] = (rows, self.scoreboard(rows, extras))
+        return TimingResult(*hit[1], *misses)

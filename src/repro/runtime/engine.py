@@ -279,15 +279,16 @@ class Engine:
 
         Two consecutive groups are replayed.  Group 0 only primes the
         cache and stream-prefetcher state the way the previous group's
-        execution would have: :meth:`PipelineModel.touch` replays its
-        address arithmetic and cache accesses in program order, without
-        the scoreboard.  That is exact, because the hierarchy sees
-        accesses in program order whatever cycle each issues in and
-        timing never feeds back into the caches.  Group 1 is measured on
-        the full scoreboard (:meth:`PipelineModel.simulate`).  The
-        pipeline model is built per call, so each distinct kernel
-        program is decoded once per plan and the decode is dropped with
-        the model; the per-opcode part of the decode (issue class,
+        execution would have: the cache pass
+        (:meth:`PipelineModel.touch`) replays its cache accesses in
+        program order, without the scoreboard.  That is exact, because
+        the hierarchy sees accesses in program order whatever cycle each
+        issues in and timing never feeds back into the caches.  Group 1
+        runs the cache pass for every call and the scoreboard once per
+        distinct (program, load extras).  The pipeline model is built per
+        call, so each distinct kernel program is decoded once per plan,
+        and the decode and the scoreboard memo are dropped with the
+        model; the per-opcode part of the decode (issue class,
         latency, FP cap) comes from the machine's shared
         :func:`~repro.machine.facts.opcode_facts` table, the one the
         scheduler and validator read.  Each kernel call also pays a

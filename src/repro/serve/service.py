@@ -79,6 +79,10 @@ class BlasService:
         # view — where do *this shape's* milliseconds go?)
         self._budget_by_tenant = BudgetLedger()
         self._budget_by_key = BudgetLedger()
+        # (key, label) of the last request recorded by key: a bucket's
+        # requests share both and complete back to back, so the label is
+        # formatted once per bucket
+        self._last_label: tuple = (None, "")
         # per-tenant objectives evaluated over the registry's samples
         # on every /slo scrape (obs must be enabled for the per-tenant
         # telemetry the monitor reads)
@@ -198,7 +202,11 @@ class BlasService:
                  else None)
         if split is not None:
             self._budget_by_tenant.record(tenant, budget, split)
-            self._budget_by_key.record(entry.request.label, budget, split)
+            key, label = self._last_label
+            if entry.request.key != key:
+                label = entry.request.label
+                self._last_label = (entry.request.key, label)
+            self._budget_by_key.record(label, budget, split)
         if not obs.enabled():   # skip formatting per-request metric names
             return
         obs.observe("serve.wait_ms", wait_ms)

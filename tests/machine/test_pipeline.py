@@ -271,11 +271,13 @@ class TestDecode:
 
 # -- touch == simulate, as far as the caches can tell ----------------------
 
+# register 4 is never given an address, so reading it (as a base or an
+# ADDI source) gives 0, as does an ADDI with no source
 _BASES = {0: 0, 1: 4096, 2: 9000, 3: 1 << 14}
 
 
 def _mem_instr():
-    reg = st.integers(0, 3)
+    reg = st.integers(0, 4)
     off = st.integers(0, 64).map(lambda i: 8 * i)
     v = st.integers(0, 29)
     ew = st.sampled_from((4, 8))
@@ -289,7 +291,8 @@ def _mem_instr():
                   st.sampled_from((None, 1))),
         st.builds(lambda s, b, o: stpv(s, s + 1, b, o), v, reg, off),
         st.builds(prfm, reg, off),
-        st.builds(addi, reg, reg, st.integers(0, 64).map(lambda i: 16 * i)),
+        st.builds(addi, reg, st.none() | reg,
+                  st.integers(0, 64).map(lambda i: 16 * i)),
         st.builds(lambda d: fmla(d, 30, 31, ew=8), v),
     )
 
@@ -316,16 +319,73 @@ def _small_pipe(vector_bytes: int) -> PipelineModel:
 @given(st.lists(_mem_instr(), min_size=1, max_size=60),
        st.sampled_from((16, 64)), st.integers(0, 3))
 def test_touch_leaves_caches_as_simulate_does(instrs, vector_bytes, shift):
-    """Cache-only replay is exact: after the same invocations (two
-    groups, the second shifted like the next group's data), the
-    hierarchy is in the same state whether the scoreboard ran or not."""
+    """The cache pass is exact: after the same invocations (two groups,
+    the second shifted like the next group's data), the hierarchy is in
+    the same state whether the scoreboard ran or not; the extras the
+    cache pass returns give the scoreboard's counts; and a model reused
+    across groups, whose memo may hold the first group's counts, times
+    every field as a fresh model does."""
     prog = Program("t", instrs, ew=8, lanes=2)
-    replayed, timed = _small_pipe(vector_bytes), _small_pipe(vector_bytes)
+    replayed, timed, fresh = (_small_pipe(vector_bytes) for _ in range(3))
     for group in (0, 1):
         init = {r: a + group * 64 * shift for r, a in _BASES.items()}
-        replayed.touch(prog, init)
-        timed.simulate(prog, init)
-        assert _cache_state(replayed.caches) == _cache_state(timed.caches)
+        extras = replayed.touch(prog, init)
+        r = timed.simulate(prog, init)
+        assert replayed.scoreboard(replayed.decode(prog), extras) == \
+            astuple(r)[:6]
+        # a new model per group over the same caches: an empty memo
+        once = PipelineModel(fresh.rules, fresh.lat, fresh.caches,
+                             fresh.vector_bytes)
+        assert astuple(r) == astuple(once.simulate(prog, init))
+        state = _cache_state(replayed.caches)
+        for other in (timed, fresh):
+            assert _cache_state(other.caches) == state
+
+
+def test_scoreboard_is_pure():
+    """Equal rows and extras give equal counts, from any cache state."""
+    prog = Program("t", [ldrv(0, 0, 0), fmla(1, 0, 0, ew=8),
+                         addi(0, 0, 64), ldrv(2, 0, 0),
+                         fmla(3, 2, 2, ew=8), strv(3, 1, 0)],
+                   ew=8, lanes=2)
+    pipe = make_pipe()
+    rows = pipe.decode(prog)
+    before = _cache_state(pipe.caches)
+    hot = pipe.scoreboard(rows, (0, 0))
+    assert pipe.scoreboard(rows, (0, 0)) == hot
+    assert _cache_state(pipe.caches) == before
+    cold = pipe.scoreboard(rows, (0, 120))
+    assert cold[0] > hot[0] or cold[1] > hot[1]
+    assert astuple(make_pipe().simulate(prog, {0: 0, 1: 64}))[:6] == hot
+
+
+def test_time_plan_scoreboards_repeated_calls_once():
+    """A FULL-grid plan whose calls repeat a (program, load extras) key
+    runs the scoreboard once per key, not once per call."""
+    from perfbench.grids import FULL
+    from repro.runtime.engine import Engine
+    from repro.tuning.evaluate import Evaluator
+    from repro.tuning.tuner import _space_for
+
+    p = next(p for p in FULL.tune
+             if getattr(p, "k", None) == 8 and p.dtype.value == "s")
+    plan = Evaluator(KUNPENG_920).build_plan(
+        p, _space_for(p, KUNPENG_920, False)[0])
+    runs = []
+    real = PipelineModel.scoreboard
+
+    def spy(self, rows, extras, trace=None):
+        runs.append(extras)
+        return real(self, rows, extras, trace)
+
+    engine = Engine(KUNPENG_920)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PipelineModel, "scoreboard", spy)
+        timing = engine.time_plan(plan)
+    assert len(plan.calls) > 1
+    assert 1 <= len(runs) < len(plan.calls)
+    assert timing.detail.instructions == sum(
+        len(c.program.instrs) for c in plan.calls)
 
 
 # -- golden digest of timed plans ------------------------------------------
