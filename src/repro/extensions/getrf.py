@@ -33,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..codegen import regs
-from ..codegen.optimizer import schedule_program
 from ..codegen.validate import assert_valid
 from ..errors import CodegenError, InvalidProblemError
 from ..layout.compact import CompactBatch
@@ -174,7 +173,6 @@ class CompactGetrf:
         prog = self._kcache.get(key)
         if prog is None:
             prog = generate_lu_kernel(d, dt, self.machine)
-            prog = schedule_program(prog, self.machine)
             assert_valid(prog, self.machine)
             self._kcache[key] = prog
         return prog

@@ -153,9 +153,10 @@ def _alternative_plan(plan, registry):
     if plan.kind == "gemm":   # shape-infeasible, nothing to compare
         return build_gemm_plan(plan.problem, plan.machine, registry,
                                force_pack=True,
-                               main_override=plan.meta.get("main_kernel"))
+                               main_override=plan.meta.get("main_kernel"),
+                               schedule=plan.schedule)
     return build_trsm_plan(plan.problem, plan.machine, registry,
-                           force_pack=True)
+                           force_pack=True, schedule=plan.schedule)
 
 
 def _tiles_section(plan) -> "list[str]":

@@ -9,11 +9,11 @@ configured :class:`~repro.runtime.backends.ExecutorBackend` (by default
 ``fused``, which replays the pass-optimized command stream on a plan's
 first execute and runs generated code per template once the plan
 executes again).
-``time_plan`` replays the same command queue for a single
-representative group on the scoreboard pipeline with the cache hierarchy
-initialized to the batch counter's residency verdicts (and primed by a
-cache-only replay of the group before it), then scales by
-the group count and adds the bandwidth-model packing cost — valid
+``time_plan`` replays the same command queue, its programs scheduled,
+for a single representative group on the scoreboard pipeline with the
+cache hierarchy initialized to the batch counter's residency verdicts
+(and primed by a cache-only replay of the group before it), then scales
+by the group count and adds the bandwidth-model packing cost — valid
 because compact kernels are data-independent and each group touches its
 own (identically laid out) data.  (Timing models the simulated silicon,
 so it is backend-independent by construction.)
@@ -28,10 +28,13 @@ import numpy as np
 
 from .. import obs
 from ..codegen import regs
+from ..codegen.optimizer import schedule_program
+from ..codegen.validate import assert_valid
 from ..errors import PlanError
 from ..layout.compact import CompactBatch
 from ..machine.machines import MachineConfig
 from ..machine.memory import MemorySpace
+from ..machine.program import Program
 from ..machine.pipeline import AddressSpace, TimingResult
 from ..codegen.templates_trsm import PX
 from ..packing.gemm_pack import pack_gemm_a, pack_gemm_b
@@ -131,7 +134,8 @@ class Engine:
     ``"fused"``), a ready :class:`ExecutorBackend` instance, or ``None``
     for the default.  Timing is backend-independent.  ``programs`` holds
     the code generated for the lowered plans this engine executes (see
-    :mod:`repro.runtime.megakernel`).
+    :mod:`repro.runtime.megakernel`); beside it, the engine memoizes the
+    scheduled form of each kernel program it times (:meth:`scheduled`).
     """
 
     def __init__(self, machine: MachineConfig,
@@ -139,6 +143,9 @@ class Engine:
         self.machine = machine
         self.backend: ExecutorBackend = resolve_backend(backend)
         self.programs = megakernel.ProgramMemo()
+        # id(program) -> (program, its scheduled form); holding the
+        # program keeps its id unique while the entry lives
+        self._scheduled: dict[int, tuple[Program, Program]] = {}
 
     # ------------------------------------------------------------------
     # functional execution
@@ -274,6 +281,20 @@ class Engine:
     # timing
     # ------------------------------------------------------------------
 
+    def scheduled(self, program: Program, machine: MachineConfig) -> Program:
+        """``program`` in the kernel optimizer's order for ``machine``
+        (paper Fig. 5): scheduled and validated on first use, then
+        memoized for the engine's lifetime.  Only the model sees it."""
+        hit = self._scheduled.get(id(program))
+        if hit is not None:
+            return hit[1]
+        with obs.span("codegen.optimize", kernel=program.name):
+            sched = schedule_program(program, machine)
+            assert_valid(sched, machine)
+        obs.count("codegen.optimized")
+        self._scheduled[id(program)] = (program, sched)
+        return sched
+
     def time_plan(self, plan: ExecutionPlan) -> PlanTiming:
         """Cycle-model timing of one steady-state group, scaled out.
 
@@ -285,7 +306,9 @@ class Engine:
         the hierarchy sees accesses in program order whatever cycle each
         issues in and timing never feeds back into the caches.  Group 1
         runs the cache pass for every call and the scoreboard once per
-        distinct (program, load extras).  The pipeline model is built per
+        distinct (program, load extras).  Each call's program is timed
+        in its :meth:`scheduled` form, or as generated when the plan's
+        ``schedule`` bit is off.  The pipeline model is built per
         call, so each distinct kernel program is decoded once per plan,
         and the decode and the scoreboard memo are dropped with the
         model; the per-opcode part of the decode (issue class,
@@ -323,11 +346,13 @@ class Engine:
                     init[PX] = addr(call.x_buf, call.x_off)
                 return init
 
-            for call in plan.calls:              # group 0: cache replay only
-                pipe.touch(call.program, xregs(call, 0))
+            progs = [self.scheduled(call.program, machine) if plan.schedule
+                     else call.program for call in plan.calls]
+            for call, prog in zip(plan.calls, progs):  # group 0: cache only
+                pipe.touch(prog, xregs(call, 0))
             total: TimingResult | None = None
-            for call in plan.calls:              # group 1: scoreboard
-                r = pipe.simulate(call.program, xregs(call, 1))
+            for call, prog in zip(plan.calls, progs):  # group 1: scoreboard
+                r = pipe.simulate(prog, xregs(call, 1))
                 total = r if total is None else total + r
             assert total is not None, "plan has no kernel calls"
             setup = PER_KERNEL_CALL_SETUP_CYCLES * len(plan.calls)

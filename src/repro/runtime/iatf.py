@@ -164,9 +164,8 @@ class IATF:
     :class:`PlanCache` serializes every operation under one lock (a
     planning race wastes one duplicate build, never corrupts), the
     :class:`~repro.codegen.registry.KernelRegistry` generates kernels
-    under its own lock, the alternate-schedule registry is built under
-    ``_alt_lock``, plans are immutable once cached (meta is complete
-    before ``put``), and the engine binds a fresh
+    under its own lock, plans are immutable once cached (meta is
+    complete before ``put``), and the engine binds a fresh
     :class:`~repro.machine.memory.MemorySpace` per execution so no
     run-time state is shared between concurrent ``run_plan`` calls.
     ``retune`` swaps DB records atomically and invalidates under the
@@ -175,15 +174,12 @@ class IATF:
 
     def __init__(self, machine: MachineConfig = KUNPENG_920, *,
                  backend: "str | ExecutorBackend | None" = None,
-                 optimize_kernels: bool = True,
                  plan_cache_size: int = 1024,
                  tuning_db=None) -> None:
         self.machine = machine
-        self.registry = KernelRegistry(machine, optimize=optimize_kernels)
+        self.registry = KernelRegistry(machine)
         self.engine = Engine(machine, backend=backend)
         self._plan_cache = PlanCache(plan_cache_size)
-        self._alt_registry: "KernelRegistry | None" = None
-        self._alt_lock = threading.Lock()
         self._tuning_db = (self._load_tuning_db(tuning_db)
                            if tuning_db is not None else None)
 
@@ -359,20 +355,6 @@ class IATF:
             return False
         return self._tuning_key(op, problem) == tuning_key
 
-    def _registry_for(self, schedule: bool) -> KernelRegistry:
-        """The main registry, or the alternate-schedule one a tuned
-        record may call for (built lazily under a lock — two threads
-        planning tuned shapes concurrently must share one alternate
-        registry, not warm two kernel caches)."""
-        if schedule == self.registry.optimize:
-            return self.registry
-        if self._alt_registry is None:
-            with self._alt_lock:
-                if self._alt_registry is None:
-                    self._alt_registry = KernelRegistry(self.machine,
-                                                        optimize=schedule)
-        return self._alt_registry
-
     def _decision_meta(self, record) -> dict:
         db = self._tuning_db
         return {
@@ -398,9 +380,10 @@ class IATF:
                           record) -> ExecutionPlan:
         try:
             plan = build_gemm_plan(
-                problem, self.machine, self._registry_for(record.schedule),
+                problem, self.machine, self.registry,
                 main_override=record.main,
-                tuned_pack=record.force_pack or None)
+                tuned_pack=record.force_pack or None,
+                schedule=record.schedule)
         except Exception as exc:
             # a hand-edited record can carry decisions the planner
             # rejects (e.g. a main size the decomposer cannot use);
@@ -430,9 +413,9 @@ class IATF:
         with obs.span("plan.trsm", tuned=record is not None):
             if record is not None:
                 plan = build_trsm_plan(
-                    problem, self.machine,
-                    self._registry_for(record.schedule),
-                    tuned_pack=record.force_pack or None)
+                    problem, self.machine, self.registry,
+                    tuned_pack=record.force_pack or None,
+                    schedule=record.schedule)
                 plan.meta["decision"] = self._decision_meta(record)
             else:
                 plan = build_trsm_plan(problem, self.machine, self.registry,

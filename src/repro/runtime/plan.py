@@ -76,6 +76,10 @@ class ExecutionPlan:
     groups: int
     groups_per_round: int
     meta: dict = field(default_factory=dict)
+    schedule: bool = True
+    """Does the cycle model time the kernel optimizer's order (paper
+    Fig. 5) or the generators' template order?  Execution is the same
+    either way: it replays the calls' programs as generated."""
 
     @property
     def kernels_used(self) -> list[str]:
@@ -103,13 +107,15 @@ def build_gemm_plan(problem: GemmProblem, machine: MachineConfig,
                     registry: KernelRegistry,
                     force_pack: bool = False,
                     main_override: tuple[int, int] | None = None,
-                    tuned_pack: "bool | None" = None) -> ExecutionPlan:
+                    tuned_pack: "bool | None" = None,
+                    schedule: bool = True) -> ExecutionPlan:
     """Plan a compact GEMM.
 
     ``force_pack`` disables the no-pack fast path (ablation benchmark);
     ``main_override`` forces a different main kernel preference for the
     tile decomposition (the tuner sweeps these); ``tuned_pack`` applies
-    a TuningDB pack override.
+    a TuningDB pack override; ``schedule`` is the plan's field of that
+    name.
     """
     p = problem
     dt = p.dtype
@@ -194,7 +200,7 @@ def build_gemm_plan(problem: GemmProblem, machine: MachineConfig,
         kind="gemm", problem=p, machine=machine, calls=calls,
         buffers=buffers, pack_cost=pack,
         unpack_cost=PackCost(ew=dt.real_itemsize),
-        groups=groups, groups_per_round=gpr,
+        groups=groups, groups_per_round=gpr, schedule=schedule,
         meta={
             "m_tiles": m_tiles, "n_tiles": n_tiles,
             "main_kernel": (mc_main, nc_main),
@@ -208,7 +214,8 @@ def build_gemm_plan(problem: GemmProblem, machine: MachineConfig,
 def build_trsm_plan(problem: TrsmProblem, machine: MachineConfig,
                     registry: KernelRegistry,
                     force_pack: bool = False,
-                    tuned_pack: "bool | None" = None) -> ExecutionPlan:
+                    tuned_pack: "bool | None" = None,
+                    schedule: bool = True) -> ExecutionPlan:
     """Plan a compact TRSM through the canonical lower-left orientation."""
     p = problem
     dt = p.dtype
@@ -305,7 +312,7 @@ def build_trsm_plan(problem: TrsmProblem, machine: MachineConfig,
     return ExecutionPlan(
         kind="trsm", problem=p, machine=machine, calls=calls,
         buffers=buffers, pack_cost=pack, unpack_cost=unpack,
-        groups=groups, groups_per_round=gpr,
+        groups=groups, groups_per_round=gpr, schedule=schedule,
         meta={
             "norm": norm, "blocks": blocks, "n_pad": n_pad,
             "whole_in_regs": whole_in_regs, "b_nopack": b_nopack,

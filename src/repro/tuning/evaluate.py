@@ -59,9 +59,11 @@ class Measurement:
 class Evaluator:
     """Builds and measures candidate plans for one machine.
 
-    Holds one :class:`KernelRegistry` per schedule variant so repeated
-    evaluations share generated kernels, and one timing engine (timing
-    is backend-independent, so a single engine serves every candidate).
+    Holds one :class:`KernelRegistry`, so repeated evaluations share
+    generated kernels, and one timing engine (timing is
+    backend-independent, so a single engine serves every candidate).
+    A candidate's ``schedule`` bit only selects the order its plan is
+    timed in, so both variants share every kernel and every schedule.
     """
 
     def __init__(self, machine: MachineConfig, *, repeats: int = 1,
@@ -71,16 +73,9 @@ class Evaluator:
         self.machine = machine
         self.repeats = repeats
         self.wall_clock = wall_clock
-        self._registries: "dict[bool, KernelRegistry]" = {}
+        self.registry = KernelRegistry(machine)
         self._engine = Engine(machine)
         self._rng_seed = rng_seed
-
-    def registry(self, schedule: bool = True) -> KernelRegistry:
-        reg = self._registries.get(schedule)
-        if reg is None:
-            reg = KernelRegistry(self.machine, optimize=schedule)
-            self._registries[schedule] = reg
-        return reg
 
     # -- plan construction ------------------------------------------------
 
@@ -88,14 +83,15 @@ class Evaluator:
         """The exact plan the run-time stage would build for this
         candidate's decisions — same builders, same arguments, which is
         what makes a reloaded DB reproduce decisions bit-identically."""
-        reg = self.registry(cand.schedule)
         if isinstance(problem, GemmProblem):
-            return build_gemm_plan(problem, self.machine, reg,
+            return build_gemm_plan(problem, self.machine, self.registry,
                                    force_pack=cand.force_pack,
-                                   main_override=cand.main)
+                                   main_override=cand.main,
+                                   schedule=cand.schedule)
         if isinstance(problem, TrsmProblem):
-            return build_trsm_plan(problem, self.machine, reg,
-                                   force_pack=cand.force_pack)
+            return build_trsm_plan(problem, self.machine, self.registry,
+                                   force_pack=cand.force_pack,
+                                   schedule=cand.schedule)
         raise TypeError(f"cannot tune {type(problem).__name__}")
 
     # -- measurement ------------------------------------------------------
@@ -162,20 +158,14 @@ class Evaluator:
 
         engine = Engine(self.machine, backend=backend)
         p = problem.with_batch(small)
+        small_plan = self.build_plan(p, cand)
         if isinstance(problem, GemmProblem):
-            reg = self.registry(cand.schedule)
-            small_plan = build_gemm_plan(p, self.machine, reg,
-                                         force_pack=cand.force_pack,
-                                         main_override=cand.main)
             a = batch_of(*p.a_shape)
             b = batch_of(*p.b_shape)
             c = batch_of(*p.c_shape)
             run = lambda: engine.execute_gemm(small_plan, a, b, c,
                                               compiled=compiled)
         else:
-            reg = self.registry(cand.schedule)
-            small_plan = build_trsm_plan(p, self.machine, reg,
-                                         force_pack=cand.force_pack)
             a = batch_of(p.a_dim, p.a_dim, spd=True)
             b = batch_of(*p.b_shape)
             run = lambda: engine.execute_trsm(small_plan, a, b,

@@ -10,11 +10,9 @@ tunable choices for a problem shape:
   even where the analytic rule would take the no-pack fast path);
 * the kernel-optimizer schedule variant (scheduled vs template order,
   :mod:`repro.codegen.optimizer`) — optional, off by default because
-  the scheduled kernels win essentially always and the unscheduled
-  registry doubles generation cost;
-* a ``backend`` label, provenance only: it stays ``"compiled"`` so
-  sweep output is byte-identical to older releases, and nothing
-  applies it (measurements run on the default backend).
+  the scheduled kernels win essentially always.  It selects only the
+  order the cycle model times; execution replays the generated
+  program either way.
 
 The first candidate returned is always the **analytic choice** — the
 CMAR-optimal main kernel with the analytic pack rule — and the tuner
@@ -47,7 +45,6 @@ class Candidate:
     main: "tuple[int, int] | None"    # None for TRSM (fixed family)
     force_pack: bool = False
     schedule: bool = True
-    backend: str = "compiled"
 
     @property
     def label(self) -> str:
@@ -61,7 +58,7 @@ class Candidate:
 
     def describe(self) -> dict:
         return {"main": self.main, "force_pack": self.force_pack,
-                "schedule": self.schedule, "backend": self.backend}
+                "schedule": self.schedule}
 
 
 def size_class(m: int, n: int, k: int = 0) -> str:

@@ -1,11 +1,15 @@
 """Experiment-function tests: every paper artifact regenerates and the
 headline qualitative claims hold on a quick grid."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench import experiments
 from repro.bench.harness import BenchHarness
 from repro.bench.reporting import markdown_table, ratio_summary, series_table
+
+RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +86,16 @@ class TestHeadlines:
 
 class TestAblations:
     def test_scheduling_always_helps(self):
-        r = experiments.ablation_scheduling(sizes=(4, 8), batch=1024)
+        """The scheduler gains on every row, and the batch-16384 rows for
+        n = 4 and 8 are the committed table's, figure for figure."""
+        r = experiments.ablation_scheduling(sizes=(4, 8), batch=16384)
         for n, on, off, gain in r["rows"]:
             assert gain >= 1.0, n
+        committed = (RESULTS / "ablation_scheduling.txt").read_text()
+        rows = r["render"].splitlines()[2:4]
+        assert rows == ["   4       4.43         3.55  1.25x",
+                        "   8       5.41         4.45  1.22x"]
+        assert all(row in committed.splitlines() for row in rows)
 
     def test_nopack_always_helps(self):
         r = experiments.ablation_nopack(sizes=(1, 2, 4), batch=1024)

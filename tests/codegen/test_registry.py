@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.codegen.generator_gemm import generate_gemm_kernel
 from repro.codegen.registry import KernelRegistry, table1_inventory
 from repro.machine.machines import KUNPENG_920, XEON_GOLD_6240
 
@@ -52,11 +53,15 @@ class TestRegistry:
         assert reg.gemm_kernel(4, 4, 8, "d", alpha=2.0) is not a
         assert len(reg) == 4
 
-    def test_optimize_flag(self):
-        opt = KernelRegistry(KUNPENG_920, optimize=True)
-        raw = KernelRegistry(KUNPENG_920, optimize=False)
-        assert opt.gemm_kernel(4, 4, 8, "d").meta.get("scheduled") == "opt"
-        assert "scheduled" not in raw.gemm_kernel(4, 4, 8, "d").meta
+    def test_kernels_cached_as_generated(self):
+        """One registry, no scheduling knob: kernels keep the template
+        order; only the cycle model schedules (``Engine.scheduled``)."""
+        prog = KernelRegistry(KUNPENG_920).gemm_kernel(4, 4, 8, "d")
+        assert "scheduled" not in prog.meta
+        assert prog.instrs == generate_gemm_kernel(4, 4, 8, "d",
+                                                   KUNPENG_920).instrs
+        with pytest.raises(TypeError):
+            KernelRegistry(KUNPENG_920, optimize=True)
 
     def test_main_kernel_sizes(self):
         reg = KernelRegistry(KUNPENG_920)
@@ -78,7 +83,7 @@ class TestRegistry:
         assert len(reg.trsm_rect(4, 4, 3, "d", 64)) > 0
 
     def test_install_covers_table1(self):
-        reg = KernelRegistry(KUNPENG_920, optimize=False)
+        reg = KernelRegistry(KUNPENG_920)
         count = reg.install(dtypes=("d",), k_values=(4,))
         # 16 gemm sizes + 5 triangular + 4 rect sizes x 4 k-depths
         assert count == 16 + 5 + 16

@@ -83,7 +83,11 @@ def test_profile_gemm_writes_artifacts(capsys, tmp_path):
 
 
 def test_profile_trsm_fused_stream(capsys):
-    assert main(["profile", "trsm", "--m", "4", "--n", "4",
+    # order 8 blocks into rectangular FMLS kernels, whose template order
+    # gives the lowering's chain fusion runs to fuse; a lone in-register
+    # triangular kernel (order <= 5) alternates FMUL and FMLS on each
+    # column and fuses none
+    assert main(["profile", "trsm", "--m", "8", "--n", "8",
                  "--batch", "256", "--stream", "fused"]) == 0
     assert "MACC" in capsys.readouterr().out
 

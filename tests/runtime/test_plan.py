@@ -10,7 +10,7 @@ from repro.types import GemmProblem, TrsmProblem
 
 @pytest.fixture(scope="module")
 def registry():
-    return KernelRegistry(KUNPENG_920, optimize=False)
+    return KernelRegistry(KUNPENG_920)
 
 
 class TestGemmPlan:

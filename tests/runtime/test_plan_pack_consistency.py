@@ -21,7 +21,7 @@ from tests.conftest import random_batch, random_triangular
 
 @pytest.fixture(scope="module")
 def registry():
-    return KernelRegistry(KUNPENG_920, optimize=False)
+    return KernelRegistry(KUNPENG_920)
 
 
 @pytest.mark.parametrize("m,n,k,mode", [

@@ -22,7 +22,7 @@ class TestCycleModel:
         p = GemmProblem(6, 6, 6, "d", batch=256)
         cand = Candidate(main=(3, 3))
         meas = ev.evaluate(p, cand)
-        plan = build_gemm_plan(p, KUNPENG_920, ev.registry(True),
+        plan = build_gemm_plan(p, KUNPENG_920, ev.registry,
                                main_override=(3, 3))
         assert meas.cycles == Engine(KUNPENG_920).time_plan(plan).total_cycles
 
@@ -76,9 +76,17 @@ class TestCycleModel:
         with pytest.raises(ValueError):
             Evaluator(KUNPENG_920, repeats=0)
 
-    def test_registry_cached_per_schedule(self, ev):
-        assert ev.registry(True) is ev.registry(True)
-        assert ev.registry(True) is not ev.registry(False)
+    def test_one_registry_serves_both_schedules(self, ev):
+        """A candidate's ``schedule`` bit rides on its plan; both orders
+        call the same generated programs from the one registry."""
+        p = GemmProblem(9, 7, 5, "d", batch=64)
+        on = ev.build_plan(p, Candidate((4, 4)))
+        off = ev.build_plan(p, Candidate((4, 4), schedule=False))
+        assert on.schedule and not off.schedule
+        assert all(a.program is b.program
+                   for a, b in zip(on.calls, off.calls, strict=True))
+        assert ev.evaluate(p, Candidate((4, 4))).cycles < \
+            ev.evaluate(p, Candidate((4, 4), schedule=False)).cycles
 
 
 class TestWallClock:
