@@ -229,7 +229,7 @@ class CompactTrmm:
         if self.engine.backend.needs_lowering:
             compiled = self._compiled.get(problem)
             if compiled is None:
-                compiled = lower_plan(plan)
+                compiled = lower_plan(plan, self.engine.templates)
                 self._compiled[problem] = compiled
         self.engine.run_plan(plan, mem, strides, b.groups, compiled=compiled)
         # n_pad == n_rhs here (column tiles cover n exactly)

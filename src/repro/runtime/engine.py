@@ -134,7 +134,9 @@ class Engine:
     ``"fused"``), a ready :class:`ExecutorBackend` instance, or ``None``
     for the default.  Timing is backend-independent.  ``programs`` holds
     the code generated for the lowered plans this engine executes (see
-    :mod:`repro.runtime.megakernel`); beside it, the engine memoizes the
+    :mod:`repro.runtime.megakernel`), and ``templates`` the lowered call
+    bindings every plan it lowers shares (see
+    :mod:`repro.runtime.lowering`); beside them, the engine memoizes the
     scheduled form of each kernel program it times (:meth:`scheduled`).
     """
 
@@ -143,6 +145,7 @@ class Engine:
         self.machine = machine
         self.backend: ExecutorBackend = resolve_backend(backend)
         self.programs = megakernel.ProgramMemo()
+        self.templates = megakernel.ProgramMemo()
         # id(program) -> (program, its scheduled form); holding the
         # program keeps its id unique while the entry lives
         self._scheduled: dict[int, tuple[Program, Program]] = {}
@@ -158,14 +161,14 @@ class Engine:
 
         ``compiled`` is the plan's cached lowering; when the backend
         needs one and none is supplied (direct engine use, extensions
-        without their own cache) the plan is lowered on the spot.  Each
-        execute of a lowered plan is counted on it and binds the
-        programs its tier calls for.
+        without their own cache) the plan is lowered on the spot,
+        through the engine's templates.  Each execute of a lowered plan
+        is counted on it and binds the programs its tier calls for.
         """
         backend = self.backend
         if backend.needs_lowering:
             if compiled is None:
-                compiled = lower_plan(plan)
+                compiled = lower_plan(plan, self.templates)
             megakernel.bind_programs(compiled, self.programs)
         obs.count(f"backend.{backend.name}.runs")
         with obs.span("engine.kernels", calls=len(plan.calls),

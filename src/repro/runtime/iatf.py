@@ -438,13 +438,16 @@ class IATF:
     def _compiled_for(self, key: tuple,
                       plan: ExecutionPlan) -> "CompiledPlan | None":
         """The plan's cached lowering, lowering (and caching) on first
-        use.  ``None`` when the active backend executes plans directly.
+        use through the engine's templates, so plans that call one
+        kernel at one binding share its lowering.  ``None`` when the
+        active backend executes plans directly.
         """
         if not self.engine.backend.needs_lowering:
             return None
         compiled = self._plan_cache.get_compiled(key)
         if compiled is None:
-            compiled = self._plan_cache.put_compiled(key, lower_plan(plan))
+            compiled = self._plan_cache.put_compiled(
+                key, lower_plan(plan, self.engine.templates))
         return compiled
 
     @property

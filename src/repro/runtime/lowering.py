@@ -48,14 +48,19 @@ attribution profiler's ``raw`` stream reports against.
 
 **Templates.**  Resolution, validation and the passes run once per
 distinct call binding: the program, each root's offset relative to the
-lowest root in its buffer, and that lowest offset mod 16 B.  Later calls
-with the key re-check its extents against the group stride and keep
-only their per-buffer element delta.  Registers never live across a
-call, so the per-call optimized streams concatenate to the
-whole-stream result.  The plan stores the templates; ``commands`` and
-``fused_commands`` are views that relocate them on first element access
-(memory commands move by the buffer's delta; the rest are shared), and
-``len`` never relocates.
+lowest root in its buffer, that lowest offset mod 16 B, and the group
+stride mod 16 B of each buffer the template addresses (the wide-copy
+pass reads it).  Templates live in the engine's store
+(``Engine.templates``, a bounded LRU beside its generated programs), so
+every plan the engine lowers shares them; the free :func:`lower_plan`
+keeps a private store per call.  A call whose binding is already lowered, by
+this plan or an earlier one, validates its buffers' layouts, re-checks
+the template's extents against its group strides and keeps only its
+per-buffer element delta.  Registers never live across a call, so the
+per-call optimized streams concatenate to the whole-stream result.  The
+plan lists its templates; ``commands`` and ``fused_commands`` are views
+that relocate them on first element access (memory commands move by the
+buffer's delta; the rest are shared), and ``len`` never relocates.
 
 **Waves.**  Each template's read and write footprint is a per-buffer
 list of element intervals within one group stride; a call's footprint
@@ -79,6 +84,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -88,6 +94,9 @@ from ..codegen.templates_trsm import PX
 from ..errors import LoweringError
 from ..machine.isa import NUM_VREGS, Op
 from .plan import ExecutionPlan, KernelCall
+
+if TYPE_CHECKING:
+    from .megakernel import ProgramMemo
 
 __all__ = ["CompiledPlan", "CompiledCommand", "BufferLayout", "Wave",
            "lower_plan", "optimize_commands", "FUSE_MIN_CHAIN",
@@ -235,9 +244,9 @@ class CompiledPlan:
     stats: dict = field(default_factory=dict)
     templates: "list[_Template]" = field(default_factory=list,
                                          compare=False, repr=False)
-    """Each distinct call binding lowered once: raw and optimized
-    streams plus footprints; ``commands``/``fused_commands`` relocate
-    these."""
+    """The plan's distinct call bindings, each lowered once (possibly by
+    an earlier plan of the engine): raw and optimized streams plus
+    footprints; ``commands``/``fused_commands`` relocate these."""
     waves: "list[Wave]" = field(default_factory=list, compare=False,
                                 repr=False)
     """The calls grouped into waves, in replay order (see
@@ -265,9 +274,12 @@ class CompiledPlan:
 
     def calls_summary(self) -> str:
         t = self.stats.get("templates", 0)
+        shared = self.stats.get("templates_shared", 0)
         w = self.stats.get("waves", 0)
         return (f"{self.stats.get('calls', 0)} calls from {t} "
-                f"template{'s' * (t != 1)} in {w} wave{'s' * (w != 1)}")
+                f"template{'s' * (t != 1)}"
+                f"{f' ({shared} shared)' if shared else ''} "
+                f"in {w} wave{'s' * (w != 1)}")
 
     def describe(self) -> str:
         s = self.stats
@@ -298,8 +310,13 @@ def _root_pointers(call: KernelCall) -> "dict[int, tuple[str, int]]":
     return roots
 
 
-def lower_plan(plan: ExecutionPlan) -> CompiledPlan:
+def lower_plan(plan: ExecutionPlan,
+               templates: "ProgramMemo | None" = None) -> CompiledPlan:
     """Lower a plan once; the result replays for every batch.
+
+    ``templates`` is the store lowered call bindings are shared through
+    (an engine passes ``Engine.templates``, so its plans share them);
+    without one the plan gets a private store and shares nothing.
 
     Raises :class:`LoweringError` on anything the interpreter would only
     catch at run time (misalignment, out-of-group-bounds access,
@@ -307,11 +324,15 @@ def lower_plan(plan: ExecutionPlan) -> CompiledPlan:
     compiled backend cannot replay — the error surfaces at plan time,
     before any data is touched.
     """
+    if templates is None:
+        from .megakernel import ProgramMemo
+        templates = ProgramMemo()
     with obs.span("lower.plan", kind=plan.kind, calls=len(plan.calls)):
-        compiled = _lower(plan)
+        compiled = _lower(plan, templates)
     obs.count("lower.plans")
     obs.count("lower.commands", compiled.num_commands)
     obs.count("lower.folded_addi", compiled.stats["folded_addi"])
+    obs.count("lower.templates.shared", compiled.stats["templates_shared"])
     passes = compiled.stats["passes"]
     obs.count("lower.dce.removed", passes["dce_removed"])
     obs.count("lower.fuse.chains", passes["fuse_chains"])
@@ -320,7 +341,7 @@ def lower_plan(plan: ExecutionPlan) -> CompiledPlan:
     return compiled
 
 
-def _lower(plan: ExecutionPlan) -> CompiledPlan:
+def _lower(plan: ExecutionPlan, store: "ProgramMemo") -> CompiledPlan:
     if not plan.calls:
         raise LoweringError(f"{plan.kind} plan has no kernel calls")
     ew = plan.calls[0].program.ew
@@ -343,11 +364,23 @@ def _lower(plan: ExecutionPlan) -> CompiledPlan:
             layouts[buf] = lay
         return lay
 
-    templates: "dict[tuple, _Template]" = {}
-    calls: "list[tuple[_Template, dict[str, int]]]" = []
+    def fit(tpl: _Template, base: "dict[str, int]", prog,
+            roots: "dict[int, tuple[str, int]]", ci: int) -> "dict[str, int]":
+        """The call's per-buffer element deltas from ``tpl``.  Same key
+        => same lattice, 16 B apart: only bounds can differ."""
+        delta = {buf: (off - tpl.base[buf]) // isz for buf, off in base.items()}
+        if any(lo + delta[buf] < 0
+               or hi + delta[buf] > layouts[buf].stride_elems
+               for buf, (lo, hi) in tpl.extents.items()):
+            # raises this call's exact per-instruction error
+            _lower_call(prog, roots, ci, layout, lanes, ew)
+        return delta
+
+    slots: "dict[tuple, _Slot]" = {}
+    calls: "list[tuple[_Slot, dict[str, int]]]" = []
     call_ranges: "list[tuple[str, int, int]]" = []
     fused_ranges: "list[tuple[int, int]]" = []
-    raw_len = opt_len = 0
+    raw_len = opt_len = shared = 0
 
     for ci, call in enumerate(plan.calls):
         prog = call.program
@@ -362,26 +395,19 @@ def _lower(plan: ExecutionPlan) -> CompiledPlan:
         key = (id(prog), tuple((r, buf, off - base[buf])
                                for r, (buf, off) in roots.items()),
                tuple((buf, off % 16) for buf, off in base.items()))
-        tpl = templates.get(key)
-        if tpl is None:
-            raw, counts = _lower_call(prog, roots, ci, layout, lanes, ew)
-            opt, passes = optimize_commands(
-                raw, lanes, ew,
-                {name: lay.stride_bytes for name, lay in layouts.items()})
-            tpl = templates[key] = _Template(
-                len(templates), prog.name, ew, raw, opt, base, counts, passes)
-            delta = dict.fromkeys(base, 0)
+        slot = slots.get(key)
+        if slot is not None:
+            delta = fit(slot.tpl, base, prog, roots, ci)
         else:
-            # same key => same lattice, 16 B apart: only bounds can differ
-            delta = {buf: (off - tpl.base[buf]) // isz
-                     for buf, off in base.items()}
-            if any(lo + delta[buf] < 0
-                   or hi + delta[buf] > layouts[buf].stride_elems
-                   for buf, (lo, hi) in tpl.extents.items()):
-                # raises this call's exact per-instruction error
-                _lower_call(prog, roots, ci, layout, lanes, ew)
-        tpl.uses += 1
-        calls.append((tpl, delta))
+            tpl, stored = _template(store, key, prog, roots, base, ci,
+                                    layout, lanes, ew)
+            delta = (fit(tpl, base, prog, roots, ci) if stored
+                     else dict.fromkeys(base, 0))
+            shared += stored
+            slot = slots[key] = _Slot(tpl, len(slots))
+        tpl = slot.tpl
+        slot.uses += 1
+        calls.append((slot, delta))
         call_ranges.append((prog.name, raw_len, raw_len + len(tpl.raw)))
         fused_ranges.append((opt_len, opt_len + len(tpl.opt)))
         raw_len += len(tpl.raw)
@@ -390,12 +416,12 @@ def _lower(plan: ExecutionPlan) -> CompiledPlan:
     counts = dict.fromkeys(("instructions", "mem_commands", "folded_addi",
                             "dropped"), 0)
     passes = {}
-    for tpl in templates.values():
+    for slot in slots.values():
         for k in counts:
-            counts[k] += tpl.uses * tpl.counts[k]
-        for k, v in tpl.passes.items():
+            counts[k] += slot.uses * slot.tpl.counts[k]
+        for k, v in slot.tpl.passes.items():
             passes[k] = (max(passes.get(k, 0), v) if k in _PEAK_PASSES
-                         else passes.get(k, 0) + tpl.uses * v)
+                         else passes.get(k, 0) + slot.uses * v)
     waves = _build_waves(calls, layouts)
     return CompiledPlan(
         kind=plan.kind, groups=plan.groups, lanes=lanes, ew=ew,
@@ -409,9 +435,44 @@ def _lower(plan: ExecutionPlan) -> CompiledPlan:
                "fp_commands": raw_len - counts["mem_commands"],
                "folded_addi": counts["folded_addi"],
                "dropped": counts["dropped"],
-               "passes": passes, "templates": len(templates),
-               "waves": len(waves)},
-        templates=list(templates.values()), waves=waves)
+               "passes": passes, "templates": len(slots),
+               "templates_shared": shared, "waves": len(waves)},
+        templates=[slot.tpl for slot in slots.values()], waves=waves)
+
+
+def _template(store: "ProgramMemo", key: tuple, prog,
+              roots: "dict[int, tuple[str, int]]", base: "dict[str, int]",
+              ci: int, layout, lanes: int, ew: int
+              ) -> "tuple[_Template, bool]":
+    """The template ``store`` holds for the call's key and its buffers'
+    group strides mod 16 B, and True; else the call lowered, optimized
+    and stored, and False.  A store entry is ``(program, buffers the
+    template addresses, {their strides mod 16 B: template})``; holding
+    the program keeps its id unique while the entry lives."""
+    entry = store.get(key)
+    if entry is not None:
+        try:            # the layouts a fresh lowering validates
+            sig = tuple(layout(buf).stride_bytes % 16 for buf in entry[1])
+        except LoweringError:
+            # raises this call's exact per-instruction error
+            _lower_call(prog, roots, ci, layout, lanes, ew)
+        tpl = entry[2].get(sig)
+        if tpl is not None:
+            return tpl, True
+    raw, counts, lays = _lower_call(prog, roots, ci, layout, lanes, ew)
+    strides = {buf: lay.stride_bytes for buf, lay in lays.items()}
+    opt, passes = optimize_commands(raw, lanes, ew, strides)
+    tpl = _Template(prog.name, ew, raw, opt, base, counts, passes,
+                    tuple(lays))
+    sig = tuple(s % 16 for s in strides.values())
+    with store.lock:
+        entry = store.get(key)
+        if entry is None:
+            store.put(key, (prog, tpl.buffers, {sig: tpl}))
+        else:
+            entry[2].setdefault(sig, tpl)
+        store.generated += 1
+    return tpl, False
 
 
 _PEAK_PASSES = ("fuse_max_chain", "max_stack")
@@ -421,10 +482,11 @@ _STORE_KINDS = frozenset((K_STORE, K_STOREPAIR, K_STORE2))
 
 @dataclass
 class _Template:
-    """One call lowered at its own offsets, relocatable to every later
-    call of the plan with the same key."""
+    """One call binding lowered at its own offsets, relocatable to every
+    call with the same key, of this plan or of any later plan lowered
+    through the same store.  Plan-independent: a plan's own view of it
+    is a :class:`_Slot`."""
 
-    index: int                    # position in CompiledPlan.templates
     name: str                     # kernel (program) name
     ew: int                       # element width in bytes
     raw: "list[tuple]"            # the validated raw stream
@@ -432,7 +494,7 @@ class _Template:
     base: "dict[str, int]"        # buffer -> lowest root byte offset
     counts: dict                  # instructions / mem / folded / dropped
     passes: dict                  # optimize_commands statistics
-    uses: int = 0                 # calls of the plan it lowered
+    buffers: "tuple[str, ...]"    # buffers it addresses, first access first
 
     @cached_property
     def footprint(self) -> "dict[str, tuple[list, list]]":
@@ -485,6 +547,15 @@ class _Template:
         lanes) replay identically, whatever plan the template came
         from."""
         return repr((self.ew, self.wave_form[0]))
+
+
+@dataclass
+class _Slot:
+    """A template's place in one plan."""
+
+    tpl: _Template
+    index: int                    # position in CompiledPlan.templates
+    uses: int = 0                 # calls of the plan it lowered
 
 
 def _merge(ivs: "list[tuple[int, int]]") -> "list[tuple[int, int]]":
@@ -559,7 +630,7 @@ def _lattice(deltas: "tuple[tuple[int, ...], ...]"
     return n // cols, cols
 
 
-def _build_waves(calls: "list[tuple[_Template, dict[str, int]]]",
+def _build_waves(calls: "list[tuple[_Slot, dict[str, int]]]",
                  layouts: "dict[str, BufferLayout]") -> "list[Wave]":
     """Group a plan's calls into waves, in replay order.
 
@@ -573,26 +644,27 @@ def _build_waves(calls: "list[tuple[_Template, dict[str, int]]]",
     level is an antichain of the conflict order, so the reordering is
     exact: every element sees its accesses in plan order.
     """
-    def wave(level: int, tpl: _Template, members: "list[int]") -> Wave:
-        bufs = tuple(tpl.base)
+    def wave(level: int, slot: _Slot, members: "list[int]") -> Wave:
+        bufs = tuple(slot.tpl.base)
         deltas = tuple(tuple(calls[ci][1][b] for b in bufs) for ci in members)
-        return Wave(level, tpl.index, tuple(members), bufs, deltas,
+        return Wave(level, slot.index, tuple(members), bufs, deltas,
                     _lattice(deltas))
 
     if len(calls) == 1:
         return [wave(1, calls[0][0], [0])]
-    written = {buf for tpl, _ in calls
-               for buf, (_, w) in tpl.footprint.items() if w}
+    written = {buf for slot, _ in calls
+               for buf, (_, w) in slot.tpl.footprint.items() if w}
     seen = {buf: [0] * layouts[buf].stride_elems for buf in written}
     wrote = {buf: [0] * layouts[buf].stride_elems for buf in written}
     spans: "dict[int, list[tuple]]" = {}
     buckets: "dict[tuple[int, int], list[int]]" = {}
-    for ci, (tpl, delta) in enumerate(calls):
-        tracked = spans.get(tpl.index)
+    for ci, (slot, delta) in enumerate(calls):
+        tracked = spans.get(slot.index)
         if tracked is None:
-            tracked = spans[tpl.index] = [
+            tracked = spans[slot.index] = [
                 (buf, w, _subtract(r, w))
-                for buf, (r, w) in tpl.footprint.items() if buf in written]
+                for buf, (r, w) in slot.tpl.footprint.items()
+                if buf in written]
         level = 0
         for buf, writes, reads in tracked:
             d = delta[buf]
@@ -611,7 +683,7 @@ def _build_waves(calls: "list[tuple[_Template, dict[str, int]]]",
             for s, e in reads:
                 lv[s + d:e + d] = [x if x > level else level
                                    for x in lv[s + d:e + d]]
-        buckets.setdefault((level, tpl.index), []).append(ci)
+        buckets.setdefault((level, slot.index), []).append(ci)
     order = sorted(buckets.items(), key=lambda kv: (kv[0][0], kv[1][0]))
     return [wave(level, calls[members[0]][0], members)
             for (level, _), members in order]
@@ -639,7 +711,7 @@ class _Relocated(Sequence):
     from the templates on first element access and kept for the plan's
     life.  ``len`` never relocates."""
 
-    def __init__(self, calls: "list[tuple[_Template, dict[str, int]]]",
+    def __init__(self, calls: "list[tuple[_Slot, dict[str, int]]]",
                  ew: int, optimized: bool, length: int) -> None:
         self._calls, self._ew, self._optimized = calls, ew, optimized
         self._len = length
@@ -650,7 +722,8 @@ class _Relocated(Sequence):
         if items is None:
             items = []
             which = int(self._optimized)
-            for tpl, delta in self._calls:
+            for slot, delta in self._calls:
+                tpl = slot.tpl
                 stream = tpl.opt if which else tpl.raw
                 if any(delta.values()):
                     stream = _relocate(stream, tpl.sites[which], delta,
@@ -702,10 +775,13 @@ _BINARY = {Op.FMLA: K_FMLA, Op.FMLS: K_FMLS, Op.FMUL: K_FMUL,
 
 
 def _lower_call(prog, roots: "dict[int, tuple[str, int]]", ci: int,
-                layout, lanes: int, ew: int) -> "tuple[list[tuple], dict]":
+                layout, lanes: int, ew: int
+                ) -> "tuple[list[tuple], dict, dict[str, BufferLayout]]":
     """Lower one call at its own root offsets: fold pointers, resolve and
-    validate every operand.  Returns the raw stream and its counts."""
+    validate every operand.  Returns the raw stream, its counts and the
+    layouts of the buffers it addresses, in first-access order."""
     xstate = dict(roots)
+    lays: "dict[str, BufferLayout]" = {}
     written: set[int] = set()
     commands: list[tuple] = []
     folded = dropped = 0
@@ -724,7 +800,7 @@ def _lower_call(prog, roots: "dict[int, tuple[str, int]]", ci: int,
             raise err(pc, f"scalar register x{ins.base} read before write")
         buf, off = root
         try:
-            lay = layout(buf)
+            lay = lays[buf] = layout(buf)
         except LoweringError as exc:
             raise err(pc, str(exc)) from None
         byte = off + ins.offset
@@ -820,7 +896,7 @@ def _lower_call(prog, roots: "dict[int, tuple[str, int]]", ci: int,
 
     mem = sum(1 for c in commands if c[0] in _MEM_KINDS)
     return commands, {"instructions": len(prog.instrs), "mem_commands": mem,
-                      "folded_addi": folded, "dropped": dropped}
+                      "folded_addi": folded, "dropped": dropped}, lays
 
 
 # ---------------------------------------------------------------------------

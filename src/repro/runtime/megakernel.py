@@ -66,7 +66,8 @@ BATCH_MIN = 4
 """Shortest FMUL/FMAI run worth collapsing into one broadcast ufunc."""
 
 MEMO_SIZE = 256
-"""Programs one engine keeps (least recently used go first)."""
+"""Programs (and lowering templates) one engine keeps (least recently
+used go first)."""
 
 #: wide-copy axis orders per number of leading axes: split the last axis
 #: into (count, n) and move count to the front (loads) or back (stores)
@@ -515,27 +516,29 @@ class Program:
 
 
 class ProgramMemo:
-    """Bounded, thread-safe LRU of generated programs, keyed by stream
-    (see :func:`bind_programs`).  One per engine; hit, generate and
-    evict totals are plain ints."""
+    """Bounded, thread-safe LRU.  An engine keeps two: generated
+    programs keyed by stream (see :func:`bind_programs`), and lowering
+    templates keyed by call binding (see
+    :mod:`repro.runtime.lowering`).  Generate and evict totals are
+    plain ints."""
 
     def __init__(self, maxsize: int = MEMO_SIZE) -> None:
         self.maxsize = maxsize
-        self._data: "OrderedDict[tuple, Program]" = OrderedDict()
+        self._data: "OrderedDict[tuple, object]" = OrderedDict()
         self.lock = threading.RLock()
         self.generated = 0
         self.evictions = 0
 
-    def get(self, key: tuple) -> "Program | None":
+    def get(self, key: tuple):
         with self.lock:
-            prog = self._data.get(key)
-            if prog is not None:
+            value = self._data.get(key)
+            if value is not None:
                 self._data.move_to_end(key)
-            return prog
+            return value
 
-    def put(self, key: tuple, prog: Program) -> None:
+    def put(self, key: tuple, value) -> None:
         with self.lock:
-            self._data[key] = prog
+            self._data[key] = value
             self._data.move_to_end(key)
             if len(self._data) > self.maxsize:
                 self._data.popitem(last=False)

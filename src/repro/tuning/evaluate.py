@@ -171,8 +171,8 @@ class Evaluator:
             run = lambda: engine.execute_trsm(small_plan, a, b,
                                               compiled=compiled)
 
-        compiled = (lower_plan(small_plan) if engine.backend.needs_lowering
-                    else None)
+        compiled = (lower_plan(small_plan, engine.templates)
+                    if engine.backend.needs_lowering else None)
         run()                            # warm: replay, then codegen
         run()
         best = float("inf")

@@ -11,9 +11,18 @@ profiler's ``fused`` per-kernel breakdown attributes) equals the
 pipeline over its raw span.
 A later call that reuses a template but leaves its buffer must still
 fail with that call's own error.
+
+Through an engine's store, templates are shared across plans as well:
+a plan lowered through a store other plans warmed must equal its fresh
+lowering in streams, waves, statistics (but the sharing count) and the
+bytes it leaves, raise the same errors, and stay so under concurrent
+lowering; the store is bounded.
 """
 
 import copy
+import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,11 +30,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from perfbench.grids import FULL, SMOKE
-from repro import IATF, KUNPENG_920
+from repro import IATF, KUNPENG_920, obs
 from repro.errors import LoweringError
 from repro.runtime.lowering import lower_plan, optimize_commands
+from repro.runtime.megakernel import ProgramMemo
 from repro.types import GemmProblem, TrsmProblem
 from tests.runtime.test_backends import _tampered
+from tests.runtime.test_waves import _bytes, _call, _operands
 
 FW = IATF(KUNPENG_920)
 
@@ -165,18 +176,239 @@ class TestLaterCallErrors:
         assert compiled.stats["templates"] == 1 < len(plan.calls) == 4
         return plan
 
-    def test_misaligned(self, plan):
+    @pytest.fixture
+    def store(self):
+        return None                     # a private store per lowering
+
+    def test_misaligned(self, plan, store):
         with pytest.raises(LoweringError, match=r"\[call 3\]: misaligned"):
-            lower_plan(_tampered(plan, call=3, a_off=3))
+            lower_plan(_tampered(plan, call=3, a_off=3), store)
 
     @pytest.mark.parametrize("a_off", [1 << 20, -512])
-    def test_out_of_bounds_same_key(self, plan, a_off):
+    def test_out_of_bounds_same_key(self, plan, store, a_off):
         with pytest.raises(LoweringError,
                            match=r"\[call 3\]: access .* group stride"):
-            lower_plan(_tampered(plan, call=3, a_off=a_off))
+            lower_plan(_tampered(plan, call=3, a_off=a_off), store)
 
-    def test_unknown_buffer(self, plan):
+    def test_unknown_buffer(self, plan, store):
         with pytest.raises(LoweringError,
                            match=r"\[call 3\]: plan addresses unknown "
                                  r"buffer 'bogus'"):
-            lower_plan(_tampered(plan, call=3, a_buf="bogus"))
+            lower_plan(_tampered(plan, call=3, a_buf="bogus"), store)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda p: _tampered(p, call=0, a_off=1 << 20),
+        lambda p: _tampered(p, call=0, a_off=-512),
+        lambda p: _with_stride(p, "packA", 1024 + 4),
+        lambda p: _without_buffer(p, "packA"),
+    ], ids=["beyond", "before", "stride-not-ew", "unknown"])
+    def test_first_call_errors_match_a_fresh_lowering(self, plan, store,
+                                                      tamper):
+        """Call 0 keeps its key, so a warmed store hands it the stored
+        template: the bounds and layout checks must still raise the
+        message a fresh lowering raises."""
+        bad = tamper(plan)
+        with pytest.raises(LoweringError) as fresh:
+            lower_plan(bad)
+        assert "[call 0]: " in str(fresh.value)
+        with pytest.raises(LoweringError) as got:
+            lower_plan(bad, store)
+        assert str(got.value) == str(fresh.value)
+
+
+class TestLaterCallErrorsWarmStore(TestLaterCallErrors):
+    """The same cases through a store the untampered plan warmed, so
+    call 0 (and with it call 3) starts from the stored template."""
+
+    @pytest.fixture
+    def store(self, plan):
+        store = ProgramMemo()
+        assert lower_plan(plan, store).stats["templates_shared"] == 0
+        assert lower_plan(plan, store).stats["templates_shared"] == 1
+        return store
+
+
+def _with_stride(plan, buf, stride_bytes):
+    plan = copy.copy(plan)
+    plan.buffers = dict(plan.buffers)
+    plan.buffers[buf] = dataclasses.replace(plan.buffers[buf],
+                                            group_stride_bytes=stride_bytes)
+    return plan
+
+
+def _without_buffer(plan, buf):
+    plan = copy.copy(plan)
+    plan.buffers = {k: v for k, v in plan.buffers.items() if k != buf}
+    return plan
+
+
+# -- templates shared across plans ---------------------------------------------
+
+def _trsm(m, n, dtype, mode, batch):
+    return TrsmProblem(m, n, dtype, *mode, batch=batch)
+
+
+SHARING = {
+    # lower-notrans and upper-trans solves pack to the same kernels
+    **{f"strsm{m}-LLNN-LUTN": ([_trsm(m, m, "s", "LLNN", 8),
+                               _trsm(m, m, "s", "LUTN", 8)], True)
+       for m in (4, 8, 13)},
+    # different kernels (column strides 512 vs 544 B): nothing to share
+    "ztrsm-16x16-17x33": ([_trsm(16, 16, "z", "LLNN", 4),
+                           _trsm(17, 33, "z", "LLNN", 4)], False),
+    "sgemm8-batch8-40": ([GemmProblem(8, 8, 8, "s", batch=8),
+                          GemmProblem(8, 8, 8, "s", batch=40)], True),
+}
+
+
+def _prepared(fw, problem):
+    if isinstance(problem, GemmProblem):
+        return fw.prepare_gemm(problem)[1]
+    return fw.prepare_trsm(problem)[1]
+
+
+def _assert_same_lowering(got, want):
+    assert _canon(got.commands) == _canon(want.commands)
+    assert _canon(got.fused_commands) == _canon(want.fused_commands)
+    assert (got.call_ranges, got.fused_ranges) == (want.call_ranges,
+                                                   want.fused_ranges)
+    assert got.buffers == want.buffers
+    assert ([(w.level, w.calls, w.lattice) for w in got.waves]
+            == [(w.level, w.calls, w.lattice) for w in want.waves])
+    assert ({k: v for k, v in got.stats.items() if k != "templates_shared"}
+            == {k: v for k, v in want.stats.items()
+                if k != "templates_shared"})
+    assert want.stats["templates_shared"] == 0
+
+
+@pytest.mark.parametrize("problems,shares", SHARING.values(),
+                         ids=SHARING.keys())
+def test_shared_store_lowers_what_a_fresh_store_lowers(problems, shares):
+    """Each plan lowered through one IATF's store equals its lowering
+    through a fresh IATF, and leaves the same bytes on every execute
+    (the first replays, the second runs generated code)."""
+    fw = IATF(KUNPENG_920)
+    for i, problem in enumerate(problems):
+        fresh = IATF(KUNPENG_920)
+        got = _prepared(fw, problem)
+        _assert_same_lowering(got, _prepared(fresh, problem))
+        if i:
+            assert got.stats["templates_shared"] == (
+                got.stats["templates"] if shares else 0)
+            assert ("shared)" in got.calls_summary()) is shares
+        for seed in range(2):
+            ops = _operands(problem, seed)
+            assert np.array_equal(_bytes(_call(fw, problem, ops)),
+                                  _bytes(_call(fresh, problem, ops))), seed
+
+
+def test_sharing_is_counted_and_reported():
+    """The counter, ``describe()`` and explain say a cold plan reused
+    an earlier plan's templates."""
+    fw = IATF(KUNPENG_920)
+    first, second = SHARING["strsm8-LLNN-LUTN"][0]
+    with obs.scoped() as reg:
+        fw.prepare_trsm(first)
+        assert reg.counters().get("lower.templates.shared", 0) == 0
+        compiled = fw.prepare_trsm(second)[1]
+        assert reg.counters()["lower.templates.shared"] == 2
+    assert "6 calls from 2 templates (2 shared) in 3 waves" in (
+        compiled.describe())
+    assert "(2 shared)" in fw.explain_trsm(second).render()
+
+
+def test_stride_residue_is_part_of_the_key():
+    """A plan that binds a stored template's buffer at a group stride
+    with another residue mod 16 B must not reuse its wide-copy
+    decisions; the store keeps both, and each equals a fresh lowering."""
+    plan = _plan(GemmProblem(8, 8, 8, "d", batch=4))
+    odd = _with_stride(plan, "C", plan.buffers["C"].group_stride_bytes + 8)
+    store = ProgramMemo()
+    lower_plan(plan, store)
+    got = lower_plan(odd, store)
+    assert got.stats["templates_shared"] == 0
+    _assert_same_lowering(got, lower_plan(odd))
+    assert _canon(got.fused_commands) != _canon(lower_plan(plan).fused_commands)
+    assert len(store) == 1 and store.generated == 2
+    for p in (plan, odd):
+        again = lower_plan(p, store)
+        assert again.stats["templates_shared"] == 1
+        _assert_same_lowering(again, lower_plan(p))
+
+
+def test_store_is_a_bounded_lru():
+    plan = _plan(_trsm(13, 13, "s", "LLNN", 8))
+    n = lower_plan(plan).stats["templates"]
+    assert n > 2
+    small = ProgramMemo(maxsize=2)
+    first = lower_plan(plan, small)
+    assert len(small) == 2 and small.evictions == n - 2
+    assert small.generated == n
+    again = lower_plan(plan, small)       # each key evicted before reuse
+    assert again.stats["templates_shared"] == 0
+    _assert_same_lowering(again, first)
+    roomy = ProgramMemo(maxsize=n)
+    lower_plan(plan, roomy)
+    assert lower_plan(plan, roomy).stats["templates_shared"] == n
+    assert roomy.evictions == 0
+
+
+def test_concurrent_lowering_through_one_iatf(monkeypatch):
+    """Threads (more than cores, switching often) lowering
+    template-sharing plans through one IATF, each in its own order, get
+    the plans serial lowering gives; the store counts every template
+    lowered and holds the keys serial lowering stores."""
+    from repro.runtime import lowering
+
+    problems = [p for ps, shares in SHARING.values() if shares for p in ps]
+    fw = IATF(KUNPENG_920)
+    lowered = [0]
+    lock = threading.Lock()
+    real = lowering.optimize_commands
+
+    def counted(*args):             # once per template lowered
+        with lock:
+            lowered[0] += 1
+        return real(*args)
+    monkeypatch.setattr(lowering, "optimize_commands", counted)
+    workers = 4
+    barrier = threading.Barrier(workers, timeout=30.0)
+    got: "list[list]" = [[] for _ in range(workers)]
+    errors = []
+
+    def order(i: int) -> list:
+        return problems[i:] + problems[:i]
+
+    def lower(i: int) -> None:
+        try:
+            barrier.wait()
+            for problem in order(i):
+                got[i].append(_prepared(fw, problem))
+        except Exception as exc:       # surfaced by the assert below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=lower, args=(i,))
+               for i in range(workers)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    store = fw.engine.templates
+    assert store.generated == lowered[0]
+    serial = dict(zip(problems, (_prepared(IATF(KUNPENG_920), p)
+                                 for p in problems)))
+    for i in range(workers):
+        assert len(got[i]) == len(problems)
+        for problem, compiled in zip(order(i), got[i]):
+            _assert_same_lowering(compiled, serial[problem])
+    one = IATF(KUNPENG_920)             # the keys serial sharing stores
+    for problem in problems:
+        _prepared(one, problem)
+    assert len(store) == len(one.engine.templates)

@@ -228,9 +228,9 @@ class TestThreadSafety:
         barrier = threading.Barrier(2, timeout=30.0)
         real_lower = iatf_mod.lower_plan
 
-        def lower_in_step(plan):
+        def lower_in_step(plan, templates):
             barrier.wait()                    # both threads are lowering
-            return real_lower(plan)
+            return real_lower(plan, templates)
 
         monkeypatch.setattr(iatf_mod, "lower_plan", lower_in_step)
         got = [None, None]
