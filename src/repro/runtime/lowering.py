@@ -46,8 +46,19 @@ too.  The raw stream is kept alongside (``commands`` vs
 ``fused_commands``): it carries the per-kernel ``call_ranges`` the
 attribution profiler's ``raw`` stream reports against.
 
-**Templates.**  Resolution, validation and the passes run once per
-distinct call binding: the program, each root's offset relative to the
+**Programs.**  Pointer folding, the register checks, DCE and FMLA
+fusion read a call's program and which root registers it binds, never
+its buffers or offsets.  They run once per (program, root-register set)
+as a *program pass* over symbolic ``(root register, byte offset)``
+operands, kept in the store's ``passes`` companion.  Binding a pass to
+a call resolves each operand to ``(buffer, first element)``, runs the
+layout, alignment and bounds checks (raising, in pc order, the first
+error lowering the call on its own would meet, the pass's register
+error included) and coalesces loads and stores, which needs the
+addresses.
+
+**Templates.**  A template is one distinct call binding, bound and
+coalesced: keyed by the program, each root's offset relative to the
 lowest root in its buffer, that lowest offset mod 16 B, and the group
 stride mod 16 B of each buffer the template addresses (the wide-copy
 pass reads it).  Templates live in the engine's store
@@ -62,6 +73,15 @@ plan lists its templates; ``commands`` and ``fused_commands`` are views
 that relocate them on first element access (memory commands move by the
 buffer's delta; the rest are shared), and ``len`` never relocates.
 
+**Blocks.**  A plan whose calls are one block of ``p`` calls repeated,
+each copy moved by one shift per buffer that is a multiple of 16 B (a
+TRSM column panel, a GEMM tile column), keeps every key across copies.
+Only the first block is keyed, bound and fitted; every later call takes
+its slot, delta and ranges by translation, and each slot's extents are
+checked over all copies at once (if a copy leaves a group stride, the
+calls are fitted one by one, so the first failing call raises its own
+error).
+
 **Waves.**  Each template's read and write footprint is a per-buffer
 list of element intervals within one group stride; a call's footprint
 is the template's, shifted by its delta.  A call's *level* is 1 + the
@@ -72,7 +92,9 @@ progression, or rows x cols for a GEMM tile grid).  Levels replay in
 order and calls of one level never conflict, so the ``fused`` backend
 can replay a wave's template once per pass over whole lattice rows,
 bound as one strided view per buffer (levels → waves → passes), and
-every element still sees its plan-order sequence of ufuncs.
+every element still sees its plan-order sequence of ufuncs.  Copies of
+a block that touch no element another copy writes have the first
+block's levels, so only the first block is levelled.
 
 Lowering is pure analysis: it never touches matrix data, so a
 ``CompiledPlan`` is cached alongside its plan in the
@@ -84,6 +106,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add, sub
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -276,7 +299,9 @@ class CompiledPlan:
         t = self.stats.get("templates", 0)
         shared = self.stats.get("templates_shared", 0)
         w = self.stats.get("waves", 0)
-        return (f"{self.stats.get('calls', 0)} calls from {t} "
+        block = self.stats.get("block")
+        return (f"{self.stats.get('calls', 0)} calls"
+                f"{f' ({block[0]} x {block[1]})' if block else ''} from {t} "
                 f"template{'s' * (t != 1)}"
                 f"{f' ({shared} shared)' if shared else ''} "
                 f"in {w} wave{'s' * (w != 1)}")
@@ -315,8 +340,9 @@ def lower_plan(plan: ExecutionPlan,
     """Lower a plan once; the result replays for every batch.
 
     ``templates`` is the store lowered call bindings are shared through
-    (an engine passes ``Engine.templates``, so its plans share them);
-    without one the plan gets a private store and shares nothing.
+    (an engine passes ``Engine.templates``, so its plans share them and
+    the per-program passes in its ``passes`` companion); without one the
+    plan gets a private store and shares nothing.
 
     Raises :class:`LoweringError` on anything the interpreter would only
     catch at run time (misalignment, out-of-group-bounds access,
@@ -333,6 +359,8 @@ def lower_plan(plan: ExecutionPlan,
     obs.count("lower.commands", compiled.num_commands)
     obs.count("lower.folded_addi", compiled.stats["folded_addi"])
     obs.count("lower.templates.shared", compiled.stats["templates_shared"])
+    obs.count("lower.programs.shared", compiled.stats["programs_shared"])
+    obs.count("lower.blocks.translated", compiled.stats["blocks_translated"])
     passes = compiled.stats["passes"]
     obs.count("lower.dce.removed", passes["dce_removed"])
     obs.count("lower.fuse.chains", passes["fuse_chains"])
@@ -369,20 +397,23 @@ def _lower(plan: ExecutionPlan, store: "ProgramMemo") -> CompiledPlan:
         """The call's per-buffer element deltas from ``tpl``.  Same key
         => same lattice, 16 B apart: only bounds can differ."""
         delta = {buf: (off - tpl.base[buf]) // isz for buf, off in base.items()}
-        if any(lo + delta[buf] < 0
-               or hi + delta[buf] > layouts[buf].stride_elems
-               for buf, (lo, hi) in tpl.extents.items()):
-            # raises this call's exact per-instruction error
-            _lower_call(prog, roots, ci, layout, lanes, ew)
+        for buf, (lo, hi) in tpl.extents.items():
+            d = delta[buf]
+            if lo + d < 0 or hi + d > layouts[buf].stride_elems:
+                # raises this call's exact per-instruction error
+                _check(_program_pass_for(store, prog, roots, lanes, ew)[0],
+                       prog, roots, ci, layout, ew)
         return delta
 
     slots: "dict[tuple, _Slot]" = {}
     calls: "list[tuple[_Slot, dict[str, int]]]" = []
     call_ranges: "list[tuple[str, int, int]]" = []
     fused_ranges: "list[tuple[int, int]]" = []
-    raw_len = opt_len = shared = 0
+    raw_len = opt_len = shared = programs_shared = 0
 
-    for ci, call in enumerate(plan.calls):
+    def bind(ci: int, call: KernelCall) -> None:
+        """Key, bind and fit one call."""
+        nonlocal raw_len, opt_len, shared, programs_shared
         prog = call.program
         if prog.ew != ew or prog.lanes != lanes:
             raise LoweringError(
@@ -391,19 +422,22 @@ def _lower(plan: ExecutionPlan, store: "ProgramMemo") -> CompiledPlan:
         roots = _root_pointers(call)
         base: "dict[str, int]" = {}
         for buf, off in roots.values():
-            base[buf] = min(base.get(buf, off), off)
-        key = (id(prog), tuple((r, buf, off - base[buf])
-                               for r, (buf, off) in roots.items()),
-               tuple((buf, off % 16) for buf, off in base.items()))
+            low = base.get(buf)
+            if low is None or off < low:
+                base[buf] = off
+        key = (id(prog), tuple([(r, buf, off - base[buf])
+                                for r, (buf, off) in roots.items()]),
+               tuple([(buf, off % 16) for buf, off in base.items()]))
         slot = slots.get(key)
         if slot is not None:
             delta = fit(slot.tpl, base, prog, roots, ci)
         else:
-            tpl, stored = _template(store, key, prog, roots, base, ci,
-                                    layout, lanes, ew)
+            tpl, stored, memoized = _template(store, key, prog, roots, base,
+                                              ci, layout, lanes, ew)
             delta = (fit(tpl, base, prog, roots, ci) if stored
                      else dict.fromkeys(base, 0))
             shared += stored
+            programs_shared += memoized
             slot = slots[key] = _Slot(tpl, len(slots))
         tpl = slot.tpl
         slot.uses += 1
@@ -412,6 +446,27 @@ def _lower(plan: ExecutionPlan, store: "ProgramMemo") -> CompiledPlan:
         fused_ranges.append((opt_len, opt_len + len(tpl.opt)))
         raw_len += len(tpl.raw)
         opt_len += len(tpl.opt)
+
+    n = len(plan.calls)
+    block = _repeat(plan.calls)
+    p = n if block is None else block[0]
+    for ci in range(p):
+        bind(ci, plan.calls[ci])
+    copies = n // p
+    if copies > 1:
+        step = {buf: s // isz for buf, s in block[1].items()}
+        if _copies_fit(calls, step, copies - 1, layouts):
+            _translate(calls, call_ranges, fused_ranges, step, copies,
+                       raw_len, opt_len)
+            for slot in slots.values():
+                slot.uses *= copies
+            raw_len *= copies
+            opt_len *= copies
+        else:
+            # call by call: the first call that leaves its buffer raises
+            for ci in range(p, n):
+                bind(ci, plan.calls[ci])
+            p, copies = n, 1
 
     counts = dict.fromkeys(("instructions", "mem_commands", "folded_addi",
                             "dropped"), 0)
@@ -422,47 +477,141 @@ def _lower(plan: ExecutionPlan, store: "ProgramMemo") -> CompiledPlan:
         for k, v in slot.tpl.passes.items():
             passes[k] = (max(passes.get(k, 0), v) if k in _PEAK_PASSES
                          else passes.get(k, 0) + slot.uses * v)
-    waves = _build_waves(calls, layouts)
+    waves = _build_waves(calls, layouts,
+                         (p, step) if copies > 1 else None)
     return CompiledPlan(
         kind=plan.kind, groups=plan.groups, lanes=lanes, ew=ew,
         buffers=layouts,
         commands=_Relocated(calls, ew, False, raw_len),
         fused_commands=_Relocated(calls, ew, True, opt_len),
         call_ranges=call_ranges, fused_ranges=fused_ranges,
-        stats={"calls": len(plan.calls),
+        stats={"calls": n,
                "instructions": counts["instructions"],
                "mem_commands": counts["mem_commands"],
                "fp_commands": raw_len - counts["mem_commands"],
                "folded_addi": counts["folded_addi"],
                "dropped": counts["dropped"],
                "passes": passes, "templates": len(slots),
-               "templates_shared": shared, "waves": len(waves)},
+               "templates_shared": shared, "waves": len(waves),
+               "programs_shared": programs_shared,
+               "blocks_translated": n - p,
+               "block": (copies, p) if copies > 1 else None},
         templates=[slot.tpl for slot in slots.values()], waves=waves)
+
+
+def _repeat(calls: "Sequence[KernelCall]"
+            ) -> "tuple[int, dict[str, int]] | None":
+    """``(p, shift)`` when ``calls`` are one block of their first ``p``
+    calls repeated, copy ``k`` moved ``k * shift[buffer]`` bytes in
+    every buffer it addresses, with each shift a multiple of 16 B (so a
+    copy's calls keep their keys); else None.  Periods dividing the
+    call count are tried shortest first, each dropped at its first
+    mismatch."""
+    n = len(calls)
+    first = calls[0]
+    for p in range(1, n // 2 + 1):
+        if n % p or calls[p].program is not first.program:
+            continue
+        shift: "dict[str, int]" = {}
+        if (_moved(first, calls[p], shift)
+                and not any(s % 16 for s in shift.values())
+                and all(_moved(calls[i - p], calls[i], shift)
+                        for i in range(p + 1, n))):
+            return p, shift
+    return None
+
+
+def _moved(a: KernelCall, b: KernelCall, shift: "dict[str, int]") -> bool:
+    """Whether ``b`` is ``a`` with every root moved by its buffer's
+    shift (a buffer not in ``shift`` yet takes this call's)."""
+    if (b.program is not a.program or b.a_buf != a.a_buf
+            or b.b_buf != a.b_buf or b.c_buf != a.c_buf
+            or b.x_buf != a.x_buf):
+        return False
+    take = shift.setdefault
+    d = b.a_off - a.a_off
+    if take(a.a_buf, d) != d:
+        return False
+    d = b.b_off - a.b_off
+    if take(a.b_buf, d) != d:
+        return False
+    if a.c_offsets:
+        d = take(a.c_buf, b.c_offsets[0] - a.c_offsets[0])
+        if b.c_offsets != tuple(map(d.__add__, a.c_offsets)):
+            return False
+    elif b.c_offsets:
+        return False
+    if a.x_buf is not None:
+        d = b.x_off - a.x_off
+        if take(a.x_buf, d) != d:
+            return False
+    return True
+
+
+def _copies_fit(head: "list[tuple[_Slot, dict[str, int]]]",
+                step: "dict[str, int]", last: int,
+                layouts: "dict[str, BufferLayout]") -> bool:
+    """Whether every call of the block ``head``, moved ``last`` steps
+    on, stays inside its buffers' group strides.  The block itself was
+    fitted call by call, and the copies between lie between the two, so
+    this checks every slot's extents over all copies at once."""
+    for slot, delta in head:
+        for buf, (lo, hi) in slot.tpl.extents.items():
+            d = delta[buf] + last * step[buf]
+            if lo + d < 0 or hi + d > layouts[buf].stride_elems:
+                return False
+    return True
+
+
+def _translate(calls: "list[tuple[_Slot, dict[str, int]]]",
+               call_ranges: "list[tuple[str, int, int]]",
+               fused_ranges: "list[tuple[int, int]]",
+               step: "dict[str, int]", copies: int, raw_len: int,
+               opt_len: int) -> None:
+    """Append copies ``1 .. copies - 1`` of the bound block: each call
+    keeps its slot, its deltas move ``k * step`` and its ranges ``k``
+    block lengths."""
+    head = list(zip(calls, call_ranges, fused_ranges))
+    for k in range(1, copies):
+        move = {buf: k * s for buf, s in step.items()}
+        ro, oo = k * raw_len, k * opt_len
+        for (slot, delta), (name, s, e), (fs, fe) in head:
+            calls.append((slot, {buf: d + move[buf]
+                                 for buf, d in delta.items()}))
+            call_ranges.append((name, s + ro, e + ro))
+            fused_ranges.append((fs + oo, fe + oo))
 
 
 def _template(store: "ProgramMemo", key: tuple, prog,
               roots: "dict[int, tuple[str, int]]", base: "dict[str, int]",
               ci: int, layout, lanes: int, ew: int
-              ) -> "tuple[_Template, bool]":
-    """The template ``store`` holds for the call's key and its buffers'
-    group strides mod 16 B, and True; else the call lowered, optimized
-    and stored, and False.  A store entry is ``(program, buffers the
-    template addresses, {their strides mod 16 B: template})``; holding
-    the program keeps its id unique while the entry lives."""
+              ) -> "tuple[_Template, bool, bool]":
+    """``(template, stored, memoized)``: the template ``store`` holds
+    for the call's key and its buffers' group strides mod 16 B (stored
+    True); else the call bound from its program pass (memoized True
+    when ``store.passes`` already held it), coalesced and stored.  A
+    store entry is ``(program, buffers the template addresses, {their
+    strides mod 16 B: template})``; holding the program keeps its id
+    unique while the entry lives."""
     entry = store.get(key)
     if entry is not None:
         try:            # the layouts a fresh lowering validates
             sig = tuple(layout(buf).stride_bytes % 16 for buf in entry[1])
         except LoweringError:
             # raises this call's exact per-instruction error
-            _lower_call(prog, roots, ci, layout, lanes, ew)
+            _check(_program_pass_for(store, prog, roots, lanes, ew)[0],
+                   prog, roots, ci, layout, ew)
         tpl = entry[2].get(sig)
         if tpl is not None:
-            return tpl, True
-    raw, counts, lays = _lower_call(prog, roots, ci, layout, lanes, ew)
+            return tpl, True, False
+    pp, memoized = _program_pass_for(store, prog, roots, lanes, ew)
+    lays = _check(pp, prog, roots, ci, layout, ew)
+    raw, fused = _resolve(pp, roots, ew)
     strides = {buf: lay.stride_bytes for buf, lay in lays.items()}
-    opt, passes = optimize_commands(raw, lanes, ew, strides)
-    tpl = _Template(prog.name, ew, raw, opt, base, counts, passes,
+    opt, coal = _coalesce_mem(fused, ew, strides)
+    tpl = _Template(prog.name, ew, raw, opt, base, pp.counts,
+                    _pass_stats(len(raw), opt, pp.dce_removed, pp.fuse,
+                                coal),
                     tuple(lays))
     sig = tuple(s % 16 for s in strides.values())
     with store.lock:
@@ -472,7 +621,7 @@ def _template(store: "ProgramMemo", key: tuple, prog,
         else:
             entry[2].setdefault(sig, tpl)
         store.generated += 1
-    return tpl, False
+    return tpl, False, memoized
 
 
 _PEAK_PASSES = ("fuse_max_chain", "max_stack")
@@ -615,23 +764,29 @@ def _lattice(deltas: "tuple[tuple[int, ...], ...]"
     d0 = deltas[0]
     if n == 1:
         return 1, 1
-    col = tuple(y - x for x, y in zip(d0, deltas[1]))
-    cols = next((i for i in range(2, n)
-                 if tuple(y - x for x, y in zip(deltas[i - 1], deltas[i]))
-                 != col), n)
+    col = tuple(map(sub, deltas[1], d0))
+    cols, at = 2, tuple(map(add, deltas[1], col))
+    while cols < n and deltas[cols] == at:
+        cols += 1
+        at = tuple(map(add, at, col))
     if n % cols:
         return None
-    row = tuple(y - x for x, y in zip(d0, deltas[cols] if cols < n else d0))
-    for i, d in enumerate(deltas):
-        r, c = divmod(i, cols)
-        if any(x != b + r * rs + c * cs
-               for x, b, rs, cs in zip(d, d0, row, col)):
-            return None
+    row = tuple(map(sub, deltas[cols], d0)) if cols < n else col
+    start = d0
+    for r in range(0, n, cols):
+        at = start
+        for d in deltas[r:r + cols]:
+            if d != at:
+                return None
+            at = tuple(map(add, at, col))
+        start = tuple(map(add, start, row))
     return n // cols, cols
 
 
 def _build_waves(calls: "list[tuple[_Slot, dict[str, int]]]",
-                 layouts: "dict[str, BufferLayout]") -> "list[Wave]":
+                 layouts: "dict[str, BufferLayout]",
+                 block: "tuple[int, dict[str, int]] | None" = None
+                 ) -> "list[Wave]":
     """Group a plan's calls into waves, in replay order.
 
     A call's *level* is 1 + the highest level of any earlier call it
@@ -643,15 +798,44 @@ def _build_waves(calls: "list[tuple[_Slot, dict[str, int]]]",
     (level, template), in call order; waves replay level by level.  A
     level is an antichain of the conflict order, so the reordering is
     exact: every element sees its accesses in plan order.
+
+    ``block = (p, step)`` says the calls are their first ``p`` repeated,
+    copy ``k`` moved ``k * step[buffer]`` elements.  When no copy writes
+    an element another copy accesses — per written buffer, the block's
+    write union never meets its access union moved by a nonzero multiple
+    of the step (fewer than the copies) — a copy's conflicts all lie in
+    the copy, so every copy has the first's levels: only the first is
+    levelled, and each of its waves takes its calls from every copy.
+    Otherwise every call is levelled.
     """
     def wave(level: int, slot: _Slot, members: "list[int]") -> Wave:
         bufs = tuple(slot.tpl.base)
-        deltas = tuple(tuple(calls[ci][1][b] for b in bufs) for ci in members)
+        deltas = tuple([tuple(map(calls[ci][1].__getitem__, bufs))
+                        for ci in members])
         return Wave(level, slot.index, tuple(members), bufs, deltas,
                     _lattice(deltas))
 
+    n = len(calls)
+    p = n
+    if block is not None and _copies_disjoint(calls[:block[0]], block[1],
+                                              n // block[0]):
+        p = block[0]
+    buckets = _levels(calls[:p], layouts)
+    if p < n:
+        buckets = {key: [i + k for k in range(0, n, p) for i in members]
+                   for key, members in buckets.items()}
+    order = sorted(buckets.items(), key=lambda kv: (kv[0][0], kv[1][0]))
+    return [wave(level, calls[members[0]][0], members)
+            for (level, _), members in order]
+
+
+def _levels(calls: "list[tuple[_Slot, dict[str, int]]]",
+            layouts: "dict[str, BufferLayout]"
+            ) -> "dict[tuple[int, int], list[int]]":
+    """``(level, template index) -> calls``, levelled in call order (see
+    :func:`_build_waves`)."""
     if len(calls) == 1:
-        return [wave(1, calls[0][0], [0])]
+        return {(1, calls[0][0].index): [0]}
     written = {buf for slot, _ in calls
                for buf, (_, w) in slot.tpl.footprint.items() if w}
     seen = {buf: [0] * layouts[buf].stride_elems for buf in written}
@@ -684,9 +868,54 @@ def _build_waves(calls: "list[tuple[_Slot, dict[str, int]]]",
                 lv[s + d:e + d] = [x if x > level else level
                                    for x in lv[s + d:e + d]]
         buckets.setdefault((level, slot.index), []).append(ci)
-    order = sorted(buckets.items(), key=lambda kv: (kv[0][0], kv[1][0]))
-    return [wave(level, calls[members[0]][0], members)
-            for (level, _), members in order]
+    return buckets
+
+
+def _copies_disjoint(head: "list[tuple[_Slot, dict[str, int]]]",
+                     step: "dict[str, int]", copies: int) -> bool:
+    """Whether no copy of the block ``head`` writes an element another
+    of the ``copies`` accesses (see :func:`_build_waves`)."""
+    acc: "dict[str, tuple[list, list]]" = {}
+    for slot, delta in head:
+        for buf, (reads, writes) in slot.tpl.footprint.items():
+            d = delta[buf]
+            r, w = acc.setdefault(buf, ([], []))
+            r.extend((s + d, e + d) for s, e in reads)
+            w.extend((s + d, e + d) for s, e in writes)
+    for buf, (reads, writes) in acc.items():
+        if not writes:
+            continue
+        st = step[buf]
+        if not st:
+            return False
+        writes = _merge(writes)
+        every = _merge(reads + writes)
+        reach = max(writes[-1][1], every[-1][1]) - min(writes[0][0],
+                                                       every[0][0])
+        for m in range(1, copies):
+            move = m * st
+            if abs(move) >= reach:
+                break
+            if _meets(writes, every, move) or _meets(every, writes, move):
+                return False
+    return True
+
+
+def _meets(xs: "list[tuple[int, int]]", ys: "list[tuple[int, int]]",
+           move: int) -> bool:
+    """Whether ``xs`` moved by ``move`` meets ``ys`` (both sorted and
+    merged)."""
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        s, e = xs[i]
+        ys0, ye = ys[j]
+        if e + move <= ys0:
+            i += 1
+        elif ye <= s + move:
+            j += 1
+        else:
+            return True
+    return False
 
 
 # tuple index of the buffer name in each memory command (first follows)
@@ -772,131 +1001,252 @@ def _relocate(stream: "list[tuple]", sites: "dict[str, list[tuple]]",
 
 _BINARY = {Op.FMLA: K_FMLA, Op.FMLS: K_FMLS, Op.FMUL: K_FMUL,
            Op.FADD: K_FADD, Op.FSUB: K_FSUB, Op.FDIV: K_FDIV}
+# keyed by member identity: an Enum member hashes in Python code, which
+# the program pass would pay once per instruction
+_BINARY_BY_ID = {id(op): kind for op, kind in _BINARY.items()}
 
 
-def _lower_call(prog, roots: "dict[int, tuple[str, int]]", ci: int,
-                layout, lanes: int, ew: int
-                ) -> "tuple[list[tuple], dict, dict[str, BufferLayout]]":
-    """Lower one call at its own root offsets: fold pointers, resolve and
-    validate every operand.  Returns the raw stream, its counts and the
-    layouts of the buffers it addresses, in first-access order."""
-    xstate = dict(roots)
-    lays: "dict[str, BufferLayout]" = {}
+@dataclass
+class _ProgramPass:
+    """One program lowered for one set of bound root registers, before
+    any binding: ADDI chains folded and every memory operand left as a
+    symbolic ``(root register, byte offset)`` in the command's
+    ``(buffer, first element)`` fields, the register checks run, and DCE
+    and FMLA fusion (which read register ids only) applied.  Every call
+    binding of the program at those registers shares it."""
+
+    program: object              # held so its id stays unique
+    raw: "list[tuple]"            # the raw stream, memory operands symbolic
+    mem: "list[tuple]"            # (pc, raw index, root, byte offset,
+    #                               elements) per memory operand, pc order
+    opt: list                     # DCE'd, fused stream: a raw index for
+    #                               each memory command, else the command
+    spans: "dict[int, tuple[int, int, int]]"
+    """Root -> (lowest byte offset, highest end byte, the offsets'
+    common residue mod the element width or -1), first access first."""
+    counts: dict                  # instructions / mem / folded / dropped
+    dce_removed: int
+    fuse: dict                    # _fuse_fmla_chains statistics
+    error: "tuple[int, str] | None"   # first register error: (pc, message)
+
+
+class _RegisterError(Exception):
+    """A program pass's first register error, as ``(pc, message)``."""
+
+
+def _program_pass_for(store: "ProgramMemo", prog,
+                      roots: "dict[int, tuple[str, int]]", lanes: int,
+                      ew: int) -> "tuple[_ProgramPass, bool]":
+    """The program pass ``store.passes`` holds for the program and the
+    call's root registers, and True; else one made and memoized, and
+    False."""
+    memo = store.passes
+    key = (id(prog), frozenset(roots))
+    pp = memo.get(key)
+    if pp is not None:
+        return pp, True
+    pp = _program_pass(prog, key[1], lanes, ew)
+    with memo.lock:
+        if memo.get(key) is None:
+            memo.put(key, pp)
+        memo.generated += 1
+    return pp, False
+
+
+def _program_pass(prog, regs: "frozenset[int]", lanes: int,
+                  ew: int) -> _ProgramPass:
+    """Fold, check and optimize ``prog`` over symbolic operands, with
+    ``regs`` the root registers a binding sets.  The pass stops at its
+    first register error (a scalar or vector register read before
+    write); a binding raises it unless an address error comes first."""
+    xstate = {r: (r, 0) for r in regs}
     written: set[int] = set()
-    commands: list[tuple] = []
+    raw: list[tuple] = []
+    mem: list[tuple] = []
     folded = dropped = 0
+
+    def resolve(pc: int, n_elems: int) -> "tuple[int, int]":
+        ins = prog.instrs[pc]
+        sym = xstate.get(ins.base)
+        if sym is None:
+            raise _RegisterError(pc, f"scalar register x{ins.base} read "
+                                     f"before write")
+        root, off = sym[0], sym[1] + ins.offset
+        mem.append((pc, len(raw), root, off, n_elems))
+        return root, off
+
+    def read_vregs(pc: int, vreg_ids: "tuple[int, ...]") -> None:
+        for r in vreg_ids:
+            if r not in written:
+                raise _RegisterError(pc, f"vector register v{r} read "
+                                         f"before write")
+
+    error = None
+    try:
+        for pc, ins in enumerate(prog.instrs):
+            op = ins.op
+            kind = _BINARY_BY_ID.get(id(op))
+            if kind is not None:
+                (a, b), d = ins.srcs, ins.dst[0]
+                if not (a in written and b in written
+                        and (kind > K_FMLS or d in written)):
+                    read_vregs(pc, ins.reads)   # FMLA/FMLS: dst is read too
+                raw.append((kind, d, a, b))
+                written.add(d)
+            elif op is Op.ADDI:
+                sym = xstate.get(ins.xsrc)
+                if sym is None:
+                    raise _RegisterError(pc, f"scalar register x{ins.xsrc} "
+                                             f"read before write")
+                xstate[ins.xdst] = (sym[0], sym[1] + ins.ximm)
+                folded += 1
+            elif op in (Op.PRFM, Op.NOP):
+                dropped += 1
+            elif op is Op.LDRV:
+                n = ins.nlanes if ins.nlanes is not None else lanes
+                root, off = resolve(pc, n)
+                raw.append(((K_LOAD_PART if n < lanes else K_LOAD),
+                            ins.dst[0], root, off, n))
+                written.add(ins.dst[0])
+            elif op is Op.LDPV:
+                root, off = resolve(pc, 2 * lanes)
+                raw.append((K_LOADPAIR, ins.dst[0], ins.dst[1], root, off,
+                            lanes))
+                written.update(ins.dst)
+            elif op is Op.LD1R:
+                root, off = resolve(pc, 1)
+                raw.append((K_LOAD1R, ins.dst[0], root, off))
+                written.add(ins.dst[0])
+            elif op is Op.LD2V:
+                n = ins.nlanes if ins.nlanes is not None else lanes
+                root, off = resolve(pc, 2 * n)
+                raw.append((K_LOAD2, ins.dst[0], ins.dst[1], root, off, n))
+                written.update(ins.dst)
+            elif op is Op.ST2V:
+                n = ins.nlanes if ins.nlanes is not None else lanes
+                read_vregs(pc, ins.srcs)
+                root, off = resolve(pc, 2 * n)
+                raw.append((K_STORE2, ins.srcs[0], ins.srcs[1], root, off,
+                            n))
+            elif op is Op.STRV:
+                n = ins.nlanes if ins.nlanes is not None else lanes
+                read_vregs(pc, ins.srcs)
+                root, off = resolve(pc, n)
+                raw.append((K_STORE, ins.srcs[0], root, off, n))
+            elif op is Op.STPV:
+                read_vregs(pc, ins.srcs)
+                root, off = resolve(pc, 2 * lanes)
+                raw.append((K_STOREPAIR, ins.srcs[0], ins.srcs[1], root,
+                            off, lanes))
+            elif op is Op.FMAI:
+                read_vregs(pc, ins.reads)
+                raw.append((K_FMAI, ins.dst[0], ins.srcs[0],
+                            _imm(ins.imm, ew)))
+            elif op is Op.FMULI:
+                read_vregs(pc, ins.reads)
+                raw.append((K_FMULI, ins.dst[0], ins.srcs[0],
+                            _imm(ins.imm, ew)))
+                written.add(ins.dst[0])
+            elif op is Op.VZERO:
+                raw.append((K_VZERO, ins.dst[0]))
+                written.add(ins.dst[0])
+            elif op is Op.VMOV:
+                read_vregs(pc, ins.srcs)
+                raw.append((K_VMOV, ins.dst[0], ins.srcs[0]))
+                written.add(ins.dst[0])
+            elif op is Op.FIMM:
+                raw.append((K_FIMM, ins.dst[0], _imm(ins.imm, ew)))
+                written.add(ins.dst[0])
+            else:  # pragma: no cover - exhaustive over the ISA
+                raise _RegisterError(pc, f"unimplemented opcode {op}")
+    except _RegisterError as exc:
+        error = exc.args
+
+    spans: "dict[int, list[int]]" = {}
+    for _, _, root, off, n in mem:
+        end = off + n * ew
+        sp = spans.get(root)
+        if sp is None:
+            spans[root] = [off, end, off % ew]
+        else:
+            sp[0], sp[1] = min(sp[0], off), max(sp[1], end)
+            if sp[2] != off % ew:
+                sp[2] = -1
+    counts = {"instructions": len(prog.instrs), "mem_commands": len(mem),
+              "folded_addi": folded, "dropped": dropped}
+    opt: list = []
+    dce_removed, fuse = 0, {}
+    if error is None:
+        cmds, dce_removed = _dce(raw)
+        cmds, fuse = _fuse_fmla_chains(cmds)
+        at = {id(raw[i]): i for _, i, _, _, _ in mem}
+        opt = [at.get(id(cmd), cmd) for cmd in cmds]
+    return _ProgramPass(prog, raw, mem, opt,
+                        {r: tuple(sp) for r, sp in spans.items()}, counts,
+                        dce_removed, fuse, error)
+
+
+def _check(pp: _ProgramPass, prog, roots: "dict[int, tuple[str, int]]",
+           ci: int, layout, ew: int) -> "dict[str, BufferLayout]":
+    """Validate one binding of a program pass: each operand's buffer
+    layout, alignment and bounds.  Returns the layouts of the buffers it
+    addresses, in first-access order; raises the first error a pc-order
+    walk meets, the pass's register error included.  Per root, the
+    operands' byte hull and common residue decide a valid binding at
+    once; anything else walks the operands."""
+    if pp.error is None:
+        lays: "dict[str, BufferLayout]" = {}
+        for root, (lo, hi, rem) in pp.spans.items():
+            buf, off = roots[root]
+            try:
+                lay = layout(buf)
+            except LoweringError:
+                break
+            if (rem < 0 or (off + rem) % ew or off + lo < 0
+                    or off + hi > lay.stride_bytes):
+                break
+            lays[buf] = lay
+        else:
+            return lays
 
     def err(pc: int, msg: str) -> LoweringError:
         ins = prog.instrs[pc]
         return LoweringError(
             f"{prog.name} @pc={pc} ({ins.asm()}) [call {ci}]: {msg}")
 
-    def resolve(pc: int, n_elems: int) -> "tuple[str, int]":
-        """Fold the memory operand to (buffer, first element) and
-        run the one-time alignment/bounds validation."""
-        ins = prog.instrs[pc]
-        root = xstate.get(ins.base)
-        if root is None:
-            raise err(pc, f"scalar register x{ins.base} read before write")
-        buf, off = root
+    lays = {}
+    for pc, _, root, off, n in pp.mem:
+        buf, base = roots[root]
         try:
             lay = lays[buf] = layout(buf)
         except LoweringError as exc:
             raise err(pc, str(exc)) from None
-        byte = off + ins.offset
+        byte = base + off
         if byte % ew:
             raise err(pc, f"misaligned access into {buf!r} (offset "
                           f"{byte} not a multiple of {ew})")
         first = byte // ew
-        if first < 0 or first + n_elems > lay.stride_elems:
-            raise err(pc, f"access [{first}, {first + n_elems}) of "
-                          f"{buf!r} leaves the group stride "
-                          f"({lay.stride_elems} elements)")
-        return buf, first
+        if first < 0 or first + n > lay.stride_elems:
+            raise err(pc, f"access [{first}, {first + n}) of {buf!r} "
+                          f"leaves the group stride ({lay.stride_elems} "
+                          f"elements)")
+    if pp.error is not None:
+        raise err(*pp.error)
+    return lays
 
-    def read_vregs(pc: int, vreg_ids: "tuple[int, ...]") -> None:
-        for r in vreg_ids:
-            if r not in written:
-                raise err(pc, f"vector register v{r} read before write")
 
-    for pc, ins in enumerate(prog.instrs):
-        op = ins.op
-        if op is Op.ADDI:
-            root = xstate.get(ins.xsrc)
-            if root is None:
-                raise err(pc, f"scalar register x{ins.xsrc} read "
-                              f"before write")
-            xstate[ins.xdst] = (root[0], root[1] + ins.ximm)
-            folded += 1
-        elif op in (Op.PRFM, Op.NOP):
-            dropped += 1
-        elif op is Op.LDRV:
-            n = ins.nlanes if ins.nlanes is not None else lanes
-            buf, first = resolve(pc, n)
-            commands.append(((K_LOAD_PART if n < lanes else K_LOAD),
-                             ins.dst[0], buf, first, n))
-            written.add(ins.dst[0])
-        elif op is Op.LDPV:
-            buf, first = resolve(pc, 2 * lanes)
-            commands.append((K_LOADPAIR, ins.dst[0], ins.dst[1], buf,
-                             first, lanes))
-            written.update(ins.dst)
-        elif op is Op.LD1R:
-            buf, first = resolve(pc, 1)
-            commands.append((K_LOAD1R, ins.dst[0], buf, first))
-            written.add(ins.dst[0])
-        elif op is Op.LD2V:
-            n = ins.nlanes if ins.nlanes is not None else lanes
-            buf, first = resolve(pc, 2 * n)
-            commands.append((K_LOAD2, ins.dst[0], ins.dst[1], buf,
-                             first, n))
-            written.update(ins.dst)
-        elif op is Op.ST2V:
-            n = ins.nlanes if ins.nlanes is not None else lanes
-            read_vregs(pc, ins.srcs)
-            buf, first = resolve(pc, 2 * n)
-            commands.append((K_STORE2, ins.srcs[0], ins.srcs[1], buf,
-                             first, n))
-        elif op is Op.STRV:
-            n = ins.nlanes if ins.nlanes is not None else lanes
-            read_vregs(pc, ins.srcs)
-            buf, first = resolve(pc, n)
-            commands.append((K_STORE, ins.srcs[0], buf, first, n))
-        elif op is Op.STPV:
-            read_vregs(pc, ins.srcs)
-            buf, first = resolve(pc, 2 * lanes)
-            commands.append((K_STOREPAIR, ins.srcs[0], ins.srcs[1], buf,
-                             first, lanes))
-        elif op in _BINARY:
-            read_vregs(pc, ins.reads)     # FMLA/FMLS: dst is read too
-            commands.append((_BINARY[op], ins.dst[0], ins.srcs[0],
-                             ins.srcs[1]))
-            written.add(ins.dst[0])
-        elif op is Op.FMAI:
-            read_vregs(pc, ins.reads)
-            commands.append((K_FMAI, ins.dst[0], ins.srcs[0],
-                             _imm(ins.imm, ew)))
-        elif op is Op.FMULI:
-            read_vregs(pc, ins.reads)
-            commands.append((K_FMULI, ins.dst[0], ins.srcs[0],
-                             _imm(ins.imm, ew)))
-            written.add(ins.dst[0])
-        elif op is Op.VZERO:
-            commands.append((K_VZERO, ins.dst[0]))
-            written.add(ins.dst[0])
-        elif op is Op.VMOV:
-            read_vregs(pc, ins.srcs)
-            commands.append((K_VMOV, ins.dst[0], ins.srcs[0]))
-            written.add(ins.dst[0])
-        elif op is Op.FIMM:
-            commands.append((K_FIMM, ins.dst[0], _imm(ins.imm, ew)))
-            written.add(ins.dst[0])
-        else:  # pragma: no cover - exhaustive over the ISA
-            raise err(pc, f"unimplemented opcode {op}")
-
-    mem = sum(1 for c in commands if c[0] in _MEM_KINDS)
-    return commands, {"instructions": len(prog.instrs), "mem_commands": mem,
-                      "folded_addi": folded, "dropped": dropped}, lays
+def _resolve(pp: _ProgramPass, roots: "dict[int, tuple[str, int]]",
+             ew: int) -> "tuple[list[tuple], list[tuple]]":
+    """A checked binding's raw stream and its DCE'd, fused (not yet
+    coalesced) stream: each symbolic operand becomes ``(buffer, first
+    element)``; every other command is the pass's own."""
+    raw = pp.raw.copy()
+    for _, i, root, off, _ in pp.mem:
+        buf, base = roots[root]
+        cmd = raw[i]
+        b = _BUF_AT[cmd[0]]
+        raw[i] = (*cmd[:b], buf, (base + off) // ew, *cmd[b + 2:])
+    return raw, [raw[x] if x.__class__ is int else x for x in pp.opt]
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +1260,8 @@ def _rw(cmd: tuple) -> "tuple[tuple, tuple]":
     can never treat the accumulated-into value as dead.
     """
     k = cmd[0]
+    if k == K_FMLA or k == K_FMLS:
+        return (cmd[1], cmd[2], cmd[3]), (cmd[1],)
     if k in (K_LOAD, K_LOAD_PART, K_LOAD1R):
         return (), (cmd[1],)
     if k in (K_LOADPAIR, K_LOAD2):
@@ -918,8 +1270,6 @@ def _rw(cmd: tuple) -> "tuple[tuple, tuple]":
         return (cmd[1],), ()
     if k in (K_STOREPAIR, K_STORE2):
         return (cmd[1], cmd[2]), ()
-    if k in (K_FMLA, K_FMLS):
-        return (cmd[1], cmd[2], cmd[3]), (cmd[1],)
     if k == K_FMAI:
         return (cmd[1], cmd[2]), (cmd[1],)
     if k in (K_FMUL, K_FADD, K_FSUB, K_FDIV):
@@ -941,7 +1291,7 @@ def _dce(commands: "list[tuple]") -> "tuple[list[tuple], int]":
     removed = 0
     for cmd in reversed(commands):
         reads, writes = _rw(cmd)
-        if writes and not (live & set(writes)):
+        if writes and live.isdisjoint(writes):
             removed += 1
             continue
         live.difference_update(writes)
@@ -1052,8 +1402,8 @@ def _fuse_fmla_chains(commands: "list[tuple]") -> "tuple[list[tuple], dict]":
             continue
         if members:
             reads, writes = _rw(cmd)
-            ws = set(writes)
-            if (accs & ws) or (srcs & ws) or (accs & set(reads)):
+            if not (accs.isdisjoint(writes) and srcs.isdisjoint(writes)
+                    and accs.isdisjoint(reads)):
                 seal()
         out.append(cmd)
     seal()
@@ -1076,82 +1426,63 @@ def _coalesce_mem(commands: "list[tuple]", ew: int,
     float copy on its own — while ineligible singles stay raw.
     """
     out: list[tuple] = []
-    run: "dict | None" = None
-    merged_loads = merged_stores = removed = vectorized = 0
-
-    def pieces_of(cmd: tuple):
-        k = cmd[0]
-        if k == K_LOAD:
-            _, d, buf, first, n = cmd
-            return "load", buf, n, [(d, first)]
-        if k == K_LOADPAIR:
-            _, d1, d2, buf, first, n = cmd
-            return "load", buf, n, [(d1, first), (d2, first + n)]
-        if k == K_STORE:
-            _, s, buf, first, n = cmd
-            return "store", buf, n, [(s, first)]
-        if k == K_STOREPAIR:
-            _, s1, s2, buf, first, n = cmd
-            return "store", buf, n, [(s1, first), (s2, first + n)]
-        return None
+    merged = [0, 0, 0, 0]         # loads, stores, commands, vectorized
+    run: list[tuple] = []         # the open run's raw commands
+    regs: list[int] = []          # its pieces' registers, in order
+    seen: set[int] = set()
+    load, buf, n, first, last = True, "", 0, 0, 0
 
     def flush() -> None:
-        nonlocal run, merged_loads, merged_stores, removed, vectorized
-        if run is None:
-            return
-        pieces = run["pieces"]
-        first = pieces[0][1]
-        n = run["n"]
+        pieces = len(regs)
         eligible = ((n * ew) % 16 == 0 and (first * ew) % 16 == 0
-                    and strides.get(run["buf"], 0) % 16 == 0)
-        if len(run["raw"]) >= 2 or (eligible and len(pieces) >= 2):
+                    and strides.get(buf, 0) % 16 == 0)
+        if len(run) >= 2 or (eligible and pieces >= 2):
             cfirst = first * ew // 16 if eligible else -1
-            wide = (K_LOADW if run["op"] == "load" else K_STOREW,
-                    _sel([r for r, _ in pieces]), run["buf"],
-                    first, n, len(pieces), cfirst)
-            out.append(wide)
-            if run["op"] == "load":
-                merged_loads += 1
-            else:
-                merged_stores += 1
-            removed += len(run["raw"]) - 1
-            vectorized += cfirst >= 0
+            out.append((K_LOADW if load else K_STOREW, _sel(regs), buf,
+                        first, n, pieces, cfirst))
+            merged[0 if load else 1] += 1
+            merged[2] += len(run) - 1
+            merged[3] += cfirst >= 0
         elif eligible:
             # a lone full-vector copy still wins as one 16-byte-unit
             # elementwise move (count=1 wide command)
-            wide = (K_LOADW if run["op"] == "load" else K_STOREW,
-                    _sel([r for r, _ in pieces]), run["buf"],
-                    first, n, 1, first * ew // 16)
-            out.append(wide)
-            vectorized += 1
+            out.append((K_LOADW if load else K_STOREW, _sel(regs), buf,
+                        first, n, 1, first * ew // 16))
+            merged[3] += 1
         else:
-            out.extend(run["raw"])
-        run = None
+            out.extend(run)
 
     for cmd in commands:
-        p = pieces_of(cmd)
-        if p is None:
-            flush()
+        k = cmd[0]
+        if k == K_LOAD or k == K_STORE:
+            _, r, b, f, m = cmd
+            pregs, end = (r,), f
+        elif k == K_LOADPAIR or k == K_STOREPAIR:
+            _, r, r2, b, f, m = cmd
+            pregs, end = (r, r2), f + m
+        else:
+            if run:
+                flush()
+                run, regs = [], []
             out.append(cmd)
             continue
-        op, buf, n, pieces = p
-        if run is not None:
-            contiguous = (run["op"] == op and run["buf"] == buf
-                          and run["n"] == n
-                          and pieces[0][1] == run["pieces"][-1][1] + n)
-            conflict = (op == "load"
-                        and any(r in run["regs"] for r, _ in pieces))
-            if not contiguous or conflict:
-                flush()
-        if run is None:
-            run = {"op": op, "buf": buf, "n": n, "pieces": [], "raw": [],
-                   "regs": set()}
-        run["pieces"].extend(pieces)
-        run["raw"].append(cmd)
-        run["regs"].update(r for r, _ in pieces)
-    flush()
-    return out, {"loads": merged_loads, "stores": merged_stores,
-                 "commands": removed, "vectorized": vectorized}
+        is_load = k == K_LOAD or k == K_LOADPAIR
+        if run and (is_load is not load or b != buf or m != n
+                    or f != last + n
+                    or (is_load and not seen.isdisjoint(pregs))):
+            flush()
+            run, regs = [], []
+        if not run:
+            load, buf, n, first = is_load, b, m, f
+            seen = set()
+        run.append(cmd)
+        regs.extend(pregs)
+        seen.update(pregs)
+        last = end
+    if run:
+        flush()
+    return out, {"loads": merged[0], "stores": merged[1],
+                 "commands": merged[2], "vectorized": merged[3]}
 
 
 def optimize_commands(commands: "list[tuple]", lanes: int, ew: int = 4,
@@ -1168,11 +1499,17 @@ def optimize_commands(commands: "list[tuple]", lanes: int, ew: int = 4,
     eligibility; omitting ``strides`` just disables that fast path.
     """
     del lanes  # geometry is uniform per stream; kept for signature clarity
-    before = len(commands)
     cmds, dce_removed = _dce(commands)
     cmds, fuse = _fuse_fmla_chains(cmds)
     cmds, coal = _coalesce_mem(cmds, ew, strides or {})
-    passes = {
+    return cmds, _pass_stats(len(commands), cmds, dce_removed, fuse, coal)
+
+
+def _pass_stats(before: int, cmds: "list[tuple]", dce_removed: int,
+                fuse: dict, coal: dict) -> dict:
+    """The pipeline's statistics for an optimized stream ``cmds`` made
+    from ``before`` raw commands."""
+    return {
         "commands_before": before,
         "commands_after": len(cmds),
         "dce_removed": dce_removed,
@@ -1185,7 +1522,6 @@ def optimize_commands(commands: "list[tuple]", lanes: int, ew: int = 4,
         "coalesce_vectorized": coal["vectorized"],
         "max_stack": _max_stack(cmds),
     }
-    return cmds, passes
 
 
 def _max_stack(commands: "list[tuple]") -> int:

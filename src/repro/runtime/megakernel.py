@@ -519,8 +519,9 @@ class ProgramMemo:
     """Bounded, thread-safe LRU.  An engine keeps two: generated
     programs keyed by stream (see :func:`bind_programs`), and lowering
     templates keyed by call binding (see
-    :mod:`repro.runtime.lowering`).  Generate and evict totals are
-    plain ints."""
+    :mod:`repro.runtime.lowering`), whose per-program passes live in
+    its :attr:`passes` companion.  Generate and evict totals are plain
+    ints."""
 
     def __init__(self, maxsize: int = MEMO_SIZE) -> None:
         self.maxsize = maxsize
@@ -528,6 +529,17 @@ class ProgramMemo:
         self.lock = threading.RLock()
         self.generated = 0
         self.evictions = 0
+        self._passes: "ProgramMemo | None" = None
+
+    @property
+    def passes(self) -> "ProgramMemo":
+        """A companion LRU of the same bound, made on first use: what
+        this memo's entries are built from (the lowering's per-program
+        passes, beside its templates)."""
+        with self.lock:
+            if self._passes is None:
+                self._passes = ProgramMemo(self.maxsize)
+            return self._passes
 
     def get(self, key: tuple):
         with self.lock:

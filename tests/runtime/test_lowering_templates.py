@@ -14,13 +14,15 @@ fail with that call's own error.
 
 Through an engine's store, templates are shared across plans as well:
 a plan lowered through a store other plans warmed must equal its fresh
-lowering in streams, waves, statistics (but the sharing count) and the
+lowering in streams, waves, statistics (but the sharing counts) and the
 bytes it leaves, raise the same errors, and stay so under concurrent
 lowering; the store is bounded.
 """
 
 import copy
 import dataclasses
+import hashlib
+import json
 import sys
 import threading
 
@@ -32,11 +34,12 @@ from hypothesis import strategies as st
 from perfbench.grids import FULL, SMOKE
 from repro import IATF, KUNPENG_920, obs
 from repro.errors import LoweringError
+from repro.machine.isa import Instr, Op
 from repro.runtime.lowering import lower_plan, optimize_commands
 from repro.runtime.megakernel import ProgramMemo
 from repro.types import GemmProblem, TrsmProblem
 from tests.runtime.test_backends import _tampered
-from tests.runtime.test_waves import _bytes, _call, _operands
+from tests.runtime.test_waves import _bytes, _call, _check_levels, _operands
 
 FW = IATF(KUNPENG_920)
 
@@ -131,9 +134,9 @@ def test_templates_are_shared_and_reported():
     compiled = lower_plan(_plan(GemmProblem(24, 24, 24, "z", batch=8)))
     assert compiled.stats["calls"] == 96
     assert compiled.stats["templates"] == 1
-    assert "96 calls from 1 template" in compiled.describe()
+    assert "96 calls (12 x 8) from 1 template" in compiled.describe()
     report = FW.explain_gemm(GemmProblem(24, 24, 24, "z", batch=8))
-    assert "96 calls from 1 template" in report.render()
+    assert "96 calls (12 x 8) from 1 template" in report.render()
 
 
 def test_relocated_calls_share_non_memory_commands():
@@ -228,6 +231,44 @@ class TestLaterCallErrorsWarmStore(TestLaterCallErrors):
         return store
 
 
+    def test_bindings_of_one_program_match_the_parent(self, store):
+        """strsm 13 binds two of its programs at two PB->PC distances
+        each: the second binding of each starts from the first's program
+        pass (through the warm store, too), and every template's raw
+        stream, optimized stream and pass statistics hash to what
+        lowering each binding on its own gave."""
+        plan = _plan(_trsm(13, 13, "s", "LLNN", 8))
+        for _ in range(2):
+            compiled = lower_plan(plan, store)
+            assert compiled.stats["templates"] == 9
+            assert compiled.stats["templates_shared"] in (0, 9)
+            assert _templates_digest(compiled) == STRSM13_TEMPLATES
+        one = lower_plan(plan)
+        assert one.stats["programs_shared"] == 2
+        assert _templates_digest(one) == STRSM13_TEMPLATES
+
+
+STRSM13_TEMPLATES = ("7ff5983b843a454d88da4a4fa3361c84"
+                     "a9e3f70f28a842fe9f916f46f0cba820")
+"""sha256 over each strsm 13 LLNN template's kernel, raw stream,
+optimized stream and pass statistics, as lowering every binding on its
+own gave them."""
+
+
+def _templates_digest(compiled):
+    def plain(cmds):
+        return [[x.tolist() if isinstance(x, np.ndarray)
+                 else [type(x).__name__, float(x)]
+                 if isinstance(x, np.generic)
+                 else [x.start, x.stop] if isinstance(x, slice) else x
+                 for x in cmd] for cmd in cmds]
+    digest = hashlib.sha256()
+    for tpl in compiled.templates:
+        digest.update(json.dumps([tpl.name, plain(tpl.raw), plain(tpl.opt),
+                                  tpl.passes], sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def _with_stride(plan, buf, stride_bytes):
     plan = copy.copy(plan)
     plan.buffers = dict(plan.buffers)
@@ -267,6 +308,9 @@ def _prepared(fw, problem):
     return fw.prepare_trsm(problem)[1]
 
 
+SHARING_COUNTS = ("templates_shared", "programs_shared")
+
+
 def _assert_same_lowering(got, want):
     assert _canon(got.commands) == _canon(want.commands)
     assert _canon(got.fused_commands) == _canon(want.fused_commands)
@@ -275,9 +319,9 @@ def _assert_same_lowering(got, want):
     assert got.buffers == want.buffers
     assert ([(w.level, w.calls, w.lattice) for w in got.waves]
             == [(w.level, w.calls, w.lattice) for w in want.waves])
-    assert ({k: v for k, v in got.stats.items() if k != "templates_shared"}
+    assert ({k: v for k, v in got.stats.items() if k not in SHARING_COUNTS}
             == {k: v for k, v in want.stats.items()
-                if k != "templates_shared"})
+                if k not in SHARING_COUNTS})
     assert want.stats["templates_shared"] == 0
 
 
@@ -312,7 +356,7 @@ def test_sharing_is_counted_and_reported():
         assert reg.counters().get("lower.templates.shared", 0) == 0
         compiled = fw.prepare_trsm(second)[1]
         assert reg.counters()["lower.templates.shared"] == 2
-    assert "6 calls from 2 templates (2 shared) in 3 waves" in (
+    assert "6 calls (2 x 3) from 2 templates (2 shared) in 3 waves" in (
         compiled.describe())
     assert "(2 shared)" in fw.explain_trsm(second).render()
 
@@ -357,20 +401,26 @@ def test_concurrent_lowering_through_one_iatf(monkeypatch):
     """Threads (more than cores, switching often) lowering
     template-sharing plans through one IATF, each in its own order, get
     the plans serial lowering gives; the store counts every template
-    lowered and holds the keys serial lowering stores."""
+    lowered and holds the keys serial lowering stores, and its passes
+    companion does the same for the program passes the threads share
+    (strsm 13 binds two programs at two root distances each)."""
     from repro.runtime import lowering
 
     problems = [p for ps, shares in SHARING.values() if shares for p in ps]
     fw = IATF(KUNPENG_920)
-    lowered = [0]
+    made = {"_coalesce_mem": 0, "_program_pass": 0}
     lock = threading.Lock()
-    real = lowering.optimize_commands
 
-    def counted(*args):             # once per template lowered
-        with lock:
-            lowered[0] += 1
-        return real(*args)
-    monkeypatch.setattr(lowering, "optimize_commands", counted)
+    def counted(name):
+        real = getattr(lowering, name)
+
+        def spy(*args):
+            with lock:
+                made[name] += 1
+            return real(*args)
+        return spy
+    for name in made:       # once per template lowered / pass made
+        monkeypatch.setattr(lowering, name, counted(name))
     workers = 4
     barrier = threading.Barrier(workers, timeout=30.0)
     got: "list[list]" = [[] for _ in range(workers)]
@@ -401,7 +451,8 @@ def test_concurrent_lowering_through_one_iatf(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not errors
     store = fw.engine.templates
-    assert store.generated == lowered[0]
+    assert store.generated == made["_coalesce_mem"]
+    assert store.passes.generated == made["_program_pass"]
     serial = dict(zip(problems, (_prepared(IATF(KUNPENG_920), p)
                                  for p in problems)))
     for i in range(workers):
@@ -412,3 +463,257 @@ def test_concurrent_lowering_through_one_iatf(monkeypatch):
     for problem in problems:
         _prepared(one, problem)
     assert len(store) == len(one.engine.templates)
+    assert len(store.passes) == len(one.engine.templates.passes)
+    assert len(store.passes) < len(store)      # templates shared passes
+
+
+# -- repeated call blocks ------------------------------------------------------
+
+def _copies(plan, head, copies, shift):
+    """``plan`` with its first ``head`` calls repeated ``copies`` times,
+    copy ``k`` moved ``k * shift[buffer]`` bytes in every buffer."""
+    def moved(call, k):
+        def at(buf, off):
+            return off + k * shift.get(buf, 0)
+        return dataclasses.replace(
+            call, a_off=at(call.a_buf, call.a_off),
+            b_off=at(call.b_buf, call.b_off),
+            c_offsets=tuple(at(call.c_buf, o) for o in call.c_offsets),
+            x_off=(call.x_off if call.x_buf is None
+                   else at(call.x_buf, call.x_off)))
+    plan = copy.copy(plan)
+    plan.calls = [moved(c, k) for k in range(copies)
+                  for c in plan.calls[:head]]
+    return plan
+
+
+def _call_by_call(plan, store=None):
+    """``lower_plan`` with block detection off: every call keyed, fitted
+    and levelled on its own."""
+    from repro.runtime import lowering
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lowering, "_repeat", lambda calls: None)
+        return lower_plan(plan, store)
+
+
+BLOCK_STATS = ("block", "blocks_translated")
+
+
+def _assert_translated_like(got, want):
+    """``got`` equals the call-by-call lowering ``want`` in streams,
+    ranges, buffers, every wave field and the statistics but the block
+    ones."""
+    assert _canon(got.commands) == _canon(want.commands)
+    assert _canon(got.fused_commands) == _canon(want.fused_commands)
+    assert (got.call_ranges, got.fused_ranges) == (want.call_ranges,
+                                                   want.fused_ranges)
+    assert got.buffers == want.buffers
+    assert list(got.buffers) == list(want.buffers)
+    assert ([(w.level, w.template, w.calls, w.buffers, w.deltas, w.lattice)
+             for w in got.waves]
+            == [(w.level, w.template, w.calls, w.buffers, w.deltas, w.lattice)
+                for w in want.waves])
+    assert ({k: v for k, v in got.stats.items() if k not in BLOCK_STATS}
+            == {k: v for k, v in want.stats.items() if k not in BLOCK_STATS})
+    assert want.stats["block"] is None
+    assert want.stats["blocks_translated"] == 0
+
+
+BLOCKS = {
+    # name: (problem, (copies, calls per block))
+    "sgemm4x8": (GemmProblem(4, 8, 4, "s", batch=4), (2, 1)),
+    "sgemm4x12": (GemmProblem(4, 12, 4, "s", batch=4), (3, 1)),
+    "dgemm8x16x3": (GemmProblem(8, 16, 3, "d", batch=4), (4, 2)),
+    "strsm8": (_trsm(8, 8, "s", "LLNN", 4), (2, 3)),
+    "dgemm12x12x5": (GemmProblem(12, 12, 5, "d", batch=6), (3, 3)),
+    "ztrsm17x33": (_trsm(17, 33, "z", "LLNN", 5), (17, 45)),
+}
+
+
+@pytest.mark.parametrize("problem,shape", BLOCKS.values(), ids=BLOCKS.keys())
+def test_block_translation_equals_call_by_call(problem, shape):
+    """Blocks of 1, 2, 3 and 45 calls: binding only the first block and
+    translating the rest gives the call-by-call lowering, whose levels
+    pass the brute-force conflict check."""
+    plan = _plan(problem)
+    got = lower_plan(plan)
+    assert got.stats["block"] == shape
+    assert got.stats["blocks_translated"] == len(plan.calls) - shape[1]
+    assert f"{len(plan.calls)} calls ({shape[0]} x {shape[1]}) from" in (
+        got.calls_summary())
+    want = _call_by_call(plan)
+    _assert_translated_like(got, want)
+    _check_levels(got)
+
+
+def test_one_call_plan_translates_nothing():
+    plan = _plan(_trsm(4, 12, "s", "LLNN", 4))
+    assert len(plan.calls) == 1
+    got = lower_plan(plan)
+    assert got.stats["block"] is None and got.stats["blocks_translated"] == 0
+    assert got.calls_summary() == "1 calls from 1 template in 1 wave"
+
+
+@pytest.mark.parametrize("problem", FULL.cold, ids=repr)
+def test_cold_grid_blocks_equal_call_by_call(problem):
+    plan = _plan(problem)
+    _assert_translated_like(lower_plan(plan), _call_by_call(plan))
+
+
+# copies of a real block moved less than the block writes: the copies
+# conflict, so every call must be levelled on its own
+OVERLAPPING = {
+    "1-call": (GemmProblem(4, 8, 4, "s", batch=4), 1, {"packB": 16, "C": 16}),
+    "2-call": (GemmProblem(8, 16, 3, "d", batch=4), 2, {"packB": 16,
+                                                        "C": 16}),
+    "3-call": (_trsm(8, 8, "s", "LLNN", 4), 3, {"workB": 16}),
+}
+
+
+@pytest.mark.parametrize("problem,head,shift", OVERLAPPING.values(),
+                         ids=OVERLAPPING.keys())
+def test_overlapping_copies_level_every_call(problem, head, shift):
+    plan = _copies(_plan(problem), head, 3, shift)
+    got = lower_plan(plan)
+    assert got.stats["block"] == (3, head)       # bound by translation
+    _assert_translated_like(got, _call_by_call(plan))
+    _check_levels(got)
+    assert max(w.level for w in got.waves) > max(
+        w.level for w in lower_plan(_copies(plan, head, 1, {})).waves)
+
+
+@pytest.mark.parametrize("problem,head,shift", [
+    (GemmProblem(4, 8, 4, "s", batch=4), 1, {"packB": 8, "C": 8}),
+    (GemmProblem(8, 16, 3, "d", batch=4), 2, {"packB": 8, "C": 8}),
+    (_trsm(8, 8, "s", "LLNN", 4), 3, {"workB": 8}),
+], ids=["1-call", "2-call", "3-call"])
+def test_shift_off_16_bytes_is_not_translated(problem, head, shift):
+    """Copies 8 B apart key differently mod 16 B: no block, and the
+    call-by-call lowering (three copies, so no longer period)."""
+    plan = _copies(_plan(problem), head, 3, shift)
+    got = lower_plan(plan)
+    assert got.stats["block"] is None and got.stats["blocks_translated"] == 0
+    _assert_translated_like(got, _call_by_call(plan))
+
+
+# the last copy leaves a buffer's group stride: the lowering must raise
+# what lowering call by call raised before blocks were translated
+LEAVING = {
+    # the first call of the last copy leaves packB
+    "1-call": ((GemmProblem(4, 8, 4, "s", batch=4), 1, 3,
+                {"packB": 256, "C": 256}),
+               "sgemm_4x4_k4_a1.0_b1.0 @pc=12 (ldp   q8, q9, [x1, #0]) "
+               "[call 2]: access [128, 136) of 'packB' leaves the group "
+               "stride (128 elements)"),
+    # the last copy's first call fits, its second leaves C
+    "2-call": ((GemmProblem(8, 16, 3, "d", batch=4), 2, 3, {"C": 784}),
+               "dgemm_4x4_k3_a1.0_b1.0 @pc=101 (ldp   q6, q7, [x5, #32]) "
+               "[call 5]: access [256, 260) of 'C' leaves the group stride "
+               "(256 elements)"),
+    # the last copy's second call leaves workB
+    "3-call": ((_trsm(8, 8, "s", "LLNN", 4), 3, 3, {"workB": 272}),
+               "strsm_rect_4x4_k4_xs128 @pc=7 (ldp   q30, q31, [x5, #32]) "
+               "[call 7]: access [256, 264) of 'workB' leaves the group "
+               "stride (256 elements)"),
+}
+
+
+@pytest.mark.parametrize("case,message", LEAVING.values(),
+                         ids=LEAVING.keys())
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_last_copy_leaving_the_stride_raises_the_call_error(case, message,
+                                                            warm):
+    problem, head, copies, shift = case
+    plan = _copies(_plan(problem), head, copies, shift)
+    store = ProgramMemo()
+    if warm:
+        lower_plan(_copies(_plan(problem), head, copies - 1, shift), store)
+    with pytest.raises(LoweringError) as got:
+        lower_plan(plan, store)
+    assert str(got.value) == message
+    with pytest.raises(LoweringError) as want:
+        _call_by_call(plan)
+    assert str(want.value) == message
+
+
+# -- the per-program pass --------------------------------------------------------
+
+def _vmov(dst, src):
+    return Instr(Op.VMOV, dst=(dst,), srcs=(src,))
+
+
+def _with_instrs(prog, **at):
+    """``prog`` with the instructions at the given ``pcN`` replaced (a
+    new program object, so nothing memoized for ``prog`` applies)."""
+    instrs = list(prog.instrs)
+    for pc, ins in at.items():
+        instrs[int(pc[2:])] = ins(instrs[int(pc[2:])])
+    return dataclasses.replace(prog, instrs=instrs)
+
+
+# dgemm 4x4 k8, call 0 of dgemm 8x8x8: pc 4 is the first load through PA
+# (x0), pc 12 the first through PB (x1); v20 is first written at pc 24,
+# so a VMOV from it before then reads before write
+READ_V20 = lambda ins: _vmov(16, 20)                    # noqa: E731
+UNBOUND = lambda ins: dataclasses.replace(ins, base=6)  # noqa: E731
+STORE_V20 = lambda ins: Instr(Op.STPV, srcs=(20, 21), base=2)  # noqa: E731
+
+# the errors lowering each call on its own raised, by case
+_D = "dgemm_4x4_k8_a1.0_b1.0 @pc="
+_V20 = "[call 0]: vector register v20 read before write"
+
+PRECEDENCE = {
+    # name: (instructions replaced, binding tamper, the error)
+    "misaligned-first": (
+        {"pc12": READ_V20}, {"a_off": 4},
+        _D + "4 (ldp   q0, q1, [x0, #0]) [call 0]: misaligned access into "
+             "'packA' (offset 4 not a multiple of 8)"),
+    "register-first-misaligned": (
+        {"pc2": READ_V20}, {"a_off": 4},
+        _D + "2 (mov   v16.16b, v20.16b) " + _V20),
+    "bounds-first": (
+        {"pc20": READ_V20}, {"b_off": 1 << 20},
+        _D + "12 (ldp   q8, q9, [x1, #0]) [call 0]: access [131072, 131076) "
+             "of 'packB' leaves the group stride (128 elements)"),
+    "register-first-bounds": (
+        {"pc6": READ_V20}, {"b_off": 1 << 20},
+        _D + "6 (mov   v16.16b, v20.16b) " + _V20),
+    "unbound-first": (
+        {"pc12": UNBOUND, "pc20": READ_V20}, {},
+        _D + "12 (ldp   q8, q9, [x6, #0]) [call 0]: scalar register x6 "
+             "read before write"),
+    "register-first-unbound": (
+        {"pc8": READ_V20, "pc12": UNBOUND}, {},
+        _D + "8 (mov   v16.16b, v20.16b) " + _V20),
+    "register-only": (
+        {"pc12": READ_V20}, {},
+        _D + "12 (mov   v16.16b, v20.16b) " + _V20),
+    # one store both reads an unwritten register and misses alignment:
+    # its register check comes first
+    "store-register-and-misaligned": (
+        {"pc4": STORE_V20}, {"c_offsets": (4, 128, 256, 384)},
+        _D + "4 (stp   q20, q21, [x2, #0]) " + _V20),
+}
+
+
+def _precedence_plan(at, binding):
+    plan = _plan(GemmProblem(8, 8, 8, "d", batch=4))
+    prog = _with_instrs(plan.calls[0].program, **at)
+    return _tampered(plan, call=0, program=prog, **binding)
+
+
+@pytest.mark.parametrize("at,binding,message", PRECEDENCE.values(),
+                         ids=PRECEDENCE.keys())
+def test_first_error_keeps_its_precedence(at, binding, message):
+    """A program with a register error and a binding with an address
+    error (misaligned, out of bounds, unbound root) raise the error at
+    the lower pc, as lowering each call on its own did, both from a
+    cold store and from one whose passes companion holds the program."""
+    plan = _precedence_plan(at, binding)
+    store = ProgramMemo()
+    for warm in (False, True):
+        made = store.passes.generated
+        with pytest.raises(LoweringError) as got:
+            lower_plan(plan, store)
+        assert str(got.value) == message
+        assert store.passes.generated == made + (not warm)
