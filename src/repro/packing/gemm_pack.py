@@ -8,12 +8,14 @@ for A (walk down a column block, then right) and the Z shape for B
 (walk across a row, then down).  Transposed operands are normalized
 here, so every compute kernel sees the same order regardless of mode.
 
-All gathers are pure NumPy slicing/transposition over the compact grid
-view — one vectorized copy per tile panel, no per-matrix loops.
+Each pack is one ``np.take`` over an element index cached per tiling
+and mode: every packed element of every group is copied once, with no
+per-panel or per-matrix loops.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,30 +49,37 @@ class PackedOperand:
         return len(self.tile_sizes)
 
 
-def _flatten_panels(panels: list[np.ndarray], groups: int) -> np.ndarray:
-    """Write per-tile panels straight into the packed buffer.
+@functools.lru_cache(maxsize=256)
+def _panel_index(tiles: "tuple[int, ...]", k: int, step_l: int,
+                 step_w: int) -> np.ndarray:
+    """Per packed element, tile by tile in ``[l][within-tile]`` order,
+    the compact (column-major) element it copies: element ``(l, w)`` of
+    the tile starting at ``start`` is ``l * step_l + (start + w) *
+    step_w``."""
+    parts, start = [], 0
+    for size in tiles:
+        parts.append((np.arange(k)[:, None] * step_l
+                      + (start + np.arange(size))[None, :] * step_w).ravel())
+        start += size
+    index = np.concatenate(parts)
+    index.flags.writeable = False
+    return index
 
-    One preallocated output and one strided copy per panel — the
-    previous ``ascontiguousarray`` + ``concatenate`` route moved every
-    byte twice.  A destination column slice reshapes to the panel's
-    shape without copying (only the contiguous last axis is split), and
-    when the trailing ``(ncomp, P)`` block is a whole number of 16-byte
-    units both sides reinterpret as complex128, so the C-level copy
-    loop moves 16 B per element instead of one real at a time.  Either
-    way the bytes land in the same order as the old concatenation.
-    """
-    width = sum(p.size for p in panels) // groups
-    out = np.empty((groups, width), dtype=panels[0].dtype)
-    col = 0
-    for p in panels:
-        w = p.size // groups
-        dst = out[:, col:col + w].reshape(p.shape)
-        if (p.dtype.itemsize * p.shape[-1]) % 16 == 0:
-            np.copyto(dst.view(np.complex128), p.view(np.complex128))
-        else:
-            np.copyto(dst, p)
-        col += w
-    return out.reshape(-1)
+
+def _pack(x: CompactBatch, tiles: "list[int]", k: int, step_l: int,
+          step_w: int) -> PackedOperand:
+    """One ``np.take`` of every packed element of every group."""
+    index = _panel_index(tuple(tiles), k, step_l, step_w)
+    es = x.elem_stride
+    data = np.take(x.buffer.reshape(x.groups, x.rows * x.cols, es), index,
+                   axis=1).reshape(-1)
+    esz = x.dtype.real_itemsize
+    offsets = [start * k * es * esz for start in _starts(tiles)]
+    nbytes = int(data.nbytes)
+    cost = PackCost(bytes_read=nbytes, bytes_written=nbytes,
+                    panels=len(tiles) * x.groups, ew=esz)
+    return PackedOperand(True, data, index.size * es * esz, offsets,
+                         list(tiles), cost)
 
 
 def pack_gemm_a(a: CompactBatch, transa: Trans, k: int,
@@ -85,27 +94,8 @@ def pack_gemm_a(a: CompactBatch, transa: Trans, k: int,
     if (a.rows, a.cols) != expect:
         raise LayoutError(
             f"A is {a.rows}x{a.cols}, expected {expect} for trans={transa.value}")
-    grid = a.as_grid()                       # (G, rows, cols, ncomp, P)
-    panels: list[np.ndarray] = []
-    offsets: list[int] = []
-    pos = 0
-    esz = a.dtype.real_itemsize
-    for size, start in zip(m_tiles, _starts(m_tiles)):
-        if transa is Trans.N:
-            # grid (G, m, k, ...) -> [l][i] panel
-            panel = grid[:, start:start + size, :, :, :].transpose(0, 2, 1, 3, 4)
-        else:
-            # grid (G, k, m, ...) is already [l][i] for the sliced columns
-            panel = grid[:, :, start:start + size, :, :]
-        panels.append(panel)
-        offsets.append(pos)
-        pos += size * k * a.elem_stride * esz
-    data = _flatten_panels(panels, a.groups).astype(a.dtype.real_dtype,
-                                                    copy=False)
-    nbytes = int(data.nbytes)
-    cost = PackCost(bytes_read=nbytes, bytes_written=nbytes,
-                    panels=len(m_tiles) * a.groups, ew=esz)
-    return PackedOperand(True, data, pos, offsets, list(m_tiles), cost)
+    # op(A)(i, l) is stored at (i, l) for N, at (l, i) for T
+    return _pack(a, m_tiles, k, *((m, 1) if transa is Trans.N else (1, k)))
 
 
 def pack_gemm_b(b: CompactBatch, transb: Trans, k: int,
@@ -116,27 +106,8 @@ def pack_gemm_b(b: CompactBatch, transb: Trans, k: int,
     if (b.rows, b.cols) != expect:
         raise LayoutError(
             f"B is {b.rows}x{b.cols}, expected {expect} for trans={transb.value}")
-    grid = b.as_grid()
-    panels: list[np.ndarray] = []
-    offsets: list[int] = []
-    pos = 0
-    esz = b.dtype.real_itemsize
-    for size, start in zip(n_tiles, _starts(n_tiles)):
-        if transb is Trans.N:
-            # grid (G, k, n, ...): [l][j] = direct column slice
-            panel = grid[:, :, start:start + size, :, :]
-        else:
-            # grid (G, n, k, ...): [l][j] = stored (start+j, l) -> transpose
-            panel = grid[:, start:start + size, :, :, :].transpose(0, 2, 1, 3, 4)
-        panels.append(panel)
-        offsets.append(pos)
-        pos += size * k * b.elem_stride * esz
-    data = _flatten_panels(panels, b.groups).astype(b.dtype.real_dtype,
-                                                    copy=False)
-    nbytes = int(data.nbytes)
-    cost = PackCost(bytes_read=nbytes, bytes_written=nbytes,
-                    panels=len(n_tiles) * b.groups, ew=esz)
-    return PackedOperand(True, data, pos, offsets, list(n_tiles), cost)
+    # op(B)(l, j) is stored at (l, j) for N, at (j, l) for T
+    return _pack(b, n_tiles, k, *((1, k) if transb is Trans.N else (n, 1)))
 
 
 def _starts(tiles: list[int]) -> list[int]:

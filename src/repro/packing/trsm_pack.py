@@ -18,17 +18,27 @@ block ``d``: the rectangular ``L(d, e)`` panels for ``e < d`` (in the
 GEMM-A streaming layout the FMLS kernel consumes) followed by block
 ``d``'s triangle (row-major, diagonal pre-reciprocated; the paper's
 "the diagonal part is stored as its reciprocal" to avoid ARM's long
-division latency inside the kernel).
+division latency inside the kernel).  It is one ``np.take`` of every
+packed element over a solve-order index of stored-A elements (cached
+per order, blocking and mode), then the diagonal positions are
+reciprocated in place.  The reciprocal is IEEE in every valid lane, so
+a zero diagonal solves to Inf/NaN as substitution by it would; only
+zeros in the last group's padding lanes divide by 1, keeping the padded
+solves finite.
 
 The B pack produces a column-major working panel (rows flipped and/or
 transposed per the normalization, scaled by alpha, columns zero-padded
 to the rectangular kernel width); the solve overwrites it in place and
 ``unpack_trsm_b`` applies the inverse transform back into the user's
-compact B.
+compact B.  Where that pack is an identity copy (alpha 1, no flip, no
+transpose, no padded columns) the engine solves the compact B itself.
+Pack arithmetic runs under ``np.errstate(all="ignore")``, as execution
+does: non-finite operands give IEEE results, not warnings.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,83 +107,103 @@ class PackedTriangles:
     cost: PackCost
 
 
-def _reciprocal(values: np.ndarray, is_complex: bool) -> np.ndarray:
-    """Elementwise reciprocal on an (..., ncomp, P) slab of planes.
+@functools.lru_cache(maxsize=256)
+def _layout(d: int, flip: bool, gather_trans: bool,
+            blocks: "tuple[int, ...]"):
+    """The solve-order packing of one group: per packed element, the
+    stored-A element it copies (a column-major ``j * d + i`` index);
+    the packed positions of the diagonal; the offsets of each diagonal
+    block's triangle and each ``L(d, e)`` panel, in elements; and the
+    panel count.  Depends only on the mode and the blocking."""
+    si_parts: "list[np.ndarray]" = []
+    sj_parts: "list[np.ndarray]" = []
+    diag: "list[np.ndarray]" = []
+    tri_offsets: "list[int]" = []
+    rect_offsets: "dict[tuple[int, int], int]" = {}
+    pos = 0
+    starts = np.cumsum((0,) + tuple(blocks[:-1]))
+    for di, (dsz, dst) in enumerate(zip(blocks, starts)):
+        rows = dst + np.arange(dsz)
+        for ei in range(di):
+            eb, est = blocks[ei], starts[ei]
+            # GEMM-A layout: [kstep within e][row within d]
+            si_parts.append(np.tile(rows, eb))
+            sj_parts.append(np.repeat(est + np.arange(eb), dsz))
+            rect_offsets[(di, ei)] = pos
+            pos += eb * dsz
+        # the diagonal triangle, row-major: (i, 0..i) for each row i
+        ii, jj = np.tril_indices(dsz)
+        si_parts.append(dst + ii)
+        sj_parts.append(dst + jj)
+        diag.append(pos + np.flatnonzero(ii == jj))
+        tri_offsets.append(pos)
+        pos += ii.size
+    si, sj = np.concatenate(si_parts), np.concatenate(sj_parts)
+    if flip:
+        si, sj = d - 1 - si, d - 1 - sj
+    if gather_trans:
+        si, sj = sj, si
+    index, diag = sj * d + si, np.concatenate(diag)
+    index.flags.writeable = diag.flags.writeable = False
+    return index, diag, tri_offsets, rect_offsets, len(si_parts)
 
-    Padding lanes hold zeros; they are forced to 1 before inverting so
-    the padded solves stay finite (their results are never unpacked).
-    """
+
+def _reciprocal(diag: np.ndarray, is_complex: bool, valid: int) -> None:
+    """Reciprocate an ``(G, n, ncomp, P)`` slab of diagonal elements in
+    place, with IEEE semantics: a zero diagonal gives an infinity or a
+    NaN, as substitution by it would.  Lanes at or past ``valid`` in the
+    last group are padding; a zero (modulus) there divides by 1 instead,
+    so the padded solves stay finite (their results are never
+    unpacked)."""
+    padded = valid < diag.shape[-1]
     if not is_complex:
-        safe = np.where(values == 0.0, 1.0, values)
-        return 1.0 / safe
-    re, im = values[..., 0, :], values[..., 1, :]
+        if padded:
+            pad = diag[-1, :, :, valid:]
+            pad[pad == 0.0] = 1.0
+        np.divide(1.0, diag, out=diag)
+        return
+    re, im = diag[..., 0, :], diag[..., 1, :]
     denom = re * re + im * im
-    denom = np.where(denom == 0.0, 1.0, denom)
-    out = np.empty_like(values)
-    out[..., 0, :] = re / denom
-    out[..., 1, :] = -im / denom
-    return out
+    if padded:
+        pad = denom[-1, :, valid:]
+        pad[pad == 0.0] = 1.0
+    np.divide(re, denom, out=re)
+    np.negative(im, out=im)
+    np.divide(im, denom, out=im)
 
 
 def pack_trsm_a(a: CompactBatch, norm: NormalizedTrsm,
                 blocks: list[int]) -> PackedTriangles:
-    """Gather the canonical lower triangle into solve-order panels."""
+    """Gather the canonical lower triangle into solve-order panels: one
+    ``np.take`` of every packed element, then the diagonal reciprocated
+    in place."""
     d = norm.d
     if (a.rows, a.cols) != (d, d):
         raise LayoutError(f"A is {a.rows}x{a.cols}, expected {d}x{d}")
     if sum(blocks) != d:
         raise LayoutError(f"blocks {blocks} do not cover order {d}")
-    grid = a.as_grid()                   # (G, d, d, ncomp, P)
-    esz = a.dtype.real_itemsize
-    elem_bytes = a.elem_stride * esz     # bytes per gathered element
+    index, diag, tri_offsets, rect_offsets, panel_count = _layout(
+        d, norm.flip, norm.gather_trans, tuple(blocks))
+    G, es = a.groups, a.elem_stride
+    packed = np.take(a.buffer.reshape(G, d * d, es), index, axis=1)
     is_c = a.dtype.is_complex
-    starts: list[int] = []
-    pos = 0
-    for b in blocks:
-        starts.append(pos)
-        pos += b
-
-    panels: list[np.ndarray] = []
-    tri_offsets: list[int] = []
-    rect_offsets: dict[tuple[int, int], int] = {}
-    byte_pos = 0
-    panel_count = 0
-    for di, (dsz, dst) in enumerate(zip(blocks, starts)):
-        for ei in range(di):
-            eb, est = blocks[ei], starts[ei]
-            # GEMM-A layout: [kstep within e][row within d]
-            imap = np.add.outer(np.zeros(eb, dtype=int), dst + np.arange(dsz))
-            jmap = np.add.outer(est + np.arange(eb), np.zeros(dsz, dtype=int))
-            si, sj = _stored_index(norm, imap, jmap)
-            panel = grid[:, si, sj, :, :]          # (G, eb, dsz, ncomp, P)
-            panels.append(panel)
-            rect_offsets[(di, ei)] = byte_pos
-            byte_pos += eb * dsz * elem_bytes
-            panel_count += 1
-        # the diagonal triangle, row-major with reciprocal diagonal
-        ij = [(dst + i, dst + j) for i in range(dsz) for j in range(i + 1)]
-        imap = np.array([p[0] for p in ij])
-        jmap = np.array([p[1] for p in ij])
-        si, sj = _stored_index(norm, imap, jmap)
-        panel = np.ascontiguousarray(grid[:, si, sj, :, :])  # (G, T, ncomp, P)
-        if not norm.unit:
-            diag_sel = np.array([t for t, (i, j) in enumerate(ij) if i == j])
-            panel[:, diag_sel] = _reciprocal(panel[:, diag_sel], is_c)
-        panels.append(panel)
-        tri_offsets.append(byte_pos)
-        byte_pos += len(ij) * elem_bytes
-        panel_count += 1
-
-    flat = [np.ascontiguousarray(p).reshape(a.groups, -1) for p in panels]
-    data = np.concatenate(flat, axis=1).reshape(-1).astype(a.dtype.real_dtype,
-                                                           copy=False)
+    if not norm.unit:
+        grid = packed.reshape(G, index.size, a.ncomp, a.lanes)
+        slab = grid[:, diag]
+        with np.errstate(all="ignore"):
+            _reciprocal(slab, is_c, a.batch - (G - 1) * a.lanes)
+        grid[:, diag] = slab
+    data = packed.reshape(-1)
+    elem_bytes = es * a.dtype.real_itemsize
     nbytes = int(data.nbytes)
     divs = 0 if norm.unit else d * (2 if is_c else 1)
     cost = PackCost(bytes_read=nbytes, bytes_written=nbytes,
-                    panels=panel_count * a.groups,
-                    div_vectors=divs * a.groups, ew=esz)
-    return PackedTriangles(data, byte_pos, list(blocks), tri_offsets,
-                           rect_offsets, cost)
+                    panels=panel_count * G, div_vectors=divs * G,
+                    ew=a.dtype.real_itemsize)
+    return PackedTriangles(
+        data, index.size * elem_bytes, list(blocks),
+        [o * elem_bytes for o in tri_offsets],
+        {k: o * elem_bytes for k, o in rect_offsets.items()}, cost)
 
 
 def _scale_planes(grid: np.ndarray, alpha: complex,
@@ -209,7 +239,8 @@ def pack_trsm_b(b: CompactBatch, norm: NormalizedTrsm,
         grid = grid.transpose(0, 2, 1, 3, 4)
     if norm.flip:
         grid = grid[:, ::-1, :, :, :]
-    grid = _scale_planes(grid, norm.alpha, b.dtype.is_complex)
+    with np.errstate(all="ignore"):    # as execution: IEEE, no warnings
+        grid = _scale_planes(grid, norm.alpha, b.dtype.is_complex)
     n_pad = padded_count(norm.n_rhs, pad_cols_to)
     G = b.groups
     work = np.zeros((G, n_pad, norm.d, b.ncomp, b.lanes),

@@ -68,6 +68,23 @@ waves, 2048-row bank, 2-vCPU x86 host): 512 groups x 4 calls per pass
 ran the waves 25-30 % faster than 2048 groups x 1 call with generated
 programs (~10 % replayed); 1024 x 2 and 256 x 4 were in between."""
 
+HOIST_CALLS = 4
+"""Calls along a pass axis from which a buffer that does not move on
+that axis (and that the template never writes) is hoisted: its pass
+view gets length 1 there, so each panel load copies once for the whole
+axis and the generated program's outer-product multiplies broadcast it.
+A broadcast operand splits the multiply's inner loop at that axis,
+which costs more than the copy it saves when the axis is short: on the
+lib_bulk problems (2-vCPU x86 host), hoisting sgemm 8^3's 2-call axes
+ran it 4-9 % slower, while dgemm 33^3's 7-call runs ran 7-12 %
+faster."""
+
+HOIST_GROUPS = 128
+"""Groups a pass needs before it hoists: the split inner loops are
+``groups * lanes`` long, and shorter ones cost more than the copies
+saved (dgemm 33^3 ran 3-6 % slower hoisted at 16-64 groups, 4-7 %
+faster at 128-256)."""
+
 
 @runtime_checkable
 class ExecutorBackend(Protocol):
@@ -133,7 +150,13 @@ class FusedBackend:
     exceeds the budget) and binds each buffer as one strided ``(rows,
     cols, groups, width)`` view, so a GEMM tile grid replays its
     template once per pass, not once per tile; an irregular wave's calls
-    are gathered and their written elements scattered back.  With few
+    are gathered and their written elements scattered back.  A buffer
+    the template never writes gets length 1 on a pass axis of at least
+    :data:`HOIST_CALLS` calls that it does not move along (hoisted, in
+    passes of at least :data:`HOIST_GROUPS` groups): a generated
+    program copies its panel once for that axis and broadcasts it into
+    its outer products, and a replay's loads broadcast it into the full
+    bank.  With few
     groups a ufunc is pure dispatch overhead, so one dispatch per pass
     instead of per call is the whole gain.
 
@@ -255,6 +278,7 @@ class FusedBackend:
         ``cap`` calls per pass (see :func:`_passes`): each pass calls the
         template's program from ``progs`` or replays its stream."""
         isz = compiled.ew
+        hoist = groups >= HOIST_GROUPS
         for wave in compiled.waves:
             stream, window, writes, wide = (
                 compiled.templates[wave.template].wave_form)
@@ -278,12 +302,18 @@ class FusedBackend:
                         continue            # a root the kernel never uses
                     lo, span = window[buf]
                     m = mats[buf]
+                    shape = calls
                     if lattice is not None:
                         # one strided view: rows and cols step by the
                         # lattice's deltas
                         st = ((row[j] * isz,) if nrows > 1 else ()) + (
                             col[j] * isz, m.strides[0])
                         base, off = m, (deltas[first][j] + lo) * isz
+                        if hoist and buf not in writes:
+                            # hoisted: one panel serves every call along
+                            # an axis the buffer does not move on
+                            shape = tuple(1 if s == 0 and n >= HOIST_CALLS
+                                          else n for n, s in zip(calls, st))
                     else:
                         # gathered copy; written elements go back below
                         idx = (np.array([d[j] for d in
@@ -294,10 +324,10 @@ class FusedBackend:
                         w = writes.get(buf)
                         if w is not None:
                             scatter.append((m, idx[:, w], base, w))
-                    views[buf] = np.ndarray(calls + (groups, span), m.dtype,
+                    views[buf] = np.ndarray(shape + (groups, span), m.dtype,
                                             base, off, st + (isz,))
                     viewsC[buf] = (
-                        np.ndarray(calls + (groups, span * isz // 16),
+                        np.ndarray(shape + (groups, span * isz // 16),
                                    np.complex128, base, off, st + (16,))
                         if buf in wide else None)
                 bank.replay(stream, views, calls + (groups,), viewsC)
@@ -367,15 +397,17 @@ class FusedBackend:
                         d = dsel.start if type(dsel) is slice else dsel[0]
                         np.copyto(rbankC[d], src)
                     else:
-                        src = src.reshape(lead + (count, vb)).transpose(
-                            to_regs)
+                        # a hoisted view's lead is shorter: broadcast
+                        src = src.reshape(src.shape[:-1] + (
+                            count, vb)).transpose(to_regs)
                         if type(dsel) is slice:
                             np.copyto(rbankC[dsel], src)
                         else:
                             rbankC[dsel] = src
                 else:
                     src = mats[buf][..., first:first + count * n]
-                    src = src.reshape(lead + (count, n)).transpose(to_regs)
+                    src = src.reshape(src.shape[:-1] + (count, n)).transpose(
+                        to_regs)
                     if type(dsel) is slice:
                         np.copyto(rbank[dsel], src)
                     else:

@@ -3,7 +3,8 @@
 The engine is the run-time stage's backend, layered **plan → lower →
 execute**.  ``execute_gemm`` / ``execute_trsm`` validate operands, bind
 buffers (packing or aliasing the compact originals through one shared
-path), and hand the plan — plus, for backends that want it, its
+path; a TRSM whose B pack would be an identity copy solves the compact
+B in place), and hand the plan — plus, for backends that want it, its
 one-time :class:`~repro.runtime.lowering.CompiledPlan` — to the
 configured :class:`~repro.runtime.backends.ExecutorBackend` (by default
 ``fused``, which replays the pass-optimized command stream on a plan's
@@ -124,6 +125,18 @@ def _scale_compact(c: CompactBatch, beta: complex) -> None:
         re, im = planes[:, 0].copy(), planes[:, 1]
         planes[:, 0] = br * re - bi * im
         planes[:, 1] = br * im + bi * re
+
+
+def _b_in_place(plan: ExecutionPlan, b: CompactBatch) -> bool:
+    """Whether the plan packs B into ``workB`` by an identity copy: alpha
+    1, no flip, no transpose, no padded columns and B's own group
+    stride.  The solve then runs on B itself, with no pack or unpack
+    (the plan, its lowering and its modelled cost are unchanged)."""
+    spec = plan.buffers.get("workB")
+    norm = plan.meta["norm"]
+    return (spec is not None and norm.alpha == 1 and not norm.flip
+            and not norm.transpose_b and plan.meta["n_pad"] == norm.n_rhs
+            and spec.group_stride_bytes == b.group_stride_bytes)
 
 
 class Engine:
@@ -270,8 +283,14 @@ class Engine:
 
             self._bind_operand(mem, strides, plan, "A", a, "packT",
                                packed_t, "pack.T")
-            work = self._bind_operand(mem, strides, plan, "B", b, "workB",
-                                      packed_b, "pack.B")
+            if _b_in_place(plan, b):
+                # the pack would copy B byte for byte: solve B itself
+                mem.bind("workB", b.buffer)
+                strides["workB"] = b.group_stride_bytes
+                work = None
+            else:
+                work = self._bind_operand(mem, strides, plan, "B", b,
+                                          "workB", packed_b, "pack.B")
             self.run_plan(plan, mem, strides, b.groups, compiled)
 
             if work is not None:

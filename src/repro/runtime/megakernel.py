@@ -20,7 +20,19 @@ how much Python runs per command:
   source register until either is overwritten;
 * batched forms: a ``K_MACC`` with the microkernel's outer-product
   operands, and runs of ``K_FMUL``/``K_FMAI``, compile to one broadcast
-  ufunc over ``(q, p, ...)`` register blocks.
+  ufunc over ``(q, p, ...)`` register blocks;
+* hoisted loads: a register loaded from a buffer the stream never
+  stores to, and read only as an outer-product operand, is read and
+  written through that buffer's own lead (``M[buf].shape[:-1]``).
+  Where the wave schedule cut a pass axis the buffer does not move
+  along to length 1
+  (:meth:`~repro.runtime.backends.FusedBackend._run_waves`), its panel
+  is copied once for the whole axis and the outer-product multiplies
+  broadcast it; elsewhere the lead is the full one and nothing changes.
+  A load whose value is read any other way (elementwise arithmetic, an
+  accumulator, a store, a block mixing leads) writes at the full lead,
+  since a broadcast there would split every ufunc's inner loop;
+  ``Program.stats["hoisted_loads"]`` counts the others.
 
 **Tiers.**  A program is keyed by the stream alone (lanes, element
 width and the commands), not by the plan: streams do not depend on the
@@ -75,6 +87,10 @@ _AXES = {nl: ((nl,) + tuple(range(nl)) + (nl + 1,),
               tuple(range(1, nl + 1)) + (0, nl + 1)) for nl in range(1, 5)}
 
 
+#: where each store kind names its buffer
+_STORE_BUF = {K_STORE: 2, K_STOREPAIR: 3, K_STORE2: 3, K_STOREW: 2}
+
+
 def _sel_list(sel) -> "list[int]":
     return (list(range(sel.start, sel.stop)) if type(sel) is slice
             else [int(x) for x in sel])
@@ -103,9 +119,21 @@ class _Gen:
 
     Registers are ``(*lead, lanes)`` and memory operands ``(*lead,
     elements)``, exactly as in the replay loop, so one program serves
-    every pass shape (groups, calls x groups, rows x cols x groups)."""
+    every pass shape (groups, calls x groups, rows x cols x groups).
 
-    def __init__(self, stream: "list[tuple]", lanes: int, ew: int) -> None:
+    A register whose value was loaded from a buffer the stream never
+    stores to is read and written through that buffer's own lead
+    (``M[buf].shape[:-1]``): a pass that cuts an axis the buffer does
+    not move along to length 1 (see :meth:`FusedBackend._run_waves`)
+    makes the load copy one panel for the whole axis, and the outer
+    products that read the register broadcast it.  A value read any
+    other way (:meth:`read`: elementwise arithmetic, an accumulator, a
+    store, a block mixing leads) is loaded at the full lead instead:
+    ``demoted`` names those loads by stream position, and
+    :func:`generate_source` regenerates until no read demotes another."""
+
+    def __init__(self, stream: "list[tuple]", lanes: int, ew: int,
+                 demoted: "frozenset[int]" = frozenset()) -> None:
         self.stream = stream
         self.lanes = lanes
         self.vb = (lanes * ew) // 16 if (lanes * ew) % 16 == 0 else 0
@@ -119,9 +147,16 @@ class _Gen:
         self.needs: "set[str]" = set()
         self.views: "dict[str, str]" = {}   # hoisted expression -> name
         self.stack_need = 0
+        self.stored = {cmd[_STORE_BUF[cmd[0]]] for cmd in stream
+                       if cmd[0] in _STORE_BUF}
+        self.demoted = demoted
+        self.at = 0                         # stream position being emitted
+        self.lead: "dict[int, str]" = {}    # register -> buffer it holds
+        self.loaded_at: "dict[int, int]" = {}
+        self.conflicts: "set[int]" = set()  # loads to demote
         self.stats = {"commands": len(stream), "batched_macc": 0,
                       "scalar_macc": 0, "batched_runs": 0,
-                      "propagated_moves": 0}
+                      "propagated_moves": 0, "hoisted_loads": 0}
 
     # -- names ---------------------------------------------------------
 
@@ -137,9 +172,23 @@ class _Gen:
         self.regs.add(reg)
         return f"r{reg}"
 
+    def rv(self, reg: int, wide: bool = False) -> str:
+        """The register's current value: its storage, cut to the lead of
+        the buffer it was loaded from."""
+        buf = self.lead.get(reg)
+        if buf is None:
+            return f"RC[{reg}]" if wide else self.r(reg)
+        return self.v(f"{self.cut(buf, wide)}[{reg}]")
+
+    def read(self, reg: int, wide: bool = False) -> str:
+        """A full-lead read of the register's own value: a load that gave
+        it a shorter lead is demoted."""
+        self.full([reg])
+        return self.rv(reg, wide)
+
     def val(self, reg: int) -> str:
         """Where the register's current value lives (a read)."""
-        return self.r(self.alias.get(reg, reg))
+        return self.read(self.alias.get(reg, reg))
 
     def m(self, buf: str) -> str:
         self.plain.add(buf)
@@ -165,8 +214,24 @@ class _Gen:
             name = self.views[expr] = f"v{len(self.views)}"
         return name
 
-    def bank(self, lo: int, hi: int, wide: bool = False) -> str:
-        return self.v(f"{'RC' if wide else 'R'}[{lo}:{hi}]")
+    def blead(self, buf: str) -> str:
+        """The lead of ``buf``'s pass view: the full lead for a buffer
+        the stream stores to, else its own (shorter where the pass
+        hoisted it)."""
+        if buf in self.stored:
+            return self.need("lead")
+        return self.v(f"M[{buf!r}].shape[:-1]")
+
+    def cut(self, buf: "str | None", wide: bool = False) -> str:
+        """The register bank with its lead cut to ``buf``'s."""
+        if buf is None:
+            return "RC" if wide else "R"
+        sel = self.v(f"(slice(None),) + tuple(map(slice, {self.blead(buf)}))")
+        return self.v(f"{'RC' if wide else 'R'}[{sel}]")
+
+    def bank(self, lo: int, hi: int, wide: bool = False,
+             buf: "str | None" = None) -> str:
+        return self.v(f"{self.cut(buf, wide)}[{lo}:{hi}]")
 
     def prods(self, n: int, q: int = 0, p: int = 0) -> str:
         """The first ``n`` product-stack rows, as ``(q, p, ...)`` when
@@ -181,8 +246,33 @@ class _Gen:
         of it.  Wider vectors keep the replay's reshape per copy."""
         if self.vb != 1:
             return None
-        return self.v(f"{self.mc(buf)}.reshape({self.need('lead')} + (-1, 1))"
+        return self.v(f"{self.mc(buf)}.reshape({self.blead(buf)} + (-1, 1))"
                       f".transpose({self.need('tr')})")
+
+    # -- hoisted leads -------------------------------------------------
+
+    def load_lead(self, buf: str) -> "str | None":
+        """The lead the load being emitted writes at: its buffer's, unless
+        the stream stores to that buffer or a later read demoted it."""
+        if buf in self.stored or self.at in self.demoted:
+            return None
+        self.stats["hoisted_loads"] += 1
+        return buf
+
+    def full(self, regs: "list[int]") -> None:
+        """Registers read other than as an outer-product operand: each
+        load that gave one a shorter lead is demoted."""
+        self.conflicts.update(self.loaded_at[reg] for reg in regs
+                              if reg in self.lead)
+
+    def block(self, regs: "list[int]") -> "str | None":
+        """The one lead a register block is read at; a block mixing leads
+        demotes its loads."""
+        leads = {self.lead.get(reg) for reg in regs}
+        if len(leads) == 1:
+            return leads.pop()
+        self.full(regs)
+        return None
 
     # -- copy propagation ----------------------------------------------
 
@@ -192,48 +282,56 @@ class _Gen:
         for reg in regs:
             src = self.alias.pop(reg, None)
             if src is not None:
-                self.emit(f"copyto({self.r(reg)}, {self.r(src)})")
+                self.emit(f"copyto({self.r(reg)}, {self.read(src)})")
 
-    def write(self, regs: "list[int]") -> None:
-        """Registers about to be overwritten: every alias still reading
+    def write(self, regs: "list[int]", buf: "str | None" = None) -> None:
+        """Registers about to be overwritten, by a load at ``buf``'s lead
+        or (None) anything at the full lead: every alias still reading
         one of them takes its own copy first, and their own aliases end."""
         for reg in regs:
             for d in [d for d, s in self.alias.items() if s == reg]:
                 del self.alias[d]
-                self.emit(f"copyto({self.r(d)}, {self.r(reg)})")
+                self.emit(f"copyto({self.r(d)}, {self.read(reg)})")
             self.alias.pop(reg, None)
+            if buf is None:
+                self.lead.pop(reg, None)
+            else:
+                self.lead[reg] = buf
+                self.loaded_at[reg] = self.at
 
     # -- per-command emission ------------------------------------------
 
     def _loadw(self, cmd) -> None:
         _, dsel, buf, first, n, count, cf = cmd
         regs = _sel_list(dsel)
-        self.write(regs)
+        lead = self.load_lead(buf)
+        self.write(regs, lead)
         w = self._wide(buf) if cf >= 0 else None
         if w is not None:
             if count == 1:
-                self.emit(f"copyto(RC[{regs[0]}], {w}[{cf}])")
+                self.emit(f"copyto({self.rv(regs[0], True)}, {w}[{cf}])")
             elif type(dsel) is slice:
-                self.emit(f"copyto({self.bank(dsel.start, dsel.stop, True)}"
+                self.emit(f"copyto({self.bank(dsel.start, dsel.stop, True, lead)}"
                           f", {w}[{cf}:{cf + count}])")
             else:
-                self.emit(f"RC[{self.K(dsel)}] = {w}[{cf}:{cf + count}]")
+                self.emit(f"{self.cut(lead, True)}[{self.K(dsel)}] = "
+                          f"{w}[{cf}:{cf + count}]")
             return
         # cf >= 0: both sides as 16-byte units (complex128 views)
-        src, bank, width, start = ((self.mc(buf), "RC", self.vb, cf)
+        src, wide, width, start = ((self.mc(buf), True, self.vb, cf)
                                    if cf >= 0 else
-                                   (self.m(buf), "R", n, first))
+                                   (self.m(buf), False, n, first))
         view = f"{src}[..., {start}:{start + count * width}]"
         if count == 1:
-            dst = f"RC[{regs[0]}]" if cf >= 0 else self.r(regs[0])
-            self.emit(f"copyto({dst}, {view})")
+            self.emit(f"copyto({self.rv(regs[0], wide)}, {view})")
             return
-        view = (f"{view}.reshape({self.need('lead')} + ({count}, {width}))"
+        view = (f"{view}.reshape({self.blead(buf)} + ({count}, {width}))"
                 f".transpose({self.need('tr')})")
         if type(dsel) is slice:
-            self.emit(f"copyto({bank}[{dsel.start}:{dsel.stop}], {view})")
+            self.emit(f"copyto({self.cut(lead, wide)}[{dsel.start}:"
+                      f"{dsel.stop}], {view})")
         else:
-            self.emit(f"{bank}[{self.K(dsel)}] = {view}")
+            self.emit(f"{self.cut(lead, wide)}[{self.K(dsel)}] = {view}")
 
     def _storew(self, cmd) -> None:
         _, ssel, buf, first, n, count, cf = cmd
@@ -242,9 +340,10 @@ class _Gen:
         if w is not None:
             if count == 1:
                 reg = self.alias.get(regs[0], regs[0])
-                self.emit(f"copyto({w}[{cf}], RC[{reg}])")
+                self.emit(f"copyto({w}[{cf}], {self.read(reg, True)})")
                 return
             self.read_block(regs)
+            self.full(regs)
             gs = (self.bank(ssel.start, ssel.stop, True)
                   if type(ssel) is slice else f"RC[{self.K(ssel)}]")
             self.emit(f"copyto({w}[{cf}:{cf + count}], {gs})")
@@ -253,15 +352,17 @@ class _Gen:
             dst = f"{self.mc(buf)}[..., {cf}:{cf + count * self.vb}]"
             if count == 1:
                 reg = self.alias.get(regs[0], regs[0])
-                self.emit(f"copyto({dst}, RC[{reg}])")
+                self.emit(f"copyto({dst}, {self.read(reg, True)})")
                 return
             self.read_block(regs)
+            self.full(regs)
             gs = (f"RC[{ssel.start}:{ssel.stop}]" if type(ssel) is slice
                   else f"RC[{self.K(ssel)}]")
             self.emit(f"copyto({dst}.reshape({self.need('lead')} + ({count}, "
                       f"{self.vb})), {gs}.transpose({self.need('tm')}))")
             return
         self.read_block(regs)
+        self.full(regs)
         if type(ssel) is slice:
             gs = self.bank(ssel.start, ssel.stop)
         else:
@@ -279,9 +380,11 @@ class _Gen:
         if op is None:
             return None
         p, a0, q, b0 = op
-        self.read_block(list(range(a0, a0 + p)) + list(range(b0, b0 + q)))
-        return (f"{self.v(self.bank(a0, a0 + p) + '[None]')}, "
-                f"{self.v(self.bank(b0, b0 + q) + '[:, None]')}", q, p)
+        ablk, bblk = list(range(a0, a0 + p)), list(range(b0, b0 + q))
+        self.read_block(ablk + bblk)
+        av = self.bank(a0, a0 + p, buf=self.block(ablk))
+        bv = self.bank(b0, b0 + q, buf=self.block(bblk))
+        return f"{self.v(av + '[None]')}, {self.v(bv + '[:, None]')}", q, p
 
     def _macc(self, cmd) -> None:
         _, dsel, aids, bids, neg, n = cmd
@@ -299,6 +402,7 @@ class _Gen:
             self.stats["scalar_macc"] += 1
         dregs = _sel_list(dsel)
         self.read_block(dregs)
+        self.full(dregs)
         self.write(dregs)
         if type(dsel) is slice:
             acc = self.bank(dsel.start, dsel.stop)
@@ -350,10 +454,11 @@ class _Gen:
         srcs = list(range(cmd[2], cmd[2] + n))
         if n >= BATCH_MIN and not set(dsts) & set(srcs):
             self.read_block(srcs + dsts)
+            self.full(srcs + dsts)
+            sblk = self.bank(srcs[0], srcs[0] + n)
             self.write(dsts)
             dblk, prods = self.bank(dsts[0], dsts[0] + n), self.prods(n)
-            self.emit(f"mul({self.bank(srcs[0], srcs[0] + n)}, "
-                      f"{self.K(imm)}, out={prods})")
+            self.emit(f"mul({sblk}, {self.K(imm)}, out={prods})")
             self.emit(f"add({dblk}, {prods}, out={dblk})")
             self.stats["batched_runs"] += 1
             return j
@@ -364,9 +469,15 @@ class _Gen:
         self.emit(f"add({dv}, T, out={self.r(d)})")
         return i + 1
 
+    def _load(self, regs: "list[int]", buf: str) -> "list[str]":
+        """Registers a scalar load writes, as the views it writes."""
+        self.write(regs, self.load_lead(buf))
+        return [self.rv(reg) for reg in regs]
+
     def _command(self, cmds: "list[tuple]", i: int) -> int:
         cmd = cmds[i]
         k = cmd[0]
+        self.at = i
         if k == K_MACC:
             self._macc(cmd)
         elif k == K_LOADW:
@@ -397,21 +508,19 @@ class _Gen:
             self.emit(f"mul({av}, {self.K(imm)}, out={self.r(d)})")
         elif k == K_LOAD:
             _, d, buf, first, n = cmd
-            self.write([d])
-            self.emit(f"copyto({self.r(d)}, "
-                      f"{self.m(buf)}[..., {first}:{first + n}])")
+            dv, = self._load([d], buf)
+            self.emit(f"copyto({dv}, {self.m(buf)}[..., {first}:{first + n}])")
         elif k == K_LOAD1R:
             _, d, buf, first = cmd
-            self.write([d])
-            self.emit(f"copyto({self.r(d)}, "
+            dv, = self._load([d], buf)
+            self.emit(f"copyto({dv}, "
                       f"{self.m(buf)}[..., {first}:{first + 1}])")
         elif k == K_LOADPAIR:
             _, d1, d2, buf, first, n = cmd
-            self.write([d1, d2])
+            v1, v2 = self._load([d1, d2], buf)
             mv = self.m(buf)
-            self.emit(f"copyto({self.r(d1)}, {mv}[..., {first}:{first + n}])")
-            self.emit(f"copyto({self.r(d2)}, "
-                      f"{mv}[..., {first + n}:{first + 2 * n}])")
+            self.emit(f"copyto({v1}, {mv}[..., {first}:{first + n}])")
+            self.emit(f"copyto({v2}, {mv}[..., {first + n}:{first + 2 * n}])")
         elif k in (K_LOAD_PART, K_LOAD2):
             # partial vectors: zero tail, then the n elements (LOAD2
             # de-interleaves even/odd elements into two registers)
@@ -422,12 +531,11 @@ class _Gen:
                 _, de, do, buf, first, n = cmd
                 parts = [(de, f"{first}:{first + 2 * n}:2"),
                          (do, f"{first + 1}:{first + 2 * n}:2")]
-            self.write([d for d, _ in parts])
-            for d, cols in parts:
+            dvs = self._load([d for d, _ in parts], buf)
+            for dv, (_, cols) in zip(dvs, parts):
                 if n < self.lanes:
-                    self.emit(f"{self.r(d)}[..., {n}:] = 0.0")
-                self.emit(f"{self.r(d)}[..., :{n}] = "
-                          f"{self.m(buf)}[..., {cols}]")
+                    self.emit(f"{dv}[..., {n}:] = 0.0")
+                self.emit(f"{dv}[..., :{n}] = {self.m(buf)}[..., {cols}]")
         elif k == K_STORE:
             _, s, buf, first, n = cmd
             self.emit(f"copyto({self.m(buf)}[..., {first}:{first + n}], "
@@ -498,9 +606,18 @@ def generate_source(stream: "list[tuple]", lanes: int,
     Pure and deterministic: the same stream always yields byte-identical
     source (the determinism test relies on it).  Returns ``(source,
     consts, meta)``: ``consts`` is the immediate/selector pool the code
-    indexes as ``C[i]``, ``meta`` the stack depth and emission stats.
+    indexes as ``C[i]``, ``meta`` the stack depth and emission stats
+    (``hoisted_loads``: the loads that write at their buffer's own
+    lead).  Regenerates, with more loads at the full lead, until no
+    read needs a full-lead value a load gave a shorter lead.
     """
-    return _Gen(stream, lanes, ew).build()
+    demoted: "frozenset[int]" = frozenset()
+    while True:
+        gen = _Gen(stream, lanes, ew, demoted)
+        out = gen.build()
+        if not gen.conflicts:
+            return out
+        demoted |= gen.conflicts
 
 
 @dataclass(frozen=True)

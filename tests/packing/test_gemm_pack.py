@@ -1,5 +1,7 @@
 """GEMM packing tests: panel order, offsets, no-pack analysis, costs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -139,33 +141,79 @@ class TestNoPack:
 
 
 class TestFlattenFastPath:
-    """The preallocated direct-write panel flatten must stay
-    byte-identical to the naive contiguous-copy-then-concatenate
-    reference it replaced (the pack layout is a pure permutation, so
-    any divergence is a corruption, not a rounding question)."""
+    """The one-gather pack must stay byte-identical to the naive
+    per-panel copy-then-concatenate reference (the pack layout is a pure
+    permutation, so any divergence is a corruption, not a rounding
+    question)."""
 
     @staticmethod
-    def _reference(panels, groups):
-        flat = [np.ascontiguousarray(p).reshape(groups, -1)
-                for p in panels]
-        return np.concatenate(flat, axis=1).reshape(-1)
+    def _reference(cb, trans, k, tiles):
+        grid = cb.as_grid()                  # (G, rows, cols, ncomp, P)
+        panels, start = [], 0
+        for size in tiles:
+            if trans is Trans.N:
+                panel = grid[:, start:start + size].transpose(0, 2, 1, 3, 4)
+            else:
+                panel = grid[:, :, start:start + size]
+            panels.append(np.ascontiguousarray(panel).reshape(cb.groups, -1))
+            start += size
+        return np.concatenate(panels, axis=1).reshape(-1)
 
     @pytest.mark.parametrize("dtype", ALL_DTYPES)
     @pytest.mark.parametrize("trans", [Trans.N, Trans.T])
     def test_matches_reference(self, rng, dtype, trans):
-        import repro.packing.gemm_pack as gp
-
         lanes = {"s": 4, "d": 2, "c": 4, "z": 2}[dtype]
         m, k, tiles = 12, 7, [4, 4, 4]
         shape = (m, k) if trans is Trans.N else (k, m)
         a = random_batch(rng, 3 * lanes, *shape, dtype)
         cb = CompactBatch.from_matrices(a, lanes)
         fast = pack_gemm_a(cb, trans, k, tiles)
-        saved = gp._flatten_panels
-        gp._flatten_panels = self._reference
-        try:
-            ref = pack_gemm_a(cb, trans, k, tiles)
-        finally:
-            gp._flatten_panels = saved
-        assert fast.data.tobytes() == ref.data.tobytes()
-        assert fast.data.dtype == ref.data.dtype
+        ref = self._reference(cb, trans, k, tiles)
+        assert fast.data.tobytes() == ref.tobytes()
+        assert fast.data.dtype == ref.dtype
+
+
+# sha256 of pack_gemm_a/pack_gemm_b's packed bytes and layout over the
+# dtypes, shapes, modes and batches below (NaN operands included);
+# computed before the packs became one gather, and unchanged by it
+PACK_DIGEST = ("f3244d1ffc8b0b445729b055a0b1ac03"
+               "528219a42ce134a84853854cad50435f")
+
+
+def test_pack_golden_digest():
+    from repro.codegen.tiling import decompose_dim
+    np_dtypes = {"s": np.float32, "d": np.float64, "c": np.complex64,
+                 "z": np.complex128}
+    lanes_of = {"s": 4, "d": 2, "c": 4, "z": 2}
+    h = hashlib.sha256()
+    n = 0
+    for dt in "sdcz":
+        lanes = lanes_of[dt]
+        for m in (1, 2, 3, 4, 5, 7, 8, 12, 13, 33):
+            for k in (1, 3, 8, 17):
+                for tr in (Trans.N, Trans.T):
+                    for batch in (1, lanes + 1, 3 * lanes):
+                        rng = np.random.default_rng(n)
+                        shape = (m, k) if tr is Trans.N else (k, m)
+                        x = rng.standard_normal((batch, *shape))
+                        if dt in "cz":
+                            x = x + 1j * rng.standard_normal((batch, *shape))
+                        x[rng.random(x.shape) < 0.1] = np.nan
+                        cb = CompactBatch.from_matrices(
+                            x.astype(np_dtypes[dt]), lanes)
+                        tiles = decompose_dim(m, 4)
+                        pa = pack_gemm_a(cb, tr, k, tiles)
+                        shape_b = (k, m) if tr is Trans.N else (m, k)
+                        cbb = CompactBatch.from_matrices(
+                            rng.standard_normal((batch, *shape_b)).astype(
+                                np_dtypes[dt]), lanes)
+                        pb = pack_gemm_b(cbb, tr, k, tiles)
+                        for p in (pa, pb):
+                            h.update(p.data.tobytes())
+                            h.update(repr((
+                                p.packed, p.group_stride_bytes,
+                                p.tile_offsets, p.tile_sizes, p.cost,
+                                str(p.data.dtype), p.data.shape)).encode())
+                        n += 1
+    assert n == 960
+    assert h.hexdigest() == PACK_DIGEST

@@ -1,5 +1,8 @@
 """TRSM packing tests: mode normalization, triangle pack, B round trip."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -190,3 +193,63 @@ class TestPackB:
         panel = work.reshape(cb.groups, 8, 3, 1, 2)
         assert panel.shape[1] == 8
         assert not panel[:, 5:].any()
+
+
+# sha256 of pack_trsm_a's packed bytes and layout over every mode, dtype,
+# order and batch below; computed before the pack became one gather, and
+# unchanged by it
+PACK_A_DIGEST = ("b00fdefe28c1b2c36c2f7f7f97255b0b"
+                 "e8c711e12ea9bcd7c134b476d8922ac5")
+SPECIALS = np.array([np.nan, -0.0, np.inf, -np.inf])
+NP_DTYPES = {"s": np.float32, "d": np.float64, "c": np.complex64,
+             "z": np.complex128}
+
+
+def _special_triangle(seed, batch, d, dtype):
+    """NaN, -0.0 and +-Inf off the diagonal (in both triangles), and a
+    diagonal at least 0.5 away from zero."""
+    rng = np.random.default_rng(seed)
+
+    def planes():
+        x = rng.standard_normal((batch, d, d))
+        hit = rng.random((batch, d, d)) < 0.15
+        x[hit] = rng.choice(SPECIALS, size=int(hit.sum()))
+        return x
+    x = planes()
+    if dtype in "cz":
+        z = np.empty((batch, d, d), np.complex128)
+        z.real, z.imag = x, planes()
+        x = z
+    diag = rng.standard_normal((batch, d))
+    diag = np.copysign(0.5 + np.abs(diag), diag)
+    if dtype in "cz":
+        diag = diag + 1j * rng.standard_normal((batch, d))
+    idx = np.arange(d)
+    x[:, idx, idx] = diag
+    return x.astype(NP_DTYPES[dtype])
+
+
+def test_pack_a_golden_digest():
+    from repro.codegen.tiling import decompose_dim
+    h = hashlib.sha256()
+    seed = 0
+    for mode in itertools.product("LR", "LU", "NT", "NU"):
+        for dt in "sdcz":
+            for d in (1, 3, 4, 5, 8, 13, 17, 33):
+                for batch in (1, LANES[dt] + 1):
+                    p = TrsmProblem(d, d, dt, *mode, batch=batch)
+                    a = CompactBatch.from_matrices(
+                        _special_triangle(seed, batch, d, dt), LANES[dt])
+                    packed = pack_trsm_a(
+                        a, normalize_trsm_mode(p),
+                        decompose_dim(d, 3 if dt in "cz" else 4))
+                    h.update(packed.data.tobytes())
+                    h.update(repr((
+                        packed.group_stride_bytes, packed.blocks,
+                        packed.tri_offsets,
+                        sorted(packed.rect_offsets.items()), packed.cost,
+                        str(packed.data.dtype),
+                        packed.data.shape)).encode())
+                    seed += 1
+    assert seed == 1024
+    assert h.hexdigest() == PACK_A_DIGEST

@@ -19,6 +19,7 @@ from repro.machine.memory import MemorySpace
 from repro.runtime.backends import (BACKENDS, DEFAULT_BACKEND,
                                     ExecutorBackend, FusedBackend,
                                     InterpretBackend, resolve_backend)
+from repro.runtime import engine as engine_mod
 from repro.runtime.engine import Engine
 from repro.runtime.iatf import IATF
 from repro.runtime.lowering import lower_plan
@@ -141,6 +142,45 @@ class TestTrsmEquivalence:
         p = TrsmProblem(7, 5, "d", side, "L", "N", "N", batch=6)
         assert_bit_identical(run_trsm_both(iatf, rng, p,
                                            force_pack=force_pack))
+
+
+# identity-normalized B packs (alpha 1, no flip, no transpose, no padded
+# columns) solve B in place; each near miss breaks one condition
+IN_PLACE_B = [
+    (TrsmProblem(12, 8, "s", batch=9), True),                 # blocked
+    (TrsmProblem(7, 6, "c", batch=9), True),
+    (TrsmProblem(12, 8, "z", batch=9), True),
+    (TrsmProblem(8, 8, "d", "L", "U", "T", "N", batch=9), True),  # LTUN
+    (TrsmProblem(12, 8, "d", batch=9, alpha=2.0), False),      # alpha
+    (TrsmProblem(12, 8, "d", "L", "U", "N", "N", batch=9), False),  # flip
+    (TrsmProblem(8, 12, "d", "R", "U", "N", "N", batch=9), False),  # side R
+    (TrsmProblem(12, 5, "d", batch=9), False),                 # n_pad > n
+]
+
+
+class TestTrsmInPlaceB:
+    @pytest.mark.parametrize("problem,in_place", IN_PLACE_B, ids=repr)
+    def test_bit_identical_in_place_b(self, iatf, rng, monkeypatch, problem,
+                                      in_place):
+        """Both tiers and interpret leave the bytes of the packed route,
+        and B is packed exactly when the pack is not an identity copy."""
+        plan = iatf.plan_trsm(problem)
+        assert "workB" in plan.buffers
+        packs = []
+        real = engine_mod.pack_trsm_b
+        monkeypatch.setattr(engine_mod, "pack_trsm_b",
+                            lambda *a, **k: packs.append(1) or real(*a, **k))
+        outs = run_trsm_both(iatf, rng, problem)
+        assert bool(packs) != in_place
+        assert_bit_identical(outs)
+        if in_place:
+            # a pack and an unpack, the route before, give equal bytes
+            monkeypatch.setattr(engine_mod, "_b_in_place", lambda *a: False)
+            packed = run_trsm_both(iatf, np.random.default_rng(7), problem)
+            monkeypatch.undo()
+            solved = run_trsm_both(iatf, np.random.default_rng(7), problem)
+            assert ([o.tobytes() for _, o in packed]
+                    == [o.tobytes() for _, o in solved])
 
 
 class TestLowering:
