@@ -17,7 +17,7 @@ import numpy as np
 
 from ..layout.compact import CompactBatch
 from ..machine.machines import KUNPENG_920, MachineConfig
-from ..runtime.backends import ExecutorBackend, backend_name
+from ..runtime.backends import resolve_backend
 from ..runtime.iatf import IATF
 from ..types import (BlasDType, Diag, GemmProblem, Side, Trans, TrsmProblem,
                      UpLo)
@@ -33,10 +33,10 @@ _FRAMEWORKS_LOCK = threading.Lock()
 
 
 def default_framework(machine: MachineConfig = KUNPENG_920,
-                      backend: "str | ExecutorBackend | None" = None) -> IATF:
+                      backend: "str | None" = None) -> IATF:
     """The shared per-machine (and per-backend) IATF instance used by
     the free functions."""
-    key = (machine.name, backend_name(backend))
+    key = (machine.name, resolve_backend(backend).name)
     with _FRAMEWORKS_LOCK:
         fw = _FRAMEWORKS.get(key)
         if fw is None:
@@ -62,8 +62,7 @@ def compact_gemm(a: CompactBatch, b: CompactBatch, c: CompactBatch,
                  alpha: complex = 1.0, beta: complex = 1.0,
                  transa: "Trans | str" = "N", transb: "Trans | str" = "N",
                  machine: MachineConfig = KUNPENG_920,
-                 backend: "str | ExecutorBackend | None" = None
-                 ) -> CompactBatch:
+                 backend: "str | None" = None) -> CompactBatch:
     """``C = alpha op(A) op(B) + beta C`` on compact operands, in place."""
     ta, tb = Trans.from_any(transa), Trans.from_any(transb)
     m, n = c.rows, c.cols
@@ -76,8 +75,7 @@ def compact_trsm(a: CompactBatch, b: CompactBatch, alpha: complex = 1.0,
                  side: "Side | str" = "L", uplo: "UpLo | str" = "L",
                  transa: "Trans | str" = "N", diag: "Diag | str" = "N",
                  machine: MachineConfig = KUNPENG_920,
-                 backend: "str | ExecutorBackend | None" = None
-                 ) -> CompactBatch:
+                 backend: "str | None" = None) -> CompactBatch:
     """Solve in place on compact operands; B becomes X."""
     problem = TrsmProblem(b.rows, b.cols, b.dtype, Side.from_any(side),
                           UpLo.from_any(uplo), Trans.from_any(transa),

@@ -34,7 +34,7 @@ On top of the attribution sit three consumers:
   ``machine.peak_gflops`` and arithmetic intensity vs the issue-rule
   ridge point, flagging memory- vs compute-bound plans;
 * :func:`model_drift` — cycle-model predictions cross-checked against
-  ``Evaluator`` wall-clock replays, ratio per executor backend;
+  an ``Evaluator`` wall-clock replay on ``fused``, as a ratio;
 * ``python -m repro.obs profile``, which persists the JSON form.
 
 Runtime imports happen inside functions (the ``explain`` idiom):
@@ -520,20 +520,19 @@ def profile_report(plan, *, stream: str = "raw", compiled=None,
 
 
 def model_drift(problem, machine=None, *,
-                backends: "tuple[str, ...]" = ("fused",),
                 repeats: int = 3) -> "dict[str, dict]":
-    """Cycle-model predictions vs wall-clock replays, per backend.
+    """Cycle-model prediction vs a wall-clock replay on ``fused``.
 
-    Returns ``{backend: {"predicted_seconds", "wall_seconds",
+    Returns ``{"fused": {"predicted_seconds", "wall_seconds",
     "ratio"}}`` where the ratio is wall over predicted (>1 means the
     host is slower than the modeled silicon — expected, since the
     replay is NumPy, not ARM assembly; what matters is that the ratio
-    is *stable* per backend; a shape whose ratio grows is a candidate
-    for :meth:`IATF.retune <repro.runtime.iatf.IATF.retune>`).
+    is *stable*; a shape whose ratio grows is a candidate for
+    :meth:`IATF.retune <repro.runtime.iatf.IATF.retune>`).
     """
     from ..machine.machines import KUNPENG_920
     from ..tuning.evaluate import Evaluator
 
     ev = Evaluator(machine if machine is not None else KUNPENG_920,
                    repeats=repeats)
-    return ev.drift(problem, backends=backends)
+    return ev.drift(problem)

@@ -1,4 +1,4 @@
-"""Pluggable executor backends: how a bound plan's kernels actually run.
+"""Executor backends: how a bound plan's kernels actually run.
 
 The engine separates *what* to run (the plan), *how it was compiled*
 (the lowered command stream), and *what executes it* (a backend):
@@ -6,34 +6,33 @@ The engine separates *what* to run (the plan), *how it was compiled*
 ``interpret``
     The original :class:`~repro.machine.executor.VectorExecutor` walking
     every program instruction by instruction.  It is the bit-exact
-    reference: every other backend must produce identical
+    reference: ``fused`` must produce identical
     :class:`~repro.layout.compact.CompactBatch` bytes.
 
 ``fused`` (the default)
-    Runs a :class:`~repro.runtime.lowering.CompiledPlan`'s
-    pass-*optimized* stream: one 2-D ``(groups, stride_elems)`` view per
-    buffer, a preallocated vector register bank, and no pointer
-    resolution, alignment/bounds checks or per-op allocation — all of
-    that happened once at lower time.  FMLA chains are collapsed into
-    stacked ``K_MACC`` macro-ops, adjacent loads/stores merged into wide
-    copies and dead register writes eliminated, with bit-exact results
-    by pass construction.  It has two tiers over one wave schedule: a
-    plan's first execute *replays* each template's stream command by
-    command; once a plan executes again, each template's stream runs as
-    *generated* straight-line NumPy code
+    Runs a :class:`~repro.runtime.lowering.CompiledPlan`'s waves over
+    its pass-*optimized* template streams: one 2-D ``(groups,
+    stride_elems)`` view per buffer, a preallocated vector register
+    bank, and no pointer resolution, alignment/bounds checks or per-op
+    allocation — all of that happened once at lower time.  FMLA chains
+    are collapsed into stacked ``K_MACC`` macro-ops, adjacent
+    loads/stores merged into wide copies and dead register writes
+    eliminated, with bit-exact results by pass construction.  It has two
+    tiers over one wave schedule: a plan's first execute *replays* each
+    template's stream command by command; once a plan executes again,
+    each template's stream runs as *generated* straight-line NumPy code
     (:mod:`repro.runtime.megakernel`), called in place of the replay
     loop with the same inputs.
 
-Adding a backend means implementing the :class:`ExecutorBackend`
-protocol (``name``, ``needs_lowering``, ``run``) and registering it in
-``BACKENDS``; see ``docs/architecture.md`` for the contract.
+A backend is selected by name (``IATF(backend="interpret")``);
+``BACKENDS`` maps each name to its one shared instance.
 """
 
 from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -53,9 +52,8 @@ from .megakernel import Program
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .plan import ExecutionPlan
 
-__all__ = ["ExecutorBackend", "InterpretBackend", "FusedBackend",
-           "BACKENDS", "DEFAULT_BACKEND",
-           "resolve_backend", "backend_name"]
+__all__ = ["InterpretBackend", "FusedBackend", "BACKENDS",
+           "DEFAULT_BACKEND", "resolve_backend"]
 
 DEFAULT_BACKEND = "fused"
 
@@ -86,24 +84,6 @@ saved (dgemm 33^3 ran 3-6 % slower hoisted at 16-64 groups, 4-7 %
 faster at 128-256)."""
 
 
-@runtime_checkable
-class ExecutorBackend(Protocol):
-    """What the engine needs from an execution strategy."""
-
-    #: short identifier used in ``IATF(backend=...)``, obs counters, and
-    #: explain reports
-    name: str
-    #: True if :meth:`run` consumes a :class:`CompiledPlan` (the engine
-    #: lowers — or fetches the cached lowering — before calling)
-    needs_lowering: bool
-
-    def run(self, plan: "ExecutionPlan", mem: MemorySpace,
-            strides: "dict[str, int]", groups: int,
-            compiled: "CompiledPlan | None" = None) -> None:
-        """Execute every kernel call of the plan against bound buffers."""
-        ...
-
-
 class InterpretBackend:
     """Per-instruction reference execution (the original engine path)."""
 
@@ -128,9 +108,9 @@ class InterpretBackend:
 
 
 class FusedBackend:
-    """Replays a lowered plan's pass-optimized command stream — the
-    compile-once / execute-many half of the paper's run-time stage,
-    extended from kernel selection down to execution.
+    """Runs a lowered plan's waves over their pass-optimized template
+    streams — the compile-once / execute-many half of the paper's
+    run-time stage, extended from kernel selection down to execution.
 
     All address resolution happened at lower time, so a run is one 2-D
     view per buffer, a preallocated register bank, and a flat loop of
@@ -139,48 +119,34 @@ class FusedBackend:
     roughly in half.  Groups are independent, so every ordering below is
     bit-exact by construction — the equivalence suite enforces it.
 
-    One schedule drives the one replay loop (:meth:`_replay`), which
-    takes operands with any number of leading axes: **group blocks x
-    wave chunks**.  The groups split into blocks of at most
-    :meth:`_block_groups` (half the host's L2 holds the register bank)
-    — and of at most :data:`PASS_GROUPS` when that lets a pass hold a
-    wider wave — and each block replays every wave in level order, in
-    passes of at most ``block // groups-per-block`` calls.  A pass holds
-    whole rows of the wave's lattice (a row is split only when it alone
-    exceeds the budget) and binds each buffer as one strided ``(rows,
-    cols, groups, width)`` view, so a GEMM tile grid replays its
-    template once per pass, not once per tile; an irregular wave's calls
-    are gathered and their written elements scattered back.  A buffer
-    the template never writes gets length 1 on a pass axis of at least
-    :data:`HOIST_CALLS` calls that it does not move along (hoisted, in
-    passes of at least :data:`HOIST_GROUPS` groups): a generated
-    program copies its panel once for that axis and broadcasts it into
-    its outer products, and a replay's loads broadcast it into the full
-    bank.  With few
-    groups a ufunc is pure dispatch overhead, so one dispatch per pass
-    instead of per call is the whole gain.
+    One schedule drives every run: **group blocks x wave chunks**.  The
+    groups split into blocks of at most :meth:`_block_groups` (half the
+    host's L2 holds the register bank) — and of at most
+    :data:`PASS_GROUPS` when that lets a pass hold a wider wave — and
+    each block runs every wave in level order, in passes of at most
+    ``block // groups-per-block`` calls.  A pass holds whole rows of the
+    wave's lattice (a row is split only when it alone exceeds the
+    budget) and binds each buffer as one strided ``(rows, cols, groups,
+    width)`` view, so a GEMM tile grid replays its template once per
+    pass, not once per tile.  A buffer the template never writes gets
+    length 1 on a pass axis of at least :data:`HOIST_CALLS` calls that
+    it does not move along (hoisted, in passes of at least
+    :data:`HOIST_GROUPS` groups): a generated program copies its panel
+    once for that axis and broadcasts it into its outer products, and a
+    replay's loads broadcast it into the full bank.  With few groups a
+    ufunc is pure dispatch overhead, so one dispatch per pass instead of
+    per call is the whole gain.
 
     Each pass runs its template's generated program when the plan has
     one (``CompiledPlan.programs``, bound by the engine per execute; see
-    :mod:`repro.runtime.megakernel`) and replays the stream otherwise.
-    Plan order — ``fused_commands`` interpreted call by call over the
-    same group blocks — remains for two bound buffers sharing memory,
-    which the per-buffer footprints cannot see, and, in the replay
-    tier, for plans whose waves all hold one call.
+    :mod:`repro.runtime.megakernel`) and replays the stream
+    (:meth:`_replay`) otherwise.  Two bound buffers sharing memory,
+    which the per-buffer footprints cannot see, run every call as its
+    own one-call wave in plan order, replayed.
     """
 
     name = "fused"
     needs_lowering = True
-
-    @staticmethod
-    def stream(compiled: CompiledPlan) -> "tuple[list[tuple], int]":
-        """The command stream this backend replays and the macro-op
-        stack depth it needs (0 = no macro-ops, no stack scratch
-        allocated).  Public so the attribution profiler
-        (:mod:`repro.obs.profile`) can profile exactly what a backend
-        would execute (a wave replays the same commands for each of its
-        calls)."""
-        return compiled.fused_commands, compiled.stats["passes"]["max_stack"]
 
     @staticmethod
     def _block_groups(l2_bytes: int, lanes: int, itemsize: int) -> int:
@@ -205,43 +171,26 @@ class FusedBackend:
         mats = self._bind(compiled, mem, strides, groups)
         block = self._block_groups(plan.machine.l2.size, compiled.lanes,
                                    compiled.dtype.itemsize)
+        waves = compiled.waves
         progs = (None if compiled.programs is None
                  else compiled.programs.programs)
-        if _aliased(mats) or (progs is None and len(compiled.waves)
-                              >= compiled.stats["calls"]):
-            self.run_plan_order(compiled, mats, groups, block)
-            return
-        widest = max(len(w.calls) for w in compiled.waves)
+        if _aliased(mats):
+            waves, progs = _plan_order(waves), None
+        widest = max(len(w.calls) for w in waves)
         # every group in one block when they fit, but a pass that already
         # spans PASS_GROUPS groups spends further bank rows on calls
         per_block = min(groups, block, max(PASS_GROUPS, block // widest))
         cap = block // per_block
         rows = per_block * min(cap, widest)
         bank = _Bank(rows, compiled.lanes, compiled.dtype, max(
-            [self.stream(compiled)[1]]
+            [compiled.stats["passes"]["max_stack"]]
             + [p.stack_need for p in progs or () if p is not None]))
         with np.errstate(all="ignore"):
             for start in range(0, groups, per_block):
                 n = min(per_block, groups - start)
                 bm = (mats if n == groups else
                       {k: v[start:start + n] for k, v in mats.items()})
-                self._run_waves(compiled, bm, n, cap, bank, progs)
-
-    @classmethod
-    def run_plan_order(cls, compiled: CompiledPlan,
-                       mats: "dict[str, np.ndarray]", groups: int,
-                       block: int) -> None:
-        """Replay ``fused_commands`` call by call over group blocks of at
-        most ``block`` — correct for any binding, aliased ones too."""
-        block = min(groups, block)
-        commands, max_stack = cls.stream(compiled)
-        bank = _Bank(block, compiled.lanes, compiled.dtype, max_stack)
-        with np.errstate(all="ignore"):
-            for start in range(0, groups, block):
-                n = min(block, groups - start)
-                bm = (mats if n == groups else
-                      {k: v[start:start + n] for k, v in mats.items()})
-                bank.replay(commands, bm, (n,), _wide(bm))
+                self._run_waves(compiled, bm, n, cap, bank, progs, waves)
 
     # -- binding -------------------------------------------------------
 
@@ -273,66 +222,51 @@ class FusedBackend:
     @staticmethod
     def _run_waves(compiled: CompiledPlan, mats: "dict[str, np.ndarray]",
                    groups: int, cap: int, bank: "_Bank",
-                   progs: "Sequence[Program | None] | None" = None) -> None:
-        """Run every wave over ``groups`` groups in level order, at most
-        ``cap`` calls per pass (see :func:`_passes`): each pass calls the
+                   progs: "Sequence[Program | None] | None",
+                   waves: "Sequence[Wave]") -> None:
+        """Run ``waves`` over ``groups`` groups in order, at most ``cap``
+        calls per pass (see :func:`_passes`): each pass calls the
         template's program from ``progs`` or replays its stream."""
         isz = compiled.ew
         hoist = groups >= HOIST_GROUPS
-        for wave in compiled.waves:
+        for wave in waves:
             stream, window, writes, wide = (
                 compiled.templates[wave.template].wave_form)
             if progs is not None and progs[wave.template] is not None:
                 stream = progs[wave.template]
             deltas = wave.deltas
-            lattice = wave.lattice
-            if lattice is not None:
-                # per-buffer element steps along a lattice row and down
-                # its columns (unused where the lattice is one wide)
-                rows, cols = lattice
-                col = _steps(deltas[0], deltas[min(1, cols - 1)])
-                row = _steps(deltas[0], deltas[cols * (rows > 1)])
+            # per-buffer element steps along a lattice row and down its
+            # columns (unused where the lattice is one wide)
+            rows, cols = wave.lattice
+            col = _steps(deltas[0], deltas[min(1, cols - 1)])
+            row = _steps(deltas[0], deltas[cols * (rows > 1)])
             for first, nrows, ncols in _passes(wave, cap):
                 calls = (nrows, ncols) if nrows > 1 else (ncols,)
                 views: "dict[str, np.ndarray]" = {}
                 viewsC: "dict[str, np.ndarray | None]" = {}
-                scatter = []
                 for j, buf in enumerate(wave.buffers):
                     if buf not in window:
                         continue            # a root the kernel never uses
                     lo, span = window[buf]
                     m = mats[buf]
+                    # one strided view: rows and cols step by the
+                    # lattice's deltas
+                    st = ((row[j] * isz,) if nrows > 1 else ()) + (
+                        col[j] * isz, m.strides[0])
+                    off = (deltas[first][j] + lo) * isz
                     shape = calls
-                    if lattice is not None:
-                        # one strided view: rows and cols step by the
-                        # lattice's deltas
-                        st = ((row[j] * isz,) if nrows > 1 else ()) + (
-                            col[j] * isz, m.strides[0])
-                        base, off = m, (deltas[first][j] + lo) * isz
-                        if hoist and buf not in writes:
-                            # hoisted: one panel serves every call along
-                            # an axis the buffer does not move on
-                            shape = tuple(1 if s == 0 and n >= HOIST_CALLS
-                                          else n for n, s in zip(calls, st))
-                    else:
-                        # gathered copy; written elements go back below
-                        idx = (np.array([d[j] for d in
-                                         deltas[first:first + ncols]])[:, None]
-                               + np.arange(lo, lo + span))
-                        base, off = np.take(m, idx, axis=1), 0
-                        st = (span * isz, ncols * span * isz)
-                        w = writes.get(buf)
-                        if w is not None:
-                            scatter.append((m, idx[:, w], base, w))
+                    if hoist and buf not in writes:
+                        # hoisted: one panel serves every call along an
+                        # axis the buffer does not move on
+                        shape = tuple(1 if s == 0 and n >= HOIST_CALLS
+                                      else n for n, s in zip(calls, st))
                     views[buf] = np.ndarray(shape + (groups, span), m.dtype,
-                                            base, off, st + (isz,))
+                                            m, off, st + (isz,))
                     viewsC[buf] = (
                         np.ndarray(shape + (groups, span * isz // 16),
-                                   np.complex128, base, off, st + (16,))
+                                   np.complex128, m, off, st + (16,))
                         if buf in wide else None)
                 bank.replay(stream, views, calls + (groups,), viewsC)
-                for m, idx, g, w in scatter:
-                    m[:, idx] = g[:, :, w]
 
     # -- replay --------------------------------------------------------
 
@@ -530,11 +464,7 @@ def _steps(d0: "tuple[int, ...]", d1: "tuple[int, ...]") -> "list[int]":
 def _passes(wave: Wave, cap: int) -> "list[tuple[int, int, int]]":
     """``(first call, rows, cols)`` of each pass over a wave of at most
     ``cap`` calls: whole lattice rows, a row split into column runs only
-    when it alone exceeds ``cap``; an irregular wave in runs of ``cap``
-    calls."""
-    n = len(wave.calls)
-    if wave.lattice is None:
-        return [(c0, 1, min(cap, n - c0)) for c0 in range(0, n, cap)]
+    when it alone exceeds ``cap``."""
     rows, cols = wave.lattice
     if cols <= cap:
         per = cap // cols
@@ -547,19 +477,17 @@ def _passes(wave: Wave, cap: int) -> "list[tuple[int, int, int]]":
 def _aliased(mats: "dict[str, np.ndarray]") -> bool:
     """Whether two bound buffers share memory (``gemm_compact(p, C, B,
     C)`` binds one array as A and C): per-buffer footprints cannot see
-    such conflicts, so the plan must replay in plan order."""
+    such conflicts, so the calls must run one by one in plan order."""
     views = list(mats.values())
     return any(np.may_share_memory(a, b)
                for i, a in enumerate(views) for b in views[i + 1:])
 
 
-def _wide(mats: "dict[str, np.ndarray]") -> "dict[str, np.ndarray | None]":
-    """16-byte-unit reinterpretations for the vectorized wide copies
-    (commands carry cfirst >= 0 only for buffers whose stride passed the
-    lower-time eligibility check)."""
-    return {name: (v.view(np.complex128)
-                   if (v.shape[-1] * v.itemsize) % 16 == 0 else None)
-            for name, v in mats.items()}
+def _plan_order(waves: "Sequence[Wave]") -> "list[Wave]":
+    """Every call of ``waves`` as a one-call wave, in plan order."""
+    return sorted((Wave(w.level, w.template, (ci,), w.buffers, (d,), (1, 1))
+                   for w in waves for ci, d in zip(w.calls, w.deltas)),
+                  key=lambda w: w.calls)
 
 
 class _Bank:
@@ -600,61 +528,21 @@ class _Bank:
             FusedBackend._replay(commands, *args)
 
 
-BACKENDS: "dict[str, type]" = {
-    InterpretBackend.name: InterpretBackend,
-    FusedBackend.name: FusedBackend,
+BACKENDS: "dict[str, InterpretBackend | FusedBackend]" = {
+    backend.name: backend for backend in (InterpretBackend(), FusedBackend())
 }
-
-
-def backend_name(backend: "str | ExecutorBackend | None") -> str:
-    """Canonical name of a backend selector (None = the default)."""
-    if backend is None:
-        return DEFAULT_BACKEND
-    if isinstance(backend, str):
-        return backend
-    name = getattr(backend, "name", None)
-    if not isinstance(name, str):
-        raise PlanError(f"object {backend!r} does not implement the "
-                        f"ExecutorBackend protocol (no 'name')")
-    return name
-
-
-#: one shared instance per name — backends keep no state across runs,
-#: so every ``Engine``/``IATF`` resolving the same name shares one
-#: object instead of constructing a fresh backend per resolution
-_INSTANCES: "dict[str, ExecutorBackend]" = {}
-
-
-def _conforms(backend: object) -> bool:
-    """Structural protocol check usable *before* first use: the three
-    members exist and ``run`` is callable (``isinstance`` against a
-    runtime_checkable Protocol only probes attribute presence)."""
-    return (isinstance(backend, ExecutorBackend)
-            and callable(getattr(backend, "run", None)))
+"""One shared instance per name: backends keep no state across runs."""
 
 
 def resolve_backend(
-        backend: "str | ExecutorBackend | None" = None) -> ExecutorBackend:
-    """Turn a backend name (or ready instance) into an instance.
-
-    Named backends are cached, so repeated resolutions share one
-    instance; an explicit instance passes through untouched (never
-    cached).
-    """
+        backend: "str | None" = None) -> "InterpretBackend | FusedBackend":
+    """The shared instance of the backend named ``backend`` (None: the
+    default); anything but a registered name raises :class:`PlanError`."""
     if backend is None:
         backend = DEFAULT_BACKEND
-    if isinstance(backend, str):
-        cls = BACKENDS.get(backend)
-        if cls is None:
-            raise PlanError(
-                f"unknown executor backend {backend!r}; available: "
-                f"{', '.join(sorted(BACKENDS))}")
-        instance = _INSTANCES.get(backend)
-        if instance is None:
-            instance = _INSTANCES.setdefault(backend, cls())
-        return instance
-    if not _conforms(backend):
-        raise PlanError(f"object {backend!r} does not implement the "
-                        f"ExecutorBackend protocol (name, needs_lowering, "
-                        f"run)")
-    return backend
+    found = BACKENDS.get(backend) if isinstance(backend, str) else None
+    if found is None:
+        raise PlanError(
+            f"unknown executor backend {backend!r}; available: "
+            f"{', '.join(sorted(BACKENDS))}")
+    return found

@@ -4,12 +4,11 @@ The engine is the run-time stage's backend, layered **plan → lower →
 execute**.  ``execute_gemm`` / ``execute_trsm`` validate operands, bind
 buffers (packing or aliasing the compact originals through one shared
 path; a TRSM whose B pack would be an identity copy solves the compact
-B in place), and hand the plan — plus, for backends that want it, its
-one-time :class:`~repro.runtime.lowering.CompiledPlan` — to the
-configured :class:`~repro.runtime.backends.ExecutorBackend` (by default
-``fused``, which replays the pass-optimized command stream on a plan's
-first execute and runs generated code per template once the plan
-executes again).
+B in place), and hand the plan — plus, for ``fused``, its one-time
+:class:`~repro.runtime.lowering.CompiledPlan` — to the configured
+backend (by default ``fused``, which replays the pass-optimized
+template streams wave by wave on a plan's first execute and runs
+generated code per template once the plan executes again).
 ``time_plan`` replays the same command queue, its programs scheduled,
 for a single representative group on the scoreboard pipeline with the
 cache hierarchy initialized to the batch counter's residency verdicts
@@ -42,7 +41,7 @@ from ..packing.gemm_pack import pack_gemm_a, pack_gemm_b
 from ..packing.trsm_pack import pack_trsm_a, pack_trsm_b, unpack_trsm_b
 from ..types import GemmProblem, TrsmProblem
 from . import megakernel
-from .backends import ExecutorBackend, resolve_backend
+from .backends import FusedBackend, InterpretBackend, resolve_backend
 from .lowering import CompiledPlan, lower_plan
 from .plan import ExecutionPlan, KernelCall
 
@@ -142,10 +141,9 @@ def _b_in_place(plan: ExecutionPlan, b: CompactBatch) -> bool:
 class Engine:
     """Executes and times execution plans on one machine.
 
-    ``backend`` selects the functional-execution strategy: a name from
+    ``backend`` selects the functional-execution strategy by name, from
     :data:`repro.runtime.backends.BACKENDS` (``"interpret"`` or
-    ``"fused"``), a ready :class:`ExecutorBackend` instance, or ``None``
-    for the default.  Timing is backend-independent.  ``programs`` holds
+    ``"fused"``), or ``None`` for the default.  Timing is backend-independent.  ``programs`` holds
     the code generated for the lowered plans this engine executes (see
     :mod:`repro.runtime.megakernel`), and ``templates`` the lowered call
     bindings every plan it lowers shares (see
@@ -154,9 +152,10 @@ class Engine:
     """
 
     def __init__(self, machine: MachineConfig,
-                 backend: "str | ExecutorBackend | None" = None) -> None:
+                 backend: "str | None" = None) -> None:
         self.machine = machine
-        self.backend: ExecutorBackend = resolve_backend(backend)
+        self.backend: "InterpretBackend | FusedBackend" = resolve_backend(
+            backend)
         self.programs = megakernel.ProgramMemo()
         self.templates = megakernel.ProgramMemo()
         # id(program) -> (program, its scheduled form); holding the

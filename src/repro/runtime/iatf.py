@@ -26,7 +26,7 @@ from ..errors import InvalidProblemError
 from ..layout.compact import CompactBatch
 from ..machine.machines import KUNPENG_920, MachineConfig
 from ..types import BlasDType, Diag, GemmProblem, Side, Trans, TrsmProblem, UpLo
-from .backends import ExecutorBackend
+from .backends import FusedBackend, InterpretBackend
 from .engine import Engine, PlanTiming
 from .lowering import CompiledPlan, lower_plan
 from .plan import ExecutionPlan, build_gemm_plan, build_trsm_plan
@@ -173,7 +173,7 @@ class IATF:
     """
 
     def __init__(self, machine: MachineConfig = KUNPENG_920, *,
-                 backend: "str | ExecutorBackend | None" = None,
+                 backend: "str | None" = None,
                  plan_cache_size: int = 1024,
                  tuning_db=None) -> None:
         self.machine = machine
@@ -200,7 +200,7 @@ class IATF:
         return self._tuning_db
 
     @property
-    def backend(self) -> ExecutorBackend:
+    def backend(self) -> "InterpretBackend | FusedBackend":
         """The executor backend plans run on (``iatf.backend.name``)."""
         return self.engine.backend
 

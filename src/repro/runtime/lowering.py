@@ -88,13 +88,14 @@ is the template's, shifted by its delta.  A call's *level* is 1 + the
 highest level of any earlier call it conflicts with (RAW, WAR or WAW on
 one element), and a :class:`Wave` is every call of one (level,
 template), in call order, with the lattice its deltas lie on (a
-progression, or rows x cols for a GEMM tile grid).  Levels replay in
-order and calls of one level never conflict, so the ``fused`` backend
-can replay a wave's template once per pass over whole lattice rows,
-bound as one strided view per buffer (levels → waves → passes), and
-every element still sees its plan-order sequence of ufuncs.  Copies of
-a block that touch no element another copy writes have the first
-block's levels, so only the first block is levelled.
+progression, or rows x cols for a GEMM tile grid; calls on no lattice
+are one wave each).  Levels replay in order and calls of one level
+never conflict, so the ``fused`` backend can replay a wave's template
+once per pass over whole lattice rows, bound as one strided view per
+buffer (levels → waves → passes), and every element still sees its
+plan-order sequence of ufuncs.  Copies of a block that touch no element
+another copy writes have the first block's levels, so only the first
+block is levelled.
 
 Lowering is pure analysis: it never touches matrix data, so a
 ``CompiledPlan`` is cached alongside its plan in the
@@ -212,19 +213,7 @@ class CompiledCommand:
         """Memory footprint as (buffer, first_element, count, step)."""
         if not self.is_mem:
             raise LoweringError(f"command kind {self.kind} touches no memory")
-        k = self.kind
-        if k in (K_LOAD, K_LOAD_PART, K_STORE):
-            _, _, buf, first, n = self.raw
-            return buf, first, n, 1
-        if k in (K_LOADPAIR, K_STOREPAIR):
-            _, _, _, buf, first, n = self.raw
-            return buf, first, 2 * n, 1
-        if k == K_LOAD1R:
-            _, _, buf, first = self.raw
-            return buf, first, 1, 1
-        # K_LOAD2 / K_STORE2: 2n elements at step 1, consumed pairwise
-        _, _, _, buf, first, n = self.raw
-        return buf, first, 2 * n, 1
+        return (*_access(self.raw), 1)
 
     def gather_indices(self, groups: int, stride_elems: int) -> np.ndarray:
         """The explicit ``(groups, count)`` element-index array this
@@ -235,13 +224,25 @@ class CompiledCommand:
         return base[:, None] + np.arange(count, dtype=np.int64)[None, :]
 
 
+def _access(cmd: tuple) -> "tuple[str, int, int]":
+    """``(buffer, first element, count)`` of a raw memory command; every
+    access is at step 1."""
+    k = cmd[0]
+    if k in (K_LOAD, K_LOAD_PART, K_STORE):
+        return cmd[2], cmd[3], cmd[4]
+    if k == K_LOAD1R:
+        return cmd[2], cmd[3], 1
+    # pairs, and K_LOAD2 / K_STORE2 (2n elements consumed pairwise)
+    return cmd[3], cmd[4], 2 * cmd[5]
+
+
 @dataclass
 class CompiledPlan:
     """A plan lowered to a replayable flat command stream.
 
     ``commands`` is a list of plain tuples headed by a ``K_*`` kind;
-    :class:`~repro.runtime.backends.FusedBackend` replays them (or
-    their pass-optimized ``fused_commands``) against one 2-D
+    :class:`~repro.runtime.backends.FusedBackend` runs the ``waves``
+    over the templates' pass-optimized streams against one 2-D
     ``(groups, stride_elems)`` view per buffer with a preallocated
     vector-register file.  Everything input-dependent was
     resolved at lower time; replay performs zero address arithmetic.
@@ -254,9 +255,9 @@ class CompiledPlan:
     buffers: dict[str, BufferLayout]
     commands: "Sequence[tuple]"
     fused_commands: "Sequence[tuple]" = field(default_factory=list)
-    """The pass-optimized stream (macro-ops allowed) the ``fused``
-    backend replays in plan order; ``commands`` stays the validated raw
-    stream."""
+    """The pass-optimized stream (macro-ops allowed), relocated call by
+    call in plan order (the attribution profiler's ``fused`` stream);
+    ``commands`` stays the validated raw stream."""
     call_ranges: "Sequence[tuple[str, int, int]]" = field(
         default_factory=list)
     """``(kernel_name, start, stop)`` per plan call over ``commands`` —
@@ -653,7 +654,7 @@ class _Template:
         for cmd in self.raw:
             k = cmd[0]
             if k in _MEM_KINDS:
-                buf, first, n, _ = CompiledCommand(k, cmd).access()
+                buf, first, n = _access(cmd)
                 acc.setdefault(buf, ([], []))[k in _STORE_KINDS].append(
                     (first, first + n))
         return {buf: (_merge(r), _merge(w)) for buf, (r, w) in acc.items()}
@@ -670,22 +671,21 @@ class _Template:
         return _mem_sites(self.raw), _mem_sites(self.opt)
 
     @cached_property
-    def wave_form(self) -> "tuple[list[tuple], dict, dict, frozenset]":
+    def wave_form(self) -> "tuple[list[tuple], dict, frozenset, frozenset]":
         """What a wave replays: the optimized stream with every memory
         operand re-based to its buffer's window, the windows ``buffer ->
         (start, width)`` (start rounded down to 16 B, so the rebase keeps
         ``cfirst`` whole and a window never starts before the group),
-        each written buffer's element offsets within its window, and the
-        buffers the 16-byte-unit wide copies address."""
+        the buffers it writes, and the buffers the 16-byte-unit wide
+        copies address."""
         unit = 16 // self.ew
         window = {buf: (lo - lo % unit, hi - lo + lo % unit)
                   for buf, (lo, hi) in self.extents.items()}
         stream = _relocate(self.opt, self.sites[1],
                            {buf: -lo for buf, (lo, _) in window.items()},
                            self.ew)
-        writes = {buf: np.concatenate([np.arange(s, e) - window[buf][0]
-                                       for s, e in w])
-                  for buf, (_, w) in self.footprint.items() if w}
+        writes = frozenset(buf for buf, (_, w) in self.footprint.items()
+                           if w)
         wide = frozenset(buf for buf, sites in self.sites[1].items()
                          if any(w for _, _, w in sites))
         return stream, window, writes, wide
@@ -741,18 +741,17 @@ class Wave:
     """Calls of one template with pairwise-disjoint footprints, replayed
     in passes over a ``(rows, cols, groups, lanes)`` register bank.
 
-    ``lattice`` is ``(rows, cols)`` when call ``i`` sits at ``deltas[0]
-    + (i // cols) * row step + (i % cols) * col step`` in every buffer —
-    a 1-D progression is one row, a GEMM tile grid is rows x cols — so a
-    pass binds each buffer as one strided view; ``None`` marks an
-    irregular wave, whose calls are gathered and scattered back."""
+    ``lattice`` is ``(rows, cols)``: call ``i`` sits at ``deltas[0] +
+    (i // cols) * row step + (i % cols) * col step`` in every buffer — a
+    1-D progression is one row, a GEMM tile grid is rows x cols — so a
+    pass binds each buffer as one strided view."""
 
     level: int                    # conflict depth; levels replay in order
     template: int                 # index into CompiledPlan.templates
     calls: "tuple[int, ...]"      # plan call indices, in call order
     buffers: "tuple[str, ...]"    # the template's root buffers
     deltas: "tuple[tuple[int, ...], ...]"  # per call, per buffer: elements
-    lattice: "tuple[int, int] | None"      # (rows, cols), None: irregular
+    lattice: "tuple[int, int]"    # (rows, cols)
 
 
 def _lattice(deltas: "tuple[tuple[int, ...], ...]"
@@ -797,7 +796,9 @@ def _build_waves(calls: "list[tuple[_Slot, dict[str, int]]]",
     and updated with interval slices.  A wave is every call of one
     (level, template), in call order; waves replay level by level.  A
     level is an antichain of the conflict order, so the reordering is
-    exact: every element sees its accesses in plan order.
+    exact: every element sees its accesses in plan order.  A bucket
+    whose deltas lie on no lattice (only hand-built plans have one)
+    becomes one wave per call: its calls still never conflict.
 
     ``block = (p, step)`` says the calls are their first ``p`` repeated,
     copy ``k`` moved ``k * step[buffer]`` elements.  When no copy writes
@@ -808,12 +809,17 @@ def _build_waves(calls: "list[tuple[_Slot, dict[str, int]]]",
     levelled, and each of its waves takes its calls from every copy.
     Otherwise every call is levelled.
     """
-    def wave(level: int, slot: _Slot, members: "list[int]") -> Wave:
+    def waves(level: int, slot: _Slot, members: "list[int]"
+              ) -> "list[Wave]":
         bufs = tuple(slot.tpl.base)
         deltas = tuple([tuple(map(calls[ci][1].__getitem__, bufs))
                         for ci in members])
-        return Wave(level, slot.index, tuple(members), bufs, deltas,
-                    _lattice(deltas))
+        lattice = _lattice(deltas)
+        if lattice:
+            return [Wave(level, slot.index, tuple(members), bufs, deltas,
+                         lattice)]
+        return [Wave(level, slot.index, (ci,), bufs, (d,), (1, 1))
+                for ci, d in zip(members, deltas)]
 
     n = len(calls)
     p = n
@@ -825,8 +831,8 @@ def _build_waves(calls: "list[tuple[_Slot, dict[str, int]]]",
         buckets = {key: [i + k for k in range(0, n, p) for i in members]
                    for key, members in buckets.items()}
     order = sorted(buckets.items(), key=lambda kv: (kv[0][0], kv[1][0]))
-    return [wave(level, calls[members[0]][0], members)
-            for (level, _), members in order]
+    return [w for (level, _), members in order
+            for w in waves(level, calls[members[0]][0], members)]
 
 
 def _levels(calls: "list[tuple[_Slot, dict[str, int]]]",

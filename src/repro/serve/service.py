@@ -34,7 +34,6 @@ from ..obs.budget import STAGES, Budget, BudgetLedger
 from ..obs.flight import FlightRecorder
 from ..obs.slo import SLOMonitor
 from ..machine.machines import KUNPENG_920, MachineConfig
-from ..runtime.backends import backend_name
 from ..runtime.iatf import IATF
 from .admission import AdmissionController
 from .coalesce import Coalescer, PendingRequest
@@ -100,7 +99,7 @@ class BlasService:
                 self._t_start = time.perf_counter()
         self.scheduler.start()
         obs.event("serve.start", machine=self.machine.name,
-                  backend=backend_name(self.iatf.engine.backend),
+                  backend=self.iatf.backend.name,
                   max_batch=self.coalescer.max_batch,
                   max_wait_ms=self.coalescer.max_wait * 1000.0)
         return self
@@ -258,7 +257,7 @@ class BlasService:
                 "running": self.scheduler.running,
                 "uptime_seconds": round(uptime, 3),
                 "machine": self.machine.name,
-                "backend": backend_name(self.iatf.engine.backend),
+                "backend": self.iatf.backend.name,
                 "requests": {
                     "submitted": self._submitted,
                     "completed": self._completed,

@@ -104,21 +104,21 @@ class Evaluator:
             plan = self.build_plan(problem, cand)
             cycles = self._engine.time_plan(plan).total_cycles
             gflops = self.machine.gflops(problem.flops, cycles)
-            wall = (self._wall_run(problem, cand, DEFAULT_BACKEND)
-                    if self.wall_clock else None)
+            wall = (self._wall_run(problem, cand) if self.wall_clock
+                    else None)
         obs.count("tuning.eval.candidates")
         return Measurement(cycles=cycles, gflops=gflops,
                            repeats=self.repeats, wall_seconds=wall)
 
-    def drift(self, problem, cand: "Candidate | None" = None,
-              backends: "tuple[str, ...]" = ("fused",)
+    def drift(self, problem, cand: "Candidate | None" = None
               ) -> "dict[str, dict]":
-        """Cycle-model prediction vs wall-clock replay, per backend.
+        """Cycle-model prediction vs wall-clock replay on the default
+        backend.
 
         Both sides run the *same* capped-batch problem the wall replay
         uses (host time scales linearly with groups, so capping keeps
         the check cheap without changing the ratio).  Returns
-        ``{backend: {"predicted_seconds", "wall_seconds", "ratio"}}``;
+        ``{"fused": {"predicted_seconds", "wall_seconds", "ratio"}}``;
         the ratio (wall / predicted) is the model-drift figure the
         profiler reports — host-dependent, so it is provenance, never a
         selection metric.
@@ -127,19 +127,16 @@ class Evaluator:
             cand = Candidate(main=None)
         p = problem.with_batch(min(problem.batch, WALL_CLOCK_BATCH_CAP))
         predicted = self._engine.time_plan(self.build_plan(p, cand)).seconds
-        out: "dict[str, dict]" = {}
-        for backend in backends:
-            wall = self._wall_run(problem, cand, backend)
-            out[backend] = {"predicted_seconds": predicted,
-                            "wall_seconds": wall,
-                            "ratio": wall / predicted if predicted else 0.0}
-        obs.count("tuning.drift.backends", len(backends))
-        return out
+        wall = self._wall_run(problem, cand)
+        return {DEFAULT_BACKEND: {
+            "predicted_seconds": predicted, "wall_seconds": wall,
+            "ratio": wall / predicted if predicted else 0.0}}
 
-    def _wall_run(self, problem, cand: Candidate, backend: str) -> float:
+    def _wall_run(self, problem, cand: Candidate) -> float:
         """Best-of-``repeats`` host seconds executing the candidate's
-        plan on ``backend`` over a capped random batch, lowered once and
-        warmed twice (``fused`` then runs its generated code)."""
+        plan on the default backend over a capped random batch, lowered
+        once and warmed twice (``fused`` then runs its generated
+        code)."""
         from ..layout.compact import CompactBatch
 
         dt = problem.dtype
@@ -156,7 +153,7 @@ class Evaluator:
             return CompactBatch.from_matrices(mats.astype(dt.np_dtype),
                                               lanes, dt)
 
-        engine = Engine(self.machine, backend=backend)
+        engine = Engine(self.machine)
         p = problem.with_batch(small)
         small_plan = self.build_plan(p, cand)
         if isinstance(problem, GemmProblem):
@@ -171,8 +168,7 @@ class Evaluator:
             run = lambda: engine.execute_trsm(small_plan, a, b,
                                               compiled=compiled)
 
-        compiled = (lower_plan(small_plan, engine.templates)
-                    if engine.backend.needs_lowering else None)
+        compiled = lower_plan(small_plan, engine.templates)
         run()                            # warm: replay, then codegen
         run()
         best = float("inf")

@@ -1,22 +1,23 @@
 """Template waves: replaying each lowering template once across its
-independent calls must leave exactly the bytes plan-order replay and
-``interpret`` leave.
+independent calls must leave exactly the bytes plan order (one-call
+waves) and ``interpret`` leave.
 
-(a) wave replay == plan-order replay == interpret, on the benchmark
-    grids and on drawn problems whose inputs hold NaN/Inf/-0.0;
+(a) waves == plan order == interpret, on the benchmark grids and on
+    drawn problems whose inputs hold NaN/Inf/-0.0;
 (b) a brute-force check, from the relocated raw stream and independent
     of the level builder, that no two calls of one level conflict and
     that every conflicting pair keeps its plan order;
-(c) calls whose footprints overlap never share a wave, and an irregular
-    wave is gathered and scattered back;
-(d) bound buffers that alias (``gemm_compact(p, C, B, C)``) replay in
-    plan order;
+(c) calls whose footprints overlap never share a wave, and calls of one
+    level on no lattice run as one-call waves;
+(d) bound buffers that alias (``gemm_compact(p, C, B, C)``) run one
+    call at a time in plan order, never through generated code;
 (e) every grid wave is a lattice, replayed in passes of whole lattice
     rows under the host-L2 register-bank budget, over group blocks, with
     the same bytes at every L2 size.
 """
 
 import copy
+import dataclasses
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from perfbench.grids import FULL, SMOKE
 from repro import IATF, KUNPENG_920
 from repro.layout.compact import CompactBatch
-from repro.runtime import backends
+from repro.runtime import backends, megakernel
 from repro.runtime.backends import FusedBackend
 from repro.runtime.engine import Engine
 from repro.runtime.lowering import (K_STORE, K_STORE2, K_STOREPAIR,
@@ -114,8 +115,9 @@ def wave_runs(monkeypatch):
 
 @pytest.fixture
 def gathers(monkeypatch):
-    """``np.take`` calls the wave schedule makes (the gather path); the
-    replay loop's own register-bank takes are not counted."""
+    """``np.take`` calls the wave schedule itself makes (none: every
+    wave is a lattice, bound as strided views); the replay loop's own
+    register-bank takes are not counted."""
     seen = []
     real = np.take
 
@@ -128,23 +130,23 @@ def gathers(monkeypatch):
 
 
 def _check_parity(problem, monkeypatch, seed=0, special=False,
-                  interpret=True):
-    """Waves, plan order and (optionally) interpret give equal bytes."""
+                  interpret=True, spies=()):
+    """Waves, plan order and (optionally) interpret give equal bytes.
+    Each list in ``spies`` keeps only what the wave run recorded: the
+    plan-order run passes through the same wave schedule."""
     ops = _operands(problem, seed, special)
     waves = _call(FW, problem, ops)
+    kept = [len(spy) for spy in spies]
     with monkeypatch.context() as mp:
         # the aliasing guard is the plan-order switch
         mp.setattr(backends, "_aliased", lambda mats: True)
         order = _call(FW, problem, ops)
+    for spy, n in zip(spies, kept):
+        del spy[n:]
     assert _same(waves, order, special), problem
     if interpret:
         ref = _call(FW_INTERPRET, problem, ops)
         assert _same(waves, ref, special), problem
-
-
-def _waves_expected(problem):
-    compiled = lower_plan(_plan(problem))
-    return len(compiled.waves) < compiled.stats["calls"]
 
 
 SMOKE_PROBLEMS = SMOKE.bulk + SMOKE.cold + SMOKE.tune
@@ -154,9 +156,8 @@ SMOKE_PROBLEMS = SMOKE.bulk + SMOKE.cold + SMOKE.tune
 
 @pytest.mark.parametrize("problem", SMOKE_PROBLEMS + FULL.cold, ids=repr)
 def test_grid_parity(problem, monkeypatch, wave_runs, gathers):
-    _check_parity(problem, monkeypatch)
-    if _waves_expected(problem):
-        assert wave_runs, "wave schedule did not run"
+    _check_parity(problem, monkeypatch, spies=(wave_runs,))
+    assert wave_runs, "wave schedule did not run"
     assert not gathers, "a lattice wave was gathered"
 
 
@@ -272,22 +273,49 @@ def _check_against_interpret(problem, plan, compiled):
     assert np.array_equal(_bytes(outs[0]), _bytes(outs[1]))
 
 
-def test_irregular_wave_gathers_and_scatters(gathers):
+def _tampered(problem):
     """The doubled plan with its first two tiles swapped: each level's
-    deltas lie on no lattice, so its waves are gathered and their
-    written elements scattered back."""
-    problem = GemmProblem(12, 12, 5, "d", batch=6, alpha=0.5, beta=1.5)
+    deltas lie on no lattice."""
     plan = copy.copy(_plan(problem))
     calls = list(plan.calls)
     calls[0], calls[1] = calls[1], calls[0]
     plan.calls = calls
-    plan = _doubled(plan)
+    return _doubled(plan)
+
+
+def _check_tiers(problem, plan, compiled):
+    """Equal bytes to interpret on the first execute (replayed) and the
+    second and third (generated)."""
+    for run in range(3):
+        _check_against_interpret(problem, plan, compiled)
+        assert (compiled.programs is not None) == (run > 0)
+
+
+def test_irregular_level_runs_as_one_call_waves(gathers):
+    """Calls of one level on no lattice never conflict, so each runs as
+    its own wave: every wave is a lattice and nothing is gathered."""
+    problem = GemmProblem(12, 12, 5, "d", batch=6, alpha=0.5, beta=1.5)
+    plan = _tampered(problem)
     compiled = lower_plan(plan)
     _check_levels(compiled)
-    irregular = [w for w in compiled.waves if w.lattice is None]
-    assert irregular and all(len(w.calls) > 1 for w in irregular)
-    _check_against_interpret(problem, plan, compiled)
-    assert gathers
+    for w in compiled.waves:
+        rows, cols = w.lattice
+        assert rows * cols == len(w.calls)
+    # the swapped tiles (calls 0-3) each became a one-call wave
+    swapped = [w for w in compiled.waves if min(w.calls) < 4]
+    assert sorted(ci for w in swapped for ci in w.calls) == [0, 1, 2, 3]
+    assert all(w.lattice == (1, 1) for w in swapped)
+    _check_tiers(problem, plan, compiled)
+    assert not gathers
+
+
+def test_irregular_plan_in_plan_order(monkeypatch, gathers):
+    """The same tampered plan, every bind treated as aliased."""
+    monkeypatch.setattr(backends, "_aliased", lambda mats: True)
+    problem = GemmProblem(12, 12, 5, "d", batch=6, alpha=0.5, beta=1.5)
+    plan = _tampered(problem)
+    _check_tiers(problem, plan, lower_plan(plan))
+    assert not gathers
 
 
 # -- (d) aliased buffers ------------------------------------------------------
@@ -305,14 +333,37 @@ def _aliased_run(problem, fw):
 
 
 @pytest.mark.parametrize("problem", ALIASED, ids=repr)
-def test_aliased_a_and_c_match_interpret(problem):
+def test_aliased_a_and_c_match_interpret(problem, monkeypatch):
     """A is C and A is not packed, so the plan reads what it writes
     through another buffer: only plan order is exact (waves, replayed or
     generated, would read stale A).  From the second run on the plan has
-    generated programs, which an aliased bind must still not use."""
+    generated programs, which an aliased bind must still not call (a
+    fresh framework, so every program is generated under the spy; each
+    call records whether its bind was aliased)."""
+    binds, ran = [], []
+    real_aliased, real_compile = backends._aliased, megakernel.compile_program
+
+    def aliased(mats):
+        binds.append(real_aliased(mats))
+        return binds[-1]
+
+    def compile_program(*args):
+        prog = real_compile(*args)
+
+        def fn(*inputs):
+            ran.append(binds[-1])
+            return prog.fn(*inputs)
+        return dataclasses.replace(prog, fn=fn)
+    monkeypatch.setattr(backends, "_aliased", aliased)
+    monkeypatch.setattr(megakernel, "compile_program", compile_program)
+    fw = IATF(KUNPENG_920)
     ref = _bytes(_aliased_run(problem, FW_INTERPRET))
     for _ in range(3):
-        assert np.array_equal(_bytes(_aliased_run(problem, FW)), ref)
+        assert np.array_equal(_bytes(_aliased_run(problem, fw)), ref)
+    # the same plan bound without aliasing calls its programs
+    a, b, c = (_compact(fw, x) for x in _operands(problem, 11))
+    fw.gemm_compact(problem, a, b, c)
+    assert False in ran and True not in ran
 
 
 def test_aliased_cases_need_the_guard(monkeypatch):
@@ -385,7 +436,7 @@ def test_passes_are_lattice_rows_under_host_l2_budget(l2, leads,
     block = _block(compiled)
     assert block == (l2 // 2) // (32 * compiled.lanes * compiled.ew)
     assert block >= compiled.groups
-    _check_parity(problem, monkeypatch, interpret=False)
+    _check_parity(problem, monkeypatch, interpret=False, spies=(leads,))
     wave_leads = [lead for lead in leads if len(lead) > 1]
     assert wave_leads == _expected_leads(
         compiled, compiled.groups, block // compiled.groups)
@@ -399,7 +450,7 @@ def test_waves_chunked_to_bank_budget(leads, monkeypatch):
     assert block >= compiled.groups
     cap = block // compiled.groups
     assert max(len(w.calls) for w in compiled.waves) > cap
-    _check_parity(problem, monkeypatch, interpret=False)
+    _check_parity(problem, monkeypatch, interpret=False, spies=(leads,))
     wave_leads = [lead for lead in leads if len(lead) > 1]
     # every pass holds at most ``cap`` calls across all groups, and the
     # passes of each wave cover its calls exactly once, in wave order
@@ -422,7 +473,7 @@ def test_groups_beyond_one_block_replay_waves_per_block(leads, wave_runs,
     compiled = lower_plan(_plan(problem))
     assert _block(compiled) == 64
     assert len(compiled.waves) < compiled.stats["calls"]
-    _check_parity(problem, monkeypatch)
+    _check_parity(problem, monkeypatch, spies=(leads, wave_runs))
     assert wave_runs == [64, 64, 2]
     wave_leads = [lead for lead in leads if len(lead) > 1]
     per_block = _expected_leads(compiled, 64, 1)
