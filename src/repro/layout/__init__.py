@@ -8,7 +8,8 @@ Complex matrices are stored as split re/im planes per element so complex
 arithmetic decomposes into real vector FMAs.
 """
 
-from .compact import CompactBatch
+from .compact import CompactBatch, StandardBatch
 from .padding import pad_to_multiple, padded_count
 
-__all__ = ["CompactBatch", "pad_to_multiple", "padded_count"]
+__all__ = ["CompactBatch", "StandardBatch", "pad_to_multiple",
+           "padded_count"]

@@ -20,6 +20,13 @@ exactly as the paper describes).
 
 All conversions are pure reshapes/transposes + one copy, per the
 scientific-Python guidance: no Python-level loops over matrices.
+
+An operand the plan packs need not be interleaved at all: a
+:class:`StandardBatch` wraps the caller's ``(batch, rows, cols)`` array,
+and the packers gather their panels straight from it (paper Figure 6's
+N/Z-shaped packing with no compact intermediate).  Both classes answer
+the same :meth:`~CompactBatch.gather` over compact element indices, so
+one pack implementation serves either source.
 """
 
 from __future__ import annotations
@@ -30,10 +37,34 @@ from ..errors import LayoutError
 from ..types import BlasDType
 from .padding import padded_count
 
-__all__ = ["CompactBatch"]
+__all__ = ["CompactBatch", "StandardBatch"]
 
 
-class CompactBatch:
+class _Geometry:
+    """The shape of a batch of ``batch`` matrices of ``rows x cols``,
+    grouped ``lanes`` to a SIMD register."""
+
+    rows: int
+    cols: int
+    batch: int
+    dtype: BlasDType
+    lanes: int
+
+    @property
+    def groups(self) -> int:
+        return padded_count(self.batch, self.lanes) // self.lanes
+
+    @property
+    def ncomp(self) -> int:
+        return 2 if self.dtype.is_complex else 1
+
+    @property
+    def elem_stride(self) -> int:
+        """Real elements between consecutive matrix elements down a column."""
+        return self.ncomp * self.lanes
+
+
+class CompactBatch(_Geometry):
     """A batch of fixed-size matrices in SIMD-friendly layout.
 
     Parameters
@@ -119,19 +150,6 @@ class CompactBatch:
     # -- geometry --------------------------------------------------------
 
     @property
-    def groups(self) -> int:
-        return padded_count(self.batch, self.lanes) // self.lanes
-
-    @property
-    def ncomp(self) -> int:
-        return 2 if self.dtype.is_complex else 1
-
-    @property
-    def elem_stride(self) -> int:
-        """Real elements between consecutive matrix elements down a column."""
-        return self.ncomp * self.lanes
-
-    @property
     def elem_stride_bytes(self) -> int:
         return self.elem_stride * self.dtype.real_itemsize
 
@@ -168,6 +186,13 @@ class CompactBatch:
                 * self.group_stride_bytes)
 
     # -- views / conversion ----------------------------------------------
+
+    def gather(self, index: np.ndarray) -> np.ndarray:
+        """Elements ``index`` (compact ``j * rows + i``) of every group,
+        in index order: a new ``(groups, index.size, elem_stride)``
+        array."""
+        return np.take(self.buffer.reshape(self.groups, self.rows * self.cols,
+                                           self.elem_stride), index, axis=1)
 
     def as_grid(self) -> np.ndarray:
         """View shaped ``(groups, rows, cols, ncomp, lanes)`` (no copy)."""
@@ -256,6 +281,78 @@ class CompactBatch:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CompactBatch({self.batch}x[{self.rows}x{self.cols}] "
                 f"{self.dtype.value}, P={self.lanes}, groups={self.groups})")
+
+
+class StandardBatch(_Geometry):
+    """A caller's standard ``(batch, rows, cols)`` array, read in place.
+
+    :meth:`gather` answers the same compact element indices as
+    :meth:`CompactBatch.gather`, byte for byte, with one ``np.take`` per
+    call, so a packer copies each element of a packed operand once.  The
+    array is held C-contiguous in the problem's element type: any other
+    input (another memory order, negative strides, a real array for a
+    complex problem) is converted by one ``np.ascontiguousarray`` first.
+    """
+
+    def __init__(self, matrices: np.ndarray, lanes: int,
+                 dtype: "BlasDType | str | None" = None) -> None:
+        if matrices.ndim != 3:
+            raise LayoutError(
+                f"expected (batch, rows, cols) array, got {matrices.ndim}-D")
+        dt = BlasDType.from_any(dtype if dtype is not None else matrices.dtype)
+        self.matrices = np.ascontiguousarray(matrices, dt.np_dtype)
+        self.batch, self.rows, self.cols = (int(x) for x in matrices.shape)
+        self.dtype = dt
+        self.lanes = int(lanes)
+
+    def gather(self, index: np.ndarray) -> np.ndarray:
+        """Elements ``index`` (compact ``j * rows + i``) of every group,
+        in index order, as :meth:`CompactBatch.gather` returns them.  A
+        batch that is not a lane multiple gathers its last group from a
+        zero-padded tail, so padding lanes read exactly 0."""
+        lanes, span = self.lanes, self.rows * self.cols * self.ncomp
+        offsets = _standard_offsets(index, self.rows, self.cols, self.ncomp,
+                                    lanes)
+        real = self.matrices.view(self.dtype.real_dtype).reshape(
+            self.batch, span)
+        full, rem = divmod(self.batch, lanes)
+        out = np.empty((self.groups, offsets.size), real.dtype)
+        # the offsets are in range by construction; "clip" writes
+        # straight into ``out``, where "raise" would buffer it
+        np.take(real[:full * lanes].reshape(full, lanes * span), offsets,
+                axis=1, out=out[:full], mode="clip")
+        if rem:
+            tail = np.zeros((lanes, span), real.dtype)
+            tail[:rem] = real[full * lanes:]
+            np.take(tail.reshape(-1), offsets, out=out[full], mode="clip")
+        return out.reshape(self.groups, index.size, self.elem_stride)
+
+
+# (id(index), rows, cols, ncomp, lanes) -> (index, offsets); holding the
+# index keeps its id unique while the entry lives
+_OFFSETS: "dict[tuple, tuple[np.ndarray, np.ndarray]]" = {}
+
+
+def _standard_offsets(index: np.ndarray, rows: int, cols: int, ncomp: int,
+                      lanes: int) -> np.ndarray:
+    """Per gathered real element ``(e, comp, lane)`` of a group, its
+    offset in the group's ``(lanes, rows, cols, ncomp)`` block of a
+    C-contiguous array: compact element ``index[e] = j * rows + i`` is
+    row-major ``i * cols + j``.  Memoized per index object and shape (the
+    packers' indices are themselves cached per tiling and mode)."""
+    key = (id(index), rows, cols, ncomp, lanes)
+    hit = _OFFSETS.get(key)
+    if hit is not None:
+        return hit[1]
+    j, i = np.divmod(index, rows)
+    offsets = ((i * cols + j)[:, None, None] * ncomp
+               + np.arange(ncomp)[:, None]
+               + np.arange(lanes) * (rows * cols * ncomp)).ravel()
+    offsets.flags.writeable = False
+    if len(_OFFSETS) >= 256:
+        _OFFSETS.clear()
+    _OFFSETS[key] = (index, offsets)
+    return offsets
 
 
 def _planes(x: np.ndarray, ncomp: int) -> np.ndarray:

@@ -8,9 +8,13 @@ for A (walk down a column block, then right) and the Z shape for B
 (walk across a row, then down).  Transposed operands are normalized
 here, so every compute kernel sees the same order regardless of mode.
 
-Each pack is one ``np.take`` over an element index cached per tiling
-and mode: every packed element of every group is copied once, with no
-per-panel or per-matrix loops.
+Each pack is one gather over an element index cached per tiling and
+mode: every packed element of every group is copied once, with no
+per-panel or per-matrix loops.  The source is either a compact batch or
+the caller's own ``(batch, rows, cols)`` array (a
+:class:`~repro.layout.compact.StandardBatch`), which the gather reads
+through the same index, composed with the array's row-major, lane-major
+offsets, so an operand the plan packs is never interleaved first.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import LayoutError
-from ..layout.compact import CompactBatch
+from ..layout.compact import CompactBatch, StandardBatch
 from ..types import Trans
 from .cost import PackCost
 
@@ -66,13 +70,12 @@ def _panel_index(tiles: "tuple[int, ...]", k: int, step_l: int,
     return index
 
 
-def _pack(x: CompactBatch, tiles: "list[int]", k: int, step_l: int,
-          step_w: int) -> PackedOperand:
-    """One ``np.take`` of every packed element of every group."""
+def _pack(x: "CompactBatch | StandardBatch", tiles: "list[int]", k: int,
+          step_l: int, step_w: int) -> PackedOperand:
+    """One gather of every packed element of every group."""
     index = _panel_index(tuple(tiles), k, step_l, step_w)
     es = x.elem_stride
-    data = np.take(x.buffer.reshape(x.groups, x.rows * x.cols, es), index,
-                   axis=1).reshape(-1)
+    data = x.gather(index).reshape(-1)
     esz = x.dtype.real_itemsize
     offsets = [start * k * es * esz for start in _starts(tiles)]
     nbytes = int(data.nbytes)
@@ -82,7 +85,7 @@ def _pack(x: CompactBatch, tiles: "list[int]", k: int, step_l: int,
                          list(tiles), cost)
 
 
-def pack_gemm_a(a: CompactBatch, transa: Trans, k: int,
+def pack_gemm_a(a: "CompactBatch | StandardBatch", transa: Trans, k: int,
                 m_tiles: list[int]) -> PackedOperand:
     """Pack op(A) into N-shaped row-tile panels.
 
@@ -98,7 +101,7 @@ def pack_gemm_a(a: CompactBatch, transa: Trans, k: int,
     return _pack(a, m_tiles, k, *((m, 1) if transa is Trans.N else (1, k)))
 
 
-def pack_gemm_b(b: CompactBatch, transb: Trans, k: int,
+def pack_gemm_b(b: "CompactBatch | StandardBatch", transb: Trans, k: int,
                 n_tiles: list[int]) -> PackedOperand:
     """Pack op(B) into Z-shaped column-tile panels (``[l][j]`` order)."""
     n = sum(n_tiles)

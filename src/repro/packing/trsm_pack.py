@@ -18,13 +18,14 @@ block ``d``: the rectangular ``L(d, e)`` panels for ``e < d`` (in the
 GEMM-A streaming layout the FMLS kernel consumes) followed by block
 ``d``'s triangle (row-major, diagonal pre-reciprocated; the paper's
 "the diagonal part is stored as its reciprocal" to avoid ARM's long
-division latency inside the kernel).  It is one ``np.take`` of every
-packed element over a solve-order index of stored-A elements (cached
-per order, blocking and mode), then the diagonal positions are
-reciprocated in place.  The reciprocal is IEEE in every valid lane, so
-a zero diagonal solves to Inf/NaN as substitution by it would; only
-zeros in the last group's padding lanes divide by 1, keeping the padded
-solves finite.
+division latency inside the kernel).  It is one gather of every packed
+element over a solve-order index of stored-A elements (cached per order,
+blocking and mode), from a compact batch or straight from the caller's
+``(batch, d, d)`` array (a :class:`~repro.layout.compact.StandardBatch`),
+then the diagonal positions are reciprocated in place.  The reciprocal
+is IEEE in every valid lane, so a zero diagonal solves to Inf/NaN as
+substitution by it would; only zeros in the last group's padding lanes
+divide by 1, keeping the padded solves finite.
 
 The B pack produces a column-major working panel (rows flipped and/or
 transposed per the normalization, scaled by alpha, columns zero-padded
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import LayoutError
-from ..layout.compact import CompactBatch
+from ..layout.compact import CompactBatch, StandardBatch
 from ..layout.padding import padded_count
 from ..types import Diag, Side, Trans, TrsmProblem, UpLo
 from .cost import PackCost
@@ -172,11 +173,11 @@ def _reciprocal(diag: np.ndarray, is_complex: bool, valid: int) -> None:
     np.divide(im, denom, out=im)
 
 
-def pack_trsm_a(a: CompactBatch, norm: NormalizedTrsm,
+def pack_trsm_a(a: "CompactBatch | StandardBatch", norm: NormalizedTrsm,
                 blocks: list[int]) -> PackedTriangles:
     """Gather the canonical lower triangle into solve-order panels: one
-    ``np.take`` of every packed element, then the diagonal reciprocated
-    in place."""
+    gather of every packed element, then the diagonal reciprocated in
+    place."""
     d = norm.d
     if (a.rows, a.cols) != (d, d):
         raise LayoutError(f"A is {a.rows}x{a.cols}, expected {d}x{d}")
@@ -185,7 +186,7 @@ def pack_trsm_a(a: CompactBatch, norm: NormalizedTrsm,
     index, diag, tri_offsets, rect_offsets, panel_count = _layout(
         d, norm.flip, norm.gather_trans, tuple(blocks))
     G, es = a.groups, a.elem_stride
-    packed = np.take(a.buffer.reshape(G, d * d, es), index, axis=1)
+    packed = a.gather(index)
     is_c = a.dtype.is_complex
     if not norm.unit:
         grid = packed.reshape(G, index.size, a.ncomp, a.lanes)

@@ -3,9 +3,11 @@
 The engine is the run-time stage's backend, layered **plan → lower →
 execute**.  ``execute_gemm`` / ``execute_trsm`` validate operands, bind
 buffers (packing or aliasing the compact originals through one shared
-path; a TRSM whose B pack would be an identity copy solves the compact
-B in place), and hand the plan — plus, for ``fused``, its one-time
-:class:`~repro.runtime.lowering.CompiledPlan` — to the configured
+path; a packed operand may also be the caller's own array, a
+:class:`~repro.layout.compact.StandardBatch` the pack gathers from
+directly; a TRSM whose B pack would be an identity copy solves the
+compact B in place), and hand the plan — plus, for ``fused``, its
+one-time :class:`~repro.runtime.lowering.CompiledPlan` — to the configured
 backend (by default ``fused``, which replays the pass-optimized
 template streams wave by wave on a plan's first execute and runs
 generated code per template once the plan executes again).
@@ -31,7 +33,7 @@ from ..codegen import regs
 from ..codegen.optimizer import schedule_program
 from ..codegen.validate import assert_valid
 from ..errors import PlanError
-from ..layout.compact import CompactBatch
+from ..layout.compact import CompactBatch, StandardBatch
 from ..machine.machines import MachineConfig
 from ..machine.memory import MemorySpace
 from ..machine.program import Program
@@ -95,8 +97,8 @@ class PlanTiming:
             self.plan.problem.dtype)
 
 
-def _check_compact(name: str, cb: CompactBatch, rows: int, cols: int,
-                   plan: ExecutionPlan) -> None:
+def _check_compact(name: str, cb: "CompactBatch | StandardBatch",
+                   rows: int, cols: int, plan: ExecutionPlan) -> None:
     p = plan.problem
     if (cb.rows, cb.cols) != (rows, cols):
         raise PlanError(f"{name} is {cb.rows}x{cb.cols}, plan expects "
@@ -190,7 +192,8 @@ class Engine:
     @staticmethod
     def _bind_operand(mem: MemorySpace, strides: dict[str, int],
                       plan: ExecutionPlan, origin_name: str,
-                      origin: CompactBatch, packed_name: str,
+                      origin: "CompactBatch | StandardBatch",
+                      packed_name: str,
                       pack_fn: "Callable[[], tuple[np.ndarray, int]]",
                       span_name: str) -> "np.ndarray | None":
         """Bind one operand the way the plan decided: pack it (returning
@@ -203,14 +206,20 @@ class Engine:
             mem.bind(packed_name, arr)
             strides[packed_name] = stride
             return arr
+        if not isinstance(origin, CompactBatch):
+            raise PlanError(f"{origin_name} must be compact: the plan reads "
+                            f"it in place")
         mem.bind(origin_name, origin.buffer)
         strides[origin_name] = origin.group_stride_bytes
         return None
 
-    def execute_gemm(self, plan: ExecutionPlan, a: CompactBatch,
-                     b: CompactBatch, c: CompactBatch,
+    def execute_gemm(self, plan: ExecutionPlan,
+                     a: "CompactBatch | StandardBatch",
+                     b: "CompactBatch | StandardBatch", c: CompactBatch,
                      compiled: "CompiledPlan | None" = None) -> CompactBatch:
-        """Run the plan; C is updated in place and returned."""
+        """Run the plan; C is updated in place and returned.  A and B
+        may be :class:`StandardBatch` sources where the plan packs
+        them."""
         if plan.kind != "gemm":
             raise PlanError(f"expected a gemm plan, got {plan.kind}")
         p: GemmProblem = plan.problem
@@ -246,10 +255,11 @@ class Engine:
             self.run_plan(plan, mem, strides, c.groups, compiled)
         return c
 
-    def execute_trsm(self, plan: ExecutionPlan, a: CompactBatch,
-                     b: CompactBatch,
+    def execute_trsm(self, plan: ExecutionPlan,
+                     a: "CompactBatch | StandardBatch", b: CompactBatch,
                      compiled: "CompiledPlan | None" = None) -> CompactBatch:
-        """Run the plan; B is overwritten with X and returned."""
+        """Run the plan; B is overwritten with X and returned.  A may be
+        a :class:`StandardBatch` source where the plan packs it."""
         if plan.kind != "trsm":
             raise PlanError(f"expected a trsm plan, got {plan.kind}")
         p: TrsmProblem = plan.problem

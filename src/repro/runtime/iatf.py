@@ -23,7 +23,7 @@ import numpy as np
 from .. import obs
 from ..codegen.registry import KernelRegistry
 from ..errors import InvalidProblemError
-from ..layout.compact import CompactBatch
+from ..layout.compact import CompactBatch, StandardBatch
 from ..machine.machines import KUNPENG_920, MachineConfig
 from ..types import BlasDType, Diag, GemmProblem, Side, Trans, TrsmProblem, UpLo
 from .backends import FusedBackend, InterpretBackend
@@ -500,9 +500,12 @@ class IATF:
              transb: "Trans | str" = "N") -> np.ndarray:
         """Batched GEMM on standard ``(batch, rows, cols)`` arrays.
 
-        Interleaves to the compact layout, runs the planned kernels, and
-        de-interleaves the result (a convenience wrapper; performance
-        studies should hold data compact across many calls).
+        Plans first; then each operand the plan packs is gathered into
+        its panels straight from the caller's array, in one copy, and
+        only C and the operands the kernels read in place are
+        interleaved to the compact layout.  The result is de-interleaved
+        from C.  (The compact API, :meth:`gemm_compact`, lets a caller
+        hold data compact across many calls instead.)
         """
         if a.ndim != 3 or b.ndim != 3 or c.ndim != 3:
             raise InvalidProblemError("gemm expects (batch, rows, cols) arrays")
@@ -529,10 +532,12 @@ class IATF:
         dt.check_operand("A", a)
         dt.check_operand("B", b)
         lanes = self.machine.lanes(dt)
-        ca = CompactBatch.from_matrices(a, lanes, dt)
-        cb = CompactBatch.from_matrices(b, lanes, dt)
+        plan, key, _ = self._plan_gemm_keyed(problem, False)
+        compiled = self._compiled_for(key, plan)
+        ca = _source(a, "packA" in plan.buffers, lanes, dt)
+        cb = _source(b, "packB" in plan.buffers, lanes, dt)
         cc = CompactBatch.from_matrices(c, lanes, dt)
-        self.gemm_compact(problem, ca, cb, cc)
+        self.engine.execute_gemm(plan, ca, cb, cc, compiled=compiled)
         # free the operand batches first, so the result can take their
         # memory instead of growing the heap past them
         del ca, cb
@@ -542,7 +547,11 @@ class IATF:
              side: "Side | str" = "L", uplo: "UpLo | str" = "L",
              transa: "Trans | str" = "N",
              diag: "Diag | str" = "N") -> np.ndarray:
-        """Batched TRSM on standard ``(batch, rows, cols)`` arrays."""
+        """Batched TRSM on standard ``(batch, rows, cols)`` arrays.
+
+        As :meth:`gemm`: a triangle the plan packs is gathered straight
+        from the caller's A; B, which the solve overwrites, is
+        interleaved."""
         if a.ndim != 3 or b.ndim != 3:
             raise InvalidProblemError("trsm expects (batch, rows, cols) arrays")
         if a.shape[0] != b.shape[0]:
@@ -561,9 +570,11 @@ class IATF:
                 f"{problem.a_dim}x{problem.a_dim}")
         dt.check_operand("A", a)
         lanes = self.machine.lanes(dt)
-        ca = CompactBatch.from_matrices(a, lanes, dt)
+        plan, key, _ = self._plan_trsm_keyed(problem, False)
+        compiled = self._compiled_for(key, plan)
+        ca = _source(a, "packT" in plan.buffers, lanes, dt)
         cb = CompactBatch.from_matrices(b, lanes, dt)
-        self.trsm_compact(problem, ca, cb)
+        self.engine.execute_trsm(plan, ca, cb, compiled=compiled)
         del ca              # as in gemm: the result may reuse its memory
         return cb.to_matrices()
 
@@ -597,3 +608,13 @@ class IATF:
         return obs.explain(plan, registry=self.registry, deep=deep,
                            backend=self.engine.backend, compiled=compiled,
                            plan_cache=self.plan_cache_stats)
+
+
+def _source(x: np.ndarray, packed: bool, lanes: int,
+            dt: BlasDType) -> "CompactBatch | StandardBatch":
+    """An operand as the plan reads it: one it packs is gathered
+    straight from the caller's array; one the kernels read in place is
+    interleaved."""
+    if packed:
+        return StandardBatch(x, lanes, dt)
+    return CompactBatch.from_matrices(x, lanes, dt)

@@ -667,8 +667,15 @@ class _Template:
                 for buf, rw in self.footprint.items()}
 
     @cached_property
-    def sites(self) -> "tuple[dict, dict]":
-        return _mem_sites(self.raw), _mem_sites(self.opt)
+    def opt_sites(self) -> "dict[str, list[tuple]]":
+        """The optimized stream's memory sites (what execution reads)."""
+        return _mem_sites(self.opt)
+
+    @cached_property
+    def raw_sites(self) -> "dict[str, list[tuple]]":
+        """The raw stream's memory sites, built only when a relocated
+        raw view (``CompiledPlan.commands``) is read."""
+        return _mem_sites(self.raw)
 
     @cached_property
     def wave_form(self) -> "tuple[list[tuple], dict, frozenset, frozenset]":
@@ -681,12 +688,12 @@ class _Template:
         unit = 16 // self.ew
         window = {buf: (lo - lo % unit, hi - lo + lo % unit)
                   for buf, (lo, hi) in self.extents.items()}
-        stream = _relocate(self.opt, self.sites[1],
+        stream = _relocate(self.opt, self.opt_sites,
                            {buf: -lo for buf, (lo, _) in window.items()},
                            self.ew)
         writes = frozenset(buf for buf, (_, w) in self.footprint.items()
                            if w)
-        wide = frozenset(buf for buf, sites in self.sites[1].items()
+        wide = frozenset(buf for buf, sites in self.opt_sites.items()
                          if any(w for _, _, w in sites))
         return stream, window, writes, wide
 
@@ -956,13 +963,13 @@ class _Relocated(Sequence):
         items = self._items
         if items is None:
             items = []
-            which = int(self._optimized)
+            opt = self._optimized
             for slot, delta in self._calls:
                 tpl = slot.tpl
-                stream = tpl.opt if which else tpl.raw
+                stream = tpl.opt if opt else tpl.raw
                 if any(delta.values()):
-                    stream = _relocate(stream, tpl.sites[which], delta,
-                                       self._ew)
+                    sites = tpl.opt_sites if opt else tpl.raw_sites
+                    stream = _relocate(stream, sites, delta, self._ew)
                 items.extend(stream)
             self._items = items
         return items

@@ -4,9 +4,10 @@ A single daemon thread owns execution.  Callers (any number of threads)
 ``offer`` validated, admitted requests; the pump wakes when a bucket
 fills (``max_batch``) or the earliest bucket timer expires
 (``max_wait_ms``), stacks the bucket's operands into one
-``(batch, rows, cols)`` array, interleaves it to the compact layout via
-:func:`~repro.api.compact_blas.compact_from_batch`, executes it through
-the **shared** :class:`~repro.runtime.iatf.IATF` instance — shared
+``(batch, rows, cols)`` array, interleaves it to the compact layout
+(whose zero padding lanes fill the batch out to the lane multiple it
+plans on), executes it through the **shared**
+:class:`~repro.runtime.iatf.IATF` instance — shared
 PlanCache, shared KernelRegistry, shared TuningDB, whatever backend the
 service was built with — and scatters the de-interleaved results back
 to the per-request futures.
@@ -34,6 +35,7 @@ import numpy as np
 
 from .. import obs
 from ..errors import RejectedError
+from ..layout.compact import CompactBatch
 from .coalesce import Bucket, Coalescer, PendingRequest
 
 __all__ = ["Scheduler"]
@@ -196,8 +198,6 @@ class Scheduler:
 
     def _run_bucket(self, bucket: Bucket,
                     marks: "dict | None" = None) -> "list[np.ndarray]":
-        from ..api.compact_blas import compact_from_batch
-
         if marks is None:
             marks = {}
         iatf = self._iatf
@@ -213,25 +213,18 @@ class Scheduler:
         padded = -(-n // lanes) * lanes
         problem = bucket.key.with_batch(padded)
 
-        def stacked(pick) -> np.ndarray:
-            arr = np.stack([pick(e) for e in entries])
-            if padded != n:
-                pad = np.zeros((padded - n,) + arr.shape[1:],
-                               dtype=arr.dtype)
-                arr = np.concatenate([arr, pad])
-            return arr
+        def stacked(pick) -> CompactBatch:
+            return _interleaved([pick(e) for e in entries], lanes, dt,
+                                padded)
 
         # planning is split from execution (prepare_* then the engine
         # directly — exactly what {gemm,trsm}_compact do internally) so
         # the budget can attribute "plan" (cache hit vs compile) and
         # "execute" as separate stages
         if bucket.routine == "gemm":
-            ca = compact_from_batch(stacked(lambda e: e.request.a),
-                                    machine, dt)
-            cb = compact_from_batch(stacked(lambda e: e.request.b),
-                                    machine, dt)
-            cc = compact_from_batch(stacked(lambda e: e.request.c),
-                                    machine, dt)
+            ca = stacked(lambda e: e.request.a)
+            cb = stacked(lambda e: e.request.b)
+            cc = stacked(lambda e: e.request.c)
             marks["stack"] = time.perf_counter()
             plan, compiled, hit = iatf.prepare_gemm(problem)
             marks["plan"] = time.perf_counter()
@@ -242,8 +235,8 @@ class Scheduler:
             # can take their memory instead of growing the heap past them
             del ca, cb
             return _owned(cc, n)
-        ca = compact_from_batch(stacked(lambda e: e.request.a), machine, dt)
-        cb = compact_from_batch(stacked(lambda e: e.request.b), machine, dt)
+        ca = stacked(lambda e: e.request.a)
+        cb = stacked(lambda e: e.request.b)
         marks["stack"] = time.perf_counter()
         plan, compiled, hit = iatf.prepare_trsm(problem)
         marks["plan"] = time.perf_counter()
@@ -252,6 +245,17 @@ class Scheduler:
         marks["execute"] = time.perf_counter()
         del ca              # as in gemm: the results may reuse its memory
         return _owned(cb, n)
+
+
+def _interleaved(mats: "list[np.ndarray]", lanes: int, dt,
+                 padded: int) -> CompactBatch:
+    """A flush's compact batch of ``padded`` matrices: the stacked
+    ``mats``, then zeros.  ``from_matrices`` already zero-fills the last
+    group's lanes past ``len(mats)``, and ``padded`` ends that group, so
+    the batch is relabelled in place, with no pad copy."""
+    cb = CompactBatch.from_matrices(np.stack(mats), lanes, dt)
+    cb.batch = padded
+    return cb
 
 
 def _owned(compact, n: int) -> "list[np.ndarray]":

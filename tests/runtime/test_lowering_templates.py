@@ -147,6 +147,21 @@ def test_relocated_calls_share_non_memory_commands():
     assert any(a != b for a, b in pairs)          # memory relocated
 
 
+def test_execution_builds_only_the_optimized_memory_sites():
+    """Waves relocate the optimized stream; the raw stream's memory
+    sites are built only when the relocated raw view is read."""
+    iatf = IATF(KUNPENG_920)
+    p = GemmProblem(8, 8, 8, "d", batch=4)
+    iatf.gemm(*(np.ones((4, 8, 8)) for _ in range(3)))
+    plan, key, _ = iatf._plan_gemm_keyed(p, False)
+    compiled = iatf._compiled_for(key, plan)
+    tpls = compiled.templates
+    assert all("opt_sites" in vars(t) for t in tpls)
+    assert not any("raw_sites" in vars(t) for t in tpls)
+    compiled.commands[0]
+    assert any("raw_sites" in vars(t) for t in tpls)
+
+
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(m=st.integers(1, 33), n=st.integers(1, 33), k=st.integers(1, 33),

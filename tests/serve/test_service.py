@@ -299,3 +299,27 @@ def test_flush_results_are_one_copy_owning_no_batch_memory(dtype):
             assert r.tobytes() == full[i].tobytes()
             assert r.flags.owndata
             assert not np.shares_memory(r, cb.buffer)
+
+
+@pytest.mark.parametrize("dtype", ["s", "d"])
+def test_flush_batch_relabels_the_interleave_padding(dtype):
+    """A flush's compact batch is the ``n`` stacked requests interleaved
+    once and relabelled to the padded batch: byte for byte the batch of
+    the stack padded with zero matrices, with no pad copy."""
+    from repro.layout import CompactBatch
+    from repro.serve.scheduler import _interleaved
+
+    lanes = 4 if dtype == "s" else 2
+    rng = np.random.default_rng(9)
+    for n in sorted({1, lanes - 1, lanes + 1}):
+        mats = [rng.standard_normal((3, 5)).astype(np.float32 if dtype == "s"
+                                                   else np.float64)
+                for _ in range(n)]
+        padded = -(-n // lanes) * lanes
+        got = _interleaved(mats, lanes, dtype, padded)
+        stack = np.stack(mats)
+        old = np.concatenate([stack, np.zeros((padded - n, 3, 5),
+                                              stack.dtype)])
+        want = CompactBatch.from_matrices(old, lanes, dtype)
+        assert got.batch == want.batch == padded
+        assert got.buffer.tobytes() == want.buffer.tobytes()
