@@ -108,29 +108,26 @@ class KernelProfile:
                 "bytes": self.bytes_moved, "classes": dict(self.classes)}
 
 
-def _command_metrics(cmd: tuple, lanes: int, ew: int, rules, lat,
+def _command_metrics(cmd: tuple, lanes: int, ew: int, rules,
                      lw) -> "tuple[str, int, int, int]":
     """One command's ``(class, weight, flops, bytes)`` — all per group.
 
     The weight is issue slots in a common unit: a memory command costs
     ``pieces / max_mem`` cycles under the issue rules, an FP command
     ``ops / max_fp``; multiplying both through by ``max_mem * max_fp``
-    keeps everything integral.  FDIV charges its unpipelined pipe-block
-    cycles; a ``K_MACC`` of ``n`` members replays as ``n`` multiplies
-    plus one vectorized accumulate.
+    keeps everything integral.  A ``K_MACC`` of ``n`` members replays
+    as ``n`` multiplies plus one vectorized accumulate.
     """
     k = cmd[0]
     mem_u = rules.max_fp(ew)          # weight of one vector-sized access
     fp_u = rules.max_mem              # weight of one FP pipe op
-    if k in (lw.K_LOAD, lw.K_LOAD_PART):
+    if k == lw.K_LOAD:
         return "LD", mem_u, 0, cmd[4] * ew
-    if k == lw.K_LOAD1R:
-        return "LD", mem_u, 0, ew
-    if k in (lw.K_LOADPAIR, lw.K_LOAD2):
+    if k == lw.K_LOADPAIR:
         return "LD", 2 * mem_u, 0, 2 * cmd[5] * ew
     if k == lw.K_STORE:
         return "ST", mem_u, 0, cmd[4] * ew
-    if k in (lw.K_STOREPAIR, lw.K_STORE2):
+    if k == lw.K_STOREPAIR:
         return "ST", 2 * mem_u, 0, 2 * cmd[5] * ew
     if k in (lw.K_FMLA, lw.K_FMAI):
         return "FMLA", fp_u, 2 * lanes, 0
@@ -138,13 +135,7 @@ def _command_metrics(cmd: tuple, lanes: int, ew: int, rules, lat,
         return "FMLS", fp_u, 2 * lanes, 0
     if k in (lw.K_FMUL, lw.K_FMULI):
         return "FMUL", fp_u, lanes, 0
-    if k == lw.K_FADD:
-        return "FADD", fp_u, lanes, 0
-    if k == lw.K_FSUB:
-        return "FSUB", fp_u, lanes, 0
-    if k == lw.K_FDIV:
-        return "FDIV", lat.div_block(ew) * fp_u, lanes, 0
-    if k in (lw.K_VZERO, lw.K_VMOV, lw.K_FIMM):
+    if k in (lw.K_VZERO, lw.K_VMOV):
         return "MOV", fp_u, 0, 0
     if k == lw.K_MACC:
         n = cmd[5]
@@ -294,9 +285,9 @@ def profile_plan(plan, *, stream: str = "raw", compiled=None,
 
         machine = plan.machine
         lanes, ew = compiled.lanes, compiled.ew
-        rules, lat = machine.rules, machine.lat
+        rules = machine.rules
         groups = plan.groups
-        metrics = [_command_metrics(cmd, lanes, ew, rules, lat, lw)
+        metrics = [_command_metrics(cmd, lanes, ew, rules, lw)
                    for cmd in commands]
         budget = timing.kernel_cycles_per_group * groups
         cycles = apportion(budget, [m[1] for m in metrics])

@@ -15,9 +15,12 @@ The engine separates *what* to run (the plan), *how it was compiled*
     stride_elems)`` view per buffer, a preallocated vector register
     bank, and no pointer resolution, alignment/bounds checks or per-op
     allocation — all of that happened once at lower time.  FMLA chains
-    are collapsed into stacked ``K_MACC`` macro-ops, adjacent
-    loads/stores merged into wide copies and dead register writes
-    eliminated, with bit-exact results by pass construction.  It has two
+    are collapsed into stacked ``K_MACC`` macro-ops, every load/store
+    is a wide copy in 16-byte units (adjacent ones merged) and dead
+    register writes are eliminated, with bit-exact results by pass
+    construction.  It implements only the ten command kinds lowering
+    emits (see :mod:`repro.runtime.lowering`); a program outside that
+    contract fails at lower time and runs on ``interpret``.  It has two
     tiers over one wave schedule: a plan's first execute *replays* each
     template's stream command by command; once a plan executes again,
     each template's stream runs as *generated* straight-line NumPy code
@@ -42,11 +45,9 @@ from ..errors import ExecutionError, PlanError
 from ..machine.executor import VectorExecutor
 from ..machine.isa import NUM_VREGS
 from ..machine.memory import MemorySpace
-from .lowering import (K_FADD, K_FDIV, K_FIMM, K_FMAI, K_FMLA, K_FMLS,
-                       K_FMUL, K_FMULI, K_FSUB, K_LOAD, K_LOAD1R, K_LOAD2,
-                       K_LOAD_PART, K_LOADPAIR, K_LOADW, K_MACC, K_STORE,
-                       K_STORE2, K_STOREPAIR, K_STOREW, K_VMOV, K_VZERO,
-                       CompiledPlan, Wave, lower_plan)
+from .lowering import (K_FMAI, K_FMLA, K_FMLS, K_FMUL, K_FMULI, K_LOADW,
+                       K_MACC, K_STOREW, K_VMOV, K_VZERO, CompiledPlan,
+                       Wave)
 from .megakernel import Program
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -161,9 +162,7 @@ class FusedBackend:
 
     def run(self, plan: "ExecutionPlan", mem: MemorySpace,
             strides: "dict[str, int]", groups: int,
-            compiled: "CompiledPlan | None" = None) -> None:
-        if compiled is None:
-            compiled = lower_plan(plan)
+            compiled: CompiledPlan) -> None:
         if groups != compiled.groups:
             raise ExecutionError(
                 f"compiled plan covers {compiled.groups} groups, "
@@ -230,7 +229,7 @@ class FusedBackend:
         isz = compiled.ew
         hoist = groups >= HOIST_GROUPS
         for wave in waves:
-            stream, window, writes, wide = (
+            stream, window, writes = (
                 compiled.templates[wave.template].wave_form)
             if progs is not None and progs[wave.template] is not None:
                 stream = progs[wave.template]
@@ -243,7 +242,7 @@ class FusedBackend:
             for first, nrows, ncols in _passes(wave, cap):
                 calls = (nrows, ncols) if nrows > 1 else (ncols,)
                 views: "dict[str, np.ndarray]" = {}
-                viewsC: "dict[str, np.ndarray | None]" = {}
+                viewsC: "dict[str, np.ndarray]" = {}
                 for j, buf in enumerate(wave.buffers):
                     if buf not in window:
                         continue            # a root the kernel never uses
@@ -262,10 +261,9 @@ class FusedBackend:
                                       else n for n, s in zip(calls, st))
                     views[buf] = np.ndarray(shape + (groups, span), m.dtype,
                                             m, off, st + (isz,))
-                    viewsC[buf] = (
-                        np.ndarray(shape + (groups, span * isz // 16),
-                                   np.complex128, m, off, st + (16,))
-                        if buf in wide else None)
+                    viewsC[buf] = np.ndarray(
+                        shape + (groups, span * isz // 16), np.complex128,
+                        m, off, st + (16,))
                 bank.replay(stream, views, calls + (groups,), viewsC)
 
     # -- replay --------------------------------------------------------
@@ -274,20 +272,23 @@ class FusedBackend:
     def _replay(commands: "Sequence[tuple]", mats: "dict[str, np.ndarray]",
                 rfile: "list[np.ndarray]", rbank: np.ndarray,
                 scratch: np.ndarray, stacks: "np.ndarray | None",
-                matsC: "dict | None", rbankC: "np.ndarray | None") -> None:
+                matsC: "dict[str, np.ndarray]", rbankC: np.ndarray) -> None:
         """The one replay loop.  Registers are ``(*lead, lanes)`` and
         memory operands ``(*lead, elements)``: ``lead`` is ``(groups,)``
         for a plain replay and ``(calls, groups)`` or ``(rows, cols,
         groups)`` for a wave pass; every command addresses the last axis
-        only."""
+        only.  Memory moves in 16-byte units, through the complex128
+        views ``matsC`` and ``rbankC``; ``mats`` (the float views) only
+        keeps the generated programs' signature."""
         lead = rbank.shape[1:-1]
         nl = len(lead)
-        # wide copies split the last axis into (count, n) registers and
+        vb = rbankC.shape[-1]           # 16-byte units per register
+        # wide copies split the last axis into (count, vb) registers and
         # move count to the front (loads) or back from it (stores)
         to_regs = (nl,) + tuple(range(nl)) + (nl + 1,)
         to_mem = tuple(range(1, nl + 1)) + (0, nl + 1)
         # Ordered roughly by dynamic frequency in GEMM/TRSM kernels
-        # (raw streams are FMLA-heavy; fused streams lead with macro-ops).
+        # (fused streams lead with macro-ops).
         for cmd in commands:
             k = cmd[0]
             if k == K_FMLA:
@@ -312,7 +313,10 @@ class FusedBackend:
                     else:
                         np.add(acc, prod, out=acc)
                 else:
-                    acc = np.take(rbank, dsel, axis=0, out=stacks[1, :n])
+                    # selectors are in range by construction: "clip"
+                    # skips the buffered copy "raise" makes of ``out``
+                    acc = np.take(rbank, dsel, axis=0, out=stacks[1, :n],
+                                  mode="clip")
                     if neg:
                         np.subtract(acc, prod, out=acc)
                     else:
@@ -320,95 +324,36 @@ class FusedBackend:
                     rbank[dsel] = acc
             elif k == K_LOADW:
                 # count consecutive column slices -> count registers in
-                # one copy; cfirst >= 0 means both sides reinterpret as
-                # 16-byte units (complex128) so the copy is one C-level
-                # elementwise loop instead of a segmented float copy
-                _, dsel, buf, first, n, count, cfirst = cmd
-                if cfirst >= 0:
-                    vb = rbankC.shape[-1]
-                    src = matsC[buf][..., cfirst:cfirst + count * vb]
-                    if count == 1:
-                        d = dsel.start if type(dsel) is slice else dsel[0]
-                        np.copyto(rbankC[d], src)
-                    else:
-                        # a hoisted view's lead is shorter: broadcast
-                        src = src.reshape(src.shape[:-1] + (
-                            count, vb)).transpose(to_regs)
-                        if type(dsel) is slice:
-                            np.copyto(rbankC[dsel], src)
-                        else:
-                            rbankC[dsel] = src
+                # one copy: both sides reinterpret as 16-byte units
+                # (complex128), so the copy is one C-level elementwise
+                # loop instead of a segmented float copy
+                _, dsel, buf, _, _, count, cfirst = cmd
+                src = matsC[buf][..., cfirst:cfirst + count * vb]
+                if count == 1:
+                    d = dsel.start if type(dsel) is slice else dsel[0]
+                    np.copyto(rbankC[d], src)
                 else:
-                    src = mats[buf][..., first:first + count * n]
-                    src = src.reshape(src.shape[:-1] + (count, n)).transpose(
-                        to_regs)
+                    # a hoisted view's lead is shorter: broadcast
+                    src = src.reshape(src.shape[:-1] + (
+                        count, vb)).transpose(to_regs)
                     if type(dsel) is slice:
-                        np.copyto(rbank[dsel], src)
+                        np.copyto(rbankC[dsel], src)
                     else:
-                        rbank[dsel] = src
+                        rbankC[dsel] = src
             elif k == K_STOREW:
-                _, ssel, buf, first, n, count, cfirst = cmd
-                if cfirst >= 0:
-                    vb = rbankC.shape[-1]
-                    dst = matsC[buf][..., cfirst:cfirst + count * vb]
-                    if count == 1:
-                        s = ssel.start if type(ssel) is slice else ssel[0]
-                        np.copyto(dst, rbankC[s])
-                    else:
-                        gs = rbankC[ssel]   # fancy-index copy is fine: read-only
-                        np.copyto(dst.reshape(lead + (count, vb)),
-                                  gs.transpose(to_mem))
+                _, ssel, buf, _, _, count, cfirst = cmd
+                dst = matsC[buf][..., cfirst:cfirst + count * vb]
+                if count == 1:
+                    s = ssel.start if type(ssel) is slice else ssel[0]
+                    np.copyto(dst, rbankC[s])
                 else:
-                    if type(ssel) is slice:
-                        gs = rbank[ssel]
-                    else:
-                        gs = np.take(rbank, ssel, axis=0,
-                                     out=stacks[0, :count])
-                    dst = mats[buf][..., first:first + count * n]
-                    np.copyto(dst.reshape(lead + (count, n)),
-                              gs[..., :n].transpose(to_mem))
-            elif k == K_LOAD:
-                _, d, buf, first, n = cmd
-                np.copyto(rfile[d], mats[buf][..., first:first + n])
-            elif k == K_LOADPAIR:
-                _, d1, d2, buf, first, n = cmd
-                view = mats[buf][..., first:first + 2 * n]
-                np.copyto(rfile[d1], view[..., :n])
-                np.copyto(rfile[d2], view[..., n:])
-            elif k == K_STORE:
-                _, s, buf, first, n = cmd
-                np.copyto(mats[buf][..., first:first + n], rfile[s][..., :n])
-            elif k == K_STOREPAIR:
-                _, s1, s2, buf, first, n = cmd
-                view = mats[buf][..., first:first + 2 * n]
-                np.copyto(view[..., :n], rfile[s1])
-                np.copyto(view[..., n:], rfile[s2])
+                    gs = rbankC[ssel]   # fancy-index copy is fine: read-only
+                    np.copyto(dst.reshape(lead + (count, vb)),
+                              gs.transpose(to_mem))
             elif k == K_FMLS:
                 _, d, a, b = cmd
                 np.multiply(rfile[a], rfile[b], out=scratch)
                 np.subtract(rfile[d], scratch, out=rfile[d])
-            elif k == K_LOAD1R:
-                _, d, buf, first = cmd
-                np.copyto(rfile[d], mats[buf][..., first:first + 1])
-            elif k == K_LOAD2:
-                _, de, do, buf, first, n = cmd
-                reg = rfile[de]
-                reg[..., n:] = 0.0
-                reg[..., :n] = mats[buf][..., first:first + 2 * n:2]
-                reg = rfile[do]
-                reg[..., n:] = 0.0
-                reg[..., :n] = mats[buf][..., first + 1:first + 2 * n:2]
-            elif k == K_STORE2:
-                _, se, so, buf, first, n = cmd
-                np.copyto(mats[buf][..., first:first + 2 * n:2],
-                          rfile[se][..., :n])
-                np.copyto(mats[buf][..., first + 1:first + 2 * n:2],
-                          rfile[so][..., :n])
-            elif k == K_LOAD_PART:
-                _, d, buf, first, n = cmd
-                reg = rfile[d]
-                reg[..., n:] = 0.0
-                reg[..., :n] = mats[buf][..., first:first + n]
             elif k == K_FMUL:
                 _, d, a, b = cmd
                 np.multiply(rfile[a], rfile[b], out=rfile[d])
@@ -419,22 +364,11 @@ class FusedBackend:
             elif k == K_FMULI:
                 _, d, a, imm = cmd
                 np.multiply(rfile[a], imm, out=rfile[d])
-            elif k == K_FADD:
-                _, d, a, b = cmd
-                np.add(rfile[a], rfile[b], out=rfile[d])
-            elif k == K_FSUB:
-                _, d, a, b = cmd
-                np.subtract(rfile[a], rfile[b], out=rfile[d])
-            elif k == K_FDIV:
-                _, d, a, b = cmd
-                np.divide(rfile[a], rfile[b], out=rfile[d])
             elif k == K_VZERO:
                 rfile[cmd[1]].fill(0.0)
             elif k == K_VMOV:
                 np.copyto(rfile[cmd[1]], rfile[cmd[2]])
-            elif k == K_FIMM:
-                rfile[cmd[1]].fill(cmd[2])
-            else:  # pragma: no cover - lowering emits only known kinds
+            else:  # pragma: no cover - lowering emits only these kinds
                 raise ExecutionError(f"unknown compiled command kind {k}")
 
 
@@ -503,11 +437,10 @@ class _Bank:
         self.scratch = np.empty(size, dtype=dtype)
         self.stacks = (np.empty(2 * max_stack * size, dtype=dtype)
                        if max_stack else None)
-        self.cplx = (lanes * self.regs.itemsize) % 16 == 0
 
     def replay(self, commands: "Sequence[tuple] | Program",
                mats: "dict[str, np.ndarray]", lead: "tuple[int, ...]",
-               matsC: "dict[str, np.ndarray | None]") -> None:
+               matsC: "dict[str, np.ndarray]") -> None:
         """Run ``commands`` — a stream to interpret, or the generated
         :class:`~repro.runtime.megakernel.Program` of one — over
         operands with leading shape ``lead``."""
@@ -520,8 +453,7 @@ class _Bank:
                   self.stacks[:2 * self.max_stack * size].reshape(
                       (2, self.max_stack) + shape))
         args = (mats, list(rbank), rbank, self.scratch[:size].reshape(shape),
-                stacks, matsC,
-                rbank.view(np.complex128) if self.cplx else None)
+                stacks, matsC, rbank.view(np.complex128))
         if isinstance(commands, Program):
             commands.fn(*args)
         else:

@@ -23,6 +23,20 @@ in-place ufuncs:
   a single time here, at lower time, instead of per instruction at run
   time.
 
+**The lowered contract.**  The compact format keeps each scalar as one
+vector holding that element of ``lanes`` matrices, so the GEMM and TRSM
+kernel generators only move whole vectors (LDR/LDP/STR/STP) and compute
+with FMLA/FMLS/FMUL and their immediate forms, VMOV and VZERO.  Lowering
+accepts exactly that: a program using LD1R, LD2V, ST2V, FADD, FSUB, FDIV
+or FIMM, a partial-lane LDRV/STRV, a memory access off the 16-byte grid
+or a group stride that is not a multiple of 16 B raises
+:class:`LoweringError` naming the kernel, pc and instruction.  The
+interpreting executor (the oracle) still runs all of these; the
+baselines and the GETRF kernel that use them never lower.  So every
+lowered memory operand is a whole number of 16-byte units from its
+group's start: 16-byte eligibility of the wide copies is an invariant,
+not a decision.
+
 After validation an **optimizing pass pipeline** (:func:`optimize_commands`)
 rewrites a second copy of the stream into macro-ops the ``fused``
 backend replays with far fewer ufunc dispatches:
@@ -36,9 +50,16 @@ backend replays with far fewer ufunc dispatches:
    by construction (repeated accumulators keep the original
    left-to-right sequential ``add``/``subtract`` order; provably
    independent accumulators may accumulate as one vectorized op);
-3. *load/store coalescing* — adjacent full-lane loads (stores) from
-   contiguous memory merge into one wide ``K_LOADW`` (``K_STOREW``)
-   strided copy.
+3. *load/store coalescing* — every load (store) becomes a wide
+   ``K_LOADW`` (``K_STOREW``) copy in 16-byte units, adjacent ones from
+   contiguous memory merged into one.
+
+The optimized stream therefore holds ten kinds, the only ones the
+executors implement: ``K_FMLA``, ``K_FMLS``, ``K_FMUL``, ``K_FMAI``,
+``K_FMULI``, ``K_VZERO``, ``K_VMOV``, ``K_MACC``, ``K_LOADW`` and
+``K_STOREW``.  The raw stream's ``K_LOAD``/``K_LOADPAIR``/``K_STORE``/
+``K_STOREPAIR`` are read by the profiler's ``raw`` view, the footprints
+and the digests, never executed.
 
 Every pass preserves bit-identical memory effects, so the equivalence
 contract (same bytes as ``interpret``) holds for the optimized stream
@@ -59,9 +80,9 @@ addresses.
 
 **Templates.**  A template is one distinct call binding, bound and
 coalesced: keyed by the program, each root's offset relative to the
-lowest root in its buffer, that lowest offset mod 16 B, and the group
-stride mod 16 B of each buffer the template addresses (the wide-copy
-pass reads it).  Templates live in the engine's store
+lowest root in its buffer, and that lowest offset mod 16 B (so a
+binding off the 16-byte grid never borrows an aligned template; it is
+lowered on its own and raises).  Templates live in the engine's store
 (``Engine.templates``, a bounded LRU beside its generated programs), so
 every plan the engine lowers shares them; the free :func:`lower_plan`
 keeps a private store per call.  A call whose binding is already lowered, by
@@ -124,35 +145,30 @@ if TYPE_CHECKING:
 
 __all__ = ["CompiledPlan", "CompiledCommand", "BufferLayout", "Wave",
            "lower_plan", "optimize_commands", "FUSE_MIN_CHAIN",
-           "K_LOAD", "K_LOAD_PART", "K_LOADPAIR", "K_LOAD1R", "K_LOAD2",
-           "K_STORE", "K_STOREPAIR", "K_STORE2", "K_FMLA", "K_FMLS",
-           "K_FMUL", "K_FMAI", "K_FMULI", "K_FADD", "K_FSUB", "K_FDIV",
-           "K_VZERO", "K_VMOV", "K_FIMM", "K_MACC", "K_LOADW", "K_STOREW"]
+           "K_LOAD", "K_LOADPAIR", "K_STORE", "K_STOREPAIR", "K_FMLA",
+           "K_FMLS", "K_FMUL", "K_FMAI", "K_FMULI", "K_VZERO", "K_VMOV",
+           "K_MACC", "K_LOADW", "K_STOREW"]
 
 # Command kinds.  Integers (not enums) so the replay loop dispatches on
-# a plain ``==`` against the tuple head.
-K_LOAD = 0        # (kind, dst, buf, first, n)           n == lanes
-K_LOAD_PART = 1   # (kind, dst, buf, first, n)           n < lanes, zero tail
+# a plain ``==`` against the tuple head; the gaps are kinds of
+# instructions lowering rejects (the values are hashed into digests, so
+# they never move).  The memory kinds address whole vectors (n ==
+# lanes) and occur in the raw stream only: coalescing turns every one
+# into a K_LOADW/K_STOREW.
+K_LOAD = 0        # (kind, dst, buf, first, n)
 K_LOADPAIR = 2    # (kind, dst1, dst2, buf, first, n)    2n consecutive
-K_LOAD1R = 3      # (kind, dst, buf, first)              broadcast one elem
-K_LOAD2 = 4       # (kind, dste, dsto, buf, first, n)    deinterleave step 2
 K_STORE = 5       # (kind, src, buf, first, n)
 K_STOREPAIR = 6   # (kind, src1, src2, buf, first, n)
-K_STORE2 = 7      # (kind, srce, srco, buf, first, n)    interleave step 2
 K_FMLA = 8        # (kind, dst, a, b)                    dst += a * b
 K_FMLS = 9        # (kind, dst, a, b)                    dst -= a * b
 K_FMUL = 10       # (kind, dst, a, b)
 K_FMAI = 11       # (kind, dst, a, imm)                  dst += a * imm
 K_FMULI = 12      # (kind, dst, a, imm)
-K_FADD = 13       # (kind, dst, a, b)
-K_FSUB = 14       # (kind, dst, a, b)
-K_FDIV = 15       # (kind, dst, a, b)
 K_VZERO = 16      # (kind, dst)
 K_VMOV = 17       # (kind, dst, src)
-K_FIMM = 18       # (kind, dst, imm)
 
-# Macro-op kinds produced only by the pass pipeline (never by _lower);
-# they appear in ``CompiledPlan.fused_commands`` exclusively.
+# Kinds produced only by the pass pipeline (never by _lower); they
+# appear in ``CompiledPlan.fused_commands`` exclusively.
 K_MACC = 19       # (kind, dsel, aids, bids, neg, n)
 #   n multiplies of (a, b) register pairs into a product stack, then ONE
 #   vectorized add/subtract (neg=True for an FMLS chain) of the stack
@@ -166,17 +182,15 @@ K_MACC = 19       # (kind, dsel, aids, bids, neg, n)
 #   once — bit-identical to the raw left-to-right replay.
 K_LOADW = 20      # (kind, dsel, buf, first, n, count, cfirst)
 K_STOREW = 21     # (kind, ssel, buf, first, n, count, cfirst)
-#   count registers of n consecutive columns each in one copy.  When
-#   the geometry allows (vector, offset and group stride all multiples
-#   of 16 bytes) ``cfirst`` holds the offset in 16-byte units and the
+#   count registers of n consecutive columns each in one copy.  Vector,
+#   offset and group stride are all multiples of 16 bytes (the lowered
+#   contract), so ``cfirst`` holds the offset in 16-byte units and the
 #   copy runs elementwise over a complex128 reinterpretation of both
 #   sides: one C-level strided loop moving 16 B per element, instead of
 #   a segmented float copy paying per-16-B-segment loop overhead — the
-#   bytes moved are identical, so the result is too.  ``cfirst`` is -1
-#   when the fallback float path must be used.
+#   bytes moved are identical, so the result is too.
 
-_MEM_KINDS = frozenset((K_LOAD, K_LOAD_PART, K_LOADPAIR, K_LOAD1R, K_LOAD2,
-                        K_STORE, K_STOREPAIR, K_STORE2))
+_MEM_KINDS = frozenset((K_LOAD, K_LOADPAIR, K_STORE, K_STOREPAIR))
 
 FUSE_MIN_CHAIN = 4
 """Shortest FMLA/FMLS segment worth fusing: ``c`` raw commands cost
@@ -227,13 +241,9 @@ class CompiledCommand:
 def _access(cmd: tuple) -> "tuple[str, int, int]":
     """``(buffer, first element, count)`` of a raw memory command; every
     access is at step 1."""
-    k = cmd[0]
-    if k in (K_LOAD, K_LOAD_PART, K_STORE):
+    if cmd[0] in (K_LOAD, K_STORE):
         return cmd[2], cmd[3], cmd[4]
-    if k == K_LOAD1R:
-        return cmd[2], cmd[3], 1
-    # pairs, and K_LOAD2 / K_STORE2 (2n elements consumed pairwise)
-    return cmd[3], cmd[4], 2 * cmd[5]
+    return cmd[3], cmd[4], 2 * cmd[5]       # pairs
 
 
 @dataclass
@@ -347,9 +357,9 @@ def lower_plan(plan: ExecutionPlan,
 
     Raises :class:`LoweringError` on anything the interpreter would only
     catch at run time (misalignment, out-of-group-bounds access,
-    register read-before-write) and on dtype/stride geometry the
-    compiled backend cannot replay — the error surfaces at plan time,
-    before any data is touched.
+    register read-before-write) and on anything outside the lowered
+    contract (see the module docstring) — the error surfaces at plan
+    time, before any data is touched.
     """
     if templates is None:
         from .megakernel import ProgramMemo
@@ -385,10 +395,10 @@ def _lower(plan: ExecutionPlan, store: "ProgramMemo") -> CompiledPlan:
             spec = plan.buffers.get(buf)
             if spec is None:
                 raise LoweringError(f"plan addresses unknown buffer {buf!r}")
-            if spec.group_stride_bytes % isz:
+            if spec.group_stride_bytes % 16:
                 raise LoweringError(
                     f"buffer {buf!r} group stride {spec.group_stride_bytes} B "
-                    f"is not a multiple of the element width {isz}")
+                    f"is not a multiple of 16 B")
             lay = BufferLayout(buf, spec.group_stride_bytes // isz, isz)
             layouts[buf] = lay
         return lay
@@ -588,46 +598,39 @@ def _template(store: "ProgramMemo", key: tuple, prog,
               ci: int, layout, lanes: int, ew: int
               ) -> "tuple[_Template, bool, bool]":
     """``(template, stored, memoized)``: the template ``store`` holds
-    for the call's key and its buffers' group strides mod 16 B (stored
-    True); else the call bound from its program pass (memoized True
-    when ``store.passes`` already held it), coalesced and stored.  A
-    store entry is ``(program, buffers the template addresses, {their
-    strides mod 16 B: template})``; holding the program keeps its id
-    unique while the entry lives."""
+    for the call's key (stored True); else the call bound from its
+    program pass (memoized True when ``store.passes`` already held it),
+    coalesced and stored.  A store entry is ``(program, template)``;
+    holding the program keeps its id unique while the entry lives."""
     entry = store.get(key)
     if entry is not None:
+        tpl = entry[1]
         try:            # the layouts a fresh lowering validates
-            sig = tuple(layout(buf).stride_bytes % 16 for buf in entry[1])
+            for buf in tpl.buffers:
+                layout(buf)
         except LoweringError:
             # raises this call's exact per-instruction error
             _check(_program_pass_for(store, prog, roots, lanes, ew)[0],
                    prog, roots, ci, layout, ew)
-        tpl = entry[2].get(sig)
-        if tpl is not None:
-            return tpl, True, False
+        return tpl, True, False
     pp, memoized = _program_pass_for(store, prog, roots, lanes, ew)
     lays = _check(pp, prog, roots, ci, layout, ew)
     raw, fused = _resolve(pp, roots, ew)
-    strides = {buf: lay.stride_bytes for buf, lay in lays.items()}
-    opt, coal = _coalesce_mem(fused, ew, strides)
+    opt, coal = _coalesce_mem(fused, ew)
     tpl = _Template(prog.name, ew, raw, opt, base, pp.counts,
                     _pass_stats(len(raw), opt, pp.dce_removed, pp.fuse,
                                 coal),
                     tuple(lays))
-    sig = tuple(s % 16 for s in strides.values())
     with store.lock:
-        entry = store.get(key)
-        if entry is None:
-            store.put(key, (prog, tpl.buffers, {sig: tpl}))
-        else:
-            entry[2].setdefault(sig, tpl)
+        if store.get(key) is None:
+            store.put(key, (prog, tpl))
         store.generated += 1
     return tpl, False, memoized
 
 
 _PEAK_PASSES = ("fuse_max_chain", "max_stack")
 
-_STORE_KINDS = frozenset((K_STORE, K_STOREPAIR, K_STORE2))
+_STORE_KINDS = frozenset((K_STORE, K_STOREPAIR))
 
 
 @dataclass
@@ -678,13 +681,12 @@ class _Template:
         return _mem_sites(self.raw)
 
     @cached_property
-    def wave_form(self) -> "tuple[list[tuple], dict, frozenset, frozenset]":
+    def wave_form(self) -> "tuple[list[tuple], dict, frozenset]":
         """What a wave replays: the optimized stream with every memory
         operand re-based to its buffer's window, the windows ``buffer ->
         (start, width)`` (start rounded down to 16 B, so the rebase keeps
         ``cfirst`` whole and a window never starts before the group),
-        the buffers it writes, and the buffers the 16-byte-unit wide
-        copies address."""
+        and the buffers it writes."""
         unit = 16 // self.ew
         window = {buf: (lo - lo % unit, hi - lo + lo % unit)
                   for buf, (lo, hi) in self.extents.items()}
@@ -693,9 +695,7 @@ class _Template:
                            self.ew)
         writes = frozenset(buf for buf, (_, w) in self.footprint.items()
                            if w)
-        wide = frozenset(buf for buf, sites in self.opt_sites.items()
-                         if any(w for _, _, w in sites))
-        return stream, window, writes, wide
+        return stream, window, writes
 
     @cached_property
     def program_key(self) -> str:
@@ -932,9 +932,8 @@ def _meets(xs: "list[tuple[int, int]]", ys: "list[tuple[int, int]]",
 
 
 # tuple index of the buffer name in each memory command (first follows)
-_BUF_AT = {K_LOAD: 2, K_LOAD_PART: 2, K_LOAD1R: 2, K_STORE: 2,
-           K_LOADW: 2, K_STOREW: 2, K_LOADPAIR: 3, K_LOAD2: 3,
-           K_STOREPAIR: 3, K_STORE2: 3}
+_BUF_AT = {K_LOAD: 2, K_STORE: 2, K_LOADW: 2, K_STOREW: 2, K_LOADPAIR: 3,
+           K_STOREPAIR: 3}
 
 
 def _mem_sites(stream: "list[tuple]") -> "dict[str, list[tuple]]":
@@ -944,7 +943,7 @@ def _mem_sites(stream: "list[tuple]") -> "dict[str, list[tuple]]":
         b = _BUF_AT.get(cmd[0])
         if b is not None:
             sites.setdefault(cmd[b], []).append(
-                (i, b, cmd[0] in (K_LOADW, K_STOREW) and cmd[6] >= 0))
+                (i, b, cmd[0] in (K_LOADW, K_STOREW)))
     return sites
 
 
@@ -1012,8 +1011,7 @@ def _relocate(stream: "list[tuple]", sites: "dict[str, list[tuple]]",
     return out
 
 
-_BINARY = {Op.FMLA: K_FMLA, Op.FMLS: K_FMLS, Op.FMUL: K_FMUL,
-           Op.FADD: K_FADD, Op.FSUB: K_FSUB, Op.FDIV: K_FDIV}
+_BINARY = {Op.FMLA: K_FMLA, Op.FMLS: K_FMLS, Op.FMUL: K_FMUL}
 # keyed by member identity: an Enum member hashes in Python code, which
 # the program pass would pay once per instruction
 _BINARY_BY_ID = {id(op): kind for op, kind in _BINARY.items()}
@@ -1036,15 +1034,16 @@ class _ProgramPass:
     #                               each memory command, else the command
     spans: "dict[int, tuple[int, int, int]]"
     """Root -> (lowest byte offset, highest end byte, the offsets'
-    common residue mod the element width or -1), first access first."""
+    common residue mod 16 B or -1), first access first."""
     counts: dict                  # instructions / mem / folded / dropped
     dce_removed: int
     fuse: dict                    # _fuse_fmla_chains statistics
-    error: "tuple[int, str] | None"   # first register error: (pc, message)
+    error: "tuple[int, str] | None"   # first pass error: (pc, message)
 
 
-class _RegisterError(Exception):
-    """A program pass's first register error, as ``(pc, message)``."""
+class _PassError(Exception):
+    """A program pass's first error, as ``(pc, message)``: a register
+    read before write, or an instruction outside the lowered contract."""
 
 
 def _program_pass_for(store: "ProgramMemo", prog,
@@ -1070,8 +1069,10 @@ def _program_pass(prog, regs: "frozenset[int]", lanes: int,
                   ew: int) -> _ProgramPass:
     """Fold, check and optimize ``prog`` over symbolic operands, with
     ``regs`` the root registers a binding sets.  The pass stops at its
-    first register error (a scalar or vector register read before
-    write); a binding raises it unless an address error comes first."""
+    first error (a scalar or vector register read before write, or an
+    instruction the lowered contract excludes: see the module
+    docstring); a binding raises it unless an address error comes
+    first."""
     xstate = {r: (r, 0) for r in regs}
     written: set[int] = set()
     raw: list[tuple] = []
@@ -1082,8 +1083,8 @@ def _program_pass(prog, regs: "frozenset[int]", lanes: int,
         ins = prog.instrs[pc]
         sym = xstate.get(ins.base)
         if sym is None:
-            raise _RegisterError(pc, f"scalar register x{ins.base} read "
-                                     f"before write")
+            raise _PassError(pc, f"scalar register x{ins.base} read "
+                                 f"before write")
         root, off = sym[0], sym[1] + ins.offset
         mem.append((pc, len(raw), root, off, n_elems))
         return root, off
@@ -1091,8 +1092,14 @@ def _program_pass(prog, regs: "frozenset[int]", lanes: int,
     def read_vregs(pc: int, vreg_ids: "tuple[int, ...]") -> None:
         for r in vreg_ids:
             if r not in written:
-                raise _RegisterError(pc, f"vector register v{r} read "
-                                         f"before write")
+                raise _PassError(pc, f"vector register v{r} read "
+                                     f"before write")
+
+    def whole(pc: int, ins) -> None:
+        if ins.nlanes is not None and ins.nlanes != lanes:
+            raise _PassError(pc, f"partial-lane access ({ins.nlanes} of "
+                                 f"{lanes} lanes) is not lowered; only "
+                                 f"interpret runs it")
 
     error = None
     try:
@@ -1109,43 +1116,27 @@ def _program_pass(prog, regs: "frozenset[int]", lanes: int,
             elif op is Op.ADDI:
                 sym = xstate.get(ins.xsrc)
                 if sym is None:
-                    raise _RegisterError(pc, f"scalar register x{ins.xsrc} "
-                                             f"read before write")
+                    raise _PassError(pc, f"scalar register x{ins.xsrc} "
+                                         f"read before write")
                 xstate[ins.xdst] = (sym[0], sym[1] + ins.ximm)
                 folded += 1
             elif op in (Op.PRFM, Op.NOP):
                 dropped += 1
             elif op is Op.LDRV:
-                n = ins.nlanes if ins.nlanes is not None else lanes
-                root, off = resolve(pc, n)
-                raw.append(((K_LOAD_PART if n < lanes else K_LOAD),
-                            ins.dst[0], root, off, n))
+                whole(pc, ins)
+                root, off = resolve(pc, lanes)
+                raw.append((K_LOAD, ins.dst[0], root, off, lanes))
                 written.add(ins.dst[0])
             elif op is Op.LDPV:
                 root, off = resolve(pc, 2 * lanes)
                 raw.append((K_LOADPAIR, ins.dst[0], ins.dst[1], root, off,
                             lanes))
                 written.update(ins.dst)
-            elif op is Op.LD1R:
-                root, off = resolve(pc, 1)
-                raw.append((K_LOAD1R, ins.dst[0], root, off))
-                written.add(ins.dst[0])
-            elif op is Op.LD2V:
-                n = ins.nlanes if ins.nlanes is not None else lanes
-                root, off = resolve(pc, 2 * n)
-                raw.append((K_LOAD2, ins.dst[0], ins.dst[1], root, off, n))
-                written.update(ins.dst)
-            elif op is Op.ST2V:
-                n = ins.nlanes if ins.nlanes is not None else lanes
-                read_vregs(pc, ins.srcs)
-                root, off = resolve(pc, 2 * n)
-                raw.append((K_STORE2, ins.srcs[0], ins.srcs[1], root, off,
-                            n))
             elif op is Op.STRV:
-                n = ins.nlanes if ins.nlanes is not None else lanes
+                whole(pc, ins)
                 read_vregs(pc, ins.srcs)
-                root, off = resolve(pc, n)
-                raw.append((K_STORE, ins.srcs[0], root, off, n))
+                root, off = resolve(pc, lanes)
+                raw.append((K_STORE, ins.srcs[0], root, off, lanes))
             elif op is Op.STPV:
                 read_vregs(pc, ins.srcs)
                 root, off = resolve(pc, 2 * lanes)
@@ -1167,12 +1158,10 @@ def _program_pass(prog, regs: "frozenset[int]", lanes: int,
                 read_vregs(pc, ins.srcs)
                 raw.append((K_VMOV, ins.dst[0], ins.srcs[0]))
                 written.add(ins.dst[0])
-            elif op is Op.FIMM:
-                raw.append((K_FIMM, ins.dst[0], _imm(ins.imm, ew)))
-                written.add(ins.dst[0])
-            else:  # pragma: no cover - exhaustive over the ISA
-                raise _RegisterError(pc, f"unimplemented opcode {op}")
-    except _RegisterError as exc:
+            else:   # LD1R, LD2V, ST2V, FADD, FSUB, FDIV, FIMM
+                raise _PassError(pc, f"{op.name} is not lowered; only "
+                                     f"interpret runs it")
+    except _PassError as exc:
         error = exc.args
 
     spans: "dict[int, list[int]]" = {}
@@ -1180,10 +1169,10 @@ def _program_pass(prog, regs: "frozenset[int]", lanes: int,
         end = off + n * ew
         sp = spans.get(root)
         if sp is None:
-            spans[root] = [off, end, off % ew]
+            spans[root] = [off, end, off % 16]
         else:
             sp[0], sp[1] = min(sp[0], off), max(sp[1], end)
-            if sp[2] != off % ew:
+            if sp[2] != off % 16:
                 sp[2] = -1
     counts = {"instructions": len(prog.instrs), "mem_commands": len(mem),
               "folded_addi": folded, "dropped": dropped}
@@ -1202,9 +1191,9 @@ def _program_pass(prog, regs: "frozenset[int]", lanes: int,
 def _check(pp: _ProgramPass, prog, roots: "dict[int, tuple[str, int]]",
            ci: int, layout, ew: int) -> "dict[str, BufferLayout]":
     """Validate one binding of a program pass: each operand's buffer
-    layout, alignment and bounds.  Returns the layouts of the buffers it
-    addresses, in first-access order; raises the first error a pc-order
-    walk meets, the pass's register error included.  Per root, the
+    layout, 16-byte alignment and bounds.  Returns the layouts of the
+    buffers it addresses, in first-access order; raises the first error
+    a pc-order walk meets, the pass's own error included.  Per root, the
     operands' byte hull and common residue decide a valid binding at
     once; anything else walks the operands."""
     if pp.error is None:
@@ -1215,7 +1204,7 @@ def _check(pp: _ProgramPass, prog, roots: "dict[int, tuple[str, int]]",
                 lay = layout(buf)
             except LoweringError:
                 break
-            if (rem < 0 or (off + rem) % ew or off + lo < 0
+            if (rem < 0 or (off + rem) % 16 or off + lo < 0
                     or off + hi > lay.stride_bytes):
                 break
             lays[buf] = lay
@@ -1235,9 +1224,10 @@ def _check(pp: _ProgramPass, prog, roots: "dict[int, tuple[str, int]]",
         except LoweringError as exc:
             raise err(pc, str(exc)) from None
         byte = base + off
-        if byte % ew:
+        if byte % 16:
             raise err(pc, f"misaligned access into {buf!r} (offset "
-                          f"{byte} not a multiple of {ew})")
+                          f"{byte} not a multiple of "
+                          f"{ew if byte % ew else 16})")
         first = byte // ew
         if first < 0 or first + n > lay.stride_elems:
             raise err(pc, f"access [{first}, {first + n}) of {buf!r} "
@@ -1275,22 +1265,20 @@ def _rw(cmd: tuple) -> "tuple[tuple, tuple]":
     k = cmd[0]
     if k == K_FMLA or k == K_FMLS:
         return (cmd[1], cmd[2], cmd[3]), (cmd[1],)
-    if k in (K_LOAD, K_LOAD_PART, K_LOAD1R):
+    if k == K_LOAD or k == K_VZERO:
         return (), (cmd[1],)
-    if k in (K_LOADPAIR, K_LOAD2):
+    if k == K_LOADPAIR:
         return (), (cmd[1], cmd[2])
     if k == K_STORE:
         return (cmd[1],), ()
-    if k in (K_STOREPAIR, K_STORE2):
+    if k == K_STOREPAIR:
         return (cmd[1], cmd[2]), ()
     if k == K_FMAI:
         return (cmd[1], cmd[2]), (cmd[1],)
-    if k in (K_FMUL, K_FADD, K_FSUB, K_FDIV):
+    if k == K_FMUL:
         return (cmd[2], cmd[3]), (cmd[1],)
-    if k in (K_FMULI, K_VMOV):
+    if k == K_FMULI or k == K_VMOV:
         return (cmd[2],), (cmd[1],)
-    if k in (K_VZERO, K_FIMM):
-        return (), (cmd[1],)
     raise LoweringError(f"unknown command kind {k} in pass pipeline")
 
 
@@ -1424,19 +1412,19 @@ def _fuse_fmla_chains(commands: "list[tuple]") -> "tuple[list[tuple], dict]":
                  "max_chain": max_chain}
 
 
-def _coalesce_mem(commands: "list[tuple]", ew: int,
-                  strides: "dict[str, int]") -> "tuple[list[tuple], dict]":
-    """Merge adjacent contiguous column loads/stores into wide copies.
+def _coalesce_mem(commands: "list[tuple]",
+                  ew: int) -> "tuple[list[tuple], dict]":
+    """Turn every column load/store into a wide copy, merging adjacent
+    contiguous ones.
 
     A LOADPAIR/STOREPAIR counts as two full-lane pieces.  Loads merge
     only while destinations stay distinct (a repeated destination would
     make the single gather-assign order-ambiguous); stores merge while
-    the memory runs on contiguously, which rules out overlap.
-
-    ``ew``/``strides`` feed the 16-byte-unit eligibility check (see the
-    K_LOADW layout note): an eligible run is emitted wide even when it
-    is a single command — the complex128 replay beats the segmented
-    float copy on its own — while ineligible singles stay raw.
+    the memory runs on contiguously, which rules out overlap.  A lone
+    copy is emitted wide too (count 1): the complex128 replay beats a
+    float copy on its own.  Every operand lies on the 16-byte grid (the
+    lowered contract, see the K_LOADW layout note); one that does not
+    raises.
     """
     out: list[tuple] = []
     merged = [0, 0, 0, 0]         # loads, stores, commands, vectorized
@@ -1446,24 +1434,17 @@ def _coalesce_mem(commands: "list[tuple]", ew: int,
     load, buf, n, first, last = True, "", 0, 0, 0
 
     def flush() -> None:
-        pieces = len(regs)
-        eligible = ((n * ew) % 16 == 0 and (first * ew) % 16 == 0
-                    and strides.get(buf, 0) % 16 == 0)
-        if len(run) >= 2 or (eligible and pieces >= 2):
-            cfirst = first * ew // 16 if eligible else -1
-            out.append((K_LOADW if load else K_STOREW, _sel(regs), buf,
-                        first, n, pieces, cfirst))
+        cfirst, rem = divmod(first * ew, 16)
+        if rem:
+            raise LoweringError(f"{'load' if load else 'store'} at element "
+                                f"{first} of {buf!r} is off the 16-byte "
+                                f"grid")
+        out.append((K_LOADW if load else K_STOREW, _sel(regs), buf,
+                    first, n, len(regs), cfirst))
+        if len(regs) >= 2:
             merged[0 if load else 1] += 1
             merged[2] += len(run) - 1
-            merged[3] += cfirst >= 0
-        elif eligible:
-            # a lone full-vector copy still wins as one 16-byte-unit
-            # elementwise move (count=1 wide command)
-            out.append((K_LOADW if load else K_STOREW, _sel(regs), buf,
-                        first, n, 1, first * ew // 16))
-            merged[3] += 1
-        else:
-            out.extend(run)
+        merged[3] += 1
 
     for cmd in commands:
         k = cmd[0]
@@ -1498,8 +1479,7 @@ def _coalesce_mem(commands: "list[tuple]", ew: int,
                  "commands": merged[2], "vectorized": merged[3]}
 
 
-def optimize_commands(commands: "list[tuple]", lanes: int, ew: int = 4,
-                      strides: "dict[str, int] | None" = None
+def optimize_commands(commands: "list[tuple]", lanes: int, ew: int = 4
                       ) -> "tuple[list[tuple], dict]":
     """Run the DCE -> fuse -> coalesce pipeline over a raw stream.
 
@@ -1507,14 +1487,14 @@ def optimize_commands(commands: "list[tuple]", lanes: int, ew: int = 4,
     explain reports and the ``lower.fuse.*`` / ``lower.coalesce.*`` /
     ``lower.dce.*`` counters).  Fusion runs before coalescing because
     removing the FMLAs between operand loads is what makes the loads
-    adjacent in the first place.  ``ew`` (element bytes) and ``strides``
-    (buffer name -> group stride in bytes) drive the 16-byte-unit copy
-    eligibility; omitting ``strides`` just disables that fast path.
+    adjacent in the first place.  ``ew`` (element bytes) converts
+    element offsets to the wide copies' 16-byte units; every memory
+    operand must lie on that grid, as every lowered one does.
     """
     del lanes  # geometry is uniform per stream; kept for signature clarity
     cmds, dce_removed = _dce(commands)
     cmds, fuse = _fuse_fmla_chains(cmds)
-    cmds, coal = _coalesce_mem(cmds, ew, strides or {})
+    cmds, coal = _coalesce_mem(cmds, ew)
     return cmds, _pass_stats(len(commands), cmds, dce_removed, fuse, coal)
 
 

@@ -7,11 +7,13 @@ that dispatch for streams that run again: the stream is turned *once*
 into straight-line NumPy source, byte-compiled with ``compile()``/
 ``exec``, and called in place of the interpreted replay with the same
 inputs as :meth:`~repro.runtime.backends.FusedBackend._replay` — the
-pass views of one wave and the register bank.  The source keeps the
-replay's exact operation set (per-member multiplies, then one
-elementwise accumulate; copies stay copies), so results are
-bit-identical to ``interpret``; what changes is how many ufunc calls and
-how much Python runs per command:
+pass views of one wave and the register bank.  Like the replay, it
+knows only the ten kinds lowering emits (see
+:mod:`repro.runtime.lowering`), and every memory command is a wide copy
+in 16-byte units.  The source keeps the replay's exact operation set
+(per-member multiplies, then one elementwise accumulate; copies stay
+copies), so results are bit-identical to ``interpret``; what changes is
+how many ufunc calls and how much Python runs per command:
 
 * no dispatch: every command is already resolved to its ufunc calls,
   and each register, register block and buffer view the commands share
@@ -64,11 +66,8 @@ import numpy as np
 
 from .. import obs
 from ..errors import ExecutionError
-from .lowering import (K_FADD, K_FDIV, K_FIMM, K_FMAI, K_FMLA, K_FMLS,
-                       K_FMUL, K_FMULI, K_FSUB, K_LOAD, K_LOAD1R, K_LOAD2,
-                       K_LOAD_PART, K_LOADPAIR, K_LOADW, K_MACC, K_STORE,
-                       K_STORE2, K_STOREPAIR, K_STOREW, K_VMOV, K_VZERO,
-                       CompiledPlan)
+from .lowering import (K_FMAI, K_FMLA, K_FMLS, K_FMUL, K_FMULI, K_LOADW,
+                       K_MACC, K_STOREW, K_VMOV, K_VZERO, CompiledPlan)
 
 __all__ = ["Program", "PlanPrograms", "ProgramMemo", "ensure_program",
            "compile_program", "generate_source", "bind_programs",
@@ -86,9 +85,6 @@ used go first)."""
 _AXES = {nl: ((nl,) + tuple(range(nl)) + (nl + 1,),
               tuple(range(1, nl + 1)) + (0, nl + 1)) for nl in range(1, 5)}
 
-
-#: where each store kind names its buffer
-_STORE_BUF = {K_STORE: 2, K_STOREPAIR: 3, K_STORE2: 3, K_STOREW: 2}
 
 
 def _sel_list(sel) -> "list[int]":
@@ -136,19 +132,16 @@ class _Gen:
                  demoted: "frozenset[int]" = frozenset()) -> None:
         self.stream = stream
         self.lanes = lanes
-        self.vb = (lanes * ew) // 16 if (lanes * ew) % 16 == 0 else 0
+        self.vb = (lanes * ew) // 16          # 16-byte units per register
         self.consts: list = []
         self.alias: "dict[int, int]" = {}   # register -> register it copies
         self.body: "list[str]" = []
         self.regs: "set[int]" = set()
         self.bufs: "dict[str, int]" = {}
-        self.plain: "set[str]" = set()
-        self.wide: "set[str]" = set()
         self.needs: "set[str]" = set()
         self.views: "dict[str, str]" = {}   # hoisted expression -> name
         self.stack_need = 0
-        self.stored = {cmd[_STORE_BUF[cmd[0]]] for cmd in stream
-                       if cmd[0] in _STORE_BUF}
+        self.stored = {cmd[2] for cmd in stream if cmd[0] == K_STOREW}
         self.demoted = demoted
         self.at = 0                         # stream position being emitted
         self.lead: "dict[int, str]" = {}    # register -> buffer it holds
@@ -190,12 +183,8 @@ class _Gen:
         """Where the register's current value lives (a read)."""
         return self.read(self.alias.get(reg, reg))
 
-    def m(self, buf: str) -> str:
-        self.plain.add(buf)
-        return f"m{self.bufs.setdefault(buf, len(self.bufs))}"
-
     def mc(self, buf: str) -> str:
-        self.wide.add(buf)
+        """The buffer's pass view in 16-byte units."""
         return f"c{self.bufs.setdefault(buf, len(self.bufs))}"
 
     def need(self, name: str) -> str:
@@ -302,11 +291,11 @@ class _Gen:
     # -- per-command emission ------------------------------------------
 
     def _loadw(self, cmd) -> None:
-        _, dsel, buf, first, n, count, cf = cmd
+        _, dsel, buf, _, _, count, cf = cmd
         regs = _sel_list(dsel)
         lead = self.load_lead(buf)
         self.write(regs, lead)
-        w = self._wide(buf) if cf >= 0 else None
+        w = self._wide(buf)
         if w is not None:
             if count == 1:
                 self.emit(f"copyto({self.rv(regs[0], True)}, {w}[{cf}])")
@@ -317,60 +306,40 @@ class _Gen:
                 self.emit(f"{self.cut(lead, True)}[{self.K(dsel)}] = "
                           f"{w}[{cf}:{cf + count}]")
             return
-        # cf >= 0: both sides as 16-byte units (complex128 views)
-        src, wide, width, start = ((self.mc(buf), True, self.vb, cf)
-                                   if cf >= 0 else
-                                   (self.m(buf), False, n, first))
-        view = f"{src}[..., {start}:{start + count * width}]"
+        view = f"{self.mc(buf)}[..., {cf}:{cf + count * self.vb}]"
         if count == 1:
-            self.emit(f"copyto({self.rv(regs[0], wide)}, {view})")
+            self.emit(f"copyto({self.rv(regs[0], True)}, {view})")
             return
-        view = (f"{view}.reshape({self.blead(buf)} + ({count}, {width}))"
+        view = (f"{view}.reshape({self.blead(buf)} + ({count}, {self.vb}))"
                 f".transpose({self.need('tr')})")
         if type(dsel) is slice:
-            self.emit(f"copyto({self.cut(lead, wide)}[{dsel.start}:"
+            self.emit(f"copyto({self.cut(lead, True)}[{dsel.start}:"
                       f"{dsel.stop}], {view})")
         else:
-            self.emit(f"{self.cut(lead, wide)}[{self.K(dsel)}] = {view}")
+            self.emit(f"{self.cut(lead, True)}[{self.K(dsel)}] = {view}")
 
     def _storew(self, cmd) -> None:
-        _, ssel, buf, first, n, count, cf = cmd
+        _, ssel, buf, _, _, count, cf = cmd
         regs = _sel_list(ssel)
-        w = self._wide(buf) if cf >= 0 else None
+        w = self._wide(buf)
+        if count == 1:
+            reg = self.alias.get(regs[0], regs[0])
+            dst = (f"{w}[{cf}]" if w is not None
+                   else f"{self.mc(buf)}[..., {cf}:{cf + self.vb}]")
+            self.emit(f"copyto({dst}, {self.read(reg, True)})")
+            return
+        self.read_block(regs)
+        self.full(regs)
         if w is not None:
-            if count == 1:
-                reg = self.alias.get(regs[0], regs[0])
-                self.emit(f"copyto({w}[{cf}], {self.read(reg, True)})")
-                return
-            self.read_block(regs)
-            self.full(regs)
             gs = (self.bank(ssel.start, ssel.stop, True)
                   if type(ssel) is slice else f"RC[{self.K(ssel)}]")
             self.emit(f"copyto({w}[{cf}:{cf + count}], {gs})")
             return
-        if cf >= 0:
-            dst = f"{self.mc(buf)}[..., {cf}:{cf + count * self.vb}]"
-            if count == 1:
-                reg = self.alias.get(regs[0], regs[0])
-                self.emit(f"copyto({dst}, {self.read(reg, True)})")
-                return
-            self.read_block(regs)
-            self.full(regs)
-            gs = (f"RC[{ssel.start}:{ssel.stop}]" if type(ssel) is slice
-                  else f"RC[{self.K(ssel)}]")
-            self.emit(f"copyto({dst}.reshape({self.need('lead')} + ({count}, "
-                      f"{self.vb})), {gs}.transpose({self.need('tm')}))")
-            return
-        self.read_block(regs)
-        self.full(regs)
-        if type(ssel) is slice:
-            gs = self.bank(ssel.start, ssel.stop)
-        else:
-            gs = (f"take(R, {self.K(ssel)}, axis=0, "
-                  f"out={self.stack(count)}[:{count}])")
-        self.emit(f"copyto({self.m(buf)}[..., {first}:{first + count * n}]"
-                  f".reshape({self.need('lead')} + ({count}, {n})), "
-                  f"{gs}[..., :{n}].transpose({self.need('tm')}))")
+        gs = (f"RC[{ssel.start}:{ssel.stop}]" if type(ssel) is slice
+              else f"RC[{self.K(ssel)}]")
+        self.emit(f"copyto({self.mc(buf)}[..., {cf}:{cf + count * self.vb}]"
+                  f".reshape({self.need('lead')} + ({count}, {self.vb})), "
+                  f"{gs}.transpose({self.need('tm')}))")
 
     def _outer(self, aids, bids, n) -> "tuple[str, int, int] | None":
         """When the members' products form one outer product of two
@@ -409,7 +378,8 @@ class _Gen:
             self.emit(f"{fn}({acc}, {self.prods(n)}, out={acc})")
             return
         sel = self.K(dsel)
-        self.emit(f"acc = take(R, {sel}, axis=0, out={self.need('s1')}[:{n}])")
+        self.emit(f"acc = take(R, {sel}, axis=0, out={self.need('s1')}[:{n}], "
+                  "mode='clip')")
         self.emit(f"{fn}(acc, {self.prods(n)}, out=acc)")
         self.emit(f"R[{sel}] = acc")
 
@@ -469,11 +439,6 @@ class _Gen:
         self.emit(f"add({dv}, T, out={self.r(d)})")
         return i + 1
 
-    def _load(self, regs: "list[int]", buf: str) -> "list[str]":
-        """Registers a scalar load writes, as the views it writes."""
-        self.write(regs, self.load_lead(buf))
-        return [self.rv(reg) for reg in regs]
-
     def _command(self, cmds: "list[tuple]", i: int) -> int:
         cmd = cmds[i]
         k = cmd[0]
@@ -495,71 +460,14 @@ class _Gen:
             self.emit(f"mul({av}, {bv}, out=T)")
             self.emit(f"{'add' if k == K_FMLA else 'sub'}({dv}, T, "
                       f"out={self.r(d)})")
-        elif k in (K_FADD, K_FSUB, K_FDIV):
-            _, d, a, b = cmd
-            av, bv = self.val(a), self.val(b)
-            self.write([d])
-            fn = {K_FADD: "add", K_FSUB: "sub", K_FDIV: "div"}[k]
-            self.emit(f"{fn}({av}, {bv}, out={self.r(d)})")
         elif k == K_FMULI:
             _, d, a, imm = cmd
             av = self.val(a)
             self.write([d])
             self.emit(f"mul({av}, {self.K(imm)}, out={self.r(d)})")
-        elif k == K_LOAD:
-            _, d, buf, first, n = cmd
-            dv, = self._load([d], buf)
-            self.emit(f"copyto({dv}, {self.m(buf)}[..., {first}:{first + n}])")
-        elif k == K_LOAD1R:
-            _, d, buf, first = cmd
-            dv, = self._load([d], buf)
-            self.emit(f"copyto({dv}, "
-                      f"{self.m(buf)}[..., {first}:{first + 1}])")
-        elif k == K_LOADPAIR:
-            _, d1, d2, buf, first, n = cmd
-            v1, v2 = self._load([d1, d2], buf)
-            mv = self.m(buf)
-            self.emit(f"copyto({v1}, {mv}[..., {first}:{first + n}])")
-            self.emit(f"copyto({v2}, {mv}[..., {first + n}:{first + 2 * n}])")
-        elif k in (K_LOAD_PART, K_LOAD2):
-            # partial vectors: zero tail, then the n elements (LOAD2
-            # de-interleaves even/odd elements into two registers)
-            if k == K_LOAD_PART:
-                _, d, buf, first, n = cmd
-                parts = [(d, f"{first}:{first + n}")]
-            else:
-                _, de, do, buf, first, n = cmd
-                parts = [(de, f"{first}:{first + 2 * n}:2"),
-                         (do, f"{first + 1}:{first + 2 * n}:2")]
-            dvs = self._load([d for d, _ in parts], buf)
-            for dv, (_, cols) in zip(dvs, parts):
-                if n < self.lanes:
-                    self.emit(f"{dv}[..., {n}:] = 0.0")
-                self.emit(f"{dv}[..., :{n}] = {self.m(buf)}[..., {cols}]")
-        elif k == K_STORE:
-            _, s, buf, first, n = cmd
-            self.emit(f"copyto({self.m(buf)}[..., {first}:{first + n}], "
-                      f"{self.val(s)}[..., :{n}])")
-        elif k == K_STOREPAIR:
-            _, s1, s2, buf, first, n = cmd
-            mv = self.m(buf)
-            self.emit(f"copyto({mv}[..., {first}:{first + n}], "
-                      f"{self.val(s1)})")
-            self.emit(f"copyto({mv}[..., {first + n}:{first + 2 * n}], "
-                      f"{self.val(s2)})")
-        elif k == K_STORE2:
-            _, se, so, buf, first, n = cmd
-            mv = self.m(buf)
-            self.emit(f"copyto({mv}[..., {first}:{first + 2 * n}:2], "
-                      f"{self.val(se)}[..., :{n}])")
-            self.emit(f"copyto({mv}[..., {first + 1}:{first + 2 * n}:2], "
-                      f"{self.val(so)}[..., :{n}])")
         elif k == K_VZERO:
             self.write([cmd[1]])
             self.emit(f"{self.r(cmd[1])}.fill(0.0)")
-        elif k == K_FIMM:
-            self.write([cmd[1]])
-            self.emit(f"{self.r(cmd[1])}.fill({self.K(cmd[2])})")
         elif k == K_VMOV:
             _, d, s = cmd
             src = self.alias.get(s, s)
@@ -567,7 +475,7 @@ class _Gen:
                 self.write([d])
                 self.alias[d] = src
                 self.stats["propagated_moves"] += 1
-        else:  # pragma: no cover - lowering emits only known kinds
+        else:  # pragma: no cover - lowering emits only these kinds
             raise ExecutionError(f"unknown compiled command kind {k}")
         return i + 1
 
@@ -578,11 +486,7 @@ class _Gen:
         while i < len(self.stream):
             i = self._command(self.stream, i)
         head = ["def run(M, F, R, T, K, MC, RC):"]
-        for buf, j in self.bufs.items():
-            if buf in self.plain:
-                head.append(f"    m{j} = M[{buf!r}]")
-            if buf in self.wide:
-                head.append(f"    c{j} = MC[{buf!r}]")
+        head.extend(f"    c{j} = MC[{buf!r}]" for buf, j in self.bufs.items())
         head.extend(f"    r{reg} = F[{reg}]" for reg in sorted(self.regs))
         if self.needs & {"sh", "lead", "tr", "tm"}:
             head.append("    sh = R.shape[1:]")
@@ -682,9 +586,9 @@ def compile_program(stream: "list[tuple]", lanes: int, ew: int) -> Program:
     t0 = time.perf_counter()
     source, consts, meta = generate_source(stream, lanes, ew)
     code = compile(source, "<fused program>", "exec")
-    ns = {"np": np, "C": tuple(consts), "AX": _AXES, "mul": np.multiply,
-          "add": np.add, "sub": np.subtract, "div": np.divide,
-          "copyto": np.copyto, "take": np.take}
+    ns = {"C": tuple(consts), "AX": _AXES, "mul": np.multiply,
+          "add": np.add, "sub": np.subtract, "copyto": np.copyto,
+          "take": np.take}
     exec(code, ns)                      # noqa: S102 - our own codegen
     stats = dict(meta["stats"], loc=source.count("\n"),
                  compile_ms=(time.perf_counter() - t0) * 1e3)

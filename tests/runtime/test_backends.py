@@ -244,9 +244,9 @@ class TestLowering:
         plan = iatf.plan_gemm(GemmProblem(4, 4, 4, "s", batch=4,
                                           alpha=1.1, beta=0.3))
         compiled = lower_plan(plan)
-        from repro.runtime.lowering import K_FIMM, K_FMAI, K_FMULI
+        from repro.runtime.lowering import K_FMAI, K_FMULI
         imms = [cmd[-1] for cmd in compiled.commands
-                if cmd[0] in (K_FIMM, K_FMAI, K_FMULI)]
+                if cmd[0] in (K_FMAI, K_FMULI)]
         assert imms, "scaled gemm should carry immediates"
         assert all(isinstance(i, np.float32) for i in imms)
 

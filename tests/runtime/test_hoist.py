@@ -81,7 +81,7 @@ def _invariance(compiled):
         if w.lattice is None or len(w.calls) == 1:
             continue
         rows, cols = w.lattice
-        stream, window, writes, _ = compiled.templates[w.template].wave_form
+        stream, window, writes = compiled.templates[w.template].wave_form
         for j, buf in enumerate(w.buffers):
             if buf in writes or buf not in window:
                 continue
@@ -214,37 +214,40 @@ def test_hoisted_special_values(problem, monkeypatch, hoist_all):
 
 L = lowering
 # hand-written streams over buffers X (read-only, cut on the first lead
-# axis), Y (read-only, full) and Z (written), 4 lanes of float64: a value
-# at X's short lead may only be an outer-product operand; every other
-# read demotes its load to the full lead.  (stream, loads that hoist)
+# axis), Y (read-only, full) and Z (written), 4 lanes of float64 (two
+# 16-byte units a register): a value at X's short lead may only be an
+# outer-product operand; every other read demotes its load to the full
+# lead.  (stream, loads that hoist)
 DEMOTIONS = {
     # r8 and r9, loaded from X, accumulate: they load at full lead; the
     # outer-product operand blocks r0-r1 (X) and r2-r3 (Y) hoist
     "accumulator": ([
-        (L.K_LOADW, slice(0, 2), "X", 0, 4, 2, -1),
-        (L.K_LOADW, slice(2, 4), "Y", 0, 4, 2, -1),
-        (L.K_LOAD, 8, "X", 8, 4), (L.K_LOAD, 9, "X", 12, 4),
+        (L.K_LOADW, slice(0, 2), "X", 0, 4, 2, 0),
+        (L.K_LOADW, slice(2, 4), "Y", 0, 4, 2, 0),
+        (L.K_LOADW, slice(8, 9), "X", 8, 4, 1, 4),
+        (L.K_LOADW, slice(9, 10), "X", 12, 4, 1, 6),
         (L.K_VZERO, 10), (L.K_VZERO, 11),
         (L.K_MACC, slice(8, 12), (0, 1, 0, 1), (2, 2, 3, 3), False, 4),
-        (L.K_STOREW, slice(8, 12), "Z", 0, 4, 4, -1)], 2),
+        (L.K_STOREW, slice(8, 12), "Z", 0, 4, 4, 0)], 2),
     # a block loaded from X is stored as a block, and a register from X
     # is an elementwise operand: both load at full lead
     "stored block": ([
-        (L.K_LOADW, slice(0, 3), "X", 0, 4, 3, -1),
-        (L.K_LOAD, 3, "X", 12, 4),
+        (L.K_LOADW, slice(0, 3), "X", 0, 4, 3, 0),
+        (L.K_LOADW, slice(3, 4), "X", 12, 4, 1, 6),
         (L.K_FMUL, 4, 3, 3),
-        (L.K_STOREW, slice(0, 3), "Z", 0, 4, 3, -1),
-        (L.K_STORE, 4, "Z", 12, 4)], 0),
+        (L.K_STOREW, slice(0, 3), "Z", 0, 4, 3, 0),
+        (L.K_STOREW, slice(4, 5), "Z", 12, 4, 1, 6)], 0),
     # an outer-product block mixing X and Y loads, and an FMLA operand
     # from X, load at full lead; the X block r2-r3 hoists
     "mixed block": ([
-        (L.K_LOAD, 0, "X", 0, 4), (L.K_LOAD, 1, "Y", 0, 4),
-        (L.K_LOADW, slice(2, 4), "X", 4, 4, 2, -1),
-        (L.K_LOAD, 4, "X", 12, 4),
+        (L.K_LOADW, slice(0, 1), "X", 0, 4, 1, 0),
+        (L.K_LOADW, slice(1, 2), "Y", 0, 4, 1, 0),
+        (L.K_LOADW, slice(2, 4), "X", 4, 4, 2, 2),
+        (L.K_LOADW, slice(4, 5), "X", 12, 4, 1, 6),
         (L.K_VZERO, 8), (L.K_VZERO, 9), (L.K_VZERO, 10), (L.K_VZERO, 11),
         (L.K_MACC, slice(8, 12), (0, 1, 0, 1), (2, 2, 3, 3), False, 4),
         (L.K_FMLA, 8, 4, 4),
-        (L.K_STOREW, slice(8, 12), "Z", 0, 4, 4, -1)], 1),
+        (L.K_STOREW, slice(8, 12), "Z", 0, 4, 4, 0)], 1),
 }
 
 
@@ -262,11 +265,11 @@ def test_demoted_loads_keep_the_replay_bytes(name):
             "Y": rng.standard_normal(lead + (16,))}
     out = []
     for program in (stream, compile_program(stream, 4, 8)):
-        z = np.zeros(lead + (16,))
+        views = {**mats, "Z": np.zeros(lead + (16,))}
         bank = _Bank(15, 4, np.dtype(np.float64), 4)
-        bank.replay(program, {**mats, "Z": z}, lead,
-                    {"X": None, "Y": None, "Z": None})
-        out.append(z.tobytes())
+        bank.replay(program, views, lead,
+                    {k: v.view(np.complex128) for k, v in views.items()})
+        out.append(views["Z"].tobytes())
     assert out[0] == out[1]
 
 

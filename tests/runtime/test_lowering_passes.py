@@ -4,28 +4,34 @@ The equivalence suite (test_backends.py) proves end-to-end that the
 fused backend reproduces interpret bytes; these tests pin down *why*
 by driving :func:`optimize_commands` over hand-built command streams
 where the expected rewrite is known exactly — which chains fuse, where
-segmentation cuts, what coalesces, what DCE may and may not remove.
+segmentation cuts, what coalesces, what DCE may and may not remove —
+and by running hand-built plans on ``fused`` against ``interpret``.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
-from repro.machine.isa import NUM_VREGS
+from repro.codegen import regs
+from repro.errors import LoweringError
+from repro.machine import isa
 from repro.machine.machines import KUNPENG_920
-from repro.runtime.backends import FusedBackend
+from repro.machine.memory import MemorySpace
+from repro.machine.program import Program
+from repro.runtime.engine import Engine
 from repro.runtime.iatf import IATF
 from repro.runtime.lowering import (FUSE_MIN_CHAIN, K_FMLA, K_FMLS, K_FMUL,
-                                    K_FMULI, K_LOAD, K_LOAD1R, K_LOADW,
-                                    K_MACC, K_STORE, K_STOREPAIR, K_STOREW,
-                                    K_VZERO, lower_plan, optimize_commands)
-from repro.runtime.megakernel import compile_program
+                                    K_LOAD, K_LOADW, K_MACC, K_STORE,
+                                    K_STOREPAIR, K_STOREW, K_VZERO,
+                                    lower_plan, optimize_commands)
+from repro.runtime.plan import BufferSpec, KernelCall
 from repro.types import GemmProblem
 
 LANES = 4                     # float32 vector: 4 lanes * 4 B = 16 B
 EW = 4
-STRIDE_ELEMS = 32             # 128 B group stride — 16-byte eligible
-STRIDES = {"a": STRIDE_ELEMS * EW, "b": STRIDE_ELEMS * EW,
-           "c": STRIDE_ELEMS * EW}
+STRIDE_ELEMS = 32             # 128 B group stride — on the 16-byte grid
+GROUPS = 37                   # deliberately odd
 
 PASS_KEYS = ("commands_before", "commands_after", "dce_removed",
              "fuse_chains", "fuse_commands", "fuse_max_chain",
@@ -33,37 +39,48 @@ PASS_KEYS = ("commands_before", "commands_after", "dce_removed",
              "coalesce_vectorized", "max_stack")
 
 
-def optimize(commands, strides=STRIDES):
-    return optimize_commands(commands, LANES, EW, strides)
+def optimize(commands):
+    return optimize_commands(commands, LANES, EW)
 
 
 def kinds(commands):
     return [c[0] for c in commands]
 
 
-def replay(commands, bufs, max_stack=0, generated=False):
-    """Drive the shared replay loop — or, with ``generated``, the
-    program generated from ``commands`` — directly over synthetic
-    buffers."""
-    groups = next(iter(bufs.values())).shape[0]
-    if generated:
-        prog = compile_program(commands, LANES, EW)
-        max_stack = max(max_stack, prog.stack_need)
-    rbank = np.zeros((NUM_VREGS, groups, LANES), dtype=np.float32)
-    scratch = np.empty((groups, LANES), dtype=np.float32)
-    stacks = (np.empty((2, max_stack, groups, LANES), dtype=np.float32)
-              if max_stack else None)
-    rbankC = rbank.view(np.complex128)
-    matsC = {name: (v.view(np.complex128)
-                    if (v.shape[1] * v.itemsize) % 16 == 0 else None)
-             for name, v in bufs.items()}
-    args = (bufs, list(rbank), rbank, scratch, stacks, matsC, rbankC)
+def hand_plan(instrs, strides=None):
+    """A one-call float32 plan of ``instrs`` over buffers a (PA), b (PB)
+    and c (PC0), each ``STRIDE_ELEMS`` elements per group unless
+    ``strides`` (bytes) says otherwise."""
+    base = IATF(KUNPENG_920).plan_gemm(GemmProblem(4, 4, 4, "s",
+                                                   batch=4 * GROUPS))
+    plan = copy.copy(base)
+    prog = Program("synthetic", instrs, ew=EW, lanes=LANES)
+    plan.calls = [KernelCall(prog, a_buf="a", a_off=0, b_buf="b", b_off=0,
+                             c_buf="c", c_offsets=(0,))]
+    plan.buffers = {name: BufferSpec(name, (strides or {}).get(
+                        name, STRIDE_ELEMS * EW)) for name in "abc"}
+    plan.groups = GROUPS
+    return plan
+
+
+def run_plan(plan, backend, data, compiled=None, engine=None):
+    """Run ``plan`` on ``data`` (buffer -> ``(groups, elements)``
+    float32, updated in place) through ``backend``."""
+    engine = engine or Engine(KUNPENG_920, backend=backend)
+    mem = MemorySpace()
+    for name, arr in data.items():
+        mem.bind(name, arr.reshape(-1))
+    strides = {name: spec.group_stride_bytes
+               for name, spec in plan.buffers.items()}
     with np.errstate(all="ignore"):
-        if generated:
-            prog.fn(*args)
-        else:
-            FusedBackend._replay(commands, *args)
-    return rbank
+        engine.run_plan(plan, mem, strides, plan.groups, compiled)
+
+
+def operands(rng, plan):
+    return {name: rng.standard_normal(
+                (plan.groups, spec.group_stride_bytes // EW)).astype(
+                    np.float32)
+            for name, spec in plan.buffers.items()}
 
 
 class TestDce:
@@ -197,13 +214,17 @@ class TestCoalesce:
         (wide,) = [c for c in out if c[0] == K_STOREW]
         assert wide[5] == 3                  # three registers, one copy
 
-    def test_ineligible_stride_merges_without_vectorizing(self):
-        strides = {"a": 136, "c": 136}       # not a multiple of 16
-        cmds = [(K_LOAD, 0, "a", 0, LANES), (K_LOAD, 1, "a", 4, LANES),
-                (K_STORE, 0, "c", 0, LANES), (K_STORE, 1, "c", 4, LANES)]
-        out, p = optimize(cmds, strides)
-        assert out[0][0] == K_LOADW and out[0][6] == -1
-        assert p["coalesce_vectorized"] == 0
+    def test_stride_off_16_bytes_is_rejected(self):
+        """A group stride off the 16-byte grid cannot be viewed in
+        16-byte units: lowering rejects it at the first access."""
+        plan = hand_plan([isa.ldrv(0, regs.PA, 0, ew=EW),
+                          isa.ldrv(1, regs.PA, 16, ew=EW),
+                          isa.stpv(0, 1, regs.pc(0), 0, ew=EW)],
+                         strides={"a": 136, "c": 136})
+        with pytest.raises(LoweringError, match=(
+                r"synthetic @pc=0 \(ldrv  v0.4s, \[x0, #0\]\) \[call 0\]: "
+                r"buffer 'a' group stride 136 B is not a multiple of 16 B")):
+            lower_plan(plan)
 
     def test_lone_eligible_copy_goes_wide(self):
         cmds = [(K_LOAD, 0, "a", 8, LANES), (K_STORE, 0, "c", 8, LANES)]
@@ -212,10 +233,20 @@ class TestCoalesce:
         assert out[0][5] == 1 and out[0][6] == 8 * EW // 16
         assert p["coalesce_commands"] == 0   # nothing merged away
 
-    def test_lone_misaligned_copy_stays_raw(self):
+    def test_lone_misaligned_copy_is_rejected(self):
+        """A copy 8 B off the 16-byte grid: a raw stream holding one
+        fails to coalesce, and a program making one fails to lower."""
         cmds = [(K_LOAD, 0, "a", 2, LANES), (K_STORE, 0, "c", 2, LANES)]
-        out, _ = optimize(cmds)
-        assert kinds(out) == [K_LOAD, K_STORE]
+        with pytest.raises(LoweringError, match="16-byte grid"):
+            optimize(cmds)
+        plan = hand_plan([isa.ldrv(0, regs.PA, 0, ew=EW),
+                          isa.ldrv(1, regs.PA, 8, ew=EW),
+                          isa.strv(1, regs.pc(0), 0, ew=EW)])
+        with pytest.raises(LoweringError, match=(
+                r"synthetic @pc=1 \(ldrv  v1.4s, \[x0, #8\]\) \[call 0\]: "
+                r"misaligned access into 'a' \(offset 8 not a multiple of "
+                r"16\)")):
+            lower_plan(plan)
 
     def test_repeated_load_destination_breaks_run(self):
         cmds = [(K_LOAD, 0, "a", 0, LANES), (K_LOAD, 0, "a", 4, LANES),
@@ -227,64 +258,62 @@ class TestCoalesce:
 
 class TestReplayEquivalence:
     def synthetic(self):
-        """A stream exercising every rewrite at once: fusable chains,
+        """A program exercising every rewrite at once: fusable chains,
         segment cuts (repeat + sign flip), a hoistable load, dead code,
         coalescible and lone stores."""
-        L = LANES
+        a, b, c = regs.PA, regs.PB, regs.pc(0)
         return [
-            (K_LOAD, 8, "a", 0, L), (K_LOAD, 9, "a", 4, L),
-            (K_LOAD1R, 10, "b", 0),
-            (K_VZERO, 0), (K_VZERO, 1), (K_VZERO, 2), (K_VZERO, 3),
-            (K_FMLA, 0, 8, 10), (K_FMLA, 1, 8, 9),
-            (K_FMLA, 2, 9, 10), (K_FMLA, 3, 8, 8),
-            (K_LOAD, 11, "b", 4, L),         # hoistable mid-run
-            (K_FMLA, 0, 9, 11),              # accumulator revisit
-            (K_FMLS, 1, 8, 11),              # sign flip
-            (K_FMLS, 2, 9, 11), (K_FMLS, 3, 10, 11),
-            (K_FMULI, 4, 0, np.float32(1.5)),
-            (K_FMUL, 20, 8, 9),              # dead: v20 never read
-            (K_STORE, 0, "c", 0, L), (K_STORE, 1, "c", 4, L),
-            (K_STOREPAIR, 2, 3, "c", 8, L),
-            (K_STORE, 4, "c", 16, L),
-            (K_STORE, 0, "c", 22, 2),        # partial, ineligible
+            isa.ldrv(8, a, 0, ew=EW), isa.ldrv(9, a, 16, ew=EW),
+            isa.ldrv(10, b, 0, ew=EW),
+            isa.vzero(0, ew=EW), isa.vzero(1, ew=EW),
+            isa.vzero(2, ew=EW), isa.vzero(3, ew=EW),
+            isa.fmla(0, 8, 10, ew=EW), isa.fmla(1, 8, 9, ew=EW),
+            isa.fmla(2, 9, 10, ew=EW), isa.fmla(3, 8, 8, ew=EW),
+            isa.ldrv(11, b, 16, ew=EW),          # hoistable mid-run
+            isa.fmla(0, 9, 11, ew=EW),           # accumulator revisit
+            isa.fmls(1, 8, 11, ew=EW),           # sign flip
+            isa.fmls(2, 9, 11, ew=EW), isa.fmls(3, 10, 11, ew=EW),
+            isa.fmuli(4, 0, 1.5, ew=EW),
+            isa.fmul(20, 8, 9, ew=EW),           # dead: v20 never read
+            isa.strv(0, c, 0, ew=EW), isa.strv(1, c, 16, ew=EW),
+            isa.stpv(2, 3, c, 32, ew=EW),
+            isa.strv(4, c, 64, ew=EW),
+            isa.strv(0, c, 96, ew=EW),           # lone, after a gap
         ]
 
+    def check(self, data):
+        """``fused`` — its first execute replays, its second runs the
+        generated program — leaves the bytes ``interpret`` leaves."""
+        plan = hand_plan(self.synthetic())
+        ref = {name: v.copy() for name, v in data.items()}
+        run_plan(plan, "interpret", ref)
+        engine = Engine(KUNPENG_920)
+        compiled = lower_plan(plan, engine.templates)
+        for execute in ("replayed", "generated"):
+            got = {name: v.copy() for name, v in data.items()}
+            run_plan(plan, "fused", got, compiled, engine)
+            assert (compiled.programs is not None) is (
+                execute == "generated")
+            for name in data:
+                assert got[name].tobytes() == ref[name].tobytes(), (
+                    execute, name)
+        return compiled
+
     def test_optimized_stream_bit_identical(self, rng):
-        raw = self.synthetic()
-        opt, p = optimize(raw)
+        plan = hand_plan(self.synthetic())
+        for _ in range(3):
+            compiled = self.check(operands(rng, plan))
+        p = compiled.stats["passes"]
         assert p["commands_after"] < p["commands_before"]
         assert p["dce_removed"] == 1 and p["fuse_chains"] >= 1
-        groups = 37                          # deliberately odd
-        for seed_bufs in range(3):
-            data = {name: rng.standard_normal(
-                        (groups, STRIDE_ELEMS)).astype(np.float32)
-                    for name in ("a", "b", "c")}
-            ref = {name: v.copy() for name, v in data.items()}
-            gen = {name: v.copy() for name, v in data.items()}
-            replay(raw, ref)
-            replay(opt, data, max_stack=p["max_stack"])
-            replay(opt, gen, max_stack=p["max_stack"], generated=True)
-            for name in ("a", "b", "c"):
-                assert data[name].tobytes() == ref[name].tobytes(), name
-                assert gen[name].tobytes() == ref[name].tobytes(), name
 
     def test_special_values_survive_fusion(self, rng):
         """NaN payloads and signed zeros ride through macro-ops
         unchanged — subtract is never rewritten as negate-then-add."""
-        raw = self.synthetic()
-        opt, p = optimize(raw)
-        data = {name: rng.standard_normal(
-                    (8, STRIDE_ELEMS)).astype(np.float32)
-                for name in ("a", "b", "c")}
+        data = operands(rng, hand_plan(self.synthetic()))
         data["a"][:, :2] = [np.nan, np.inf]
         data["b"][:, :2] = [-0.0, -np.inf]
-        ref = {name: v.copy() for name, v in data.items()}
-        gen = {name: v.copy() for name, v in data.items()}
-        replay(raw, ref)
-        replay(opt, data, max_stack=p["max_stack"])
-        replay(opt, gen, max_stack=p["max_stack"], generated=True)
-        assert data["c"].tobytes() == ref["c"].tobytes()
-        assert gen["c"].tobytes() == ref["c"].tobytes()
+        self.check(data)
 
 
 class TestPlanIntegration:

@@ -58,10 +58,6 @@ def _canon(cmds):
                   else x for x in cmd) for cmd in cmds]
 
 
-def _strides(compiled):
-    return {name: lay.stride_bytes for name, lay in compiled.buffers.items()}
-
-
 def _check_calls_match_one_call_plans(plan, compiled):
     assert len(compiled.fused_ranges) == len(compiled.call_ranges)
     for i, ((name, start, stop), (fstart, fstop)) in enumerate(
@@ -78,7 +74,7 @@ def _check_calls_match_one_call_plans(plan, compiled):
 
 def _check_whole_stream(compiled):
     fused, passes = optimize_commands(compiled.commands, compiled.lanes,
-                                      compiled.ew, _strides(compiled))
+                                      compiled.ew)
     assert _canon(fused) == _canon(compiled.fused_commands)
     assert passes == compiled.stats["passes"]
 
@@ -99,8 +95,7 @@ def _segments(compiled):
 def _check_segments(compiled):
     for kernel, start, stop, fstart, fstop in _segments(compiled):
         cmds, _ = optimize_commands(compiled.commands[start:stop],
-                                    compiled.lanes, compiled.ew,
-                                    _strides(compiled))
+                                    compiled.lanes, compiled.ew)
         assert (_canon(compiled.fused_commands[fstart:fstop])
                 == _canon(cmds)), kernel
 
@@ -376,23 +371,27 @@ def test_sharing_is_counted_and_reported():
     assert "(2 shared)" in fw.explain_trsm(second).render()
 
 
-def test_stride_residue_is_part_of_the_key():
+def test_stride_off_16_bytes_is_rejected_through_the_store():
     """A plan that binds a stored template's buffer at a group stride
-    with another residue mod 16 B must not reuse its wide-copy
-    decisions; the store keeps both, and each equals a fresh lowering."""
+    off the 16-byte grid must not borrow the template: it raises the
+    error a fresh lowering raises, and the store keeps only the valid
+    plan's template."""
     plan = _plan(GemmProblem(8, 8, 8, "d", batch=4))
     odd = _with_stride(plan, "C", plan.buffers["C"].group_stride_bytes + 8)
+    with pytest.raises(LoweringError) as fresh:
+        lower_plan(odd)
+    assert str(fresh.value) == (
+        "dgemm_4x4_k8_a1.0_b1.0 @pc=196 (ldp   q0, q1, [x2, #0]) [call 0]: "
+        "buffer 'C' group stride 1032 B is not a multiple of 16 B")
     store = ProgramMemo()
     lower_plan(plan, store)
-    got = lower_plan(odd, store)
-    assert got.stats["templates_shared"] == 0
-    _assert_same_lowering(got, lower_plan(odd))
-    assert _canon(got.fused_commands) != _canon(lower_plan(plan).fused_commands)
-    assert len(store) == 1 and store.generated == 2
-    for p in (plan, odd):
-        again = lower_plan(p, store)
-        assert again.stats["templates_shared"] == 1
-        _assert_same_lowering(again, lower_plan(p))
+    with pytest.raises(LoweringError) as warm:
+        lower_plan(odd, store)
+    assert str(warm.value) == str(fresh.value)
+    assert len(store) == 1 and store.generated == 1
+    again = lower_plan(plan, store)
+    assert again.stats["templates_shared"] == 1
+    _assert_same_lowering(again, lower_plan(plan))
 
 
 def test_store_is_a_bounded_lru():
@@ -603,12 +602,18 @@ def test_overlapping_copies_level_every_call(problem, head, shift):
     (_trsm(8, 8, "s", "LLNN", 4), 3, {"workB": 8}),
 ], ids=["1-call", "2-call", "3-call"])
 def test_shift_off_16_bytes_is_not_translated(problem, head, shift):
-    """Copies 8 B apart key differently mod 16 B: no block, and the
-    call-by-call lowering (three copies, so no longer period)."""
+    """Copies 8 B apart key differently mod 16 B, so no block is
+    translated: the calls bind one by one, and the first call of the
+    second copy, off the 16-byte grid, raises its own error (the one
+    call-by-call lowering raises)."""
     plan = _copies(_plan(problem), head, 3, shift)
-    got = lower_plan(plan)
-    assert got.stats["block"] is None and got.stats["blocks_translated"] == 0
-    _assert_translated_like(got, _call_by_call(plan))
+    with pytest.raises(LoweringError,
+                       match=rf"\[call {head}\]: misaligned access .* "
+                             rf"not a multiple of 16\)") as got:
+        lower_plan(plan)
+    with pytest.raises(LoweringError) as want:
+        _call_by_call(plan)
+    assert str(got.value) == str(want.value)
 
 
 # the last copy leaves a buffer's group stride: the lowering must raise

@@ -31,8 +31,8 @@ from repro.layout.compact import CompactBatch
 from repro.runtime import backends, megakernel
 from repro.runtime.backends import FusedBackend
 from repro.runtime.engine import Engine
-from repro.runtime.lowering import (K_STORE, K_STORE2, K_STOREPAIR,
-                                    CompiledCommand, lower_plan)
+from repro.runtime.lowering import (K_STORE, K_STOREPAIR, CompiledCommand,
+                                    lower_plan)
 from repro.types import BlasDType, GemmProblem, TrsmProblem
 
 # NaN/Inf operands are the point of the special-value draws
@@ -203,7 +203,7 @@ def _conflicts(compiled):
             c = CompiledCommand(cmd[0], cmd)
             if c.is_mem:
                 buf, first, n, _ = c.access()
-                store = c.kind in (K_STORE, K_STOREPAIR, K_STORE2)
+                store = c.kind in (K_STORE, K_STOREPAIR)
                 masks[buf][int(store), ci, first:first + n] = 1
     out = np.zeros((calls, calls), dtype=bool)
     for reads, writes in masks.values():   # 0/1 floats: exact counts
